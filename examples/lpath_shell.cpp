@@ -31,8 +31,6 @@
 //                      (an image-backed corpus re-opens its image)
 //   :threads N         rebuild every query service with N threads
 //                      (plan caches and stats start fresh)
-//   :vectorized on|off switch between the batch and the scalar executor
-//                      kernel (on is the default)
 //   :cache             plan-cache and latency statistics
 //   :wal               durability status: per-corpus write-ahead-log
 //                      position and segment count, replayed batches,
@@ -79,7 +77,6 @@ void PrintHelp() {
       "  :reload           rebuild the current index and hot-swap it\n"
       "  :threads N        rebuild the query services with N threads\n"
       "                    (plan caches and stats start fresh)\n"
-      "  :vectorized on|off  batch (selection-vector) vs scalar kernel\n"
       "  :cache            plan-cache and latency statistics\n"
       "  :wal              durability status (WAL position, checkpoints,\n"
       "                    compaction health; enable with --wal DIR)\n"
@@ -400,19 +397,6 @@ int main(int argc, char** argv) {
       db.SetServiceOptions(db_opts.service);
       std::printf("query services rebuilt with %d threads\n",
                   db.service(current)->threads());
-      continue;
-    }
-    if (input == ":vectorized" || StartsWith(input, ":vectorized ")) {
-      const std::string arg(StripWhitespace(input.substr(11)));
-      if (arg != "on" && arg != "off") {
-        std::printf("usage: :vectorized on|off (currently %s)\n",
-                    db_opts.service.exec.vectorized ? "on" : "off");
-        continue;
-      }
-      db_opts.service.exec.vectorized = arg == "on";
-      db.SetServiceOptions(db_opts.service);
-      std::printf("query services rebuilt with the %s kernel\n",
-                  arg == "on" ? "batch" : "scalar");
       continue;
     }
     if (input == ":cache") {

@@ -324,16 +324,20 @@ Status Database::Compact(const std::string& name) {
 }
 
 Status Database::CompactInternal(const std::string& name) {
+  const std::shared_ptr<service::QueryService> owner = Resolve(name);
   const Status status = CompactOnce(name);
   // Record the outcome for List()/monitoring — from both entry points, so
   // a synchronous Compact() failure is just as visible as a background
   // one. Failures accumulate; a clean compaction clears only the error
   // text (the count keeps witnessing that something went wrong before).
-  // NotFound is not recorded: the corpus was detached and its health
-  // purged — writing here would resurrect the entry and smear it onto a
-  // later attach under the same name.
+  // Nothing is recorded once the corpus compacted here is gone (NotFound,
+  // or detached while compacting): Detach purged its health, and writing
+  // would resurrect the entry and smear it onto a later attach under the
+  // same name. Detach drops the catalog entry before it takes compact_mu_
+  // to purge, so checking the catalog under compact_mu_ closes the race.
   if (!status.IsNotFound()) {
     std::lock_guard<std::mutex> lock(compact_mu_);
+    if (owner == nullptr || Resolve(name) != owner) return status;
     CompactHealth& health = compact_health_[name];
     if (status.ok()) {
       health.last_error.clear();
@@ -368,6 +372,16 @@ Status Database::CompactOnce(const std::string& name) {
   LPATH_ASSIGN_OR_RETURN(SnapshotPtr compacted,
                          current->Compact(nullptr, save_options));
   const bool image_backed = compacted->image_backed();
+  // Clear the recorded error before the compacted snapshot becomes
+  // visible: List() reads snapshots before health, so a reader that sees
+  // the delta gone also sees the error gone (CompactInternal records the
+  // outcome only after this returns).
+  {
+    std::lock_guard<std::mutex> lock(compact_mu_);
+    if (auto it = compact_health_.find(name); it != compact_health_.end()) {
+      it->second.last_error.clear();
+    }
+  }
   bool published = false;
   std::shared_ptr<service::QueryService> service;
   std::shared_ptr<const void> retired;
@@ -578,6 +592,7 @@ std::vector<CorpusInfo> Database::List() const {
     std::string name;
     std::shared_ptr<service::QueryService> service;
     std::shared_ptr<Wal> wal;
+    SnapshotPtr snap;
   };
   std::vector<Row> rows;
   {
@@ -586,9 +601,14 @@ std::vector<CorpusInfo> Database::List() const {
     for (const auto& [name, service] : catalog_) {
       auto wal_it = wal_.find(name);
       rows.push_back(Row{name, service,
-                         wal_it == wal_.end() ? nullptr : wal_it->second});
+                         wal_it == wal_.end() ? nullptr : wal_it->second,
+                         nullptr});
     }
   }
+  // Snapshots before health: CompactOnce clears the error before it
+  // publishes, so a listed delta-free snapshot never pairs with the error
+  // its compaction cleared.
+  for (Row& row : rows) row.snap = row.service->snapshot();
   std::unordered_map<std::string, CompactHealth> health;
   {
     std::lock_guard<std::mutex> lock(compact_mu_);
@@ -599,7 +619,7 @@ std::vector<CorpusInfo> Database::List() const {
   std::vector<CorpusInfo> out;
   out.reserve(rows.size());
   for (const Row& row : rows) {
-    const SnapshotPtr snap = row.service->snapshot();
+    const SnapshotPtr& snap = row.snap;
     CorpusInfo info;
     info.name = row.name;
     info.snapshot_id = snap->id();

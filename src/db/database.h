@@ -261,7 +261,8 @@ class Database {
 
   /// Background compactor: one lazily-started thread draining a
   /// deduplicated queue of compaction tasks; synchronous Compact() is the
-  /// caller-facing error path, compact_health_ the monitoring one.
+  /// caller-facing error path, compact_health_ the monitoring one. Lock
+  /// order: mu_ may be taken while compact_mu_ is held, never the reverse.
   mutable std::mutex compact_mu_;
   std::condition_variable compact_cv_;
   std::deque<CompactTask> compact_queue_;

@@ -419,30 +419,52 @@ class Parser {
     return false;
   }
 
+  /// Opens one nesting level (see kMaxLPathNesting); callers restore
+  /// nesting_ when the production that opened it returns. An error ends
+  /// the whole parse, so error paths need not restore it.
+  Status Nest() {
+    if (nesting_ == kMaxLPathNesting) {
+      return Error("predicates nested deeper than " +
+                   std::to_string(kMaxLPathNesting) + " levels");
+    }
+    ++nesting_;
+    return Status::OK();
+  }
+
+  // An and/or chain builds a left-deep tree, so each operator nests the
+  // chain one level deeper and holds its level until the chain ends.
   Result<PredExprPtr> ParsePredOr() {
+    const int outer = nesting_;
     LPATH_ASSIGN_OR_RETURN(PredExprPtr lhs, ParsePredAnd());
     for (;;) {
       SkipWs();
-      if (!EatKeyword("or")) return lhs;
+      if (!EatKeyword("or")) break;
+      LPATH_RETURN_IF_ERROR(Nest());
       LPATH_ASSIGN_OR_RETURN(PredExprPtr rhs, ParsePredAnd());
       auto node = std::make_unique<PredExpr>(PredExpr::Kind::kOr);
       node->lhs = std::move(lhs);
       node->rhs = std::move(rhs);
       lhs = std::move(node);
     }
+    nesting_ = outer;
+    return lhs;
   }
 
   Result<PredExprPtr> ParsePredAnd() {
+    const int outer = nesting_;
     LPATH_ASSIGN_OR_RETURN(PredExprPtr lhs, ParsePredUnary());
     for (;;) {
       SkipWs();
-      if (!EatKeyword("and")) return lhs;
+      if (!EatKeyword("and")) break;
+      LPATH_RETURN_IF_ERROR(Nest());
       LPATH_ASSIGN_OR_RETURN(PredExprPtr rhs, ParsePredUnary());
       auto node = std::make_unique<PredExpr>(PredExpr::Kind::kAnd);
       node->lhs = std::move(lhs);
       node->rhs = std::move(rhs);
       lhs = std::move(node);
     }
+    nesting_ = outer;
+    return lhs;
   }
 
   Result<CmpOp> ParseCmpOp() {
@@ -456,7 +478,18 @@ class Parser {
     return Error("expected comparison operator");
   }
 
+  /// Every recursive cycle of the grammar — '[', '(' and not(...) — passes
+  /// through here, so together with the and/or chains this bounds the
+  /// parser's stack depth and the depth of the AST that compile, prepare
+  /// and execute recurse over.
   Result<PredExprPtr> ParsePredUnary() {
+    LPATH_RETURN_IF_ERROR(Nest());
+    Result<PredExprPtr> pred = ParsePredPrimary();
+    --nesting_;
+    return pred;
+  }
+
+  Result<PredExprPtr> ParsePredPrimary() {
     SkipWs();
     // not(...)
     {
@@ -566,6 +599,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int nesting_ = 0;  ///< open nesting levels (see Nest)
 };
 
 }  // namespace

@@ -14,6 +14,13 @@
 
 namespace lpath {
 
+/// Deepest predicate nesting ParseLPath accepts: each '[', '(' or not(...)
+/// opens one level, and so does each and/or operator until its chain ends
+/// (a chain is a left-deep tree). Deeper queries fail with InvalidArgument
+/// instead of exhausting the stack of the recursive-descent parser, or of
+/// the compiler, optimizer and executor that recurse over the same tree.
+inline constexpr int kMaxLPathNesting = 128;
+
 /// Parses a complete top-level LPath query (it must be absolute, i.e. begin
 /// with '/' or '//'). Errors carry the byte offset.
 Result<LocationPath> ParseLPath(std::string_view query);

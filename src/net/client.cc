@@ -158,15 +158,15 @@ Status Client::SendCancel(uint32_t request_id) {
 }
 
 Status Client::ReadResponse(uint32_t request_id, std::vector<Hit>* rows) {
-  // Already fully buffered by an earlier interleaved read?
-  if (auto it = pending_.find(request_id);
-      it != pending_.end() && it->second.done) {
+  // Rows an earlier interleaved read buffered for this request come first,
+  // whether or not its end has arrived yet.
+  if (auto it = pending_.find(request_id); it != pending_.end()) {
     BufferedResponse resp = std::move(it->second);
     pending_.erase(it);
     if (rows != nullptr) {
       rows->insert(rows->end(), resp.rows.begin(), resp.rows.end());
     }
-    return resp.status;
+    if (resp.done) return resp.status;
   }
 
   while (true) {

@@ -29,13 +29,22 @@ class Generator {
   }
 
  private:
-  static char Prefix(int depth) { return static_cast<char>('a' + depth); }
-
+  /// Subquery depth d names its variables with the letter 'a' + d ("a0",
+  /// "b1", ...). Past 'z' the depth is spelled out ("d26_0"), which no
+  /// letter alias can collide with.
   std::string Alias(int var, int depth) const {
     // Built with += rather than operator+ on two temporaries: gcc 12's
     // -Wrestrict misfires on the latter at -O2 (GCC PR 105651).
     const bool outer = var >= Operand::kOuterVarBase;
-    std::string alias(1, Prefix(outer ? depth - 1 : depth));
+    const int d = outer ? depth - 1 : depth;
+    std::string alias;
+    if (d < 26) {
+      alias += static_cast<char>('a' + d);
+    } else {
+      alias += 'd';
+      alias += std::to_string(d);
+      alias += '_';
+    }
     alias += std::to_string(outer ? var - Operand::kOuterVarBase : var);
     return alias;
   }

@@ -180,13 +180,16 @@ Result<CachedPlanPtr> QueryService::GetPlanIn(const Session& session,
     return compiled.status();
   }
   const uint64_t fingerprint = sql::PlanFingerprint(*compiled);
+  // Probe and prepare under the structure's stripe, so a racing miss of
+  // the same structure (a respelling QueryBatch resolves in parallel, or
+  // another client) waits and then binds to the entry published here
+  // instead of preparing it again.
+  std::lock_guard<std::mutex> stripe(
+      prepare_mu_[fingerprint % prepare_mu_.size()]);
   if (CachedPlanPtr shared =
           session.cache.GetByFingerprint(key, fingerprint, *compiled)) {
     return shared;
   }
-  // A racing miss duplicates the prepare; Put publishes the first bundle
-  // and the racer adopts it (bundles of one structure are
-  // interchangeable).
   Result<CachedPlan> prepared = PrepareCompiled(session, *compiled);
   if (!prepared.ok()) {
     session.cache.PutNegative(key, prepared.status());

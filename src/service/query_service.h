@@ -52,6 +52,7 @@
 #ifndef LPATHDB_SERVICE_QUERY_SERVICE_H_
 #define LPATHDB_SERVICE_QUERY_SERVICE_H_
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <future>
@@ -355,6 +356,11 @@ class QueryService {
   /// provably clean under the tsan hot-swap hammer.
   mutable std::mutex session_mu_;
   SessionPtr session_;
+
+  /// Cache misses prepare under the stripe of their plan fingerprint (see
+  /// GetPlanIn), so one structure is prepared once however many spellings
+  /// of it miss at the same time.
+  std::array<std::mutex, 16> prepare_mu_;
 
   mutable std::mutex stats_mu_;
   uint64_t queries_ = 0;

@@ -1,13 +1,10 @@
 #include "sql/executor.h"
 
 #include <algorithm>
-#include <array>
 #include <limits>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
-
-#include "storage/codec.h"
 
 namespace lpath {
 namespace sql {
@@ -18,51 +15,6 @@ constexpr int32_t kMinInt = std::numeric_limits<int32_t>::min();
 constexpr int32_t kMaxInt = std::numeric_limits<int32_t>::max();
 
 bool IsLocal(const Operand& o) { return !o.is_literal() && !o.is_outer(); }
-
-/// Chunk size of the batch kernel — one codec block, so a fused decode of
-/// the leading scan column fills exactly one chunk.
-constexpr uint32_t kBatchRows = static_cast<uint32_t>(kCodecBlockValues);
-
-// The batch kernel indexes relation columns by the plan's column ids; the
-// two enums must stay aligned for the PlanCol -> RelCol cast below.
-static_assert(static_cast<int>(PlanCol::kTid) == static_cast<int>(RelCol::kTid) &&
-              static_cast<int>(PlanCol::kValue) ==
-                  static_cast<int>(RelCol::kValue) &&
-              static_cast<int>(PlanCol::kKind) == static_cast<int>(RelCol::kKind));
-
-/// One vectorizable predicate: column `col` of the enumerating variable
-/// compared against a value that is constant for the whole enumeration.
-struct BatchFilter {
-  PlanCol col = PlanCol::kTid;
-  CmpOp op = CmpOp::kEq;
-  int64_t rhs = 0;
-};
-
-/// Per-recursion-depth scratch of the batch kernel. The selection vector
-/// must survive the recursive Extend calls made for its survivors (a
-/// deeper variable may run its own batch scan meanwhile), so each depth
-/// acquires its own buffer from the Runner's pool.
-struct BatchBuf {
-  std::array<uint32_t, kBatchRows> sel;     ///< chunk-relative survivors
-  std::array<uint32_t, kBatchRows> decode;  ///< fused-decode scratch
-  std::vector<BatchFilter> filters;         ///< vectorized predicates
-  std::vector<const Conjunct*> tail;        ///< checked scalar per survivor
-};
-
-/// Runs `run` with a comparator capturing (op, rhs) — hoists the CmpOp
-/// dispatch out of the per-row loop.
-template <typename RunFn>
-uint32_t WithCmp(CmpOp op, int64_t rhs, RunFn&& run) {
-  switch (op) {
-    case CmpOp::kEq: return run([rhs](int64_t a) { return a == rhs; });
-    case CmpOp::kNe: return run([rhs](int64_t a) { return a != rhs; });
-    case CmpOp::kLt: return run([rhs](int64_t a) { return a < rhs; });
-    case CmpOp::kLe: return run([rhs](int64_t a) { return a <= rhs; });
-    case CmpOp::kGt: return run([rhs](int64_t a) { return a > rhs; });
-    case CmpOp::kGe: return run([rhs](int64_t a) { return a >= rhs; });
-  }
-  return 0;
-}
 
 /// One plan's binding frame; frames chain to parents for correlation.
 struct Frame {
@@ -279,31 +231,15 @@ class Runner {
     const int v = pp.order[pos];
     bool found_any = false;
 
-    // `tail == nullptr` is the scalar path: every conjunct scheduled at
-    // this position is checked (and the candidate counted — the batch
-    // kernel counts whole chunks itself). A non-null `tail` comes from a
-    // batch scan whose selection vector already applied the vectorizable
-    // conjuncts; only the remainder is re-checked here. Conjunction
-    // commutes and conjuncts are side-effect-free, so the split is sound.
-    auto try_candidate = [&](Row cand,
-                             const std::vector<const Conjunct*>* tail) -> bool {
+    auto try_candidate = [&](Row cand) -> bool {
       // returns true when the caller should stop enumerating
-      if (tail == nullptr && stats_ != nullptr) stats_->candidates += 1;
+      if (stats_ != nullptr) stats_->candidates += 1;
       f.bound[v] = cand;
       bool ok = true;
-      if (tail == nullptr) {
-        for (const Conjunct& c : pp.conjuncts_at[pos]) {
-          if (!EvalConjunct(f, c)) {
-            ok = false;
-            break;
-          }
-        }
-      } else {
-        for (const Conjunct* c : *tail) {
-          if (!EvalConjunct(f, *c)) {
-            ok = false;
-            break;
-          }
+      for (const Conjunct& c : pp.conjuncts_at[pos]) {
+        if (!EvalConjunct(f, c)) {
+          ok = false;
+          break;
         }
       }
       if (ok) {
@@ -413,243 +349,6 @@ class Runner {
     }
   }
 
-  // --- Batch kernel ---------------------------------------------------------
-
-  /// RAII lease of the per-depth batch scratch (see BatchBuf).
-  class BatchGuard {
-   public:
-    explicit BatchGuard(Runner* runner) : runner_(runner) {
-      if (runner_->batch_depth_ == runner_->batch_pool_.size()) {
-        runner_->batch_pool_.push_back(std::make_unique<BatchBuf>());
-      }
-      buf_ = runner_->batch_pool_[runner_->batch_depth_++].get();
-      buf_->filters.clear();
-      buf_->tail.clear();
-    }
-    ~BatchGuard() { --runner_->batch_depth_; }
-    BatchGuard(const BatchGuard&) = delete;
-    BatchGuard& operator=(const BatchGuard&) = delete;
-    BatchBuf* operator->() { return buf_; }
-    BatchBuf& operator*() { return *buf_; }
-
-   private:
-    Runner* runner_;
-    BatchBuf* buf_;
-  };
-
-  /// Splits the conjuncts scheduled at `pos` into vectorizable filters
-  /// (lhs is a column of `v`, rhs constant during v's enumeration) and the
-  /// scalar tail every survivor re-checks. A rhs naming `v` itself is not
-  /// constant (it changes with the candidate), so it tails.
-  void CollectBatchFilters(const Frame& f, int pos, int v,
-                           BatchBuf* buf) const {
-    for (const Conjunct& c : f.pp->conjuncts_at[pos]) {
-      int64_t rhs = 0;
-      const bool local = IsLocal(c.lhs) && c.lhs.var == v;
-      const bool rhs_const =
-          !(IsLocal(c.rhs) && c.rhs.var == v) && OperandValue(f, c.rhs, &rhs);
-      if (local && rhs_const) {
-        buf->filters.push_back(BatchFilter{c.lhs.col, c.op, rhs});
-      } else {
-        buf->tail.push_back(&c);
-      }
-    }
-  }
-
-  /// Fused decode: when `col` is served from a compressed v2 image payload
-  /// (and the option is on), decodes rows [base, base + n) straight from
-  /// the mapping into `scratch` and returns it; nullptr means "read the
-  /// column span" (raw column, built relation, or option off).
-  const uint32_t* MaybeDecode(PlanCol col, Row base, uint32_t n,
-                              uint32_t* scratch) {
-    if (!options_.scan_encoded || col == PlanCol::kKind) return nullptr;
-    const EncodedColumnView& view =
-        rel_.encoded(static_cast<RelCol>(col));
-    if (!view.encoded()) return nullptr;
-    const uint64_t touched = ColumnCodec::DecodeRange(view, base, n, scratch);
-    if (stats_ != nullptr) stats_->decoded_blocks += touched;
-    return scratch;
-  }
-
-  /// Runs `run` with a typed loader for column `col`: load(i) yields the
-  /// value at row (base + i) under the scalar ColValue semantics (signed
-  /// label columns sign-extend; name/value/kind zero-extend). `decoded`,
-  /// when non-null, substitutes a fused-decode scratch for the span.
-  template <typename RunFn>
-  uint32_t WithDenseLoader(PlanCol col, Row base, const uint32_t* decoded,
-                           RunFn&& run) const {
-    if (decoded != nullptr) {
-      if (col == PlanCol::kName || col == PlanCol::kValue) {
-        return run([decoded](uint32_t i) {
-          return static_cast<int64_t>(decoded[i]);
-        });
-      }
-      return run([decoded](uint32_t i) {
-        return static_cast<int64_t>(static_cast<int32_t>(decoded[i]));
-      });
-    }
-    const auto i32 = [&run, base](std::span<const int32_t> s) {
-      const int32_t* p = s.data() + base;
-      return run([p](uint32_t i) { return static_cast<int64_t>(p[i]); });
-    };
-    switch (col) {
-      case PlanCol::kTid: return i32(rel_.tid_col());
-      case PlanCol::kLeft: return i32(rel_.left_col());
-      case PlanCol::kRight: return i32(rel_.right_col());
-      case PlanCol::kDepth: return i32(rel_.depth_col());
-      case PlanCol::kId: return i32(rel_.id_col());
-      case PlanCol::kPid: return i32(rel_.pid_col());
-      case PlanCol::kName: {
-        const Symbol* p = rel_.name_col().data() + base;
-        return run([p](uint32_t i) { return static_cast<int64_t>(p[i]); });
-      }
-      case PlanCol::kValue: {
-        const Symbol* p = rel_.value_col().data() + base;
-        return run([p](uint32_t i) { return static_cast<int64_t>(p[i]); });
-      }
-      case PlanCol::kKind: {
-        const uint8_t* p = rel_.kind_col().data() + base;
-        return run([p](uint32_t i) { return static_cast<int64_t>(p[i]); });
-      }
-    }
-    return 0;
-  }
-
-  /// Gather flavor: load(i) yields the column value at row rows[i].
-  template <typename RunFn>
-  uint32_t WithGatherLoader(PlanCol col, const Row* rows, RunFn&& run) const {
-    const auto i32 = [&run, rows](std::span<const int32_t> s) {
-      const int32_t* p = s.data();
-      return run([p, rows](uint32_t i) {
-        return static_cast<int64_t>(p[rows[i]]);
-      });
-    };
-    switch (col) {
-      case PlanCol::kTid: return i32(rel_.tid_col());
-      case PlanCol::kLeft: return i32(rel_.left_col());
-      case PlanCol::kRight: return i32(rel_.right_col());
-      case PlanCol::kDepth: return i32(rel_.depth_col());
-      case PlanCol::kId: return i32(rel_.id_col());
-      case PlanCol::kPid: return i32(rel_.pid_col());
-      case PlanCol::kName: {
-        const Symbol* p = rel_.name_col().data();
-        return run([p, rows](uint32_t i) {
-          return static_cast<int64_t>(p[rows[i]]);
-        });
-      }
-      case PlanCol::kValue: {
-        const Symbol* p = rel_.value_col().data();
-        return run([p, rows](uint32_t i) {
-          return static_cast<int64_t>(p[rows[i]]);
-        });
-      }
-      case PlanCol::kKind: {
-        const uint8_t* p = rel_.kind_col().data();
-        return run([p, rows](uint32_t i) {
-          return static_cast<int64_t>(p[rows[i]]);
-        });
-      }
-    }
-    return 0;
-  }
-
-  /// Applies buf.filters[fi] over a chunk. The first filter fills the
-  /// selection vector densely and branch-free (sel[k] = i; k += pass);
-  /// later filters compact it in place.
-  template <typename LoaderFn>
-  uint32_t RunFilter(const BatchFilter& bf, LoaderFn&& with_loader,
-                     uint32_t n_or_k, bool dense, uint32_t* sel) const {
-    return with_loader([&](auto load) {
-      return WithCmp(bf.op, bf.rhs, [&](auto cmp) {
-        uint32_t k = 0;
-        if (dense) {
-          for (uint32_t i = 0; i < n_or_k; ++i) {
-            sel[k] = i;
-            k += cmp(load(i)) ? 1 : 0;
-          }
-        } else {
-          for (uint32_t j = 0; j < n_or_k; ++j) {
-            const uint32_t i = sel[j];
-            sel[k] = i;
-            k += cmp(load(i)) ? 1 : 0;
-          }
-        }
-        return k;
-      });
-    });
-  }
-
-  void NoteBatch(uint32_t n, uint32_t k) const {
-    if (stats_ == nullptr) return;
-    stats_->batches += 1;
-    stats_->batch_rows += n;
-    stats_->batch_selected += k;
-    stats_->candidates += n;
-  }
-
-  /// Batch scan over the contiguous rows [begin, end) — the clustered-run
-  /// and full-scan access paths. Returns true when `fn` stopped the
-  /// enumeration. Chunks are aligned to the codec block grid so a fused
-  /// decode of the leading column touches exactly one block per chunk.
-  template <typename Fn>
-  bool BatchScanRange(BatchBuf& buf, Row begin, Row end, Fn&& fn) {
-    for (Row base = begin; base < end;) {
-      const Row block_end = static_cast<Row>(
-          (static_cast<uint64_t>(base) / kBatchRows + 1) * kBatchRows);
-      const uint32_t n = static_cast<uint32_t>(
-          std::min<uint64_t>(block_end, end) - base);
-      const BatchFilter& first = buf.filters.front();
-      const uint32_t* decoded =
-          MaybeDecode(first.col, base, n, buf.decode.data());
-      uint32_t k = RunFilter(
-          first,
-          [&](auto&& run) {
-            return WithDenseLoader(first.col, base, decoded, run);
-          },
-          n, /*dense=*/true, buf.sel.data());
-      for (size_t fi = 1; fi < buf.filters.size() && k > 0; ++fi) {
-        const BatchFilter& bf = buf.filters[fi];
-        k = RunFilter(
-            bf,
-            [&](auto&& run) {
-              return WithDenseLoader(bf.col, base, nullptr, run);
-            },
-            k, /*dense=*/false, buf.sel.data());
-      }
-      NoteBatch(n, k);
-      for (uint32_t j = 0; j < k; ++j) {
-        if (fn(base + buf.sel[j], &buf.tail)) return true;
-      }
-      base += n;
-    }
-    return false;
-  }
-
-  /// Batch scan over an index's row list (value index, by-right/by-pid
-  /// permutations): values gather through the row indirection.
-  template <typename Fn>
-  bool BatchScanRows(BatchBuf& buf, std::span<const Row> rows, Fn&& fn) {
-    for (size_t at = 0; at < rows.size(); at += kBatchRows) {
-      const uint32_t n =
-          static_cast<uint32_t>(std::min<size_t>(kBatchRows, rows.size() - at));
-      const Row* chunk = rows.data() + at;
-      uint32_t k = 0;
-      for (size_t fi = 0; fi < buf.filters.size(); ++fi) {
-        const BatchFilter& bf = buf.filters[fi];
-        k = RunFilter(
-            bf,
-            [&](auto&& run) { return WithGatherLoader(bf.col, chunk, run); },
-            fi == 0 ? n : k, /*dense=*/fi == 0, buf.sel.data());
-        if (k == 0) break;
-      }
-      NoteBatch(n, k);
-      for (uint32_t j = 0; j < k; ++j) {
-        if (fn(chunk[buf.sel[j]], &buf.tail)) return true;
-      }
-    }
-    return false;
-  }
-
   template <typename Fn>
   void ForEachCandidate(const Frame& f, int pos, int v, Fn&& fn) {
     const PreparedPlan& pp = *f.pp;
@@ -699,17 +398,16 @@ class Runner {
     const bool left_bounded = b.left_lo != kMinInt || b.left_hi != kMaxInt;
     const bool right_bounded = b.right_lo != kMinInt || b.right_hi != kMaxInt;
 
-    // 1. Direct (tid, id) lookup. Point lookups stay scalar — there is no
-    // column chunk to vectorize over.
+    // 1. Direct (tid, id) lookup.
     if (b.has_id && b.has_tid) {
       if (kind != 0) {
         for (Row r : rel_.AttrRows(b.tid, b.id)) {
-          if (fn(r, nullptr)) return;
+          if (fn(r)) return;
         }
       }
       if (kind != 1) {
         const Row r = rel_.ElementRow(b.tid, b.id);
-        if (r != kNoRow && fn(r, nullptr)) return;
+        if (r != kNoRow && fn(r)) return;
       }
       return;
     }
@@ -718,25 +416,6 @@ class Runner {
     if (b.has_value) {
       auto rows = b.has_tid ? rel_.ValueRangeForTree(b.value, b.tid)
                             : rel_.ValueRange(b.value);
-      if (options_.vectorized && rows.size() >= options_.batch_min_rows) {
-        BatchGuard buf(this);
-        CollectBatchFilters(f, pos, v, &*buf);
-        if (!buf->filters.empty()) {
-          auto span = rows;
-          if (sharded && !b.has_tid) {
-            const auto tid_less = [this](Row r, int32_t t) {
-              return rel_.tid(r) < t;
-            };
-            const auto first =
-                std::lower_bound(rows.begin(), rows.end(), tid_lo, tid_less);
-            const auto last =
-                std::lower_bound(first, rows.end(), tid_hi, tid_less);
-            span = rows.subspan(first - rows.begin(), last - first);
-          }
-          BatchScanRows(*buf, span, fn);
-          return;
-        }
-      }
       auto it = rows.begin();
       if (sharded && !b.has_tid) {
         it = std::lower_bound(rows.begin(), rows.end(), tid_lo,
@@ -746,7 +425,7 @@ class Runner {
       }
       for (; it != rows.end(); ++it) {
         if (sharded && !b.has_tid && rel_.tid(*it) >= tid_hi) break;
-        if (fn(*it, nullptr)) return;
+        if (fn(*it)) return;
       }
       return;
     }
@@ -757,141 +436,73 @@ class Runner {
     // 3. pid equality (children / siblings).
     if (b.has_pid && b.has_tid) {
       if (name != kNoSymbol) {
-        const auto rows = rel_.RunPidRange(name, b.tid, b.pid);
-        if (options_.vectorized && rows.size() >= options_.batch_min_rows) {
-          BatchGuard buf(this);
-          CollectBatchFilters(f, pos, v, &*buf);
-          if (!buf->filters.empty()) {
-            BatchScanRows(*buf, rows, fn);
-            return;
-          }
-        }
-        for (Row r : rows) {
-          if (fn(r, nullptr)) return;
+        for (Row r : rel_.RunPidRange(name, b.tid, b.pid)) {
+          if (fn(r)) return;
         }
         return;
       }
       if (b.pid == 0) {
         const Row root = rel_.ElementRow(b.tid, 1);
-        if (root != kNoRow && fn(root, nullptr)) return;
+        if (root != kNoRow && fn(root)) return;
         return;
       }
       const Row parent = rel_.ElementRow(b.tid, b.pid);
       if (parent == kNoRow) return;
-      const auto rows = rel_.ElementsInLeftRange(b.tid, rel_.left(parent),
-                                                 rel_.right(parent));
-      if (options_.vectorized && rows.size() >= options_.batch_min_rows) {
-        BatchGuard buf(this);
-        CollectBatchFilters(f, pos, v, &*buf);
-        // The access path only narrows to the parent's subtree; pid
-        // equality itself rides the selection vector.
-        buf->filters.push_back(
-            BatchFilter{PlanCol::kPid, CmpOp::kEq, b.pid});
-        BatchScanRows(*buf, rows, fn);
-        return;
-      }
-      for (Row r : rows) {
-        if (rel_.pid(r) == b.pid && fn(r, nullptr)) return;
+      for (Row r : rel_.ElementsInLeftRange(b.tid, rel_.left(parent),
+                                            rel_.right(parent))) {
+        if (rel_.pid(r) == b.pid && fn(r)) return;
       }
       return;
     }
     // 4. Tag run with ranges. These are the containment / sibling-order /
-    // edge-alignment workhorses, and the batch kernel's main stage: the
-    // access path gives a contiguous clustered slice (or a by-right row
-    // list), and the remaining interval predicates vectorize over it.
+    // edge-alignment workhorses: the access path gives a contiguous
+    // clustered slice (or a by-right row list), and the remaining interval
+    // predicates are checked per candidate.
     if (name != kNoSymbol) {
       if (b.has_tid) {
         if (right_bounded && !left_bounded) {
-          const auto rows = rel_.RunRightRange(name, b.tid, right_lo, right_hi);
-          if (options_.vectorized &&
-              rows.size() >= options_.batch_min_rows) {
-            BatchGuard buf(this);
-            CollectBatchFilters(f, pos, v, &*buf);
-            if (!buf->filters.empty()) {
-              BatchScanRows(*buf, rows, fn);
-              return;
-            }
-          }
-          for (Row r : rows) {
-            if (fn(r, nullptr)) return;
+          for (Row r : rel_.RunRightRange(name, b.tid, right_lo, right_hi)) {
+            if (fn(r)) return;
           }
           return;
         }
-        RowRange range =
+        const RowRange range =
             left_bounded ? rel_.RunLeftRange(name, b.tid, left_lo, left_hi)
                          : rel_.RunForTree(name, b.tid);
-        if (options_.vectorized &&
-            static_cast<uint32_t>(range.end - range.begin) >=
-                options_.batch_min_rows) {
-          BatchGuard buf(this);
-          CollectBatchFilters(f, pos, v, &*buf);
-          if (!buf->filters.empty()) {
-            BatchScanRange(*buf, range.begin, range.end, fn);
-            return;
-          }
-        }
         for (Row r = range.begin; r < range.end; ++r) {
-          if (fn(r, nullptr)) return;
+          if (fn(r)) return;
         }
         return;
       }
       const RowRange range = sharded ? rel_.RunTidRange(name, tid_lo, tid_hi)
                                      : rel_.run(name);
-      if (options_.vectorized &&
-          static_cast<uint32_t>(range.end - range.begin) >=
-              options_.batch_min_rows) {
-        BatchGuard buf(this);
-        CollectBatchFilters(f, pos, v, &*buf);
-        if (!buf->filters.empty()) {
-          BatchScanRange(*buf, range.begin, range.end, fn);
-          return;
-        }
-      }
       for (Row r = range.begin; r < range.end; ++r) {
-        if (fn(r, nullptr)) return;
+        if (fn(r)) return;
       }
       return;
     }
-    // 5. Wildcard within a tree. Stays scalar: elements interleave with
-    // their attribute rows, so there is no single column stream to chunk.
+    // 5. Wildcard within a tree.
     if (b.has_tid) {
       auto rows = left_bounded
                       ? rel_.ElementsInLeftRange(b.tid, left_lo, left_hi)
                       : rel_.ElementsOfTree(b.tid);
       for (Row r : rows) {
-        if (kind != 1 && fn(r, nullptr)) return;
+        if (kind != 1 && fn(r)) return;
         if (kind != 0) {
           for (Row a : rel_.AttrRows(b.tid, rel_.id(r))) {
-            if (fn(a, nullptr)) return;
+            if (fn(a)) return;
           }
         }
       }
       return;
     }
-    // 6. Full scan. The shard clamp and kind check become synthetic batch
-    // filters over the tid/kind columns.
-    if (options_.vectorized &&
-        rel_.row_count() >= options_.batch_min_rows) {
-      BatchGuard buf(this);
-      CollectBatchFilters(f, pos, v, &*buf);
-      if (sharded) {
-        buf->filters.push_back(BatchFilter{PlanCol::kTid, CmpOp::kGe, tid_lo});
-        buf->filters.push_back(BatchFilter{PlanCol::kTid, CmpOp::kLt, tid_hi});
-      }
-      if (kind >= 0) {
-        buf->filters.push_back(BatchFilter{PlanCol::kKind, CmpOp::kEq, kind});
-      }
-      if (!buf->filters.empty()) {
-        BatchScanRange(*buf, 0, static_cast<Row>(rel_.row_count()), fn);
-        return;
-      }
-    }
+    // 6. Full scan.
     for (Row r = 0; r < static_cast<Row>(rel_.row_count()); ++r) {
       if (sharded && (rel_.tid(r) < tid_lo || rel_.tid(r) >= tid_hi)) {
         continue;
       }
       if (kind >= 0 && static_cast<int>(rel_.kind(r)) != kind) continue;
-      if (fn(r, nullptr)) return;
+      if (fn(r)) return;
     }
   }
 
@@ -906,9 +517,6 @@ class Runner {
   std::unordered_set<uint64_t> out_set_;
   std::unordered_map<const BoolExpr*, std::unordered_map<uint64_t, bool>>
       memo_;
-  // Batch scratch pool, one buffer per live Extend depth (see BatchGuard).
-  std::vector<std::unique_ptr<BatchBuf>> batch_pool_;
-  size_t batch_depth_ = 0;
 };
 
 }  // namespace

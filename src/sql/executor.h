@@ -49,14 +49,6 @@ struct ExecStats {
   /// Morsels claimed by pool helper threads rather than the submitting
   /// thread — the work-stealing share of the fan-out (also scheduler-set).
   uint64_t steal_count = 0;
-  /// Column chunks the batch kernel evaluated (0 under the scalar kernel).
-  uint64_t batches = 0;
-  /// Rows those chunks covered (these also count into `candidates`).
-  uint64_t batch_rows = 0;
-  /// Rows surviving the chunk's vectorized filters into selection vectors.
-  uint64_t batch_selected = 0;
-  /// Codec blocks/runs decoded by scans fused over compressed columns.
-  uint64_t decoded_blocks = 0;
   /// Relation sources the execution consulted: 1 for a plain snapshot, 2
   /// when a snapshot chain's delta ran alongside the base (scheduler-set).
   /// Rolls up as a maximum, so aggregated stats answer "was the chain ever
@@ -65,15 +57,6 @@ struct ExecStats {
   /// Candidate rows enumerated from the delta source (these also count
   /// into `candidates`) — how much of the work the unmerged tail carries.
   uint64_t delta_rows = 0;
-
-  /// Fraction of batch-scanned rows that made it into a selection vector;
-  /// 1.0 when no batches ran.
-  double sel_density() const {
-    return batch_rows == 0
-               ? 1.0
-               : static_cast<double>(batch_selected) /
-                     static_cast<double>(batch_rows);
-  }
 
   /// Accumulates another run's counters (per-shard stats roll up).
   void Add(const ExecStats& o) {
@@ -86,10 +69,6 @@ struct ExecStats {
     shards += o.shards;
     morsels += o.morsels;
     steal_count += o.steal_count;
-    batches += o.batches;
-    batch_rows += o.batch_rows;
-    batch_selected += o.batch_selected;
-    decoded_blocks += o.decoded_blocks;
     sources = sources > o.sources ? sources : o.sources;
     delta_rows += o.delta_rows;
   }

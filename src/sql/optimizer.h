@@ -41,26 +41,6 @@ struct ExecOptions {
   /// reproduces the "materialize all intermediate results, deduplicate at
   /// the end" behaviour of a naive RDBMS plan.
   bool distinct_early_exit = true;
-
-  /// Evaluate filters over ~1024-row column chunks producing selection
-  /// vectors (the MonetDB/X100-style batch kernel) instead of row at a
-  /// time. Off = the scalar kernel, kept as the differential-testing
-  /// reference; both produce identical results.
-  bool vectorized = true;
-
-  /// Candidate ranges shorter than this stay on the scalar loop even when
-  /// `vectorized` is on: chunk setup (scratch lease, filter split, typed
-  /// dispatch) costs more than just testing a handful of rows, and inner
-  /// per-tree tag runs are typically a few rows long. 0 forces the batch
-  /// kernel everywhere (the differential tests do this so every access
-  /// path's batch flavor is exercised).
-  uint32_t batch_min_rows = 64;
-
-  /// When the relation was opened from a v2 image with encoded columns,
-  /// let the batch kernel decode its leading scan column straight from
-  /// the compressed image payload (fused decode) instead of reading the
-  /// open-time decoded arena. No effect on built relations or v1 images.
-  bool scan_encoded = true;
 };
 
 /// A plan ready for execution against one NodeRelation. Owns a rewritten

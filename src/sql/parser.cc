@@ -171,8 +171,23 @@ class Parser {
     return lhs;
   }
 
+  /// Every recursive cycle of the grammar — NOT, EXISTS and parentheses —
+  /// passes through here, so this one counter bounds the parser's stack
+  /// depth and the nesting of the plan the executor recurses over.
   Result<std::unique_ptr<BoolExpr>> ParseUnary(const AliasMap& aliases,
                                                const AliasMap* outer) {
+    if (nesting_ == kMaxSqlNesting) {
+      return Error("expressions nested deeper than " +
+                   std::to_string(kMaxSqlNesting) + " levels");
+    }
+    ++nesting_;
+    Result<std::unique_ptr<BoolExpr>> expr = ParsePrimary(aliases, outer);
+    --nesting_;
+    return expr;
+  }
+
+  Result<std::unique_ptr<BoolExpr>> ParsePrimary(const AliasMap& aliases,
+                                                 const AliasMap* outer) {
     if (EatKeyword("NOT")) {
       if (!Eat(TokenKind::kLParen)) return Error("expected '(' after NOT");
       LPATH_ASSIGN_OR_RETURN(std::unique_ptr<BoolExpr> inner,
@@ -260,6 +275,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t idx_ = 0;
+  int nesting_ = 0;  ///< live ParseUnary calls
 };
 
 }  // namespace

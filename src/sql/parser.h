@@ -21,6 +21,15 @@
 namespace lpath {
 namespace sql {
 
+/// Deepest expression nesting ParseSql accepts: each NOT, EXISTS or
+/// parenthesis opens one level. Deeper statements fail with InvalidArgument
+/// instead of exhausting the stack of the recursive-descent parser or of
+/// the executor that recurses over the same nesting. The SQL generated for
+/// an LPath query nests at most about twice as deep as the query's own
+/// limit (kMaxLPathNesting = 128) allows, so this leaves every accepted
+/// LPath query room to round-trip through SQL text.
+inline constexpr int kMaxSqlNesting = 512;
+
 /// Parses a complete SELECT statement into an ExecPlan.
 Result<ExecPlan> ParseSql(std::string_view text);
 

@@ -1,12 +1,12 @@
-// Lightweight column compression for the relation's persistent images and
-// the vectorized executor, in the style of Abadi-style column codecs:
-// cheap to decode (a handful of shifts and adds per value), block-oriented
-// so decode fuses into a batch scan, and picked per column by measured
-// encoded size rather than by type.
+// Lightweight column compression for the relation's persistent images, in
+// the style of Abadi-style column codecs: cheap to decode (a handful of
+// shifts and adds per value), block-oriented so any row range decodes
+// without touching the rest, and picked per column by measured encoded
+// size rather than by type. Images decode encoded columns once, at open.
 //
-//   kRaw     — the column's verbatim 32-bit words (v1 images, incompressible
-//              columns). Not represented as encoded bytes; a raw section is
-//              served straight out of the file mapping.
+//   kRaw     — the column's verbatim 32-bit words (incompressible columns).
+//              Not represented as encoded bytes; a raw section is served
+//              straight out of the file mapping.
 //   kBitPack — frame-of-reference + bit packing per 1024-value block: each
 //              block stores its minimum and the bit width of (value - min),
 //              then the packed residuals. Dense ascending columns (left,
@@ -34,7 +34,7 @@
 
 namespace lpath {
 
-/// Per-column (per image section) encoding tag; serialized in v2 images.
+/// Per-column (per image section) encoding tag; serialized in images.
 enum class ColumnEncoding : uint32_t {
   kRaw = 0,
   kBitPack = 1,
@@ -43,8 +43,8 @@ enum class ColumnEncoding : uint32_t {
 
 const char* ColumnEncodingName(ColumnEncoding encoding);
 
-/// Values per bit-packed block; also the batch size of the vectorized
-/// executor, so one decoded block feeds exactly one selection-vector chunk.
+/// Values per bit-packed block: each block carries its own minimum and bit
+/// width, so a range decode starts at any block boundary.
 inline constexpr uint64_t kCodecBlockValues = 1024;
 
 /// A view of one encoded column — typically straight into a read-only
@@ -54,11 +54,6 @@ struct EncodedColumnView {
   ColumnEncoding encoding = ColumnEncoding::kRaw;
   uint64_t count = 0;              ///< logical number of 32-bit values
   std::span<const uint8_t> bytes;  ///< encoded payload (8-byte aligned)
-
-  /// True when there is a compressed payload to decode from.
-  bool encoded() const {
-    return encoding != ColumnEncoding::kRaw && count > 0;
-  }
 };
 
 /// Stateless encoder/decoder for 32-bit columns. All entry points treat
@@ -89,10 +84,8 @@ class ColumnCodec {
   /// Decodes the whole column; `out` must hold `column.count` values.
   static void Decode(const EncodedColumnView& column, uint32_t* out);
 
-  /// Decodes values [begin, begin + n) — the batch-scan entry point. The
-  /// caller keeps n <= kCodecBlockValues for one chunk, but any range
-  /// within the column is legal. Returns the number of codec blocks (or
-  /// runs) touched, for the executor's decode counters.
+  /// Decodes values [begin, begin + n); any range within the column is
+  /// legal. Returns the number of codec blocks (or runs) touched.
   static uint64_t DecodeRange(const EncodedColumnView& column, uint64_t begin,
                               uint64_t n, uint32_t* out);
 };

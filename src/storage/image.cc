@@ -141,34 +141,24 @@ struct ImageHeader {
 };
 static_assert(std::is_trivially_copyable_v<ImageHeader>);
 
+/// Section table entry: where a section lives, its column encoding tag
+/// and the byte count of the payload as stored (== count * elem_size for
+/// raw sections).
 struct SectionEntry {
   uint32_t kind = 0;
   uint32_t elem_size = 0;
-  uint64_t offset = 0;  ///< absolute byte offset, kSectionAlign-aligned
-  uint64_t count = 0;   ///< number of elements
-};
-static_assert(std::is_trivially_copyable_v<SectionEntry> &&
-              sizeof(SectionEntry) == 24);
-
-/// v2 table entry: v1's fields plus the column encoding tag and the byte
-/// count of the payload as stored (== count * elem_size for raw sections).
-struct SectionEntryV2 {
-  uint32_t kind = 0;
-  uint32_t elem_size = 0;
-  uint64_t offset = 0;
+  uint64_t offset = 0;       ///< absolute byte offset, kSectionAlign-aligned
   uint64_t count = 0;        ///< logical element count (decoded)
   uint32_t encoding = 0;     ///< ColumnEncoding
   uint32_t reserved = 0;
   uint64_t stored_bytes = 0; ///< payload bytes at `offset`
 };
-static_assert(std::is_trivially_copyable_v<SectionEntryV2> &&
-              sizeof(SectionEntryV2) == 40);
+static_assert(std::is_trivially_copyable_v<SectionEntry> &&
+              sizeof(SectionEntry) == 40);
 
-// The first kRelColEncodable sections are exactly the RelCol row columns —
-// the only sections v2 may store encoded.
+// The first kRelColEncodable sections are exactly the row columns
+// tid..value — the only sections that may be stored encoded.
 static_assert(kIdxValue + 1 == kRelColEncodable);
-static_assert(static_cast<uint32_t>(RelCol::kTid) == kIdxTid &&
-              static_cast<uint32_t>(RelCol::kValue) == kIdxValue);
 
 constexpr const char* kColumnNames[kRelColEncodable] = {
     "tid", "left", "right", "depth", "id", "pid", "name", "value"};
@@ -250,8 +240,8 @@ class MappedFile {
 };
 
 /// Backing of a relation opened from an image: the mapping plus the
-/// decode arena for columns a v2 image stores encoded (all-empty for raw
-/// columns and v1 images).
+/// decode arena for columns the image stores encoded (empty for raw
+/// columns).
 struct MappedBacking {
   std::shared_ptr<MappedFile> file;
   std::array<std::vector<uint32_t>, kRelColEncodable> decoded;
@@ -314,11 +304,6 @@ bool LooksLikeImageFile(const std::string& path) {
 
 Status ImageIO::Save(const NodeRelation& rel, const std::string& path,
                      ImageSaveOptions options, ImageSaveStats* stats) {
-  if (options.format_version < kImageMinFormatVersion ||
-      options.format_version > kImageFormatVersion) {
-    return Status::InvalidArgument("cannot write image format version " +
-                                   std::to_string(options.format_version));
-  }
   // The WAL stamp lives in the header's 32-bit reserved slot; an LSN past
   // that is ~4 billion ingested batches on one corpus — refuse loudly
   // rather than stamp a truncated value and silently re-replay on open.
@@ -327,7 +312,6 @@ Status ImageIO::Save(const NodeRelation& rel, const std::string& path,
                                    std::to_string(options.wal_lsn) +
                                    " exceeds the image header's stamp field");
   }
-  const bool v2 = options.format_version >= 2;
   const Interner& interner = rel.interner();
   const uint64_t symbol_count = interner.size();
 
@@ -389,7 +373,7 @@ Status ImageIO::Save(const NodeRelation& rel, const std::string& path,
   // incompressible columns remain raw (and are served straight from the
   // mapping on open).
   std::vector<std::vector<uint8_t>> encoded_payloads;
-  if (v2 && options.encoding == ImageEncoding::kAuto) {
+  if (options.encoding == ImageEncoding::kAuto) {
     for (uint32_t i = 0; i < kRelColEncodable; ++i) {
       const std::span<const uint32_t> values(
           static_cast<const uint32_t*>(sections[i].data), sections[i].count);
@@ -406,18 +390,16 @@ Status ImageIO::Save(const NodeRelation& rel, const std::string& path,
   // Lay the sections out after the header + table, each 8-byte aligned.
   // (raw_file_bytes re-runs the same layout with verbatim sizes, so the
   // stats' baseline accounts for alignment and the table exactly.)
-  const uint64_t entry_size =
-      v2 ? sizeof(SectionEntryV2) : sizeof(SectionEntry);
-  SectionEntryV2 table[kSectionCount];
-  uint64_t offset = sizeof(ImageHeader) + kSectionCount * entry_size;
+  SectionEntry table[kSectionCount];
+  uint64_t offset = sizeof(ImageHeader) + sizeof(table);
   uint64_t raw_file_bytes = offset;
   for (uint32_t i = 0; i < kSectionCount; ++i) {
     offset = AlignUp(offset);
     table[i] =
-        SectionEntryV2{kSectionSpecs[i].kind,   kSectionSpecs[i].elem_size,
-                       offset,                  sections[i].count,
-                       sections[i].encoding,    0,
-                       sections[i].stored_bytes};
+        SectionEntry{kSectionSpecs[i].kind,   kSectionSpecs[i].elem_size,
+                     offset,                  sections[i].count,
+                     sections[i].encoding,    0,
+                     sections[i].stored_bytes};
     offset += sections[i].stored_bytes;
     raw_file_bytes = AlignUp(raw_file_bytes) +
                      sections[i].count * kSectionSpecs[i].elem_size;
@@ -438,7 +420,7 @@ Status ImageIO::Save(const NodeRelation& rel, const std::string& path,
 
   ImageHeader header;
   std::memcpy(header.magic, kImageMagic, sizeof(kImageMagic));
-  header.version = options.format_version;
+  header.version = kImageFormatVersion;
   header.endian = kEndianMarker;
   header.scheme = static_cast<uint32_t>(rel.scheme());
   header.section_count = kSectionCount;
@@ -472,18 +454,7 @@ Status ImageIO::Save(const NodeRelation& rel, const std::string& path,
   }
   ImageWriter writer(fd);
   Status st = writer.WriteRaw(&header, sizeof(header));  // placeholder pass
-  if (st.ok()) {
-    if (v2) {
-      st = writer.WritePayload(table, sizeof(table));
-    } else {
-      SectionEntry v1_table[kSectionCount];
-      for (uint32_t i = 0; i < kSectionCount; ++i) {
-        v1_table[i] = SectionEntry{table[i].kind, table[i].elem_size,
-                                   table[i].offset, table[i].count};
-      }
-      st = writer.WritePayload(v1_table, sizeof(v1_table));
-    }
-  }
+  if (st.ok()) st = writer.WritePayload(table, sizeof(table));
   for (uint32_t i = 0; st.ok() && i < kSectionCount; ++i) {
     st = writer.PadToAlignment();
     if (st.ok()) {
@@ -535,7 +506,7 @@ namespace {
 /// Typed view of a validated raw section.
 template <typename T>
 std::span<const T> SectionSpan(const MappedFile& file,
-                               const SectionEntryV2& entry) {
+                               const SectionEntry& entry) {
   return std::span<const T>(
       reinterpret_cast<const T*>(file.data() + entry.offset), entry.count);
 }
@@ -608,15 +579,12 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
   if (std::memcmp(header.magic, kImageMagic, sizeof(kImageMagic)) != 0) {
     return CorruptionAt(path, "bad magic (not a relation image)");
   }
-  if (header.version < kImageMinFormatVersion ||
-      header.version > kImageFormatVersion) {
+  if (header.version != kImageFormatVersion) {
     return Status::NotSupported(
         "relation image " + path + " has format version " +
-        std::to_string(header.version) + "; this build reads versions " +
-        std::to_string(kImageMinFormatVersion) + ".." +
+        std::to_string(header.version) + "; this build reads version " +
         std::to_string(kImageFormatVersion));
   }
-  const bool v2 = header.version >= 2;
   if (header.endian != kEndianMarker) {
     return Status::NotSupported("relation image " + path +
                                 " was written on a foreign-endian machine");
@@ -657,29 +625,14 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
   }
 
   // --- Section table --------------------------------------------------------
-  const uint64_t entry_size =
-      v2 ? sizeof(SectionEntryV2) : sizeof(SectionEntry);
-  if (file->size() < sizeof(ImageHeader) + kSectionCount * entry_size) {
+  SectionEntry table[kSectionCount];
+  if (file->size() < sizeof(ImageHeader) + sizeof(table)) {
     return CorruptionAt(path, "file shorter than the section table");
   }
-  SectionEntryV2 table[kSectionCount];
-  if (v2) {
-    std::memcpy(table, file->data() + sizeof(ImageHeader), sizeof(table));
-  } else {
-    SectionEntry v1_table[kSectionCount];
-    std::memcpy(v1_table, file->data() + sizeof(ImageHeader),
-                sizeof(v1_table));
-    for (uint32_t i = 0; i < kSectionCount; ++i) {
-      table[i] = SectionEntryV2{
-          v1_table[i].kind,  v1_table[i].elem_size,
-          v1_table[i].offset, v1_table[i].count,
-          0,                 0,
-          v1_table[i].count * v1_table[i].elem_size};
-    }
-  }
+  std::memcpy(table, file->data() + sizeof(ImageHeader), sizeof(table));
 
   for (uint32_t i = 0; i < kSectionCount; ++i) {
-    const SectionEntryV2& e = table[i];
+    const SectionEntry& e = table[i];
     if (e.kind != kSectionSpecs[i].kind ||
         e.elem_size != kSectionSpecs[i].elem_size) {
       return CorruptionAt(path, "section table does not match the format");
@@ -735,8 +688,7 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
   // --- Encoded columns: validate, then decode into the backing's arena -----
   // Raw columns bind straight into the mapping; encoded ones are decoded
   // once here so every span accessor (and the binary searches behind the
-  // run/range lookups) work identically over both. The encoded views are
-  // kept alongside so the batch executor can fuse decode into its scans.
+  // run/range lookups) work identically over both.
   // Mapping hints (see ImageOpenOptions::madvise): the sections consumed
   // eagerly right below — encoded column payloads (decoded into the arena)
   // and the interner table (re-interned into the fresh corpus) — are
@@ -757,10 +709,9 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
 
   auto backing = std::make_shared<MappedBacking>();
   backing->file = file;
-  std::array<EncodedColumnView, kRelColEncodable> encoded_views{};
   std::array<std::span<const uint32_t>, kRelColEncodable> cols;
   for (uint32_t i = 0; i < kRelColEncodable; ++i) {
-    const SectionEntryV2& e = table[i];
+    const SectionEntry& e = table[i];
     if (e.encoding == static_cast<uint32_t>(ColumnEncoding::kRaw)) {
       cols[i] = SectionSpan<uint32_t>(*file, e);
       continue;
@@ -775,7 +726,6 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
     arena.resize(e.count);
     ColumnCodec::Decode(view, arena.data());
     cols[i] = std::span<const uint32_t>(arena);
-    encoded_views[i] = view;
   }
   const auto col_i32 = [&cols](uint32_t i) {
     return std::span<const int32_t>(
@@ -836,8 +786,7 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
   // The sanity scans above were the last sequential pass; from here on the
   // mapped sections are hit by binary searches and point lookups, where
   // readahead only evicts useful pages. Encoded columns are excluded: their
-  // payloads were decoded into the arena and the batch scan re-reads them
-  // sequentially per block.
+  // payloads were decoded into the arena and are never read again.
   if (options.madvise) {
     for (uint32_t i = 0; i < kSectionCount; ++i) {
       if (i == kIdxInternerOffsets || i == kIdxInternerBlob) continue;
@@ -866,7 +815,6 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
   rel.name_ = cols[kIdxName];
   rel.value_ = cols[kIdxValue];
   rel.kind_ = SectionSpan<uint8_t>(*file, table[kIdxKind]);
-  rel.encoded_ = encoded_views;
   rel.runs_ = runs;
   rel.by_right_ = SectionSpan<Row>(*file, table[kIdxByRight]);
   rel.by_pid_ = SectionSpan<Row>(*file, table[kIdxByPid]);

@@ -18,10 +18,8 @@
 //   ImageHeader            magic, version, endian marker, label scheme,
 //                          row/tree/element/symbol counts, file size,
 //                          header + payload FNV-1a64 checksums
-//   section table          per section: v1 writes SectionEntry
-//                          {kind, elem_size, offset, count}; v2 writes
-//                          SectionEntryV2, which appends an encoding tag
-//                          and the encoded byte count
+//   section table          per section: {kind, elem_size, offset, count,
+//                          encoding tag, stored byte count}
 //   sections...            column arrays, each 8-byte aligned:
 //                          tid/left/right/depth/id/pid/name/value/kind,
 //                          run directory, by-right/by-pid permutations,
@@ -29,12 +27,11 @@
 //                          tree base / element row / attribute CSR,
 //                          interner offsets + concatenated string blob
 //
-// Format v2 may store any of the eight 32-bit row columns (tid..value)
-// under a lightweight codec (storage/codec.h) instead of verbatim; Save
-// measures each candidate encoding and keeps the cheapest. Every other
-// section — kind byte, indexes, interner — is always raw. v1 images (all
-// sections raw) still open; v2 images can be written by older-format
-// request (ImageSaveOptions::format_version = 1) for downgrades.
+// Any of the eight 32-bit row columns (tid..value) may be stored under a
+// lightweight codec (storage/codec.h) instead of verbatim; Save measures
+// each candidate encoding and keeps the cheapest. Every other section —
+// kind byte, indexes, interner — is always raw. Only format v2 is read or
+// written; any other version, v1 included, fails Open with NotSupported.
 //
 // Corruption model: the payload checksum covers every byte after the
 // header (section table included); the header carries its own checksum.
@@ -64,10 +61,13 @@ namespace lpath {
 inline constexpr char kImageMagic[8] = {'L', 'P', 'D', 'B',
                                         'I', 'M', 'G', '\0'};
 
-/// Format generation written by default; bumped on layout changes. Open()
-/// reads every version in [kImageMinFormatVersion, kImageFormatVersion].
+/// Format generation; bumped on layout changes. Save() writes it and Open()
+/// reads only it.
 inline constexpr uint32_t kImageFormatVersion = 2;
-inline constexpr uint32_t kImageMinFormatVersion = 1;
+
+/// The row columns (tid..value) an image may store encoded; each Save()
+/// reports one ImageSaveStats::columns entry per column.
+inline constexpr size_t kRelColEncodable = 8;
 
 /// How much of an image Open() verifies before serving from it.
 enum class ImageVerify {
@@ -97,16 +97,13 @@ struct ImageOpenOptions {
 /// Column encoding policy for Save().
 enum class ImageEncoding {
   /// Per column, measure the candidate codecs and store the cheapest
-  /// (raw included). v2 images only; v1 is always raw.
+  /// (raw included).
   kAuto,
   /// Store every column verbatim.
   kRaw,
 };
 
 struct ImageSaveOptions {
-  /// Format generation to write: kImageFormatVersion (default) or 1 for a
-  /// downgrade image older builds can open.
-  uint32_t format_version = kImageFormatVersion;
   ImageEncoding encoding = ImageEncoding::kAuto;
   /// WAL checkpoint stamp: the LSN of the last WAL record this image's
   /// relation already covers (see storage/wal.h and db::Database's
@@ -143,7 +140,7 @@ class ImageIO {
   /// Writes `relation` (columns, indexes, prefix sums, interner) to `path`
   /// as one image. Writes to a unique sibling temp file and renames, so a
   /// concurrent reader never sees a half-written image. With the default
-  /// options this writes a v2 image with per-column cheapest encodings;
+  /// options each row column gets its cheapest encoding;
   /// `stats` (optional) receives the per-column size breakdown.
   static Status Save(const NodeRelation& relation, const std::string& path,
                      ImageSaveOptions options = {},
@@ -152,10 +149,8 @@ class ImageIO {
   /// Opens an image read-only via mmap. Validates the header, checksums
   /// and section bounds, rebuilds the interner into a fresh (tree-less)
   /// corpus, and binds the relation's columns straight into the mapping —
-  /// columns a v2 image stores encoded are decoded once into an owned
-  /// arena (and additionally exposed through NodeRelation::encoded() for
-  /// fused decode in the batch scan). Performs no labeling and no
-  /// sorting: cost is O(file size).
+  /// columns the image stores encoded are decoded once into an owned
+  /// arena. Performs no labeling and no sorting: cost is O(file size).
   ///
   /// The returned relation's corpus carries the dictionary but no trees —
   /// everything the SQL executor needs, but not the bracketed text

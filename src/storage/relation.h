@@ -22,11 +22,8 @@
 #include <span>
 #include <vector>
 
-#include <array>
-
 #include "common/result.h"
 #include "label/labeler.h"
-#include "storage/codec.h"
 #include "tree/corpus.h"
 
 namespace lpath {
@@ -59,23 +56,6 @@ enum class RowKind : uint8_t { kElement = 0, kAttribute = 1 };
 struct RelationOptions {
   LabelScheme scheme = LabelScheme::kLPath;
 };
-
-/// The relation's row-aligned columns, in the order the batch executor and
-/// the v2 image format index them. The first kRelColEncodable of these are
-/// 32-bit and eligible for lightweight compression in persistent images;
-/// kKind stays a raw byte array.
-enum class RelCol : uint8_t {
-  kTid = 0,
-  kLeft = 1,
-  kRight = 2,
-  kDepth = 3,
-  kId = 4,
-  kPid = 5,
-  kName = 6,
-  kValue = 7,
-  kKind = 8,
-};
-inline constexpr size_t kRelColEncodable = 8;
 
 class ImageIO;
 
@@ -141,33 +121,6 @@ class NodeRelation {
   Symbol value(Row r) const { return value_[r]; }
   RowKind kind(Row r) const { return static_cast<RowKind>(kind_[r]); }
   bool is_attr(Row r) const { return kind_[r] != 0; }
-
-  // --- Whole-column access (batch executor, image writer) ------------------
-  std::span<const int32_t> tid_col() const { return tid_; }
-  std::span<const int32_t> left_col() const { return left_; }
-  std::span<const int32_t> right_col() const { return right_; }
-  std::span<const int32_t> depth_col() const { return depth_; }
-  std::span<const int32_t> id_col() const { return id_; }
-  std::span<const int32_t> pid_col() const { return pid_; }
-  std::span<const Symbol> name_col() const { return name_; }
-  std::span<const Symbol> value_col() const { return value_; }
-  std::span<const uint8_t> kind_col() const { return kind_; }
-
-  /// The compressed image payload of a 32-bit column, when this relation
-  /// was opened from a v2 image that stored it encoded. An inert view
-  /// (encoding == kRaw) otherwise; the span accessors above always work —
-  /// encoded columns are decoded into an owned arena on open, and this
-  /// view lets the batch scan decode straight from the mapping instead.
-  const EncodedColumnView& encoded(RelCol col) const {
-    return encoded_[static_cast<size_t>(col)];
-  }
-  /// True when at least one column carries a compressed image payload.
-  bool any_encoded() const {
-    for (const EncodedColumnView& view : encoded_) {
-      if (view.encoded()) return true;
-    }
-    return false;
-  }
 
   /// The label tuple of a row.
   Label label(Row r) const {
@@ -304,11 +257,6 @@ class NodeRelation {
   std::span<const int32_t> tid_, left_, right_, depth_, id_, pid_;
   std::span<const Symbol> name_, value_;
   std::span<const uint8_t> kind_;
-
-  // Views into the mapping's compressed payloads for columns a v2 image
-  // stored encoded; inert for built relations and v1 images. Indexed by
-  // RelCol (the kKind slot is always inert).
-  std::array<EncodedColumnView, kRelColEncodable> encoded_{};
 
   // name symbol -> clustered run. Dense by symbol id.
   std::span<const RowRange> runs_;

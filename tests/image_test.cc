@@ -244,58 +244,45 @@ void WriteAll(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-// --- Format v2 (encoded columns) and v1 compatibility -----------------------
+// --- Column encodings ------------------------------------------------------
 
-TEST(ImageTest, V1ImagesStillOpenAndAnswerIdentically) {
-  TempDir dir;
-  SnapshotPtr built = MustBuild(testing::RandomCorpus(33, 50, 40));
-  const std::string v1_path = dir.File("compat.v1.img");
-  const std::string v2_path = dir.File("compat.v2.img");
-  ImageSaveOptions v1_options;
-  v1_options.format_version = 1;
-  ASSERT_TRUE(built->Save(v1_path, v1_options).ok());
-  ASSERT_TRUE(built->Save(v2_path).ok());
-
-  SnapshotPtr v1 = MustOpen(v1_path);
-  SnapshotPtr v2 = MustOpen(v2_path);
-  EXPECT_FALSE(v1->relation().any_encoded());
-  ExpectSameRelation(built->relation(), v1->relation());
-  ExpectSameRelation(built->relation(), v2->relation());
-  EXPECT_EQ(MustRun(v1->relation(), "//VP[//NP]"),
-            MustRun(v2->relation(), "//VP[//NP]"));
+/// True when Save stored at least one row column under a codec.
+bool AnyEncoded(const ImageSaveStats& stats) {
+  for (const ImageSaveStats::Column& col : stats.columns) {
+    if (col.encoding != ColumnEncoding::kRaw) return true;
+  }
+  return false;
 }
 
 TEST(ImageTest, V2EncodesColumnsAndShrinksTheFile) {
   TempDir dir;
   SnapshotPtr built = MustBuild(testing::RandomCorpus(14, 80, 40));
-  const std::string v1_path = dir.File("size.v1.img");
+  const std::string raw_path = dir.File("size.raw.img");
   const std::string v2_path = dir.File("size.v2.img");
-  ImageSaveOptions v1_options;
-  v1_options.format_version = 1;
-  ASSERT_TRUE(built->Save(v1_path, v1_options).ok());
+  ImageSaveOptions raw_options;
+  raw_options.encoding = ImageEncoding::kRaw;
+  ASSERT_TRUE(built->Save(raw_path, raw_options).ok());
   ImageSaveStats stats;
   ASSERT_TRUE(built->Save(v2_path, {}, &stats).ok());
 
   // The clustered relation always compresses: name is a few runs, the
   // label columns bit-pack. Stats must agree with the files on disk.
-  EXPECT_LT(fs::file_size(v2_path), fs::file_size(v1_path));
+  EXPECT_LT(fs::file_size(v2_path), fs::file_size(raw_path));
   EXPECT_EQ(stats.file_bytes, fs::file_size(v2_path));
-  // raw_file_bytes is "this v2 file with every section verbatim", which is
-  // the v1 payload plus the (larger) v2 section table.
-  EXPECT_GE(stats.raw_file_bytes, fs::file_size(v1_path));
+  // raw_file_bytes is "this file with every section verbatim", which is
+  // exactly the forced-raw image.
+  EXPECT_EQ(stats.raw_file_bytes, fs::file_size(raw_path));
   EXPECT_GT(stats.raw_file_bytes, stats.file_bytes);
   ASSERT_EQ(stats.columns.size(), kRelColEncodable);
-  bool any_encoded = false;
   for (const ImageSaveStats::Column& col : stats.columns) {
     EXPECT_LE(col.stored_bytes,
               col.encoding == ColumnEncoding::kRaw ? col.raw_bytes
                                                    : col.raw_bytes - 1);
-    any_encoded |= col.encoding != ColumnEncoding::kRaw;
   }
-  EXPECT_TRUE(any_encoded);
+  EXPECT_TRUE(AnyEncoded(stats));
 
   SnapshotPtr mapped = MustOpen(v2_path);
-  EXPECT_TRUE(mapped->relation().any_encoded());
+  ExpectSameRelation(built->relation(), mapped->relation());
 }
 
 TEST(ImageTest, ForcedRawV2MatchesAutoAnswers) {
@@ -304,9 +291,11 @@ TEST(ImageTest, ForcedRawV2MatchesAutoAnswers) {
   const std::string raw_path = dir.File("forced.raw.img");
   ImageSaveOptions raw_options;
   raw_options.encoding = ImageEncoding::kRaw;
-  ASSERT_TRUE(built->Save(raw_path, raw_options).ok());
+  ImageSaveStats stats;
+  ASSERT_TRUE(built->Save(raw_path, raw_options, &stats).ok());
+  ASSERT_EQ(stats.columns.size(), kRelColEncodable);
+  EXPECT_FALSE(AnyEncoded(stats));
   SnapshotPtr mapped = MustOpen(raw_path);
-  EXPECT_FALSE(mapped->relation().any_encoded());
   ExpectSameRelation(built->relation(), mapped->relation());
 }
 
@@ -432,6 +421,17 @@ TEST_F(ImageCorruptionTest, WrongMagicAndVersionAreRejected) {
     // Header checksum no longer matches, or (with a recomputed checksum)
     // the version gate fires; either way the message is clean.
   }
+  {
+    // Format v1 (all-raw sections, a narrower section table) is not read.
+    // The version gate runs before the header checksum, so rewriting the
+    // version field alone reaches it.
+    std::vector<char> mutated = bytes_;
+    mutated[8] = 1;
+    WriteAll(path, mutated);
+    Result<SnapshotPtr> r = CorpusSnapshot::Open(path);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsNotSupported()) << r.status().ToString();
+  }
 }
 
 TEST_F(ImageCorruptionTest, MissingAndEmptyFilesAreRejected) {
@@ -454,14 +454,18 @@ TEST_F(ImageCorruptionTest, BracketFileIsNotAnImage) {
 // Clients hammer Query()/QueryStream() against a corpus whose snapshot
 // alternates between an in-memory build and freshly opened mmap images;
 // retiring a mapped snapshot munmaps it, so this exercises exactly the
-// "mapping must outlive every in-flight reader" contract. Results must
-// always equal the (shared-corpus) expected answers.
+// "mapping must outlive every in-flight reader" contract. The image stores
+// codec-encoded columns, so concurrent queries also share the open-time
+// decode arena next to the raw mapped sections. Results must always equal
+// the (shared-corpus) expected answers.
 TEST(ImageTest, MappedHotSwapHammerStaysConsistentAndSafe) {
   TempDir dir;
   Corpus corpus = testing::RandomCorpus(123, 40, 30);
   SnapshotPtr built = MustBuild(std::move(corpus));
   const std::string path = dir.File("hammer.img");
-  ASSERT_TRUE(built->Save(path).ok());
+  ImageSaveStats stats;
+  ASSERT_TRUE(built->Save(path, {}, &stats).ok());
+  ASSERT_TRUE(AnyEncoded(stats));
 
   db::Database database;
   ASSERT_TRUE(database.Attach("x", built).ok());

@@ -3,8 +3,7 @@
 //   - *correct*: query results over the chain (base + delta, two-source
 //     execution) are identical to results over a corpus rebuilt from
 //     scratch with the same trees — fuzzed over 150 generated queries,
-//     across built / mapped-v1 / mapped-v2 bases and both executor
-//     kernels;
+//     across built / mapped-raw / mapped-encoded bases;
 //   - *O(delta)*: the base is never relabeled or resorted, stated in
 //     NodeRelation::LabeledTreeCount(), and compaction's Merge labels
 //     nothing at all;
@@ -81,16 +80,13 @@ SnapshotPtr MustAppend(const SnapshotPtr& snap, const Corpus& incoming) {
 }
 
 /// The three base flavours the chain must compose over identically.
-enum class BaseKind { kBuilt, kImageV1, kImageV2 };
+enum class BaseKind { kBuilt, kImageRaw, kImageEncoded };
 
 SnapshotPtr MakeBase(BaseKind kind, Corpus corpus, const std::string& path) {
   SnapshotPtr built = MustBuild(std::move(corpus));
   if (kind == BaseKind::kBuilt) return built;
   ImageSaveOptions save;
-  if (kind == BaseKind::kImageV1) {
-    save.format_version = 1;
-    save.encoding = ImageEncoding::kRaw;
-  }
+  if (kind == BaseKind::kImageRaw) save.encoding = ImageEncoding::kRaw;
   Status s = built->Save(path, save);
   EXPECT_TRUE(s.ok()) << s.ToString();
   return MustOpen(path);
@@ -297,7 +293,7 @@ TEST(IngestDifferential, AppendVsRebuild150Queries) {
 
   int checked = 0;
   for (BaseKind kind :
-       {BaseKind::kBuilt, BaseKind::kImageV1, BaseKind::kImageV2}) {
+       {BaseKind::kBuilt, BaseKind::kImageRaw, BaseKind::kImageEncoded}) {
     SnapshotPtr base =
         MakeBase(kind, testing::RandomCorpus(kBaseSeed, kBaseTrees),
                  dir.File("base_" + std::to_string(static_cast<int>(kind)) +
@@ -306,31 +302,28 @@ TEST(IngestDifferential, AppendVsRebuild150Queries) {
         MustAppend(base, testing::RandomCorpus(kDeltaSeed, kDeltaTrees));
     ASSERT_EQ(chain->tree_count(), rebuilt->tree_count());
 
-    for (bool vectorized : {true, false}) {
-      service::QueryServiceOptions options;
-      options.threads = 4;
-      options.exec.vectorized = vectorized;
-      // Forcing fan-out exercises the two-source morsel scheduler; the
-      // serial two-source path is covered by the always-empty plans the
-      // generator's unknown literals produce (and by its own test below).
-      options.adaptive_serial_rows = 0;
-      service::QueryService service(chain, options);
+    service::QueryServiceOptions options;
+    options.threads = 4;
+    // Forcing fan-out exercises the two-source morsel scheduler; the
+    // serial two-source path is covered by the always-empty plans the
+    // generator's unknown literals produce (and by its own test below).
+    options.adaptive_serial_rows = 0;
+    service::QueryService service(chain, options);
 
-      Rng rng(kBaseSeed ^ (vectorized ? 1 : 2));
-      testing::QueryGen gen(&rng);
-      for (int i = 0; i < kQueries; ++i) {
-        const std::string q = gen.Query();
-        Result<QueryResult> want = reference.Run(q);
-        Result<QueryResult> got = service.Query(q);
-        ASSERT_EQ(want.ok(), got.ok())
-            << q << ": " << (want.ok() ? got : want).status().ToString();
-        if (!want.ok()) continue;
-        ASSERT_EQ(want->hits, got->hits) << q;
-        ++checked;
-      }
-      const service::ServiceStats stats = service.Stats();
-      EXPECT_EQ(stats.exec.sources, 2u);  // the chain really ran two-source
+    Rng rng(kBaseSeed ^ 1);
+    testing::QueryGen gen(&rng);
+    for (int i = 0; i < kQueries; ++i) {
+      const std::string q = gen.Query();
+      Result<QueryResult> want = reference.Run(q);
+      Result<QueryResult> got = service.Query(q);
+      ASSERT_EQ(want.ok(), got.ok())
+          << q << ": " << (want.ok() ? got : want).status().ToString();
+      if (!want.ok()) continue;
+      ASSERT_EQ(want->hits, got->hits) << q;
+      ++checked;
     }
+    const service::ServiceStats stats = service.Stats();
+    EXPECT_EQ(stats.exec.sources, 2u);  // the chain really ran two-source
   }
   EXPECT_GT(checked, 0);
 }

@@ -261,6 +261,32 @@ TEST_F(NetTest, ExecuteOnUnknownCorpusFailsCleanly) {
   EXPECT_TRUE(client.Ping().ok());
 }
 
+TEST_F(NetTest, DeeplyNestedQueryIsRefusedAndTheServerKeepsServing) {
+  StartServer();
+  // ~100 KB: far inside the payload limit, far past the parser's nesting
+  // limit. It used to overflow the parser's stack and take the server down.
+  std::string deep = "//S";
+  for (int i = 0; i < 20000; ++i) deep += "[//NP";
+  deep.append(20000, ']');
+
+  net::Client client = Connected();
+  auto refused = client.Query("wsj", deep);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsInvalidArgument())
+      << refused.status().ToString();
+  Status prepared = client.Prepare("wsj", deep);
+  EXPECT_TRUE(prepared.IsInvalidArgument()) << prepared.ToString();
+
+  // The same connection and a fresh one both still get answers.
+  auto after = client.Query("wsj", "//VP[//NP]");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_GT(after->count(), 0u);
+  net::Client fresh = Connected();
+  auto fresh_result = fresh.Query("wsj", "//VP[//NP]");
+  ASSERT_TRUE(fresh_result.ok()) << fresh_result.status().ToString();
+  EXPECT_EQ(fresh_result.value(), after.value());
+}
+
 TEST_F(NetTest, CancelIsBestEffortAndLeavesTheConnectionUsable) {
   StartServer();
   net::Client client = Connected();

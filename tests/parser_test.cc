@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "lpath/ast.h"
 
 namespace lpath {
@@ -333,6 +335,51 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseLPath("//_[@lex=]").ok());    // missing literal
   EXPECT_FALSE(ParseLPath("//VP extra").ok());    // trailing garbage
   EXPECT_FALSE(ParseLPath("//'unterminated").ok());
+}
+
+/// `//S` followed by `depth` nested `[//NP` predicates, closed when `close`.
+std::string NestedPredicates(int depth, bool close = true) {
+  std::string q = "//S";
+  for (int i = 0; i < depth; ++i) q += "[//NP";
+  if (close) q.append(static_cast<size_t>(depth), ']');
+  return q;
+}
+
+/// `//S[` + `open` repeated `depth` times + `//NP` + the closers.
+std::string Wrapped(const std::string& open, char close, int depth) {
+  std::string q = "//S[";
+  for (int i = 0; i < depth; ++i) q += open;
+  q += "//NP";
+  q.append(static_cast<size_t>(depth), close);
+  return q + "]";
+}
+
+TEST(ParserTest, NestingDepthIsBounded) {
+  EXPECT_TRUE(ParseLPath(NestedPredicates(kMaxLPathNesting)).ok());
+  EXPECT_TRUE(ParseLPath(Wrapped("not(", ')', kMaxLPathNesting - 1)).ok());
+  std::string chain = "//S[//NP";
+  for (int i = 1; i < kMaxLPathNesting; ++i) chain += " and //NP";
+  EXPECT_TRUE(ParseLPath(chain + "]").ok());
+
+  // Past the limit the parse fails cleanly instead of exhausting the
+  // stack: 20,000 levels used to crash the parser, and a 300,000-operand
+  // chain the code that recurses over its left-deep tree.
+  std::string long_chain = "//S[not(//NP";
+  for (int i = 0; i < 300000; ++i) long_chain += " and //NP";
+  const std::string too_deep[] = {
+      NestedPredicates(kMaxLPathNesting + 1),
+      NestedPredicates(20000),
+      NestedPredicates(20000, /*close=*/false),
+      Wrapped("not(", ')', 20000),
+      Wrapped("(", ')', 20000),
+      chain + " and //NP]",
+      long_chain + ")]",
+  };
+  for (const std::string& q : too_deep) {
+    Result<LocationPath> r = ParseLPath(q);
+    ASSERT_FALSE(r.ok()) << q.substr(0, 40);
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+  }
 }
 
 }  // namespace

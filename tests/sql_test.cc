@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "lpath/engines.h"
+#include "lpath/eval_nav.h"
+#include "lpath/parser.h"
 #include "sql/lexer.h"
 #include "sql/optimizer.h"
 #include "sql/parser.h"
@@ -90,6 +94,50 @@ TEST(SqlParserTest, Errors) {
   EXPECT_FALSE(sql::ParseSql("SELECT DISTINCT a0.tid, a0.id FROM nodes AS a0, "
                              "nodes AS a0")
                    .ok());
+}
+
+/// A statement whose WHERE clause nests `depth` correlated EXISTS
+/// subqueries, each satisfied by its enclosing row. With the innermost
+/// comparison that is depth + 1 nesting levels.
+std::string NestedExists(int depth) {
+  std::string q =
+      "SELECT DISTINCT a0.tid, a0.id FROM nodes AS a0 WHERE a0.name = 'S'";
+  for (int i = 1; i <= depth; ++i) {
+    // += rather than "a" + std::to_string(i): gcc 12's -Wrestrict misfires
+    // on the latter (GCC PR 105651).
+    std::string a = "a";
+    a += std::to_string(i);
+    std::string outer = "a";
+    outer += std::to_string(i - 1);
+    q += " AND EXISTS (SELECT 1 FROM nodes AS " + a + " WHERE " + a +
+         ".tid = " + outer + ".tid";
+  }
+  return q + std::string(static_cast<size_t>(depth), ')');
+}
+
+TEST(SqlParserTest, NestingDepthIsBounded) {
+  Result<ExecPlan> at_limit =
+      sql::ParseSql(NestedExists(sql::kMaxSqlNesting - 1));
+  EXPECT_TRUE(at_limit.ok()) << at_limit.status();
+  // Past the limit the parse fails cleanly instead of exhausting the
+  // stack, for every construct that nests.
+  std::string parens = "SELECT DISTINCT a.tid, a.id FROM nodes AS a WHERE ";
+  std::string nots = parens;
+  for (int i = 0; i < 20000; ++i) {
+    parens += "(";
+    nots += "NOT (";
+  }
+  const std::string too_deep[] = {
+      NestedExists(sql::kMaxSqlNesting),
+      NestedExists(20000),
+      parens + "a.id = 1" + std::string(20000, ')'),
+      nots + "a.id = 1" + std::string(20000, ')'),
+  };
+  for (const std::string& q : too_deep) {
+    Result<ExecPlan> r = sql::ParseSql(q);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+  }
 }
 
 class SqlExecTest : public ::testing::Test {
@@ -269,6 +317,47 @@ TEST_F(SqlExecTest, EarlyExitModesAgree) {
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1.value(), r2.value());
+}
+
+TEST_F(SqlExecTest, QueriesAtTheNestingLimitExecute) {
+  // The deepest statement the SQL parser accepts runs to the bottom of its
+  // EXISTS chain (every level holds) without exhausting the stack.
+  EXPECT_GT(Count(NestedExists(sql::kMaxSqlNesting - 1)), 0u);
+
+  // LPath queries at their parser's limit, in the shapes that nest deepest:
+  // satisfiable predicates inside predicates, and a not(...) tower as the
+  // first operand of a maximal and-chain (the deepest AST, and the deepest
+  // generated SQL). Each must agree with the navigational engine in every
+  // translation mode, including the round trip through SQL text. (Self
+  // steps keep the navigational engine, which does not memoize, linear.)
+  std::string nested = "//S";
+  for (int i = 0; i < kMaxLPathNesting; ++i) nested += "[self::S";
+  nested.append(static_cast<size_t>(kMaxLPathNesting), ']');
+  // An odd number of not(...) around a tag the corpus lacks holds.
+  std::string tower = "//S[";
+  for (int i = 0; i < kMaxLPathNesting - 1; ++i) tower += "not(";
+  tower += "//NOSUCHTAG";
+  tower.append(static_cast<size_t>(kMaxLPathNesting - 1), ')');
+  for (int i = 1; i < kMaxLPathNesting; ++i) tower += " and //NP";
+  tower += "]";
+
+  NavigationalEngine nav(corpus_);
+  for (const std::string& q : {nested, tower}) {
+    Result<QueryResult> want = nav.Run(q);
+    ASSERT_TRUE(want.ok()) << want.status();
+    EXPECT_GT(want->count(), 0u);
+    for (bool via_sql_text : {true, false}) {
+      for (bool unnest : {true, false}) {
+        LPathEngine::Options options;
+        options.via_sql_text = via_sql_text;
+        options.unnest_predicates = unnest;
+        Result<QueryResult> got = LPathEngine(*rel_, options).Run(q);
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_EQ(want.value(), got.value())
+            << "via_sql_text=" << via_sql_text << " unnest=" << unnest;
+      }
+    }
+  }
 }
 
 }  // namespace

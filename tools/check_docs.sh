@@ -1,7 +1,7 @@
 #!/bin/sh
 # Documentation consistency gate (CI: the "docs link-check" step).
 #
-# Two checks, both grep-based so the gate needs nothing beyond POSIX sh:
+# Three checks, all grep-based so the gate needs nothing beyond POSIX sh:
 #
 #   1. Every relative markdown link in README.md and docs/*.md must point
 #      at a file or directory that exists (anchors and external URLs are
@@ -11,6 +11,11 @@
 #      constant, message type, and wire code declared in
 #      src/net/protocol.h must be named in it. Catches protocol changes
 #      that skip the spec.
+#
+#   3. The OPERATIONS.md counter glossary names every sql::ExecStats
+#      field declared in src/sql/executor.h, and its executor table names
+#      no counter that struct no longer declares. Catches new counters
+#      that skip the glossary and stale rows for deleted ones.
 #
 # Exits nonzero listing every violation. Run from the repository root.
 set -u
@@ -61,6 +66,38 @@ if [ -f "$header" ] && [ -f "$spec" ]; then
 elif [ -f "$header" ]; then
   say "MISSING: $spec (normative spec for $header)"
   fail=1
+fi
+
+# --- 3. OPERATIONS.md glossary matches sql::ExecStats -------------------
+
+stats_header=src/sql/executor.h
+ops=docs/OPERATIONS.md
+if [ -f "$stats_header" ] && [ -f "$ops" ]; then
+  # Counter fields: the "  uint64_t name = 0;" members of the struct.
+  fields=$(awk '/^struct ExecStats \{/,/^};/' "$stats_header" |
+           grep -o '^  uint64_t [a-z_]*' | awk '{print $2}')
+  # First-column names of the glossary's executor table: from its
+  # "### Executor (`sql::ExecStats`" heading to the next heading.
+  rows=$(awk '/^### Executor \(`sql::ExecStats`/ {on=1; next}
+              /^#/ {on=0}
+              on && /^\| `/ {print}' "$ops" |
+         cut -d'|' -f2 | grep -o '`[a-z_]*`' | tr -d '`')
+  if [ -z "$fields" ] || [ -z "$rows" ]; then
+    say "MISSING: ExecStats fields in $stats_header or their glossary table in $ops"
+    fail=1
+  fi
+  for field in $fields; do
+    if ! printf '%s\n' "$rows" | grep -qx "$field"; then
+      say "UNDOCUMENTED: ExecStats::$field has no row in the $ops glossary"
+      fail=1
+    fi
+  done
+  for row in $rows; do
+    if ! printf '%s\n' "$fields" | grep -qx "$row"; then
+      say "STALE: $ops glossary names $row, which ExecStats does not declare"
+      fail=1
+    fi
+  done
 fi
 
 if [ "$fail" -ne 0 ]; then
