@@ -3,9 +3,12 @@
 // corpus.
 //
 //   Append  — mean seconds to Append() one 32-tree batch onto a chain
-//             whose delta already holds D trees. Only the delta is ever
-//             relabeled, so the cost is O(D + 32) regardless of base size;
-//             the trees_per_second counter is the append throughput.
+//             whose delta already holds D trees. Only the 32 incoming
+//             trees are labeled; they are merged onto the delta by a
+//             linear copy, and the dictionary is an overlay on the base's,
+//             so the cost is O(32) labeling plus an O(D) copy regardless
+//             of base size; the trees_per_second counter is the append
+//             throughput.
 //   Query   — mean seconds per 23-query suite pass routed through
 //             db::Database while the corpus carries a live delta of D
 //             trees: the two-source (base + delta) execution path, merged
@@ -19,8 +22,8 @@
 //             resets the corpus to its base so the working set stays
 //             bounded. Noisier than the static rows by construction.
 //
-// Expected shape: Append flat-ish in base size but linear in D (the whole
-// delta is relabeled per append); Query within a small factor of the
+// Expected shape: Append flat in base size and nearly flat in D (only the
+// Merge copy grows with the delta); Query within a small factor of the
 // delta-free path at small D; Compact linear in base+delta merge size;
 // live QPS between the delta:16 and delta:1024 Query points.
 //

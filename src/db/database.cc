@@ -278,12 +278,17 @@ Status Database::Ingest(const std::string& name, Corpus trees) {
     return status;
   };
   SnapshotPtr appended;
+  // Declared before the lock so the retired session (plan cache, memo
+  // registries, possibly the last reference to the old chain) drops
+  // unlocked, as in Swap.
+  std::shared_ptr<const void> retired;
   for (;;) {
     SnapshotPtr current = snapshot(name);
     if (current == nullptr) {
       return unpublished(Status::NotFound("corpus not attached: " + name));
     }
-    // O(delta): shares the base relation, rebuilds only the delta arena.
+    // O(batch): labels only the incoming trees, merges them onto the
+    // delta, and shares the base relation untouched.
     Result<SnapshotPtr> appended_or = current->Append(trees);
     if (!appended_or.ok()) return unpublished(appended_or.status());
     appended = std::move(appended_or).value();
@@ -300,7 +305,7 @@ Status Database::Ingest(const std::string& name, Corpus trees) {
       // re-append onto the newer snapshot (the ingest lock guarantees the
       // conflict was not another ingest).
       if (it->second->snapshot() == current) {
-        (void)it->second->UpdateSnapshot(appended);
+        retired = it->second->UpdateSnapshot(appended);
         it->second->NoteIngest();
         if (wal != nullptr) it->second->NoteWalAppend(payload_bytes);
         published = true;

@@ -141,8 +141,9 @@ class Database {
   // --- Live ingestion -------------------------------------------------------
 
   /// Appends `trees` to corpus `name` without downtime: the current
-  /// snapshot chain is extended (O(delta) work — the base relation is
-  /// shared untouched, see storage/snapshot.h) and the new chain is
+  /// snapshot chain is extended (O(batch) work — only the incoming trees
+  /// are labeled, then merged onto the delta; the base relation is shared
+  /// untouched, see storage/snapshot.h) and the new chain is
   /// hot-swapped in. Queries in flight finish on the pre-append snapshot;
   /// queries starting after the call see the appended trees. Appends to
   /// one corpus are serialized by a per-corpus ingest lock, so concurrent

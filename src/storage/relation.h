@@ -94,7 +94,9 @@ class NodeRelation {
   /// run's name), and labels are per-tree (no base label changes when
   /// trees are appended). `corpus` becomes the merged relation's owner and
   /// must carry the delta's (superset) dictionary; it may be tree-less
-  /// (image-backed compaction) or hold the concatenated trees.
+  /// (image-backed compaction) or hold the concatenated trees. Only the
+  /// sources' columns are read, never their corpora. Serves both
+  /// compaction (base + delta) and append (delta + incoming batch).
   static Result<NodeRelation> Merge(const NodeRelation& base,
                                     const NodeRelation& delta,
                                     std::shared_ptr<const Corpus> corpus);
@@ -227,12 +229,12 @@ class NodeRelation {
   /// performs no labeling or sorting.
   static uint64_t BuildCount();
 
-  /// Process-wide count of trees ever labeled by Build. The O(delta)
-  /// append guarantee is stated in this counter: appending N trees onto an
-  /// M-tree snapshot advances it by exactly N — by delta + N onto a chain
-  /// whose delta is rebuilt — never by anything proportional to M (the
-  /// base is never relabeled), and compaction advances it by 0 (Merge
-  /// neither labels nor sorts).
+  /// Process-wide count of trees ever labeled by Build. The O(batch)
+  /// append guarantee is stated in this counter: appending N trees onto a
+  /// snapshot advances it by exactly N, whatever the base or delta size
+  /// (neither is ever relabeled: the batch is folded onto the delta by
+  /// Merge), and compaction advances it by 0 (Merge neither labels nor
+  /// sorts).
   static uint64_t LabeledTreeCount();
 
  private:

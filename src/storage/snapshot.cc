@@ -62,12 +62,13 @@ Result<SnapshotPtr> CorpusSnapshot::Open(const std::string& path,
 
 namespace {
 
-/// A fresh corpus carrying a clone of `interner` and no trees — the owner
-/// shape NodeRelation::Merge needs when the merged trees themselves are not
-/// materialized (image-backed compaction, chain Save).
+/// A fresh corpus carrying a flat copy of `interner` and no trees — the
+/// owner shape NodeRelation::Merge needs when the merged trees themselves
+/// are not materialized (image-backed compaction, chain Save). Flat, so the
+/// merged relation never pins the base corpus an overlay extends.
 std::shared_ptr<Corpus> CorpusWithDictionary(const Interner& interner) {
   auto corpus = std::make_shared<Corpus>();
-  corpus->ResetInterner(interner.Clone());
+  corpus->ResetInterner(interner.Flatten());
   return corpus;
 }
 
@@ -96,45 +97,65 @@ Result<SnapshotPtr> CorpusSnapshot::Rebuild(RelationOptions options) const {
                                                ? Open(image_path_)
                                                : Build(corpus_, options));
   if (!has_delta()) return base;
-  // Carry the chain: rebuild the delta relation over the immutable delta
-  // corpus under the (possibly image-baked) base scheme and re-attach it.
+  // Carry the chain: re-layer the delta trees onto the new base's
+  // dictionary (an image re-open brings a fresh one; the old overlay would
+  // pin the old base corpus) and rebuild the delta relation over them
+  // under the (possibly image-baked) base scheme.
+  auto delta = std::make_shared<Corpus>();
+  delta->ResetInterner(Interner(base->BaseDictionary()));
+  delta->AppendFrom(*delta_corpus_);
   LPATH_ASSIGN_OR_RETURN(NodeRelation drel,
-                         NodeRelation::Build(delta_corpus_, base->options_));
-  auto* chained =
-      new CorpusSnapshot(base->corpus_, base->relation_, base->options_);
-  chained->image_path_ = base->image_path_;
-  chained->base_wal_lsn_ = base->base_wal_lsn_;
-  chained->delta_corpus_ = delta_corpus_;
-  chained->delta_relation_ =
-      std::make_shared<const NodeRelation>(std::move(drel));
-  return SnapshotPtr(chained);
+                         NodeRelation::Build(delta, base->options_));
+  return base->Chain(std::move(delta), std::move(drel));
 }
 
 Result<SnapshotPtr> CorpusSnapshot::Append(const Corpus& incoming) const {
   if (incoming.empty()) {
     return Status::InvalidArgument("CorpusSnapshot::Append: empty corpus");
   }
-  // The new delta corpus: a clone-extension of the chain's dictionary (so
-  // base ids stay valid and new strings take fresh ids), the existing delta
-  // trees verbatim, then the incoming trees re-interned. Work is
-  // O(existing delta + incoming); the base is untouched.
+  // The incoming trees alone, re-interned into the next layer of the
+  // chain's dictionary: an overlay on the base's, carrying the current
+  // delta's own strings when there is a delta. Base ids stay valid and new
+  // strings take fresh ids; no base string is copied. Only these N trees
+  // are labeled and sorted.
+  auto batch = std::make_shared<Corpus>();
+  batch->ResetInterner(has_delta() ? delta_corpus_->interner().Clone()
+                                   : Interner(BaseDictionary()));
+  batch->AppendFrom(incoming);
+  LPATH_ASSIGN_OR_RETURN(NodeRelation drel,
+                         NodeRelation::Build(batch, options_));
+  if (!has_delta()) return Chain(std::move(batch), std::move(drel));
+  // Fold the batch onto the existing delta by linear merge (no labeling,
+  // no sorting: the path compaction takes). The merged corpus holds the
+  // delta trees then the batch trees, and takes over the batch's
+  // dictionary, a superset of the delta's. Merge reads only the sources'
+  // columns, so the batch relation needs its dictionary no longer.
   auto delta = std::make_shared<Corpus>();
-  delta->ResetInterner(interner().Clone());
-  if (has_delta()) {
-    for (size_t i = 0; i < delta_corpus_->size(); ++i) {
-      delta->Add(delta_corpus_->tree(static_cast<TreeId>(i)));
+  for (const Corpus* part : {delta_corpus_.get(), &std::as_const(*batch)}) {
+    for (size_t i = 0; i < part->size(); ++i) {
+      delta->Add(part->tree(static_cast<TreeId>(i)));
     }
   }
-  delta->AppendFrom(incoming);
-  LPATH_ASSIGN_OR_RETURN(
-      NodeRelation drel,
-      NodeRelation::Build(std::shared_ptr<const Corpus>(delta), options_));
+  delta->ResetInterner(std::move(*batch->mutable_interner()));
+  LPATH_ASSIGN_OR_RETURN(NodeRelation merged,
+                         NodeRelation::Merge(*delta_relation_, drel, delta));
+  return Chain(std::move(delta), std::move(merged));
+}
+
+std::shared_ptr<const Interner> CorpusSnapshot::BaseDictionary() const {
+  // Aliases the base corpus: an overlay on this dictionary keeps the whole
+  // base corpus alive.
+  return std::shared_ptr<const Interner>(corpus_, &corpus_->interner());
+}
+
+SnapshotPtr CorpusSnapshot::Chain(std::shared_ptr<const Corpus> delta_corpus,
+                                  NodeRelation delta_relation) const {
   auto* chained = new CorpusSnapshot(corpus_, relation_, options_);
   chained->image_path_ = image_path_;
   chained->base_wal_lsn_ = base_wal_lsn_;
-  chained->delta_corpus_ = std::move(delta);
+  chained->delta_corpus_ = std::move(delta_corpus);
   chained->delta_relation_ =
-      std::make_shared<const NodeRelation>(std::move(drel));
+      std::make_shared<const NodeRelation>(std::move(delta_relation));
   return SnapshotPtr(chained);
 }
 
@@ -143,10 +164,11 @@ Result<SnapshotPtr> CorpusSnapshot::Compact(
   if (!has_delta()) {
     return Status::InvalidArgument("CorpusSnapshot::Compact: no delta");
   }
-  // The merged corpus: the delta's dictionary (a superset of the base's),
-  // plus the concatenated trees when the base holds trees. An image-backed
-  // base is tree-less and the compaction stays tree-less — exactly what
-  // re-opening the rewritten image serves anyway.
+  // The merged corpus: a flat copy of the chain's dictionary (a superset
+  // of the base's, so the compacted snapshot no longer pins the old base
+  // corpus), plus the concatenated trees when the base holds trees. An
+  // image-backed base is tree-less and the compaction stays tree-less —
+  // exactly what re-opening the rewritten image serves anyway.
   std::shared_ptr<Corpus> merged =
       CorpusWithDictionary(delta_corpus_->interner());
   if (!image_backed()) {

@@ -14,16 +14,18 @@
 // Live corpora: a snapshot is a two-link *chain* — an immutable base
 // (built in memory or served from an mmap'd image) plus an optional small
 // delta relation holding trees appended since the base was built. Append()
-// extends the chain in O(delta): only the delta trees are (re)labeled and
-// sorted, the base is shared untouched, and the result is published like
-// any other snapshot. Chain tid space: base trees keep their tids, delta
-// tree d is addressed as base tree_count() + d; executors run each source
-// with its own prepared plan and shift delta hits into chain tids at the
-// merge (queries never cross trees, so the union over sources is exactly
-// the rebuilt-corpus result). Compact() folds the delta back into one
-// relation by linear merge (NodeRelation::Merge — no labeling, no
-// sorting), rewriting the backing image in place (tmp + rename) when the
-// base is image-backed.
+// extends the chain at the cost of the batch: only the N incoming trees are
+// labeled and sorted, the result is folded onto the existing delta by
+// linear merge, the delta's dictionary is an overlay on the base's (no base
+// string is copied), the base is shared untouched, and the result is
+// published like any other snapshot. Chain tid space: base trees keep
+// their tids, delta tree d is addressed as base tree_count() + d;
+// executors run each source with its own prepared plan and shift delta
+// hits into chain tids at the merge (queries never cross trees, so the
+// union over sources is exactly the rebuilt-corpus result). Compact()
+// folds the delta back into one relation by linear merge
+// (NodeRelation::Merge — no labeling, no sorting), rewriting the backing
+// image in place (tmp + rename) when the base is image-backed.
 
 #ifndef LPATHDB_STORAGE_SNAPSHOT_H_
 #define LPATHDB_STORAGE_SNAPSHOT_H_
@@ -85,10 +87,12 @@ class CorpusSnapshot {
   // --- Snapshot chain -------------------------------------------------------
 
   /// Extends the chain with `incoming`'s trees (copied; symbols re-interned
-  /// into a clone of the chain's dictionary) in O(existing delta + incoming)
-  /// work: the base relation is shared untouched — no base tree is ever
-  /// relabeled (see NodeRelation::LabeledTreeCount). Returns a new snapshot;
-  /// this one is unchanged (readers pinned to it are unaffected).
+  /// into an overlay on the base's dictionary, so no base string is
+  /// copied). Only the N incoming trees are labeled and sorted — never a
+  /// base or existing delta tree (see NodeRelation::LabeledTreeCount) — and
+  /// their relation is folded onto the existing delta by NodeRelation::Merge,
+  /// a linear copy. Returns a new snapshot; this one is unchanged (readers
+  /// pinned to it are unaffected).
   Result<SnapshotPtr> Append(const Corpus& incoming) const;
 
   /// Folds the delta into the base by linear merge (no labeling, no
@@ -128,8 +132,9 @@ class CorpusSnapshot {
   const Corpus& corpus() const { return *corpus_; }
   const std::shared_ptr<const Corpus>& corpus_ptr() const { return corpus_; }
   const NodeRelation& relation() const { return relation_; }
-  /// The chain-wide dictionary: the delta's (a superset extension of the
-  /// base's, sharing every base id) when a delta exists, else the base's.
+  /// The chain-wide dictionary: the delta's (an overlay on the base's,
+  /// resolving every base id through it) when a delta exists, else the
+  /// base's.
   const Interner& interner() const {
     return has_delta() ? delta_corpus_->interner() : corpus_->interner();
   }
@@ -154,6 +159,15 @@ class CorpusSnapshot {
   CorpusSnapshot(std::shared_ptr<const Corpus> corpus, NodeRelation relation,
                  RelationOptions options);
 
+  /// The base corpus's dictionary as a shared parent for a delta overlay
+  /// (an alias that keeps the base corpus alive).
+  std::shared_ptr<const Interner> BaseDictionary() const;
+
+  /// This snapshot's base with `delta_corpus` / `delta_relation` as its
+  /// delta link.
+  SnapshotPtr Chain(std::shared_ptr<const Corpus> delta_corpus,
+                    NodeRelation delta_relation) const;
+
   std::shared_ptr<const Corpus> corpus_;
   NodeRelation relation_;
   RelationOptions options_;
@@ -163,8 +177,9 @@ class CorpusSnapshot {
 
   // The chain's delta link, both null for a plain (delta-free) snapshot.
   // delta_corpus_ holds only the appended trees (local tids 0..delta-1)
-  // and a dictionary cloned from — and extending — the base's, so base
-  // symbol ids stay valid in delta rows verbatim.
+  // and an overlay on the base's dictionary, so base symbol ids stay valid
+  // in delta rows verbatim. The overlay pins the base corpus; Compact,
+  // Save and Rebuild flatten or re-layer it when the base is replaced.
   std::shared_ptr<const Corpus> delta_corpus_;
   std::shared_ptr<const NodeRelation> delta_relation_;
 };

@@ -41,8 +41,8 @@ class Corpus {
   /// Appends copies of every tree of `other`, re-interning each symbol from
   /// `other`'s dictionary into this one (symbol ids are remapped; shared
   /// strings resolve to this corpus's existing ids). The ingestion path of
-  /// the snapshot chain: externally loaded trees enter a delta corpus whose
-  /// dictionary is a clone-extension of the chain's.
+  /// the snapshot chain: externally loaded trees enter a batch corpus whose
+  /// dictionary is an overlay on the base's (see Interner).
   void AppendFrom(const Corpus& other);
 
   /// Replaces the dictionary. Intended for assembling a corpus from parts

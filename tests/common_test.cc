@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 
@@ -104,6 +105,91 @@ TEST(InternerTest, ManySymbolsStayStable) {
   for (int i = 0; i < 10000; ++i) {
     EXPECT_EQ(in.name(ids[i]), "sym" + std::to_string(i));
   }
+}
+
+/// A flat parent holding "NP", "VP", "saw" (ids 1..3), shared the way a
+/// snapshot chain shares its base dictionary.
+std::shared_ptr<const Interner> ThreeSymbolParent() {
+  auto parent = std::make_shared<Interner>();
+  parent->Intern("NP");
+  parent->Intern("VP");
+  parent->Intern("saw");
+  return parent;
+}
+
+TEST(InternerOverlayTest, ParentIdsResolveThroughTheOverlay) {
+  std::shared_ptr<const Interner> parent = ThreeSymbolParent();
+  Interner overlay(parent);
+  EXPECT_EQ(overlay.parent(), parent);
+  EXPECT_EQ(overlay.end_id(), parent->end_id());
+  EXPECT_EQ(overlay.size(), 3u);
+  for (Symbol s = 1; s < parent->end_id(); ++s) {
+    EXPECT_EQ(overlay.name(s), parent->name(s)) << s;
+    EXPECT_EQ(overlay.Lookup(parent->name(s)), s) << s;
+    // Interning a parent string returns the parent id and adds nothing.
+    EXPECT_EQ(overlay.Intern(parent->name(s)), s) << s;
+  }
+  EXPECT_EQ(overlay.end_id(), parent->end_id());
+  EXPECT_EQ(overlay.Lookup("missing"), kNoSymbol);
+}
+
+TEST(InternerOverlayTest, NewStringsTakeIdsFromTheParentsEnd) {
+  std::shared_ptr<const Interner> parent = ThreeSymbolParent();
+  Interner overlay(parent);
+  const Symbol dog = overlay.Intern("dog");
+  const Symbol cat = overlay.Intern("cat");
+  EXPECT_EQ(dog, parent->end_id());
+  EXPECT_EQ(cat, parent->end_id() + 1);
+  EXPECT_EQ(overlay.Intern("dog"), dog);
+  EXPECT_EQ(overlay.name(dog), "dog");
+  EXPECT_EQ(overlay.name(cat), "cat");
+  EXPECT_EQ(overlay.Lookup("cat"), cat);
+  EXPECT_EQ(overlay.size(), 5u);
+  EXPECT_EQ(overlay.end_id(), parent->end_id() + 2);
+  // The parent is never written through the overlay.
+  EXPECT_EQ(parent->size(), 3u);
+  EXPECT_EQ(parent->Lookup("dog"), kNoSymbol);
+}
+
+TEST(InternerOverlayTest, CloneKeepsIdsAndCopiesOnlyOwnStrings) {
+  std::shared_ptr<const Interner> parent = ThreeSymbolParent();
+  Interner overlay(parent);
+  overlay.Intern("dog");
+  overlay.Intern("cat");
+  Interner clone = overlay.Clone();
+  // The clone shares the parent (no parent string is copied) ...
+  EXPECT_EQ(clone.parent(), parent);
+  EXPECT_EQ(clone.name(1).data(), parent->name(1).data());
+  // ... and owns copies of the overlay's strings, under the same ids.
+  ASSERT_EQ(clone.end_id(), overlay.end_id());
+  for (Symbol s = 1; s < overlay.end_id(); ++s) {
+    EXPECT_EQ(clone.name(s), overlay.name(s)) << s;
+  }
+  const Symbol dog = overlay.Lookup("dog");
+  EXPECT_NE(clone.name(dog).data(), overlay.name(dog).data());
+  // The clone extends independently of its source.
+  const Symbol eel = clone.Intern("eel");
+  EXPECT_EQ(eel, overlay.end_id());
+  EXPECT_EQ(overlay.Lookup("eel"), kNoSymbol);
+}
+
+TEST(InternerOverlayTest, FlattenGivesAParentFreeCopyWithTheSameIds) {
+  std::shared_ptr<const Interner> parent = ThreeSymbolParent();
+  Interner overlay(parent);
+  overlay.Intern("dog");
+  overlay.Intern("cat");
+  Interner flat = overlay.Flatten();
+  EXPECT_EQ(flat.parent(), nullptr);
+  ASSERT_EQ(flat.end_id(), overlay.end_id());
+  for (Symbol s = 1; s < overlay.end_id(); ++s) {
+    EXPECT_EQ(flat.name(s), overlay.name(s)) << s;
+    EXPECT_EQ(flat.Lookup(overlay.name(s)), s) << s;
+  }
+  // A flat dictionary is a valid overlay parent again.
+  auto shared_flat = std::make_shared<const Interner>(std::move(flat));
+  Interner relayered(shared_flat);
+  EXPECT_EQ(relayered.Intern("cat"), overlay.Lookup("cat"));
+  EXPECT_EQ(relayered.Intern("eel"), overlay.end_id());
 }
 
 TEST(RngTest, Deterministic) {

@@ -4,9 +4,12 @@
 //     execution) are identical to results over a corpus rebuilt from
 //     scratch with the same trees — fuzzed over 150 generated queries,
 //     across built / mapped-raw / mapped-encoded bases;
-//   - *O(delta)*: the base is never relabeled or resorted, stated in
-//     NodeRelation::LabeledTreeCount(), and compaction's Merge labels
-//     nothing at all;
+//   - *O(batch)*: an append labels only its incoming trees (never the base
+//     or the existing delta), stated in NodeRelation::LabeledTreeCount();
+//     its dictionary is an overlay that copies no base string; and
+//     compaction's Merge labels nothing at all;
+//   - *leak-free*: compaction and rebuild flatten or re-layer the overlay,
+//     so a replaced base corpus is freed once its snapshots drop;
 //   - *safe under concurrency*: a 4-client query/ingest/compact hammer
 //     (the `concurrency` label puts it under TSan) never loses trees,
 //     never tears a snapshot, and counts grow monotonically;
@@ -21,6 +24,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +32,7 @@
 #include "common/rng.h"
 #include "db/database.h"
 #include "lpath/engines.h"
+#include "lpath/eval_nav.h"
 #include "storage/image.h"
 #include "storage/relation.h"
 #include "storage/snapshot.h"
@@ -143,6 +148,31 @@ Corpus CombinedCorpus(uint64_t base_seed, int base_trees, uint64_t delta_seed,
   return combined;
 }
 
+/// Batch `i` of the long-chain tests: a few random trees plus one tree
+/// whose tag and words no other corpus has, so every append brings
+/// strings the base dictionary has never seen.
+Corpus NovelBatch(int i) {
+  Corpus batch = testing::RandomCorpus(900 + static_cast<uint64_t>(i),
+                                       1 + i % 4);
+  Interner* in = batch.mutable_interner();
+  std::string tag = "Novel";
+  tag += std::to_string(i);
+  std::string word = "word";
+  word += std::to_string(i);
+  std::string noun = "noun";
+  noun += std::to_string(i);
+  const Symbol lex = in->Intern("@lex");
+  Tree t;
+  const NodeId root = t.AddRoot(in->Intern("S"));
+  const NodeId np = t.AddChild(root, in->Intern("NP"));
+  const NodeId novel = t.AddChild(np, in->Intern(tag));
+  t.AddAttr(novel, lex, in->Intern(word));
+  const NodeId n = t.AddChild(np, in->Intern("N"));
+  t.AddAttr(n, lex, in->Intern(noun));
+  batch.Add(std::move(t));
+  return batch;
+}
+
 // ---------------------------------------------------------------------------
 // Chain semantics
 
@@ -228,7 +258,7 @@ TEST(SnapshotChain, SaveOfChainWritesTheMergedRelation) {
 }
 
 // ---------------------------------------------------------------------------
-// O(delta) counters
+// O(batch) counters
 
 TEST(IngestCounters, AppendLabelsOnlyTheDelta) {
   SnapshotPtr base = MustBuild(testing::RandomCorpus(51, 50));
@@ -238,10 +268,10 @@ TEST(IngestCounters, AppendLabelsOnlyTheDelta) {
   SnapshotPtr chain1 = MustAppend(base, testing::RandomCorpus(52, 5));
   EXPECT_EQ(NodeRelation::LabeledTreeCount() - start, 5u);
 
-  // Second append rebuilds the (still tiny) delta: 5 + 3 trees labeled,
-  // never the 50-tree base.
+  // Second append labels only its own 3 trees and merges them onto the
+  // delta: never the 5-tree delta, never the 50-tree base.
   SnapshotPtr chain2 = MustAppend(chain1, testing::RandomCorpus(53, 3));
-  EXPECT_EQ(NodeRelation::LabeledTreeCount() - start, 5u + 8u);
+  EXPECT_EQ(NodeRelation::LabeledTreeCount() - start, 5u + 3u);
 
   // Compaction is pure Merge: no labeling, no sorting.
   const uint64_t before_compact = NodeRelation::LabeledTreeCount();
@@ -249,6 +279,24 @@ TEST(IngestCounters, AppendLabelsOnlyTheDelta) {
   ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
   EXPECT_EQ(NodeRelation::LabeledTreeCount(), before_compact);
   EXPECT_EQ((*compacted)->tree_count(), 58);
+}
+
+TEST(IngestCounters, AppendCopiesNoBaseDictionaryString) {
+  SnapshotPtr base = MustBuild(testing::RandomCorpus(55, 30));
+  const Interner& base_dict = base->corpus().interner();
+  SnapshotPtr chain = base;
+  for (int i = 0; i < 3; ++i) {
+    chain = MustAppend(chain, NovelBatch(i));
+    // The chain dictionary is an overlay on the base's very object: every
+    // base id resolves to the base's own string storage, not a copy.
+    const Interner& dict = chain->interner();
+    ASSERT_NE(dict.parent(), nullptr);
+    EXPECT_EQ(dict.parent().get(), &base_dict);
+    for (Symbol s = 1; s < base_dict.end_id(); ++s) {
+      ASSERT_EQ(dict.name(s).data(), base_dict.name(s).data()) << s;
+    }
+    EXPECT_GT(dict.end_id(), base_dict.end_id());
+  }
 }
 
 TEST(IngestCounters, ImageBackedBaseIsNeverRelabeled) {
@@ -273,6 +321,163 @@ TEST(IngestCounters, ImageBackedBaseIsNeverRelabeled) {
   EXPECT_TRUE((*compacted)->image_backed());
   EXPECT_FALSE((*compacted)->has_delta());
   EXPECT_EQ((*compacted)->tree_count(), 46);
+}
+
+// ---------------------------------------------------------------------------
+// Base lifetime: an overlay pins the base it extends, so every path that
+// replaces the base must let the old one go.
+
+TEST(IngestLifetime, CompactReleasesThePreCompactionBase) {
+  TempDir dir;
+  for (BaseKind kind : {BaseKind::kBuilt, BaseKind::kImageEncoded}) {
+    std::weak_ptr<const Corpus> old_base;
+    SnapshotPtr compacted;
+    {
+      SnapshotPtr base =
+          MakeBase(kind, testing::RandomCorpus(131, 20),
+                   dir.File("base_" + std::to_string(static_cast<int>(kind)) +
+                            ".img"));
+      old_base = base->corpus_ptr();
+      SnapshotPtr chain = MustAppend(MustAppend(base, NovelBatch(0)),
+                                     NovelBatch(1));
+      Result<SnapshotPtr> merged = chain->Compact();
+      ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+      compacted = std::move(merged).value();
+      EXPECT_FALSE(old_base.expired());  // the old snapshots still pin it
+    }
+    EXPECT_TRUE(old_base.expired())
+        << "kind " << static_cast<int>(kind)
+        << ": the compacted snapshot still reaches the old base";
+    EXPECT_EQ(compacted->tree_count(), 20 + 2 + 3);
+    EXPECT_EQ(compacted->interner().parent(), nullptr);
+    // The next append layers onto the new base.
+    SnapshotPtr next = MustAppend(compacted, NovelBatch(2));
+    EXPECT_EQ(next->interner().parent().get(),
+              &compacted->corpus().interner());
+  }
+}
+
+TEST(IngestLifetime, RebuildReLayersTheDeltaOntoTheReopenedBase) {
+  TempDir dir;
+  std::weak_ptr<const Corpus> old_base;
+  SnapshotPtr rebuilt;
+  QueryResult before;
+  {
+    SnapshotPtr base = MakeBase(BaseKind::kImageRaw,
+                                testing::RandomCorpus(141, 20),
+                                dir.File("base.img"));
+    old_base = base->corpus_ptr();
+    SnapshotPtr chain = MustAppend(base, NovelBatch(4));
+    service::QueryService service(chain);
+    Result<QueryResult> r = service.Query("//NP");
+    ASSERT_TRUE(r.ok());
+    before = std::move(r).value();
+    Result<SnapshotPtr> rb = chain->Rebuild();
+    ASSERT_TRUE(rb.ok()) << rb.status().ToString();
+    rebuilt = std::move(rb).value();
+  }
+  EXPECT_TRUE(old_base.expired());
+  EXPECT_EQ(rebuilt->interner().parent().get(),
+            &rebuilt->corpus().interner());
+  service::QueryService service(rebuilt);
+  Result<QueryResult> after = service.Query("//NP");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(before.hits, after->hits);
+}
+
+TEST(IngestLifetime, DatabaseCompactionFreesTheOldBase) {
+  db::DatabaseOptions options;
+  options.compact_delta_trees = 0;  // manual compaction only
+  db::Database db(options);
+  ASSERT_TRUE(db.OpenCorpus("c", testing::RandomCorpus(151, 20)).ok());
+  const std::weak_ptr<const Corpus> old_base = db.snapshot("c")->corpus_ptr();
+  ASSERT_TRUE(db.Ingest("c", NovelBatch(5)).ok());
+  ASSERT_TRUE(db.Query("c", "//NP").ok());
+  ASSERT_TRUE(db.Ingest("c", NovelBatch(6)).ok());
+  ASSERT_TRUE(db.Query("c", "//NP").ok());
+  EXPECT_FALSE(old_base.expired());
+  ASSERT_TRUE(db.Compact("c").ok());
+  EXPECT_TRUE(old_base.expired());
+}
+
+// ---------------------------------------------------------------------------
+// Long append chain: bit-identity after every append, then the fuzz set
+// against the navigational oracle
+
+TEST(IngestDifferential, LongChainOfNovelBatchesMatchesFullBuild) {
+  constexpr int kAppends = 24;
+  constexpr int kQueries = 150;
+  TempDir dir;
+  SnapshotPtr base = MustBuild(testing::RandomCorpus(880, 40));
+  const Interner& base_dict = base->corpus().interner();
+
+  // The references grow batch by batch, interning in the chain's order:
+  // the delta alone and the whole corpus, both over a copy of the base's
+  // dictionary, so symbol ids (and with them relation bytes) line up.
+  Corpus delta_ref;
+  delta_ref.ResetInterner(base_dict.Clone());
+  Corpus combined;
+  combined.ResetInterner(base_dict.Clone());
+  combined.AppendFrom(base->corpus());
+
+  SnapshotPtr chain = base;
+  for (int i = 0; i < kAppends; ++i) {
+    SCOPED_TRACE("append " + std::to_string(i));
+    const Corpus batch = NovelBatch(i);
+    std::string word = "word";
+    word += std::to_string(i);
+    ASSERT_EQ(base_dict.Lookup(word), kNoSymbol);
+    const Symbol end_before = chain->interner().end_id();
+
+    const uint64_t labeled = NodeRelation::LabeledTreeCount();
+    chain = MustAppend(chain, batch);
+    EXPECT_EQ(NodeRelation::LabeledTreeCount() - labeled, batch.size());
+    EXPECT_GT(chain->interner().end_id(), end_before);
+    for (Symbol s = 1; s < base_dict.end_id(); ++s) {
+      ASSERT_EQ(chain->interner().name(s), base_dict.name(s)) << s;
+    }
+
+    delta_ref.AppendFrom(batch);
+    combined.AppendFrom(batch);
+    Result<NodeRelation> want_delta = NodeRelation::Build(delta_ref);
+    ASSERT_TRUE(want_delta.ok());
+    ExpectSameRelation(*chain->delta_relation(), *want_delta);
+    ASSERT_FALSE(HasFatalFailure());
+    Result<SnapshotPtr> compacted = chain->Compact();
+    ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+    Result<NodeRelation> want_all = NodeRelation::Build(combined);
+    ASSERT_TRUE(want_all.ok());
+    ExpectSameRelation((*compacted)->relation(), *want_all);
+    ASSERT_FALSE(HasFatalFailure());
+  }
+  ASSERT_EQ(chain->tree_count(), static_cast<int32_t>(combined.size()));
+
+  Result<SnapshotPtr> compacted = chain->Compact();
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  const std::string path = dir.File("chain.img");
+  ASSERT_TRUE(chain->Save(path).ok());
+  SnapshotPtr reopened = MustOpen(path);
+
+  NavigationalEngine oracle(combined);
+  int checked = 0;
+  for (const SnapshotPtr& snap : {chain, *compacted, reopened}) {
+    ASSERT_EQ(snap->tree_count(), chain->tree_count());
+    service::QueryServiceOptions options;
+    options.threads = 2;
+    service::QueryService service(snap, options);
+    Rng rng(8808);
+    testing::QueryGen gen(&rng);
+    for (int q = 0; q < kQueries; ++q) {
+      const std::string query = gen.Query();
+      Result<QueryResult> want = oracle.Run(query);
+      ASSERT_TRUE(want.ok()) << query << ": " << want.status().ToString();
+      Result<QueryResult> got = service.Query(query);
+      ASSERT_TRUE(got.ok()) << query << ": " << got.status().ToString();
+      ASSERT_EQ(want->hits, got->hits) << query;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 3 * kQueries);
 }
 
 // ---------------------------------------------------------------------------
