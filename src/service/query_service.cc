@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <unordered_set>
+#include <limits>
 #include <utility>
 
 #include "common/timer.h"
@@ -30,14 +30,9 @@ double Percentile(const std::vector<double>& sorted, double q) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
-uint64_t HitKey(const Hit& h) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(h.tid)) << 32) |
-         static_cast<uint32_t>(h.id);
-}
-
-/// Rebases a source's hits into the chain tid space. Must happen before any
-/// cross-source merge or DISTINCT stage: delta tree 0 and base tree 0 are
-/// different trees, and an unshifted HitKey would alias them.
+/// Rebases a source's hits into the chain tid space. Must happen before the
+/// hits reach a sink or the merged result: delta tree 0 and base tree 0 are
+/// different trees.
 void ShiftTids(std::vector<Hit>& hits, int32_t offset) {
   if (offset == 0) return;
   for (Hit& h : hits) h.tid += offset;
@@ -230,68 +225,28 @@ int QueryService::CollectSources(const Session& session,
   return n;
 }
 
-Result<QueryResult> QueryService::RunSerial(const Session& session,
-                                            const CachedPlan& planned,
-                                            const RowSink* sink,
-                                            const std::atomic<bool>* cancel) {
-  SourceRun sources[2];
-  const int nsources = CollectSources(session, planned, sources);
-  QueryResult merged;
-  sql::ExecStats total;
-  Status failure = Status::OK();
-  for (int s = 0; s < nsources; ++s) {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      failure = Status::Cancelled("query cancelled");
-      break;
-    }
-    const SourceRun& src = sources[s];
-    sql::ExecStats stats;
-    Result<QueryResult> r =
-        src.executor->ExecutePrepared(*src.plan, &stats, src.memo, src.global);
-    if (src.tid_offset != 0) stats.delta_rows = stats.candidates;
-    total.Add(stats);
-    if (!r.ok()) {
-      failure = r.status();
-      break;
-    }
-    ShiftTids(r->hits, src.tid_offset);
-    merged.hits.insert(merged.hits.end(), r->hits.begin(), r->hits.end());
-  }
-  total.morsels += 1;
-  total.sources = static_cast<uint64_t>(nsources);
-  RecordExec(total, /*sharded=*/false);
-  if (!failure.ok()) return failure;
-  // Sources cover disjoint tid ranges, so the concatenation is already
-  // DISTINCT; Normalize restores the global sort order across the seam.
-  merged.Normalize();
-  if (sink != nullptr && !merged.hits.empty()) {
-    (*sink)(std::span<const Hit>(merged.hits));
-  }
-  return merged;
-}
-
-Result<QueryResult> QueryService::RunSharded(const Session& session,
+Result<QueryResult> QueryService::RunMorsels(const Session& session,
                                              CachedPlanPtr planned,
-                                             const RowSink* sink,
+                                             int workers, const RowSink* sink,
                                              const std::atomic<bool>* cancel) {
   SourceRun sources[2];
   const int nsources = CollectSources(session, *planned, sources);
-  int workers = options_.shards_per_query > 0
-                    ? std::min(options_.shards_per_query, pool_->size())
-                    : pool_->size();
-  workers = std::max(1, workers);
   // Adaptive fan-out: when the optimizer expects the root variable to
   // enumerate only a handful of rows, the per-morsel setup (task posts,
   // binary-searched run cuts, result merge) costs more than it parallelizes.
   // On a chain the estimate is the sum over live (non-always-empty) sources.
+  // A plan whose output rows are not clamped by the root's tid range would
+  // need a DISTINCT merge across morsels, so it runs as one morsel instead.
   uint64_t root_estimate = 0;
   bool any_live = false;
+  bool disjoint = true;
   for (int s = 0; s < nsources; ++s) {
     if (sources[s].plan->always_empty) continue;
     any_live = true;
     root_estimate += sources[s].plan->root_cardinality;
+    disjoint = disjoint && sources[s].plan->OutputTiedToRoot();
   }
-  bool serial = !any_live || workers <= 1;
+  bool serial = !any_live || workers <= 1 || !disjoint;
   if (!serial && options_.adaptive_serial_rows > 0 &&
       root_estimate < options_.adaptive_serial_rows) {
     serial = true;
@@ -336,23 +291,22 @@ Result<QueryResult> QueryService::RunSharded(const Session& session,
     if (morsels.size() <= 1) serial = true;
   }
   if (serial) {
-    return RunSerial(session, *planned, sink, cancel);
+    // The one-morsel case: every source runs whole, in order, on the
+    // caller's thread.
+    morsels.clear();
+    workers = 1;
+    for (int s = 0; s < nsources; ++s) {
+      morsels.push_back(
+          Morsel{s, TidRange{0, std::numeric_limits<int32_t>::max(), 0}});
+    }
   }
-
-  // Merge stage for streaming: per-morsel results are deduplicated against
-  // everything already delivered, so sink batches are disjoint and their
-  // union equals the DISTINCT result. The mutex also serializes sink calls.
-  struct StreamMerge {
-    std::mutex mu;
-    std::unordered_set<uint64_t> seen;
-  };
-  auto merge = sink != nullptr ? std::make_shared<StreamMerge>() : nullptr;
 
   const int count = static_cast<int>(morsels.size());
   std::vector<Result<QueryResult>> results(count,
                                            Result<QueryResult>(QueryResult{}));
   std::vector<sql::ExecStats> stats(count);
   std::atomic<uint64_t> steals{0};
+  std::mutex sink_mu;  // serializes sink calls
   // The item lambda owns the cache entry (the shared_ptr is copied into
   // RunOnPool's shared state), keeping plans, memos and subplan keys alive
   // for helpers scheduled after the query completes. The locals
@@ -360,8 +314,8 @@ Result<QueryResult> QueryService::RunSharded(const Session& session,
   // late helper never claims an item, so it never dereferences them after
   // this frame returns.
   RunOnPool(count, workers,
-            [planned, &sources, &morsels, &results, &stats, &steals, sink,
-             merge, cancel](int i, int worker) {
+            [planned, &sources, &morsels, &results, &stats, &steals, &sink_mu,
+             sink, cancel](int i, int worker) {
     // A cancelled query skips its remaining morsels (their result slots
     // keep the empty default); the terminal status is derived below.
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) return;
@@ -372,47 +326,49 @@ Result<QueryResult> QueryService::RunSharded(const Session& session,
                                             src.memo, src.global);
     if (src.tid_offset != 0) {
       stats[i].delta_rows = stats[i].candidates;
-      // Rebase into chain tid space before the DISTINCT stages (both the
-      // streaming merge below and the final Normalize) see the hits.
       if (results[i].ok()) ShiftTids(results[i]->hits, src.tid_offset);
     }
     if (worker > 0) steals.fetch_add(1, std::memory_order_relaxed);
-    if (sink != nullptr && results[i].ok()) {
-      std::vector<Hit> fresh;
-      std::lock_guard<std::mutex> lock(merge->mu);
-      for (const Hit& h : results[i]->hits) {
-        if (merge->seen.insert(HitKey(h)).second) fresh.push_back(h);
-      }
-      if (!fresh.empty()) {
-        std::sort(fresh.begin(), fresh.end());
-        (*sink)(std::span<const Hit>(fresh));
-      }
+    // Tid-disjoint morsels, sources rebased into disjoint tid ranges: the
+    // sorted output goes to the sink as it is.
+    if (sink != nullptr && results[i].ok() && !results[i]->hits.empty()) {
+      std::lock_guard<std::mutex> lock(sink_mu);
+      (*sink)(std::span<const Hit>(results[i]->hits));
     }
   });
 
   sql::ExecStats total;
   for (int i = 0; i < count; ++i) total.Add(stats[i]);
-  total.morsels += static_cast<uint64_t>(count);
+  total.morsels += serial ? 1 : static_cast<uint64_t>(count);
   total.steal_count += steals.load(std::memory_order_relaxed);
   total.sources = static_cast<uint64_t>(nsources);
-  RecordExec(total, /*sharded=*/true);
+  RecordExec(total, /*sharded=*/!serial);
   if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
     return Status::Cancelled("query cancelled");
   }
-  QueryResult merged;
+  // Morsels are in (source, tid) order, so their concatenation is the
+  // sorted DISTINCT result.
+  size_t rows = 0;
   for (int i = 0; i < count; ++i) {
     if (!results[i].ok()) return results[i].status();
+    rows += results[i]->hits.size();
+  }
+  QueryResult merged = std::move(results[0]).value();
+  merged.hits.reserve(rows);
+  for (int i = 1; i < count; ++i) {
     merged.hits.insert(merged.hits.end(), results[i]->hits.begin(),
                        results[i]->hits.end());
   }
-  // Distinct bindings in different morsels can project to the same output
-  // node; Normalize dedups the concatenation.
-  merged.Normalize();
   return merged;
 }
 
 void QueryService::RunOnPool(int items, int max_workers,
                              std::function<void(int, int)> fn) {
+  const int helpers = std::min({pool_->size(), items, max_workers}) - 1;
+  if (helpers <= 0) {  // no fan-out: run on the caller's thread alone
+    for (int i = 0; i < items; ++i) fn(i, 0);
+    return;
+  }
   // Shared by the submitting thread and the pool helpers. Helpers hold the
   // state (and through it `fn` and whatever it owns) alive even if they
   // only get scheduled after the call has returned and claim no item.
@@ -439,10 +395,8 @@ void QueryService::RunOnPool(int items, int max_workers,
       if (++state->done == state->items) state->done_cv.notify_all();
     }
   };
-  const int helpers =
-      std::min({pool_->size(), items, std::max(1, max_workers)}) - 1;
   std::vector<std::function<void()>> tasks;
-  tasks.reserve(static_cast<size_t>(std::max(0, helpers)));
+  tasks.reserve(static_cast<size_t>(helpers));
   for (int w = 1; w <= helpers; ++w) {
     tasks.push_back([drain, w] { drain(w); });
   }
@@ -453,7 +407,7 @@ void QueryService::RunOnPool(int items, int max_workers,
 }
 
 Result<QueryResult> QueryService::QueryOnce(const std::string& query,
-                                            bool sharded, const RowSink* sink,
+                                            const RowSink* sink,
                                             const std::atomic<bool>* cancel) {
   Timer timer;
   // One consistent session per query: plan lookup and execution see the
@@ -461,8 +415,10 @@ Result<QueryResult> QueryService::QueryOnce(const std::string& query,
   SessionPtr session = CurrentSession();
   Result<QueryResult> r = [&]() -> Result<QueryResult> {
     LPATH_ASSIGN_OR_RETURN(CachedPlanPtr planned, GetPlanIn(*session, query));
-    if (sharded) return RunSharded(*session, std::move(planned), sink, cancel);
-    return RunSerial(*session, *planned, sink, cancel);
+    const int workers = options_.shards_per_query > 0
+                            ? std::min(options_.shards_per_query, pool_->size())
+                            : pool_->size();
+    return RunMorsels(*session, std::move(planned), workers, sink, cancel);
   }();
   RecordQueries(timer.ElapsedSeconds(), !r.ok(), /*count=*/1,
                 /*coalesced=*/0);
@@ -488,14 +444,12 @@ void QueryService::RecordQueries(double seconds, bool error, int count,
 }
 
 Result<QueryResult> QueryService::Query(const std::string& query) {
-  return QueryOnce(query, /*sharded=*/true, /*sink=*/nullptr,
-                   /*cancel=*/nullptr);
+  return QueryOnce(query, /*sink=*/nullptr, /*cancel=*/nullptr);
 }
 
 Status QueryService::QueryStream(const std::string& query,
                                  const RowSink& sink) {
-  return QueryOnce(query, /*sharded=*/true, &sink, /*cancel=*/nullptr)
-      .status();
+  return QueryOnce(query, &sink, /*cancel=*/nullptr).status();
 }
 
 PendingQuery QueryService::Submit(const std::string& query) {
@@ -515,7 +469,7 @@ PendingQuery QueryService::Submit(const std::string& query, RowSink sink,
   auto task = std::make_shared<std::packaged_task<Result<QueryResult>()>>(
       [this, query, sink = std::move(sink), opts = std::move(opts)]() {
         Result<QueryResult> r =
-            QueryOnce(query, /*sharded=*/true, sink ? &sink : nullptr,
+            QueryOnce(query, sink ? &sink : nullptr,
                       opts.cancel ? opts.cancel.get() : nullptr);
         if (opts.done) opts.done(r.status());
         return r;
@@ -595,14 +549,15 @@ std::vector<Result<QueryResult>> QueryService::QueryBatch(
   }
 
   // Stage 3: workers claim whole groups; each group executes its plan
-  // once, serially (so concurrent groups do not contend over intra-query
-  // morsels), and the result fans out to every member.
+  // once as a single morsel (so concurrent groups do not contend over
+  // intra-query morsels), and the result fans out to every member.
   RunOnPool(static_cast<int>(groups.size()), pool_->size(),
             [this, &session, &groups, &results](int g, int /*worker*/) {
     ExecGroup& group = groups[g];
     Timer timer;
-    Result<QueryResult> r = RunSerial(*session, *group.planned,
-                                      /*sink=*/nullptr, /*cancel=*/nullptr);
+    Result<QueryResult> r =
+        RunMorsels(*session, group.planned, /*workers=*/1, /*sink=*/nullptr,
+                   /*cancel=*/nullptr);
     for (int member : group.members) results[member] = r;
     RecordQueries(timer.ElapsedSeconds(), !r.ok(),
                   static_cast<int>(group.members.size()),

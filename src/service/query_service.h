@@ -27,20 +27,24 @@
 //     pull morsels from a shared atomic claim cursor (work stealing for
 //     free — a worker stuck on a long morsel simply stops claiming while
 //     the others drain the rest), and sql::PlanExecutor::ExecuteShard is
-//     the per-morsel kernel whose DISTINCT (tid,id) sets are merged. All
-//     morsels consult one shared EXISTS memo (see CachedPlan::memo), so
-//     subquery answers are derived once per cached plan, not once per
-//     morsel per execution. Fan-out is adaptive: a query whose
-//     root-variable cardinality estimate is tiny runs serially instead.
-//     The decisions are visible as ExecStats::shards / ::morsels /
-//     ::steal_count / ::shared_memo_hits;
+//     the per-morsel kernel, which returns its sorted DISTINCT (tid,id)
+//     rows. Every compiled step is tid-linked to its context, so a morsel
+//     that clamps the root variable's trees clamps the output rows too:
+//     morsel results are pairwise disjoint, and the merge is a plain
+//     concatenation in (source, tid) order with no hashing and no
+//     re-sort. All morsels consult one shared EXISTS memo (see
+//     CachedPlan::memo), so subquery answers are derived once per cached
+//     plan, not once per morsel per execution. Fan-out is adaptive: a
+//     query whose root-variable cardinality estimate is tiny runs as one
+//     morsel on the caller's thread instead. The decisions are visible as
+//     ExecStats::shards / ::morsels / ::steal_count / ::shared_memo_hits;
 //   - aggregated executor work counters and a latency reservoir with
 //     percentile summaries.
 //
 // Entry points, all safe to call concurrently from many threads:
 //   Query()       synchronous; a thin wrapper over the streaming path.
-//   QueryStream() rows delivered to a callback per shard as shards finish,
-//                 DISTINCT enforced by a merge stage.
+//   QueryStream() rows delivered to a callback per morsel as morsels
+//                 finish; morsel outputs are already disjoint.
 //   Submit()      asynchronous; returns a future-like PendingQuery handle
 //                 (optionally also streaming to a callback).
 //   QueryBatch()  spreads a batch of queries over the pool workers — the
@@ -143,9 +147,9 @@ struct ServiceStats {
   double total_seconds = 0.0;  ///< summed per-query wall time
 };
 
-/// Batches of newly-distinct result rows, delivered as shards complete.
-/// Each batch is internally sorted; batches are disjoint and their union is
-/// the query's DISTINCT result. Invocations are serialized (never
+/// Batches of result rows, one per non-empty morsel, delivered as morsels
+/// complete. Each batch is internally sorted; batches are disjoint and
+/// their union is the query's DISTINCT result. Invocations are serialized (never
 /// concurrent), but may come from pool threads.
 using RowSink = std::function<void(std::span<const Hit>)>;
 
@@ -289,8 +293,8 @@ class QueryService {
   /// One executable (source, plan, memo) triple of a query: the base
   /// relation, plus the delta relation when the session's snapshot is a
   /// chain. Hits from a source are shifted by `tid_offset` into the chain
-  /// tid space before any merge, so DISTINCT keys never collide across
-  /// sources.
+  /// tid space before they are streamed or merged, so the sources' rows
+  /// never collide and the delta's sort after the base's.
   struct SourceRun;
 
   /// Plan lookup returning the shared cache entry (plan + memos + subplan
@@ -310,18 +314,21 @@ class QueryService {
   /// the count (1, or 2 for a chain).
   static int CollectSources(const Session& session, const CachedPlan& planned,
                             SourceRun* out);
-  /// Serial evaluation over every source, hits shifted and merged.
-  /// `cancel` (nullable) is polled between sources.
-  Result<QueryResult> RunSerial(const Session& session,
-                                const CachedPlan& planned, const RowSink* sink,
-                                const std::atomic<bool>* cancel);
-  /// `cancel` (nullable) is polled per morsel: set mid-flight, the
-  /// remaining morsels are skipped and the query resolves to Cancelled.
-  Result<QueryResult> RunSharded(const Session& session, CachedPlanPtr planned,
-                                 const RowSink* sink,
+  /// The morsel runner: carves the query's sources into tid-range morsels
+  /// and runs them on up to `workers` pool threads, the caller included.
+  /// Serial execution is its one-morsel case: each source runs whole
+  /// on the caller's thread — picked for `workers` <= 1, for a tiny root
+  /// estimate (adaptive_serial_rows), or for a plan whose output is not
+  /// tied to its root's tree (sql::PreparedPlan::OutputTiedToRoot).
+  /// Morsel outputs are sorted and pairwise disjoint, so each goes to
+  /// `sink` as it finishes and the result is their concatenation in
+  /// (source, tid) order. `cancel` (nullable) is polled per morsel: set
+  /// mid-flight, the remaining morsels are skipped and the query resolves
+  /// to Cancelled.
+  Result<QueryResult> RunMorsels(const Session& session, CachedPlanPtr planned,
+                                 int workers, const RowSink* sink,
                                  const std::atomic<bool>* cancel);
-  Result<QueryResult> QueryOnce(const std::string& query, bool sharded,
-                                const RowSink* sink,
+  Result<QueryResult> QueryOnce(const std::string& query, const RowSink* sink,
                                 const std::atomic<bool>* cancel);
   /// Records `count` completed queries sharing one wall-clock measurement
   /// (QueryBatch's coalesced groups record every member at the group's
@@ -333,7 +340,8 @@ class QueryService {
   /// every item has finished. The shared counter is the morsel cursor:
   /// whichever worker is free claims the next item, so skew balances
   /// itself and a saturated pool degrades to serial execution instead of
-  /// deadlocking.
+  /// deadlocking. With no helper to post (one worker or one item), the
+  /// items simply run in order on the calling thread.
   void RunOnPool(int items, int max_workers,
                  std::function<void(int, int)> fn);
   void RecordExec(const sql::ExecStats& exec, bool sharded);

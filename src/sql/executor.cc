@@ -4,7 +4,6 @@
 #include <limits>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace lpath {
 namespace sql {
@@ -13,6 +12,9 @@ namespace {
 
 constexpr int32_t kMinInt = std::numeric_limits<int32_t>::min();
 constexpr int32_t kMaxInt = std::numeric_limits<int32_t>::max();
+
+/// Output rows buffered before the first in-place DISTINCT pass.
+constexpr size_t kMinCompactRows = 4096;
 
 bool IsLocal(const Operand& o) { return !o.is_literal() && !o.is_outer(); }
 
@@ -64,12 +66,8 @@ class Runner {
     Frame frame;
     frame.pp = &pp;
     frame.bound.assign(pp.plan.num_vars, kNoRow);
-    out_set_.clear();
+    compact_at_ = kMinCompactRows;
     Extend(frame, 0, out);
-    for (uint64_t key : out_set_) {
-      out->hits.push_back(Hit{static_cast<int32_t>(key >> 32),
-                              static_cast<int32_t>(key & 0xffffffffu)});
-    }
     out->Normalize();
     return Status::OK();
   }
@@ -223,8 +221,15 @@ class Runner {
     if (pos == static_cast<int>(pp.order.size())) {
       if (out != nullptr) {
         const Row r = f.bound[pp.plan.output_var];
-        out_set_.insert((static_cast<uint64_t>(rel_.tid(r)) << 32) |
-                        static_cast<uint32_t>(rel_.id(r)));
+        out->hits.push_back(Hit{rel_.tid(r), rel_.id(r)});
+        // When the output is not the root variable, many bindings can
+        // project to one output row. Deduplicating in place whenever the
+        // buffer doubles keeps it within 2x the distinct rows (or
+        // kMinCompactRows).
+        if (out->hits.size() >= compact_at_) {
+          out->Normalize();
+          compact_at_ = std::max(kMinCompactRows, 2 * out->hits.size());
+        }
       }
       return true;
     }
@@ -360,7 +365,7 @@ class Runner {
     // No direct tid conjunct available yet? Derive the tree through v's tid
     // equivalence class: any bound class member, or the class's outer
     // correlation, pins the tree.
-    if (!b.has_tid && v < static_cast<int>(pp.tid_class.size())) {
+    if (!b.has_tid) {
       const int cls = pp.tid_class[v];
       for (int u = 0; u < static_cast<int>(f.bound.size()) && !b.has_tid;
            ++u) {
@@ -514,7 +519,7 @@ class Runner {
   const PreparedPlan* root_pp_ = nullptr;
   int32_t shard_lo_ = 0;
   int32_t shard_hi_ = kMaxInt;
-  std::unordered_set<uint64_t> out_set_;
+  size_t compact_at_ = kMinCompactRows;
   std::unordered_map<const BoolExpr*, std::unordered_map<uint64_t, bool>>
       memo_;
 };

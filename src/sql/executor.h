@@ -122,9 +122,10 @@ class PlanExecutor {
   /// Runs one shard of a prepared plan: the root frame's candidate
   /// enumeration is constrained to trees with tid in [tid_lo, tid_hi).
   /// Every complete binding is found by exactly one shard, so the union of
-  /// the shard results over a partition of the tid space — deduplicated,
-  /// since distinct bindings in different shards may project to the same
-  /// output node — equals ExecutePrepared's result. Safe to call
+  /// the shard results over a partition of the tid space equals
+  /// ExecutePrepared's result. When pp.OutputTiedToRoot(), every output
+  /// row lies in its shard's tid range and the shard results are pairwise
+  /// disjoint; otherwise the union needs deduplicating. Safe to call
   /// concurrently from many threads with one shared PreparedPlan (and one
   /// shared ExistsMemo — the morsel scheduler passes the same memo to
   /// every concurrent kernel invocation of a query).

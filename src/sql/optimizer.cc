@@ -392,7 +392,7 @@ Result<std::unique_ptr<PreparedPlan>> PrepareResolved(
         parent[find(c.lhs.var)] = find(c.rhs.var);
       }
     }
-    pp->tid_class.assign(p.num_vars, -1);
+    pp->tid_class.resize(p.num_vars);
     for (int v = 0; v < p.num_vars; ++v) pp->tid_class[v] = find(v);
     pp->class_outer_tid.assign(p.num_vars, Operand{});
     pp->class_has_outer.assign(p.num_vars, 0);

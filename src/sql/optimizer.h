@@ -92,12 +92,25 @@ struct PreparedPlan {
   /// tid equivalence classes: variables linked (transitively) by tid
   /// equality conjuncts share a class, so the executor can derive a
   /// variable's tree from *any* bound variable in its class — not only
-  /// from the variable its tid conjunct happens to mention.
-  std::vector<int> tid_class;  ///< per variable; -1 = unconstrained
+  /// from the variable its tid conjunct happens to mention. Every variable
+  /// has a class: its entry is the id of the class's representative
+  /// variable (in [0, num_vars)), and a variable with no local tid link is
+  /// its own singleton class.
+  std::vector<int> tid_class;
   /// Per class: an outer-reference operand whose tid the class equals
   /// (correlated subplans), or a literal-free invalid operand.
   std::vector<Operand> class_outer_tid;  ///< indexed by class id
   std::vector<uint8_t> class_has_outer;
+
+  /// True when the output variable shares the root (first-bound)
+  /// variable's tid class. A shard clamps the root's tids, so it then
+  /// clamps the output rows too: shards over disjoint tid ranges return
+  /// disjoint results. The LPath compiler links every step to its context
+  /// by tid, so every compiled plan qualifies.
+  bool OutputTiedToRoot() const {
+    return !order.empty() &&
+           tid_class[order[0]] == tid_class[plan.output_var];
+  }
 };
 
 /// Prepares `plan` for execution against `rel`.

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,6 +16,7 @@
 #include "lpath/engines.h"
 #include "sql/executor.h"
 #include "sql/optimizer.h"
+#include "sql/parser.h"
 #include "test_util.h"
 
 namespace lpath {
@@ -125,6 +128,43 @@ TEST_F(ShardBoundaryTest, ShardHitsStayInsideTheShard) {
   for (const Hit& h : part->hits) {
     EXPECT_GE(h.tid, 2);
     EXPECT_LT(h.tid, 5);
+  }
+}
+
+TEST_F(ShardBoundaryTest, UntiedOutputIsFlaggedAndItsShardsOverlap) {
+  // A hand-written cross product: the output b has no tid link to the root
+  // a. The LPath compiler never emits this shape, but SQL text can. A shard
+  // clamps a, not b, so two shards return the same b rows: this is why the
+  // service runs a plan that is not OutputTiedToRoot() as one morsel.
+  const std::string cross =
+      "SELECT DISTINCT b.tid, b.id FROM nodes AS a, nodes AS b "
+      "WHERE a.name = 'NP' AND b.name = 'N'";
+  sql::ExecOptions left_to_right;
+  left_to_right.join_order = sql::ExecOptions::JoinOrder::kLeftToRight;
+  for (bool linked : {false, true}) {
+    Result<ExecPlan> plan =
+        sql::ParseSql(linked ? cross + " AND b.tid = a.tid" : cross);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    Result<std::unique_ptr<sql::PreparedPlan>> pp =
+        sql::Prepare(plan.value(), *rel_, left_to_right);
+    ASSERT_TRUE(pp.ok()) << pp.status();
+    ASSERT_EQ(pp.value()->order[0], 0);
+    EXPECT_EQ(pp.value()->OutputTiedToRoot(), linked);
+
+    sql::PlanExecutor executor(*rel_);
+    const int32_t mid = rel_->tree_count() / 2;
+    Result<QueryResult> lower = executor.ExecuteShard(*pp.value(), 0, mid);
+    Result<QueryResult> upper =
+        executor.ExecuteShard(*pp.value(), mid, rel_->tree_count());
+    ASSERT_TRUE(lower.ok());
+    ASSERT_TRUE(upper.ok());
+    ASSERT_GT(lower->count(), 0u);
+    ASSERT_GT(upper->count(), 0u);
+    std::vector<Hit> both;
+    std::set_intersection(lower->hits.begin(), lower->hits.end(),
+                          upper->hits.begin(), upper->hits.end(),
+                          std::back_inserter(both));
+    EXPECT_EQ(both.empty(), linked);
   }
 }
 

@@ -9,7 +9,12 @@
 //   - the shared EXISTS memo must serve repeated executions of a cached
 //     plan across morsels (shared_memo_hits observable), and survive
 //     concurrent morsels plus snapshot hot swaps without races (this
-//     suite runs under ThreadSanitizer in CI).
+//     suite runs under ThreadSanitizer in CI);
+//   - the hash-free DISTINCT: every compiled plan ties its output to the
+//     root variable's tree (the premise of the concatenating merge), and
+//     queries with many bindings per output row stay sorted, duplicate-free
+//     and equal to the navigational engine, serially and over >=16
+//     morsels, on a plain snapshot and on a two-source chain.
 
 #include <gtest/gtest.h>
 
@@ -21,10 +26,13 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util/suite.h"
 #include "gen/generator.h"
 #include "lpath/engines.h"
+#include "lpath/eval_nav.h"
 #include "service/query_service.h"
 #include "sql/exists_memo.h"
+#include "sql/optimizer.h"
 #include "storage/snapshot.h"
 #include "test_util.h"
 
@@ -236,6 +244,169 @@ TEST_F(MorselServiceTest, SharedMemoServesLaterExecutionsAcrossMorsels) {
   // And the reuse replaced real subquery work: run two evaluated fewer
   // fresh subqueries than run one.
   EXPECT_LT(stats.exec.subqueries, 2 * after_first.exec.subqueries);
+}
+
+// The morsel merge concatenates per-morsel results with no DISTINCT pass.
+// That is sound because a morsel clamps the root variable's tids, and the
+// output variable shares the root's tid class. The LPath compiler links
+// every step (predicate steps and the alignment root included) to its
+// context with a tid = tid conjunct, so no LPath input can break this; the
+// check below is the witness. The service still runs any plan that is not
+// tied as one morsel.
+TEST(MorselContractTest, OutputSharesRootTidClassOnBaseAndDelta) {
+  Result<Corpus> base_corpus = gen::GenerateWsj(120, /*seed=*/5);
+  Result<Corpus> delta_corpus = gen::GenerateWsj(40, /*seed=*/6);
+  ASSERT_TRUE(base_corpus.ok());
+  ASSERT_TRUE(delta_corpus.ok());
+  Result<SnapshotPtr> base =
+      CorpusSnapshot::Build(std::move(base_corpus).value());
+  ASSERT_TRUE(base.ok());
+  Result<SnapshotPtr> chain = (*base)->Append(delta_corpus.value());
+  ASSERT_TRUE(chain.ok());
+
+  std::vector<std::string> queries;
+  for (const bench::BenchmarkQuery& bq : bench::The23Queries()) {
+    queries.emplace_back(bq.lpath);
+  }
+  // The 150 queries of MorselQueriesMatchSerialOnSkewedCorpus.
+  Rng rng(20260730);
+  QueryGen gen(&rng);
+  for (int i = 0; i < 150; ++i) queries.push_back(gen.Query());
+
+  for (const NodeRelation* rel :
+       {&(*chain)->relation(), (*chain)->delta_relation()}) {
+    ASSERT_NE(rel, nullptr);
+    for (bool unnest : {true, false}) {
+      LPathEngine::Options options;
+      options.unnest_predicates = unnest;
+      LPathEngine engine(*rel, options);
+      for (const std::string& q : queries) {
+        Result<ExecPlan> plan = engine.Translate(q);
+        ASSERT_TRUE(plan.ok()) << q << " -> " << plan.status();
+        Result<std::unique_ptr<sql::PreparedPlan>> pp =
+            sql::Prepare(plan.value(), *rel, {});
+        ASSERT_TRUE(pp.ok()) << q << " -> " << pp.status();
+        const sql::PreparedPlan& p = *pp.value();
+        ASSERT_FALSE(p.order.empty()) << q;
+        EXPECT_EQ(p.tid_class[p.order[0]], p.tid_class[p.plan.output_var])
+            << q << " (unnest=" << unnest << ")";
+        EXPECT_TRUE(p.OutputTiedToRoot()) << q;
+      }
+    }
+  }
+}
+
+/// Queries whose output is not the root variable and is reached through
+/// many bindings per output row (every ancestor of a node, every NP before
+/// a node): the per-run DISTINCT buffer must absorb the repeats, and the
+/// larger ones overflow its first in-place compaction threshold.
+class ManyBindingsDistinctTest : public ::testing::Test {
+ protected:
+  static constexpr const char* kQueries[] = {"//_//_", "//N<--NP",
+                                             "//NP-->_", "//CHAIN//_"};
+
+  ManyBindingsDistinctTest() {
+    Result<Corpus> base = gen::GenerateSkewed(96, /*seed=*/123);
+    Result<Corpus> delta = gen::GenerateSkewed(32, /*seed=*/77);
+    EXPECT_TRUE(base.ok());
+    EXPECT_TRUE(delta.ok());
+    combined_.AppendFrom(base.value());
+    combined_.AppendFrom(delta.value());
+    Result<SnapshotPtr> plain = CorpusSnapshot::Build(std::move(base).value());
+    EXPECT_TRUE(plain.ok());
+    plain_ = std::move(plain).value();
+    Result<SnapshotPtr> chain = plain_->Append(delta.value());
+    EXPECT_TRUE(chain.ok());
+    chain_ = std::move(chain).value();
+  }
+
+  /// Runs every query through Query() and QueryStream() of a service over
+  /// `snap` and checks both against the navigational engine over `corpus`.
+  /// `min_morsels` is the fan-out each query must have had (1 = serial).
+  void Check(const SnapshotPtr& snap, const Corpus& corpus,
+             service::QueryServiceOptions opts, uint64_t min_morsels) {
+    NavigationalEngine nav(corpus);
+    service::QueryService service(snap, opts);
+    for (const char* q : kQueries) {
+      Result<std::shared_ptr<const sql::PreparedPlan>> pp = service.GetPlan(q);
+      ASSERT_TRUE(pp.ok()) << q;
+      ASSERT_NE((*pp)->order[0], (*pp)->plan.output_var)
+          << q << ": output is the root variable";
+      Result<QueryResult> expected = nav.Run(q);
+      ASSERT_TRUE(expected.ok()) << q;
+      ASSERT_GT(expected->count(), 0u) << q;
+
+      service.ResetStats();
+      Result<QueryResult> got = service.Query(q);
+      ASSERT_TRUE(got.ok()) << q << " -> " << got.status();
+      const service::ServiceStats stats = service.Stats();
+      if (min_morsels == 1) {
+        EXPECT_EQ(stats.exec.morsels, 1u) << q;
+      } else {
+        EXPECT_GE(stats.exec.morsels, min_morsels) << q;
+      }
+      // Many bindings per output row, or the test proves nothing.
+      EXPECT_GT(stats.exec.bindings, 2 * got->count()) << q;
+      EXPECT_TRUE(std::adjacent_find(got->hits.begin(), got->hits.end(),
+                                     [](const Hit& a, const Hit& b) {
+                                       return !(a < b);
+                                     }) == got->hits.end())
+          << q << ": Query() result not sorted or not distinct";
+      EXPECT_EQ(got.value(), expected.value()) << q;
+
+      std::vector<std::vector<Hit>> batches;
+      Status s = service.QueryStream(q, [&batches](std::span<const Hit> rows) {
+        batches.emplace_back(rows.begin(), rows.end());
+      });
+      ASSERT_TRUE(s.ok()) << q << " -> " << s;
+      std::set<Hit> seen;
+      QueryResult streamed;
+      for (const std::vector<Hit>& batch : batches) {
+        ASSERT_FALSE(batch.empty()) << q;
+        ASSERT_TRUE(std::is_sorted(batch.begin(), batch.end())) << q;
+        for (const Hit& h : batch) {
+          ASSERT_TRUE(seen.insert(h).second) << "duplicate row streamed: " << q;
+          streamed.hits.push_back(h);
+        }
+      }
+      streamed.Normalize();
+      EXPECT_EQ(streamed, expected.value()) << q;
+    }
+  }
+
+  static service::QueryServiceOptions Serial() {
+    service::QueryServiceOptions opts;
+    opts.threads = 4;
+    opts.adaptive_serial_rows = 1u << 30;  // every query runs as one morsel
+    return opts;
+  }
+
+  static service::QueryServiceOptions FannedOut() {
+    service::QueryServiceOptions opts;
+    opts.threads = 8;
+    opts.adaptive_serial_rows = 0;  // always fan out, down to 1-tree morsels
+    return opts;
+  }
+
+  Corpus combined_;
+  SnapshotPtr plain_;
+  SnapshotPtr chain_;
+};
+
+TEST_F(ManyBindingsDistinctTest, SerialOnPlainSnapshot) {
+  Check(plain_, plain_->corpus(), Serial(), /*min_morsels=*/1);
+}
+
+TEST_F(ManyBindingsDistinctTest, SerialOnTwoSourceChain) {
+  Check(chain_, combined_, Serial(), /*min_morsels=*/1);
+}
+
+TEST_F(ManyBindingsDistinctTest, MorselsOnPlainSnapshot) {
+  Check(plain_, plain_->corpus(), FannedOut(), /*min_morsels=*/16);
+}
+
+TEST_F(ManyBindingsDistinctTest, MorselsOnTwoSourceChain) {
+  Check(chain_, combined_, FannedOut(), /*min_morsels=*/16);
 }
 
 TEST(ExistsMemoTest, LookupInsertAndCapacity) {
