@@ -18,7 +18,7 @@ current run (the numerator column lost to the denominator) draws a
 ``::warning::``; like everything here it never fails the build.
 
 Warn-only by design: the exit code is always 0. CI benchmark runners are
-noisy single-CPU machines (see ROADMAP.md), so a QPS drop here is a prompt
+noisy shared machines, so a QPS drop here is a prompt
 to look at the curves, never a red build. Trajectories recorded at a
 different corpus scale or on a different core count are reported as
 incomparable instead of being diffed into nonsense.

@@ -56,8 +56,7 @@ const SnapshotPtr& SkewSnapshot() {
   return *snap;
 }
 
-/// Scan-heavy and EXISTS-heavy shapes; the latter exercises the shared
-/// memo across morsels.
+/// Scan-heavy and EXISTS-heavy shapes.
 const std::vector<std::string>& SkewQueries() {
   static const auto* queries = new std::vector<std::string>{
       "//NP//N",
@@ -168,8 +167,6 @@ void BenchService(benchmark::State& st, Mode mode, int threads) {
                       : 0.0;
     st.counters["steals"] = static_cast<double>(stats.exec.steal_count -
                                                 before.exec.steal_count);
-    st.counters["shared_memo_hits"] = static_cast<double>(
-        stats.exec.shared_memo_hits - before.exec.shared_memo_hits);
   }
   RecordSuite(st, mode == Mode::kSerial ? "Serial" : "Morsel", threads, total,
               iters, hits);

@@ -278,9 +278,8 @@ Status Database::Ingest(const std::string& name, Corpus trees) {
     return status;
   };
   SnapshotPtr appended;
-  // Declared before the lock so the retired session (plan cache, memo
-  // registries, possibly the last reference to the old chain) drops
-  // unlocked, as in Swap.
+  // Declared before the lock so the retired session (plan cache, possibly
+  // the last reference to the old chain) drops unlocked, as in Swap.
   std::shared_ptr<const void> retired;
   for (;;) {
     SnapshotPtr current = snapshot(name);

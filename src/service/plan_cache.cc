@@ -120,8 +120,8 @@ CachedPlanPtr PlanCache::Put(const std::string& key, uint64_t fp, ExecPlan rep,
   std::lock_guard<std::mutex> lock(mu_);
   // Concurrent misses may prepare the same query twice; the first
   // published entry wins and the racer adopts it (entries for one
-  // structure are interchangeable — each bundles a plan with the memos it
-  // was created with, and the loser's bundle is simply dropped).
+  // structure are interchangeable, and the loser's bundle is simply
+  // dropped).
   auto existing = by_text_.find(key);
   if (existing != by_text_.end()) {
     lru_.splice(lru_.begin(), lru_, existing->second);

@@ -9,8 +9,7 @@
 //                 PlanEquals that entry's representative, the collision
 //                 check — *binds the new spelling to the existing entry*
 //                 instead of preparing again. Distinct spellings of one
-//                 structure share one prepared plan, one EXISTS memo, and
-//                 one delta plan/memo per source.
+//                 structure share one prepared plan per relation source.
 //
 // An entry is either a shared prepared plan bundle or the error Status the
 // text produced (a *negative* entry, text-keyed only — errors are spelling
@@ -33,7 +32,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "sql/exists_memo.h"
 #include "sql/optimizer.h"
 
 namespace lpath {
@@ -47,36 +45,23 @@ namespace service {
 std::string NormalizeQueryText(std::string_view text);
 
 /// One preparation outcome: a plan bundle, or (negative entry) the error
-/// Status that preparing the text produced. Positive entries carry, per
-/// relation source, the prepared plan and its shared EXISTS memo, plus the
-/// registry-verified fingerprint keys that let executions consult the
-/// session's snapshot-scoped subplan memo (see service/subplan_memo.h).
-/// Preparing per source is what keeps symbol resolution honest — a literal
-/// present only in delta-ingested trees is unknown to the base dictionary
-/// (and correctly empties the base plan) while resolving in the delta
-/// plan, and vice versa — and gives each (plan, relation) pair its own
-/// memo, so answers never leak across source generations. Everything here
-/// lives and dies with the cache entry: LRU eviction and snapshot swaps
-/// (which rebuild the whole cache) drop plan and memos together.
+/// Status that preparing the text produced. Positive entries carry the
+/// plan prepared against each relation source. Preparing per source is
+/// what keeps symbol resolution honest — a literal present only in
+/// delta-ingested trees is unknown to the base dictionary (and correctly
+/// empties the base plan) while resolving in the delta plan, and vice
+/// versa. Everything here lives and dies with the cache entry: LRU
+/// eviction and snapshot swaps (which rebuild the whole cache) drop it.
 struct CachedPlan {
   /// Structural fingerprint of the compiled (unresolved) plan; 0 for
   /// negative entries.
   uint64_t fingerprint = 0;
 
   std::shared_ptr<const sql::PreparedPlan> plan;  ///< null iff negative
-  std::shared_ptr<sql::ExistsMemo> memo;          ///< null iff negative
 
   /// Snapshot-chain second source (null when the session's snapshot has
   /// no delta, or the entry is negative).
   std::shared_ptr<const sql::PreparedPlan> delta_plan;
-  std::shared_ptr<sql::ExistsMemo> delta_memo;
-
-  /// Registry-verified subplan memo keys per source: every memoizable
-  /// EXISTS node of the source's prepared plan (all nesting levels) whose
-  /// subtree the session registry agreed to share, mapped to its subtree
-  /// fingerprint. Passed to the executor as sql::GlobalExistsMemo::keys.
-  std::unordered_map<const BoolExpr*, uint64_t> sub_keys;
-  std::unordered_map<const BoolExpr*, uint64_t> delta_sub_keys;
 
   Status error = Status::OK();  ///< !ok() iff negative
 

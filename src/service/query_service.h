@@ -13,12 +13,9 @@
 //   - a two-level LRU prepared-plan cache: normalized query text in
 //     front, structural plan fingerprints behind (see service/plan_cache.h)
 //     — so each distinct query is parsed, compiled and optimized once,
-//     distinct *spellings* of one structure share a single prepared plan
-//     and memo bundle, and *negative* entries cache the error of a
-//     malformed query instead of re-deriving it per submission. Each
-//     session also carries per-source subplan memo registries
-//     (service/subplan_memo.h) so EXISTS subtrees recurring across
-//     different cached plans share their answers;
+//     distinct *spellings* of one structure share a single prepared plan,
+//     and *negative* entries cache the error of a malformed query instead
+//     of re-deriving it per submission;
 //   - a fixed thread pool running morsel-driven parallel execution: the
 //     scheduler carves the tree-id space into ~morsels_per_thread×workers
 //     row-balanced morsels (storage::NodeRelation::CarveTidRanges over the
@@ -32,12 +29,11 @@
 //     that clamps the root variable's trees clamps the output rows too:
 //     morsel results are pairwise disjoint, and the merge is a plain
 //     concatenation in (source, tid) order with no hashing and no
-//     re-sort. All morsels consult one shared EXISTS memo (see
-//     CachedPlan::memo), so subquery answers are derived once per cached
-//     plan, not once per morsel per execution. Fan-out is adaptive: a
+//     re-sort. Morsels share nothing but the read-only plan and relation:
+//     each runs its EXISTS subqueries itself. Fan-out is adaptive: a
 //     query whose root-variable cardinality estimate is tiny runs as one
 //     morsel on the caller's thread instead. The decisions are visible as
-//     ExecStats::shards / ::morsels / ::steal_count / ::shared_memo_hits;
+//     ExecStats::shards / ::morsels / ::steal_count;
 //   - aggregated executor work counters and a latency reservoir with
 //     percentile summaries.
 //
@@ -70,7 +66,6 @@
 #include "lpath/engine.h"
 #include "plan/exec_plan.h"
 #include "service/plan_cache.h"
-#include "service/subplan_memo.h"
 #include "service/thread_pool.h"
 #include "sql/executor.h"
 #include "storage/snapshot.h"
@@ -88,14 +83,6 @@ struct QueryServiceOptions {
   /// worker that lands on a giant tree holds one morsel while the others
   /// pull the remaining 4w-1. 1 degenerates to static even-row shards.
   int morsels_per_thread = 4;
-  /// Capacity of each cached plan's shared EXISTS memo, in entries. The
-  /// worst-case memo footprint of a session is plan_cache_capacity ×
-  /// exists_memo_entries × ~48 bytes (≈200 MB at the defaults), reached
-  /// only with a full LRU of saturated EXISTS-heavy plans — entries are
-  /// bounded by the correlation bindings actually probed, so small
-  /// corpora stay far below the cap. A full memo stops inserting, never
-  /// misanswers.
-  size_t exists_memo_entries = 1 << 14;
   /// Prepared plans kept by each session's LRU cache.
   size_t plan_cache_capacity = 256;
   sql::ExecOptions exec;
@@ -139,9 +126,6 @@ struct ServiceStats {
   /// out to all of them.
   uint64_t batch_coalesced = 0;
   PlanCache::Stats cache;        ///< current session's cache (reset by swap)
-  /// Current session's snapshot-scoped subplan memo registries, base and
-  /// delta summed (reset by swap, like the cache).
-  SubplanMemoRegistry::Stats subplans;
   sql::ExecStats exec;           ///< summed over all queries and shards
   LatencySummary latency;
   double total_seconds = 0.0;  ///< summed per-query wall time
@@ -271,34 +255,27 @@ class QueryService {
     /// Engaged exactly when snapshot->has_delta().
     std::optional<sql::PlanExecutor> delta_executor;
     mutable PlanCache cache;
-    /// Cross-plan EXISTS memo registries, one per relation source, owned
-    /// here so they die with the snapshot generation they were filled
-    /// against. `delta_subplans` engaged exactly when snapshot->has_delta().
-    mutable SubplanMemoRegistry subplans;
-    mutable std::optional<SubplanMemoRegistry> delta_subplans;
 
     Session(SnapshotPtr snap, const QueryServiceOptions& options)
         : snapshot(std::move(snap)),
           executor(snapshot, options.exec),
-          cache(options.plan_cache_capacity),
-          subplans(options.exists_memo_entries) {
+          cache(options.plan_cache_capacity) {
       if (snapshot->has_delta()) {
         delta_executor.emplace(*snapshot->delta_relation(), options.exec);
-        delta_subplans.emplace(options.exists_memo_entries);
       }
     }
   };
   using SessionPtr = std::shared_ptr<const Session>;
 
-  /// One executable (source, plan, memo) triple of a query: the base
+  /// One executable (source, plan) pair of a query: the base
   /// relation, plus the delta relation when the session's snapshot is a
   /// chain. Hits from a source are shifted by `tid_offset` into the chain
   /// tid space before they are streamed or merged, so the sources' rows
   /// never collide and the delta's sort after the base's.
   struct SourceRun;
 
-  /// Plan lookup returning the shared cache entry (plan + memos + subplan
-  /// memo keys); the entry is always positive — errors surface as the
+  /// Plan lookup returning the shared cache entry (one prepared plan per
+  /// source); the entry is always positive — errors surface as the
   /// Status. Resolution order: text front map, then structural fingerprint
   /// (respellings bind to the existing entry without a sql::Prepare), then
   /// a full prepare published via Put.
@@ -307,7 +284,7 @@ class QueryService {
   /// Parse + compile (+ optional SQL text round trip) of normalized text.
   Result<ExecPlan> CompileQuery(const Session& session,
                                 const std::string& normalized);
-  /// sql::Prepare per source plus subplan-memo registration.
+  /// sql::Prepare per source.
   Result<CachedPlan> PrepareCompiled(const Session& session,
                                      const ExecPlan& compiled);
   /// Fills `out` (room for 2) with the query's executable sources; returns

@@ -1,9 +1,9 @@
 #include "sql/executor.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 
 namespace lpath {
 namespace sql {
@@ -41,19 +41,10 @@ struct Bounds {
 
 class Runner {
  public:
-  Runner(const NodeRelation& rel, const ExecOptions& options, ExecStats* stats,
-         ExistsMemo* shared_memo, GlobalExistsMemo global)
-      : rel_(rel),
-        options_(options),
-        stats_(stats),
-        shared_memo_(shared_memo),
-        global_(global) {}
+  Runner(const NodeRelation& rel, const ExecOptions& options, ExecStats* stats)
+      : rel_(rel), options_(options), stats_(stats) {}
 
-  Status Run(const PreparedPlan& pp, QueryResult* out) {
-    return RunShard(pp, 0, kMaxInt, out);
-  }
-
-  /// Like Run, but the root plan's first variable enumerates only rows of
+  /// Runs `pp`, its root plan's first variable enumerating only rows of
   /// trees in [tid_lo, tid_hi). Subplan frames are unaffected: they chase
   /// correlations wherever the bound rows point. A vacuous range leaves
   /// root_pp_ null so serial execution keeps the unclamped fast paths.
@@ -143,74 +134,35 @@ class Runner {
   }
 
   bool EvalExists(Frame& f, const BoolExpr& e) {
-    const auto sub_it = f.pp->subs.find(&e);
-    const PreparedPlan& sub = *sub_it->second;
+    const PreparedPlan& sub = *f.pp->subs.find(&e)->second;
     // Subplans never carry always_empty: their unknown literals resolve to
     // the unsatisfiable sentinel, so an impossible EXISTS enumerates
     // nothing and evaluates to false here.
-
-    // Memoize on the single correlation variable when there is one. The
-    // lookup chain is ordered by cost: the run-private map first (no
-    // lock), then the per-plan shared table that spans all morsels of the
-    // query and all executions of a cached plan (keyed by node address),
-    // then the snapshot-scoped subplan memo keyed by the subtree's
-    // structural fingerprint, which holds answers derived by *other*
-    // top-level plans sharing this subtree. A hit at any level is copied
-    // into the cheaper levels so their locks are paid once per (run,
-    // binding).
-    const int outer_var = f.pp->sub_outer_var.at(&e);
-    uint64_t memo_key = 0;
-    std::unordered_map<uint64_t, bool>* memo = nullptr;
-    const uint64_t plan_key = reinterpret_cast<uintptr_t>(&e);
-    uint64_t global_key = 0;
-    bool has_global = false;
-    if (outer_var >= 0) {
-      memo = &memo_[&e];
-      memo_key = f.bound[outer_var];
-      auto it = memo->find(memo_key);
-      if (it != memo->end()) {
-        if (stats_ != nullptr) stats_->memo_hits += 1;
-        return it->second;
-      }
-      if (shared_memo_ != nullptr) {
-        if (std::optional<bool> hit = shared_memo_->Lookup(plan_key, memo_key)) {
-          if (stats_ != nullptr) stats_->shared_memo_hits += 1;
-          memo->emplace(memo_key, *hit);
-          return *hit;
-        }
-      }
-      if (global_.memo != nullptr && global_.keys != nullptr) {
-        const auto key_it = global_.keys->find(&e);
-        if (key_it != global_.keys->end()) {
-          has_global = true;
-          global_key = key_it->second;
-          if (std::optional<bool> hit =
-                  global_.memo->Lookup(global_key, memo_key)) {
-            if (stats_ != nullptr) stats_->subplan_memo_hits += 1;
-            memo->emplace(memo_key, *hit);
-            if (shared_memo_ != nullptr) {
-              shared_memo_->Insert(plan_key, memo_key, *hit);
-            }
-            return *hit;
-          }
-        }
-      }
-    }
     if (stats_ != nullptr) stats_->subqueries += 1;
-
+    // The binding rows reuse a buffer an earlier evaluation released, so
+    // a subquery allocates only while the run's deepest nesting grows.
     Frame sub_frame;
     sub_frame.pp = &sub;
+    if (!spare_rows_.empty()) {
+      sub_frame.bound = std::move(spare_rows_.back());
+      spare_rows_.pop_back();
+    }
     sub_frame.bound.assign(sub.plan.num_vars, kNoRow);
     sub_frame.parent = &f;
     const bool found = Extend(sub_frame, 0, /*out=*/nullptr);
-    if (memo != nullptr) {
-      memo->emplace(memo_key, found);
-      if (shared_memo_ != nullptr) {
-        shared_memo_->Insert(plan_key, memo_key, found);
-      }
-      if (has_global) global_.memo->Insert(global_key, memo_key, found);
-    }
+    spare_rows_.push_back(std::move(sub_frame.bound));
     return found;
+  }
+
+  /// Tree `tid`'s slice of run(name), from the slice cache.
+  RowRange TreeSlice(Symbol name, int32_t tid) {
+    SliceEntry& e = slices_[SliceCacheSlot(name, tid)];
+    if (e.name != name || e.tid != tid) {
+      e.name = name;
+      e.tid = tid;
+      e.range = rel_.RunForTree(name, tid);
+    }
+    return e.range;
   }
 
   /// Binds the variable at `pos` and recurses. Returns true if at least one
@@ -441,7 +393,7 @@ class Runner {
     // 3. pid equality (children / siblings).
     if (b.has_pid && b.has_tid) {
       if (name != kNoSymbol) {
-        for (Row r : rel_.RunPidRange(name, b.tid, b.pid)) {
+        for (Row r : rel_.PidRangeIn(TreeSlice(name, b.tid), b.pid)) {
           if (fn(r)) return;
         }
         return;
@@ -465,15 +417,15 @@ class Runner {
     // predicates are checked per candidate.
     if (name != kNoSymbol) {
       if (b.has_tid) {
+        const RowRange slice = TreeSlice(name, b.tid);
         if (right_bounded && !left_bounded) {
-          for (Row r : rel_.RunRightRange(name, b.tid, right_lo, right_hi)) {
+          for (Row r : rel_.RightRangeIn(slice, right_lo, right_hi)) {
             if (fn(r)) return;
           }
           return;
         }
         const RowRange range =
-            left_bounded ? rel_.RunLeftRange(name, b.tid, left_lo, left_hi)
-                         : rel_.RunForTree(name, b.tid);
+            left_bounded ? rel_.LeftRangeIn(slice, left_lo, left_hi) : slice;
         for (Row r = range.begin; r < range.end; ++r) {
           if (fn(r)) return;
         }
@@ -514,14 +466,18 @@ class Runner {
   const NodeRelation& rel_;
   const ExecOptions& options_;
   ExecStats* stats_;
-  ExistsMemo* shared_memo_;
-  GlobalExistsMemo global_;
   const PreparedPlan* root_pp_ = nullptr;
   int32_t shard_lo_ = 0;
   int32_t shard_hi_ = kMaxInt;
   size_t compact_at_ = kMinCompactRows;
-  std::unordered_map<const BoolExpr*, std::unordered_map<uint64_t, bool>>
-      memo_;
+
+  struct SliceEntry {
+    Symbol name = kNoSymbol;  ///< never a lookup key: marks an empty slot
+    int32_t tid = 0;
+    RowRange range;
+  };
+  std::array<SliceEntry, kSliceCacheSlots> slices_;
+  std::vector<std::vector<Row>> spare_rows_;  ///< released subquery frames
 };
 
 }  // namespace
@@ -534,25 +490,22 @@ Result<QueryResult> PlanExecutor::Execute(const ExecPlan& plan,
 }
 
 Result<QueryResult> PlanExecutor::ExecutePrepared(const PreparedPlan& pp,
-                                                  ExecStats* stats,
-                                                  ExistsMemo* shared_memo,
-                                                  GlobalExistsMemo global) const {
-  if (stats != nullptr) stats->shards += 1;
-  Runner runner(rel_, options_, stats, shared_memo, global);
-  QueryResult out;
-  LPATH_RETURN_IF_ERROR(runner.Run(pp, &out));
-  return out;
+                                                  ExecStats* stats) const {
+  return ExecuteShard(pp, 0, kMaxInt, stats);
 }
 
 Result<QueryResult> PlanExecutor::ExecuteShard(const PreparedPlan& pp,
                                                int32_t tid_lo, int32_t tid_hi,
-                                               ExecStats* stats,
-                                               ExistsMemo* shared_memo,
-                                               GlobalExistsMemo global) const {
-  if (stats != nullptr) stats->shards += 1;
-  Runner runner(rel_, options_, stats, shared_memo, global);
+                                               ExecStats* stats) const {
+  // The run counts into a local copy, added to `stats` once at the end:
+  // concurrent morsels' stats may share a cache line, and a shared line
+  // written per candidate makes every fanned-out run pay for the others.
+  ExecStats local;
+  local.shards = 1;
+  Runner runner(rel_, options_, stats != nullptr ? &local : nullptr);
   QueryResult out;
   LPATH_RETURN_IF_ERROR(runner.RunShard(pp, tid_lo, tid_hi, &out));
+  if (stats != nullptr) stats->Add(local);
   return out;
 }
 

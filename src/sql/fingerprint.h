@@ -24,15 +24,12 @@
 //
 // PlanEquals walks two plans in lockstep under the same canonicalization
 // — the collision check run before two fingerprint-equal plans are
-// allowed to share a cache entry or a memo key space. Fingerprint
-// equality is necessary but not sufficient; PlanEquals is the authority.
+// allowed to share a cache entry. Fingerprint equality is necessary but
+// not sufficient; PlanEquals is the authority.
 //
-// The same functions serve both cache levels: the service fingerprints
-// the *compiled* (unresolved) plan to key the prepared-plan cache
-// (corpus-independent, so the same value works across corpora), and the
-// optimizer fingerprints *resolved* EXISTS subtrees to key the
-// snapshot-scoped subplan memo (symbol ids are per-relation, which is
-// exactly the isolation the memo contract needs).
+// The service fingerprints the *compiled* (unresolved) plan to key the
+// prepared-plan cache (corpus-independent, so the same value works across
+// corpora).
 
 #ifndef LPATHDB_SQL_FINGERPRINT_H_
 #define LPATHDB_SQL_FINGERPRINT_H_
@@ -48,7 +45,7 @@ namespace sql {
 uint64_t PlanFingerprint(const ExecPlan& plan);
 
 /// Structural equality under the same canonicalization as PlanFingerprint.
-/// Used to verify fingerprint matches before sharing plans or memos.
+/// Used to verify fingerprint matches before sharing plans.
 bool PlanEquals(const ExecPlan& a, const ExecPlan& b);
 
 }  // namespace sql

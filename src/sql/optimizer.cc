@@ -24,8 +24,6 @@ void CollectVars(const Conjunct& c, std::set<int>* vars) {
   if (IsLocal(c.rhs)) vars->insert(c.rhs.var);
 }
 
-void CollectOuterAsLocal(const ExecPlan& sub, std::set<int>* vars);
-
 void CollectVars(const BoolExpr& e, std::set<int>* vars) {
   switch (e.kind) {
     case BoolExpr::Kind::kAnd:
@@ -40,40 +38,36 @@ void CollectVars(const BoolExpr& e, std::set<int>* vars) {
       CollectVars(e.cmp, vars);
       return;
     case BoolExpr::Kind::kExists:
-      CollectOuterAsLocal(*e.sub, vars);
-      return;
+      break;
   }
-}
-
-/// The outer references inside `sub` are *our* local variables.
-void CollectOuterAsLocal(const ExecPlan& sub, std::set<int>* vars) {
+  // The outer references inside the subplan are *our* local variables.
   auto visit_op = [&](const Operand& o) {
     if (o.is_outer()) vars->insert(o.outer_index());
   };
-  for (const Conjunct& c : sub.conjuncts) {
+  for (const Conjunct& c : e.sub->conjuncts) {
     visit_op(c.lhs);
     visit_op(c.rhs);
   }
   std::vector<const BoolExpr*> stack;
-  for (const auto& f : sub.filters) stack.push_back(f.get());
+  for (const auto& f : e.sub->filters) stack.push_back(f.get());
   while (!stack.empty()) {
-    const BoolExpr* e = stack.back();
+    const BoolExpr* n = stack.back();
     stack.pop_back();
-    switch (e->kind) {
+    switch (n->kind) {
       case BoolExpr::Kind::kAnd:
       case BoolExpr::Kind::kOr:
-        stack.push_back(e->lhs.get());
-        stack.push_back(e->rhs.get());
+        stack.push_back(n->lhs.get());
+        stack.push_back(n->rhs.get());
         break;
       case BoolExpr::Kind::kNot:
-        stack.push_back(e->lhs.get());
+        stack.push_back(n->lhs.get());
         break;
       case BoolExpr::Kind::kCmp:
-        visit_op(e->cmp.lhs);
-        visit_op(e->cmp.rhs);
+        visit_op(n->cmp.lhs);
+        visit_op(n->cmp.rhs);
         break;
       case BoolExpr::Kind::kExists:
-        // A nested subplan's outer refs point at *sub*, not at us.
+        // A nested subplan's outer refs point at the subplan, not at us.
         break;
     }
   }
@@ -446,17 +440,6 @@ Result<std::unique_ptr<PreparedPlan>> PrepareResolved(
         LPATH_ASSIGN_OR_RETURN(
             std::unique_ptr<PreparedPlan> sub,
             PrepareResolved(e->sub->Clone(), rel, options, false));
-        std::set<int> outer;
-        CollectOuterAsLocal(*e->sub, &outer);
-        const int outer_var = outer.size() == 1 ? *outer.begin() : -1;
-        pp->sub_outer_var[e] = outer_var;
-        if (outer_var >= 0) {
-          // Memoizable subtree: fingerprint the resolved form (symbol ids,
-          // canonical orientation, correlation variable alpha-renamed) so
-          // structurally equal subtrees in *other* plans prepared against
-          // this relation can share one memo key space.
-          pp->sub_fingerprint[e] = PlanFingerprint(*e->sub);
-        }
         pp->subs.emplace(e, std::move(sub));
         break;
       }

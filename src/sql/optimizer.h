@@ -11,8 +11,7 @@
 //      ablation benchmark;
 //   3. conjuncts are oriented (later-bound variable on the left) and
 //      scheduled at the position where they first become checkable;
-//   4. EXISTS subplans are prepared recursively, and their correlation
-//      variables identified for memoization.
+//   4. EXISTS subplans are prepared recursively.
 
 #ifndef LPATHDB_SQL_OPTIMIZER_H_
 #define LPATHDB_SQL_OPTIMIZER_H_
@@ -63,22 +62,10 @@ struct PreparedPlan {
   /// Prepared subplans for every kExists node in the filters.
   std::unordered_map<const BoolExpr*, std::unique_ptr<PreparedPlan>> subs;
 
-  /// For memoization: the single parent variable a subplan correlates on,
-  /// or -1 if it references zero or multiple parent variables.
-  std::unordered_map<const BoolExpr*, int> sub_outer_var;
-
   /// Structural fingerprint of the *input* (unresolved) plan — see
   /// sql/fingerprint.h. Corpus-independent: the same value for this plan
   /// prepared against any relation, so it can key a cross-source cache.
   uint64_t fingerprint = 0;
-
-  /// Structural fingerprints of the *resolved* EXISTS subtrees, for
-  /// memoizable subplans only (single correlation variable). Resolved
-  /// symbol ids are per-relation, so these keys are valid exactly for the
-  /// relation this plan was prepared against — the isolation the
-  /// snapshot-scoped subplan memo registry needs. Only this level's
-  /// direct subplans appear; nested levels carry their own maps.
-  std::unordered_map<const BoolExpr*, uint64_t> sub_fingerprint;
 
   /// True if some conjunct can never hold (e.g. name = unknown tag).
   bool always_empty = false;

@@ -118,14 +118,44 @@ class Parser {
     }
 
     if (EatKeyword("WHERE")) {
-      LPATH_ASSIGN_OR_RETURN(std::unique_ptr<BoolExpr> where,
-                             ParseOr(aliases, outer));
-      Flatten(std::move(where), &plan);
+      LPATH_RETURN_IF_ERROR(ParseWhere(aliases, outer, &plan));
     }
     return plan;
   }
 
-  /// Distributes a parsed boolean tree into conjuncts + filters.
+  /// Parses a WHERE clause into `plan`'s conjuncts and filters. Its
+  /// top-level AND chain is collected term by term and never built into a
+  /// tree, so it may be as long as the LPath compiler makes it. A clause
+  /// whose top level is an OR becomes one filter tree instead, whose links
+  /// count as nesting like every other chain's.
+  Status ParseWhere(const AliasMap& aliases, const AliasMap* outer,
+                    ExecPlan* plan) {
+    std::vector<std::unique_ptr<BoolExpr>> terms;
+    do {
+      LPATH_ASSIGN_OR_RETURN(std::unique_ptr<BoolExpr> term,
+                             ParseUnary(aliases, outer));
+      terms.push_back(std::move(term));
+    } while (EatKeyword("AND"));
+    if (PeekKeyword("OR")) {
+      std::unique_ptr<BoolExpr> chain = std::move(terms[0]);
+      for (size_t i = 1; i < terms.size(); ++i) {
+        LPATH_RETURN_IF_ERROR(CountLink());
+        chain = Join(BoolExpr::Kind::kAnd, std::move(chain),
+                     std::move(terms[i]));
+      }
+      terms.clear();
+      LPATH_ASSIGN_OR_RETURN(std::unique_ptr<BoolExpr> where,
+                             ParseOrTail(std::move(chain), aliases, outer));
+      terms.push_back(std::move(where));
+    }
+    for (std::unique_ptr<BoolExpr>& term : terms) {
+      Flatten(std::move(term), plan);
+    }
+    return Status::OK();
+  }
+
+  /// Distributes a parsed boolean tree into conjuncts + filters: a
+  /// parenthesized AND group joins the enclosing conjunction.
   static void Flatten(std::unique_ptr<BoolExpr> e, ExecPlan* plan) {
     if (e->kind == BoolExpr::Kind::kAnd) {
       Flatten(std::move(e->lhs), plan);
@@ -139,18 +169,49 @@ class Parser {
     plan->filters.push_back(std::move(e));
   }
 
+  static std::unique_ptr<BoolExpr> Join(BoolExpr::Kind kind,
+                                        std::unique_ptr<BoolExpr> lhs,
+                                        std::unique_ptr<BoolExpr> rhs) {
+    auto node = std::make_unique<BoolExpr>(kind);
+    node->lhs = std::move(lhs);
+    node->rhs = std::move(rhs);
+    return node;
+  }
+
+  /// Counts one AND/OR link of a chain built into a tree. A chain of n
+  /// links is a left-deep tree n levels deep, so the links of a statement
+  /// add to its nesting: with the live ParseUnary levels they may not reach
+  /// kMaxSqlNesting, which keeps every recursion over the tree (evaluation,
+  /// Clone, the destructor) bounded.
+  Status CountLink() {
+    if (nesting_ + links_ >= kMaxSqlNesting) return NestingError();
+    ++links_;
+    return Status::OK();
+  }
+
+  Status NestingError() const {
+    return Error("expressions nested deeper than " +
+                 std::to_string(kMaxSqlNesting) +
+                 " levels (AND/OR chain links count as levels)");
+  }
+
   Result<std::unique_ptr<BoolExpr>> ParseOr(const AliasMap& aliases,
                                             const AliasMap* outer) {
     LPATH_ASSIGN_OR_RETURN(std::unique_ptr<BoolExpr> lhs,
                            ParseAnd(aliases, outer));
-    while (PeekKeyword("OR")) {
-      Advance();
+    return ParseOrTail(std::move(lhs), aliases, outer);
+  }
+
+  /// The `OR <and-chain>`... rest of an OR chain whose first operand is
+  /// `lhs`.
+  Result<std::unique_ptr<BoolExpr>> ParseOrTail(std::unique_ptr<BoolExpr> lhs,
+                                                const AliasMap& aliases,
+                                                const AliasMap* outer) {
+    while (EatKeyword("OR")) {
+      LPATH_RETURN_IF_ERROR(CountLink());
       LPATH_ASSIGN_OR_RETURN(std::unique_ptr<BoolExpr> rhs,
                              ParseAnd(aliases, outer));
-      auto node = std::make_unique<BoolExpr>(BoolExpr::Kind::kOr);
-      node->lhs = std::move(lhs);
-      node->rhs = std::move(rhs);
-      lhs = std::move(node);
+      lhs = Join(BoolExpr::Kind::kOr, std::move(lhs), std::move(rhs));
     }
     return lhs;
   }
@@ -159,27 +220,22 @@ class Parser {
                                              const AliasMap* outer) {
     LPATH_ASSIGN_OR_RETURN(std::unique_ptr<BoolExpr> lhs,
                            ParseUnary(aliases, outer));
-    while (PeekKeyword("AND")) {
-      Advance();
+    while (EatKeyword("AND")) {
+      LPATH_RETURN_IF_ERROR(CountLink());
       LPATH_ASSIGN_OR_RETURN(std::unique_ptr<BoolExpr> rhs,
                              ParseUnary(aliases, outer));
-      auto node = std::make_unique<BoolExpr>(BoolExpr::Kind::kAnd);
-      node->lhs = std::move(lhs);
-      node->rhs = std::move(rhs);
-      lhs = std::move(node);
+      lhs = Join(BoolExpr::Kind::kAnd, std::move(lhs), std::move(rhs));
     }
     return lhs;
   }
 
   /// Every recursive cycle of the grammar — NOT, EXISTS and parentheses —
-  /// passes through here, so this one counter bounds the parser's stack
-  /// depth and the nesting of the plan the executor recurses over.
+  /// passes through here, so this counter, together with the chain links
+  /// (CountLink), bounds the parser's stack depth and the nesting of the
+  /// plan the executor recurses over.
   Result<std::unique_ptr<BoolExpr>> ParseUnary(const AliasMap& aliases,
                                                const AliasMap* outer) {
-    if (nesting_ == kMaxSqlNesting) {
-      return Error("expressions nested deeper than " +
-                   std::to_string(kMaxSqlNesting) + " levels");
-    }
+    if (nesting_ + links_ >= kMaxSqlNesting) return NestingError();
     ++nesting_;
     Result<std::unique_ptr<BoolExpr>> expr = ParsePrimary(aliases, outer);
     --nesting_;
@@ -276,6 +332,7 @@ class Parser {
   std::vector<Token> tokens_;
   size_t idx_ = 0;
   int nesting_ = 0;  ///< live ParseUnary calls
+  int links_ = 0;    ///< chain links built into trees so far (CountLink)
 };
 
 }  // namespace

@@ -22,12 +22,16 @@ namespace lpath {
 namespace sql {
 
 /// Deepest expression nesting ParseSql accepts: each NOT, EXISTS or
-/// parenthesis opens one level. Deeper statements fail with InvalidArgument
-/// instead of exhausting the stack of the recursive-descent parser or of
-/// the executor that recurses over the same nesting. The SQL generated for
-/// an LPath query nests at most about twice as deep as the query's own
-/// limit (kMaxLPathNesting = 128) allows, so this leaves every accepted
-/// LPath query room to round-trip through SQL text.
+/// parenthesis opens one level, and each AND/OR link of a chain adds one
+/// for the rest of the statement — except the links of a WHERE clause's
+/// top-level conjunction, which becomes a flat list of conjuncts and
+/// filters and may be any length. Deeper statements fail with
+/// InvalidArgument instead of exhausting the stack of the recursive-descent
+/// parser or of the executor that recurses over the same nesting. The SQL
+/// generated for an LPath query nests at most about twice as deep as the
+/// query's own limit (kMaxLPathNesting = 128) allows, so LPath queries at
+/// that limit still round-trip through SQL text; one whose predicates
+/// join hundreds of operands with `or` does not.
 inline constexpr int kMaxSqlNesting = 512;
 
 /// Parses a complete SELECT statement into an ExecPlan.

@@ -490,54 +490,45 @@ RowRange NodeRelation::RunTidRange(Symbol name, int32_t tid_lo,
   return RowRange{static_cast<Row>(lo - tb), static_cast<Row>(hi - tb)};
 }
 
-RowRange NodeRelation::RunLeftRange(Symbol name, int32_t t, int32_t left_lo,
-                                    int32_t left_hi) const {
-  const RowRange in_tree = RunForTree(name, t);
-  if (in_tree.empty() || left_lo >= left_hi) {
-    return RowRange{in_tree.begin, in_tree.begin};
+// run(name), by_right_ and by_pid_ all order a run by tid first, so one
+// tree's rows occupy the same positions [slice.begin, slice.end) in all
+// three, and a search inside the slice compares one column.
+
+RowRange NodeRelation::LeftRangeIn(RowRange slice, int32_t left_lo,
+                                   int32_t left_hi) const {
+  if (slice.empty() || left_lo >= left_hi) {
+    return RowRange{slice.begin, slice.begin};
   }
   const auto lb = left_.begin();
-  auto lo = std::lower_bound(lb + in_tree.begin, lb + in_tree.end, left_lo);
-  auto hi = std::lower_bound(lo, lb + in_tree.end, left_hi);
+  auto lo = std::lower_bound(lb + slice.begin, lb + slice.end, left_lo);
+  auto hi = std::lower_bound(lo, lb + slice.end, left_hi);
   return RowRange{static_cast<Row>(lo - lb), static_cast<Row>(hi - lb)};
 }
 
-std::span<const Row> NodeRelation::RunRightRange(Symbol name, int32_t t,
-                                                 int32_t right_lo,
-                                                 int32_t right_hi) const {
-  const RowRange full = run(name);
-  if (full.empty() || right_lo >= right_hi) return {};
-  auto first = by_right_.begin() + full.begin;
-  auto last = by_right_.begin() + full.end;
-  auto key_less = [this](Row r, std::pair<int32_t, int32_t> key) {
-    if (tid_[r] != key.first) return tid_[r] < key.first;
-    return right_[r] < key.second;
-  };
-  auto lo =
-      std::lower_bound(first, last, std::make_pair(t, right_lo), key_less);
-  auto hi = std::lower_bound(lo, last, std::make_pair(t, right_hi), key_less);
-  if (lo == hi) return {};
-  return std::span<const Row>(&*lo, static_cast<size_t>(hi - lo));
+std::span<const Row> NodeRelation::RightRangeIn(RowRange slice,
+                                                int32_t right_lo,
+                                                int32_t right_hi) const {
+  if (slice.empty() || right_lo >= right_hi) return {};
+  auto right_less = [this](Row r, int32_t v) { return right_[r] < v; };
+  auto first = by_right_.begin() + slice.begin;
+  auto last = by_right_.begin() + slice.end;
+  auto lo = std::lower_bound(first, last, right_lo, right_less);
+  auto hi = std::lower_bound(lo, last, right_hi, right_less);
+  return std::span<const Row>(by_right_.data() + (lo - by_right_.begin()),
+                              static_cast<size_t>(hi - lo));
 }
 
-std::span<const Row> NodeRelation::RunPidRange(Symbol name, int32_t t,
-                                               int32_t p) const {
-  const RowRange full = run(name);
-  if (full.empty()) return {};
-  auto first = by_pid_.begin() + full.begin;
-  auto last = by_pid_.begin() + full.end;
-  auto key_less = [this](Row r, std::pair<int32_t, int32_t> key) {
-    if (tid_[r] != key.first) return tid_[r] < key.first;
-    return pid_[r] < key.second;
-  };
-  auto key_greater = [this](std::pair<int32_t, int32_t> key, Row r) {
-    if (tid_[r] != key.first) return key.first < tid_[r];
-    return key.second < pid_[r];
-  };
-  auto lo = std::lower_bound(first, last, std::make_pair(t, p), key_less);
-  auto hi = std::upper_bound(lo, last, std::make_pair(t, p), key_greater);
-  if (lo == hi) return {};
-  return std::span<const Row>(&*lo, static_cast<size_t>(hi - lo));
+std::span<const Row> NodeRelation::PidRangeIn(RowRange slice,
+                                              int32_t p) const {
+  if (slice.empty()) return {};
+  auto first = by_pid_.begin() + slice.begin;
+  auto last = by_pid_.begin() + slice.end;
+  auto lo = std::lower_bound(first, last, p,
+                             [this](Row r, int32_t v) { return pid_[r] < v; });
+  auto hi = std::upper_bound(lo, last, p,
+                             [this](int32_t v, Row r) { return v < pid_[r]; });
+  return std::span<const Row>(by_pid_.data() + (lo - by_pid_.begin()),
+                              static_cast<size_t>(hi - lo));
 }
 
 std::span<const Row> NodeRelation::ValueRange(Symbol v) const {

@@ -9,8 +9,9 @@
 //
 // Access paths exposed here are what the SQL executor uses:
 //   - a per-tag "run" (contiguous, sorted by tid,left,right,depth,id);
-//   - binary-searchable (tid, left) ranges within a run;
-//   - per-run permutations ordered by (tid, right) and (tid, pid, left);
+//   - one tree's slice of a run, and left ranges searched inside it;
+//   - per-run permutations ordered by (tid, right) and (tid, pid, left),
+//     searched inside the same slice;
 //   - the global value index;
 //   - direct element lookup by (tid, id).
 
@@ -148,21 +149,22 @@ class NodeRelation {
   /// tag run out of the clustered storage.
   RowRange RunTidRange(Symbol name, int32_t tid_lo, int32_t tid_hi) const;
 
-  /// Subrange of run(name) with tid == t and left in [left_lo, left_hi).
-  /// This is the workhorse for descendant/following/immediate-following.
-  RowRange RunLeftRange(Symbol name, int32_t t, int32_t left_lo,
-                        int32_t left_hi) const;
+  // --- Searches inside one tree's slice of a run --------------------------
+  // `slice` is RunForTree(name, t). The per-run secondary orders sort by
+  // tid first too, so the slice bounds index them as well.
 
-  // --- Per-run secondary orders -------------------------------------------
-  /// Rows of run(name) with tid == t and right in [right_lo, right_hi),
-  /// returned as a span of row indexes ordered by right (for preceding /
-  /// immediate-preceding).
-  std::span<const Row> RunRightRange(Symbol name, int32_t t, int32_t right_lo,
-                                     int32_t right_hi) const;
+  /// Rows of `slice` with left in [left_lo, left_hi). The workhorse for
+  /// descendant/following/immediate-following.
+  RowRange LeftRangeIn(RowRange slice, int32_t left_lo, int32_t left_hi) const;
 
-  /// Rows of run(name) with tid == t and pid == p, ordered by left (for the
-  /// sibling axes and child-of lookups).
-  std::span<const Row> RunPidRange(Symbol name, int32_t t, int32_t p) const;
+  /// Rows of `slice` with right in [right_lo, right_hi), as a span of row
+  /// indexes ordered by right (for preceding / immediate-preceding).
+  std::span<const Row> RightRangeIn(RowRange slice, int32_t right_lo,
+                                    int32_t right_hi) const;
+
+  /// Rows of `slice` with pid == p, ordered by left (for the sibling axes
+  /// and child-of lookups).
+  std::span<const Row> PidRangeIn(RowRange slice, int32_t p) const;
 
   // --- Value index ----------------------------------------------------------
   /// Rows with value == v (attribute rows), ordered by (tid, id); the

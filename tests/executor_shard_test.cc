@@ -1,8 +1,9 @@
 // Shard execution tests: ExecuteShard over any partition of the tid space
 // must merge to exactly ExecutePrepared's result (differential over the
-// fuzz corpus/query generator), shards must respect their boundaries, and
+// fuzz corpus/query generator), shards must respect their boundaries,
 // concurrent shard execution over one shared PreparedPlan must be free of
-// data races (this suite runs under ThreadSanitizer in CI).
+// data races (this suite runs under ThreadSanitizer in CI), and the
+// executor's tree-slice cache must answer right when its keys alias.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "lpath/engines.h"
+#include "lpath/eval_nav.h"
 #include "sql/executor.h"
 #include "sql/optimizer.h"
 #include "sql/parser.h"
@@ -203,6 +205,81 @@ TEST(ShardConcurrencyTest, ConcurrentShardsOnSharedPlanAgree) {
   for (int w = 0; w < kWorkers; ++w) {
     EXPECT_EQ(merged[w], serial.value()) << "worker " << w;
     EXPECT_GT(stats[w].candidates, 0u);
+  }
+}
+
+/// A corpus whose tags A and B have symbol ids kSliceCacheSlots apart, so
+/// (A, t) and (B, t) share a slice-cache slot in every tree t, as do (A, t)
+/// and (A, t + kSliceCacheSlots). Each tree is an S over a few NPs over a
+/// seeded mix of A, B and X leaves.
+Corpus AliasingCorpus(int trees, Symbol* a, Symbol* b) {
+  Corpus corpus;
+  Interner* in = corpus.mutable_interner();
+  *a = in->Intern("A");
+  for (size_t i = 1; i < sql::kSliceCacheSlots; ++i) {
+    std::string filler = "filler";
+    filler += std::to_string(i);
+    in->Intern(filler);
+  }
+  *b = in->Intern("B");
+  const Symbol s = in->Intern("S");
+  const Symbol np = in->Intern("NP");
+  const Symbol x = in->Intern("X");
+  Rng rng(314159);
+  for (int t = 0; t < trees; ++t) {
+    Tree tree;
+    const NodeId root = tree.AddRoot(s);
+    const int nps = 1 + static_cast<int>(rng.Below(3));
+    for (int i = 0; i < nps; ++i) {
+      const NodeId phrase = tree.AddChild(root, np);
+      const int leaves = 1 + static_cast<int>(rng.Below(3));
+      for (int j = 0; j < leaves; ++j) {
+        const uint64_t pick = rng.Below(10);
+        tree.AddChild(phrase, pick < 5 ? *a : pick < 8 ? *b : x);
+      }
+    }
+    corpus.Add(std::move(tree));
+  }
+  return corpus;
+}
+
+TEST(SliceCacheTest, AliasingKeysVisitedAlternatelyMatchNavigational) {
+  constexpr int kTrees = 320;
+  Symbol a = kNoSymbol, b = kNoSymbol;
+  const Corpus corpus = AliasingCorpus(kTrees, &a, &b);
+  for (int32_t t = 0; t < kTrees; ++t) {
+    ASSERT_EQ(sql::SliceCacheSlot(a, t), sql::SliceCacheSlot(b, t));
+  }
+  ASSERT_EQ(sql::SliceCacheSlot(a, 7),
+            sql::SliceCacheSlot(a, 7 + sql::kSliceCacheSlots));
+  Result<NodeRelation> rel = NodeRelation::Build(corpus);
+  ASSERT_TRUE(rel.ok());
+  LPathEngine engine(rel.value());
+  NavigationalEngine nav(corpus);
+  sql::PlanExecutor executor(rel.value());
+
+  // Each outer row probes A and then, when A is there, B in its own tree:
+  // the probes alternate between two keys of one slot, tree after tree.
+  // The descendant, child and preceding axes reach the slice through its
+  // left, pid and right searches.
+  for (const char* q : {"//S[not(//A) or //B]", "//NP[not(/A) or /B]",
+                        "//X[not(<--A) or <--B]",
+                        "//S[not(//NP[not(/A) or /B])]"}) {
+    Result<QueryResult> want = nav.Run(q);
+    ASSERT_TRUE(want.ok()) << q;
+    ASSERT_GT(want->count(), 0u) << q;
+    Result<ExecPlan> plan = engine.Translate(q);
+    ASSERT_TRUE(plan.ok()) << q;
+    Result<std::unique_ptr<sql::PreparedPlan>> pp =
+        sql::Prepare(plan.value(), rel.value(), {});
+    ASSERT_TRUE(pp.ok()) << q;
+    sql::ExecStats stats;
+    Result<QueryResult> serial = executor.ExecutePrepared(*pp.value(), &stats);
+    ASSERT_TRUE(serial.ok()) << q;
+    EXPECT_GT(stats.subqueries, sql::kSliceCacheSlots) << q;
+    EXPECT_EQ(serial.value(), want.value()) << q;
+    EXPECT_EQ(MergeShards(executor, *pp.value(), kTrees, 7), want.value())
+        << q;
   }
 }
 

@@ -6,9 +6,6 @@
 //                          literal-first comparisons, and agrees with
 //                          PlanEquals exactly (equal fp <=> equal plan,
 //                          modulo engineered 64-bit collisions);
-//   service/subplan_memo.h the snapshot-scoped registry that shares EXISTS
-//                          answers across *different* top-level plans and
-//                          refuses verified hash collisions;
 //   service/plan_cache.h + QueryService
 //                          the serving contract: N differently spelled
 //                          queries of one structure cost exactly one
@@ -21,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <memory>
 #include <string>
@@ -32,7 +30,6 @@
 #include "plan/compile.h"
 #include "plan/exec_plan.h"
 #include "service/query_service.h"
-#include "service/subplan_memo.h"
 #include "sql/optimizer.h"
 #include "storage/snapshot.h"
 #include "test_util.h"
@@ -220,23 +217,6 @@ TEST(FingerprintTest, EscapingOuterRefsAreAlphaRenamed) {
 }
 
 // ---------------------------------------------------------------------------
-// Collision fallback
-
-TEST(SubplanMemoRegistryTest, RefusesVerifiedCollisions) {
-  service::SubplanMemoRegistry registry(/*memo_entries=*/64);
-  const ExecPlan a = MustCompile("//NP");
-  const ExecPlan b = MustCompile("//VP");
-  // Force both subtrees under one key, as a 64-bit collision would.
-  EXPECT_TRUE(registry.Register(42, a));
-  EXPECT_TRUE(registry.Register(42, a.Clone()));  // structural match shares
-  EXPECT_FALSE(registry.Register(42, b));         // collision is refused
-  const service::SubplanMemoRegistry::Stats stats = registry.stats();
-  EXPECT_EQ(stats.subtrees, 1u);
-  EXPECT_EQ(stats.cross_plan, 1u);
-  EXPECT_EQ(stats.collisions, 1u);
-}
-
-// ---------------------------------------------------------------------------
 // Serving: one Prepare for N spellings
 
 TEST(FingerprintServiceTest, NSpellingsCostExactlyOnePrepare) {
@@ -291,27 +271,31 @@ TEST(FingerprintServiceTest, FingerprintsAgreeAcrossCorpora) {
   }
 }
 
-TEST(FingerprintServiceTest, CrossPlanExistsMemoServesSecondPlan) {
-  // `//_[...]` computes the EXISTS answer for every node row; `//NP[...]`
-  // carries a structurally identical subtree correlated over a subset of
-  // those rows, so its probes must be answered by the registry memo filled
-  // by the first plan — the cross-plan hits the per-plan memos of PR 4
-  // could never produce.
-  auto service = std::make_unique<service::QueryService>(
-      MustBuild(testing::RandomCorpus(55, 26)));
+TEST(FingerprintServiceTest, SharedExistsSubtreeAnswersMatchReference) {
+  // `//_[...]` and `//NP[...]` carry structurally identical EXISTS
+  // subtrees under different top-level plans. Each plan evaluates its
+  // subqueries itself, and both must match the reference engine; the
+  // narrow plan's rows are the NP rows of the wide plan's.
+  SnapshotPtr snap = MustBuild(testing::RandomCorpus(55, 26));
+  auto service = std::make_unique<service::QueryService>(snap);
+  LPathEngine reference(snap->relation());
   const std::string wide = "//_[//N or @lex='zzzunknown']";
   const std::string narrow = "//NP[//N or @lex='zzzunknown']";
-  ASSERT_TRUE(service->Query(wide).ok());
-  const service::ServiceStats after_wide = service->Stats();
-  EXPECT_EQ(after_wide.exec.subplan_memo_hits, 0u);
-  ASSERT_TRUE(service->Query(narrow).ok());
-  const service::ServiceStats stats = service->Stats();
-  EXPECT_GT(stats.exec.subplan_memo_hits, 0u);
-  // Every memoizable subtree of the narrow plan (the path probe and the
-  // attribute probe both compile to EXISTS) matched a representative the
-  // wide plan registered.
-  EXPECT_GT(stats.subplans.cross_plan, 0u);
-  EXPECT_EQ(stats.subplans.collisions, 0u);
+  Result<QueryResult> wide_rows = service->Query(wide);
+  Result<QueryResult> narrow_rows = service->Query(narrow);
+  ASSERT_TRUE(wide_rows.ok()) << wide_rows.status();
+  ASSERT_TRUE(narrow_rows.ok()) << narrow_rows.status();
+  Result<QueryResult> wide_ref = reference.Run(wide);
+  Result<QueryResult> narrow_ref = reference.Run(narrow);
+  ASSERT_TRUE(wide_ref.ok());
+  ASSERT_TRUE(narrow_ref.ok());
+  EXPECT_EQ(wide_rows.value(), wide_ref.value());
+  EXPECT_EQ(narrow_rows.value(), narrow_ref.value());
+  ASSERT_GT(narrow_rows->count(), 0u);
+  EXPECT_LT(narrow_rows->count(), wide_rows->count());
+  EXPECT_TRUE(std::includes(wide_rows->hits.begin(), wide_rows->hits.end(),
+                            narrow_rows->hits.begin(),
+                            narrow_rows->hits.end()));
 }
 
 // ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@
 //   - morsel execution (sync Query and QueryStream) must be result-
 //     identical to serial ExecutePrepared — differential over the fuzz
 //     query generator;
-//   - the shared EXISTS memo must serve repeated executions of a cached
-//     plan across morsels (shared_memo_hits observable), and survive
-//     concurrent morsels plus snapshot hot swaps without races (this
-//     suite runs under ThreadSanitizer in CI);
+//   - EXISTS-heavy queries (Q9 and its variants) fanned out over many
+//     morsels must equal the serial run and the navigational engine, on a
+//     plain snapshot and on a two-source chain, and survive concurrent
+//     morsels plus snapshot hot swaps without races (this suite runs under
+//     ThreadSanitizer in CI);
 //   - the hash-free DISTINCT: every compiled plan ties its output to the
 //     root variable's tree (the premise of the concatenating merge), and
 //     queries with many bindings per output row stay sorted, duplicate-free
@@ -31,7 +32,6 @@
 #include "lpath/engines.h"
 #include "lpath/eval_nav.h"
 #include "service/query_service.h"
-#include "sql/exists_memo.h"
 #include "sql/optimizer.h"
 #include "storage/snapshot.h"
 #include "test_util.h"
@@ -218,34 +218,6 @@ TEST_F(MorselServiceTest, StreamedMorselBatchesMatchSerialOnSkewedCorpus) {
   }
 }
 
-TEST_F(MorselServiceTest, SharedMemoServesLaterExecutionsAcrossMorsels) {
-  auto service = MakeMorselService();
-  // The OR keeps the path predicate a filter (not unnested), so //N is a
-  // correlated EXISTS subplan evaluated per VP binding (non-empty result:
-  // most VPs dominate a noun in the skew grammar).
-  const std::string q = "//VP[//N or @lex='zzzunknown']";
-  Result<QueryResult> first = service->Query(q);
-  ASSERT_TRUE(first.ok());
-  ASSERT_GT(first->count(), 0u);
-  const service::ServiceStats after_first = service->Stats();
-  ASSERT_GE(after_first.exec.morsels, 2u) << "query did not fan out";
-
-  Result<QueryResult> second = service->Query(q);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first.value(), second.value());
-  Result<QueryResult> expected = serial_->Run(q);
-  ASSERT_TRUE(expected.ok());
-  EXPECT_EQ(first.value(), expected.value());
-
-  // The second execution answered its EXISTS probes from the plan's shared
-  // memo instead of re-deriving them morsel-privately.
-  const service::ServiceStats stats = service->Stats();
-  EXPECT_GT(stats.exec.shared_memo_hits, 0u);
-  // And the reuse replaced real subquery work: run two evaluated fewer
-  // fresh subqueries than run one.
-  EXPECT_LT(stats.exec.subqueries, 2 * after_first.exec.subqueries);
-}
-
 // The morsel merge concatenates per-morsel results with no DISTINCT pass.
 // That is sound because a morsel clamps the root variable's tids, and the
 // output variable shares the root's tid class. The LPath compiler links
@@ -409,34 +381,87 @@ TEST_F(ManyBindingsDistinctTest, MorselsOnTwoSourceChain) {
   Check(chain_, combined_, FannedOut(), /*min_morsels=*/16);
 }
 
-TEST(ExistsMemoTest, LookupInsertAndCapacity) {
-  sql::ExistsMemo memo(/*max_entries=*/16);  // one entry per stripe
-  // Distinct 64-bit keys as subplan identities (callers use node addresses
-  // or subtree fingerprints; the memo treats them as opaque).
-  const uint64_t a = 0xa11ce, b = 0xb0b;
-  EXPECT_FALSE(memo.Lookup(a, 1).has_value());
-  memo.Insert(a, 1, true);
-  memo.Insert(a, 2, false);
-  memo.Insert(b, 1, false);
-  ASSERT_TRUE(memo.Lookup(a, 1).has_value());
-  EXPECT_TRUE(*memo.Lookup(a, 1));
-  EXPECT_FALSE(*memo.Lookup(a, 2));
-  EXPECT_FALSE(*memo.Lookup(b, 1));
-  EXPECT_FALSE(memo.Lookup(b, 2).has_value());
+/// Q9 `//NP[not(//JJ)]` and three variants: the shapes whose predicates
+/// stay correlated EXISTS subqueries after unnesting (negation, a
+/// disjunction, a nested negation, a child-axis negation). Every
+/// evaluation reruns its subquery inside the outer row's tree, in whichever
+/// morsel the row falls.
+class FannedOutExistsTest : public ::testing::Test {
+ protected:
+  static constexpr const char* kQueries[] = {
+      "//NP[not(//JJ)]", "//NP[not(//JJ) or //DT]", "//S[not(//NP[not(//JJ)])]",
+      "//VP[not(/NP)]"};
 
-  // Saturate: inserts beyond the per-stripe share are dropped, lookups
-  // keep answering, nothing already stored is evicted.
-  for (uint64_t k = 0; k < 1000; ++k) memo.Insert(b, 100 + k, true);
-  EXPECT_LE(memo.size(), 1000u + 3u);
-  EXPECT_TRUE(*memo.Lookup(a, 1));
+  FannedOutExistsTest() {
+    Result<Corpus> base = gen::GenerateWsj(400, /*seed=*/16);
+    Result<Corpus> delta = gen::GenerateWsj(100, /*seed=*/61);
+    EXPECT_TRUE(base.ok());
+    EXPECT_TRUE(delta.ok());
+    combined_.AppendFrom(base.value());
+    combined_.AppendFrom(delta.value());
+    Result<SnapshotPtr> plain = CorpusSnapshot::Build(std::move(base).value());
+    EXPECT_TRUE(plain.ok());
+    plain_ = std::move(plain).value();
+    Result<SnapshotPtr> chain = plain_->Append(delta.value());
+    EXPECT_TRUE(chain.ok());
+    chain_ = std::move(chain).value();
+  }
+
+  /// Runs every query fanned out (8 threads, no adaptive serial pick) and
+  /// as one morsel, and checks both against the navigational engine over
+  /// `corpus`.
+  void Check(const SnapshotPtr& snap, const Corpus& corpus) {
+    NavigationalEngine nav(corpus);
+    service::QueryServiceOptions fanned;
+    fanned.threads = 8;
+    fanned.adaptive_serial_rows = 0;
+    service::QueryServiceOptions serial;
+    serial.threads = 8;
+    serial.shards_per_query = 1;
+    service::QueryService fanned_service(snap, fanned);
+    service::QueryService serial_service(snap, serial);
+    for (const char* q : kQueries) {
+      Result<QueryResult> expected = nav.Run(q);
+      ASSERT_TRUE(expected.ok()) << q;
+      ASSERT_GT(expected->count(), 0u) << q;
+
+      fanned_service.ResetStats();
+      Result<QueryResult> got = fanned_service.Query(q);
+      ASSERT_TRUE(got.ok()) << q << " -> " << got.status();
+      const service::ServiceStats stats = fanned_service.Stats();
+      EXPECT_GE(stats.exec.morsels, 16u) << q;
+      EXPECT_GT(stats.exec.subqueries, expected->count()) << q;
+      EXPECT_EQ(stats.exec.memo_hits + stats.exec.shared_memo_hits +
+                    stats.exec.subplan_memo_hits,
+                0u)
+          << q;
+
+      serial_service.ResetStats();
+      Result<QueryResult> one = serial_service.Query(q);
+      ASSERT_TRUE(one.ok()) << q << " -> " << one.status();
+      EXPECT_EQ(serial_service.Stats().exec.morsels, 1u) << q;
+      EXPECT_EQ(got.value(), one.value()) << q;
+      EXPECT_EQ(got.value(), expected.value()) << q;
+    }
+  }
+
+  Corpus combined_;
+  SnapshotPtr plain_;
+  SnapshotPtr chain_;
+};
+
+TEST_F(FannedOutExistsTest, MatchesSerialAndNavigationalOnPlainSnapshot) {
+  Check(plain_, plain_->corpus());
+}
+
+TEST_F(FannedOutExistsTest, MatchesSerialAndNavigationalOnTwoSourceChain) {
+  Check(chain_, combined_);
 }
 
 TEST(MorselMemoHammerTest, ConcurrentMorselsAndHotSwapsStayConsistent) {
-  // Clients hammer EXISTS-heavy queries (all morsels of each execution
-  // share one striped memo) while a swapper republishes alternating
-  // snapshots; every answer must match one of the two snapshots' truths
-  // and the memo must never leak stale answers across a swap. TSan runs
-  // this in CI.
+  // Clients hammer EXISTS-heavy queries fanned out over morsels while a
+  // swapper republishes alternating snapshots; every answer must match one
+  // of the two snapshots' truths. TSan runs this in CI.
   Result<Corpus> corpus_a = gen::GenerateSkewed(48, /*seed=*/7);
   Result<Corpus> corpus_b = gen::GenerateSkewed(56, /*seed=*/99);
   ASSERT_TRUE(corpus_a.ok());

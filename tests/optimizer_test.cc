@@ -155,17 +155,6 @@ TEST_F(OptimizerTest, OrientationPutsLaterVarOnLhs) {
   }
 }
 
-TEST_F(OptimizerTest, SubplanCorrelationIdentified) {
-  auto pp = Prepare(
-      "SELECT DISTINCT a.tid, a.id FROM nodes AS a WHERE a.name = 'NP' AND "
-      "EXISTS (SELECT 1 FROM nodes AS b WHERE b.tid = a.tid AND "
-      "b.pid = a.id AND b.name = 'Det')");
-  ASSERT_EQ(pp->plan.filters.size(), 1u);
-  const BoolExpr* e = pp->plan.filters[0].get();
-  ASSERT_TRUE(pp->subs.count(e));
-  EXPECT_EQ(pp->sub_outer_var.at(e), 0);  // correlates on variable a
-}
-
 TEST_F(OptimizerTest, StringComparisonWithOrderingRejected) {
   Result<ExecPlan> plan = sql::ParseSql(
       "SELECT DISTINCT a.tid, a.id FROM nodes AS a WHERE a.name < 'NP'");

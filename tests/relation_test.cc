@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
+#include <vector>
+
+#include "gen/generator.h"
+#include "storage/snapshot.h"
 
 #include "test_util.h"
 
@@ -93,19 +99,23 @@ TEST_F(Figure1RelationTest, ElementRowLookup) {
 TEST_F(Figure1RelationTest, RunLeftRange) {
   // NPs with left in [3, 9) in tree 0: NP6 (l=3), NP7 (l=3), NP(a dog) (l=7).
   const Symbol np = corpus_.Lookup("NP");
-  RowRange rng = rel_->RunLeftRange(np, 0, 3, 9);
+  const RowRange slice = rel_->RunForTree(np, 0);
+  EXPECT_EQ(slice.size(), 4u);
+  RowRange rng = rel_->LeftRangeIn(slice, 3, 9);
   EXPECT_EQ(rng.size(), 3u);
   // Empty for a bogus tree and inverted bounds.
-  EXPECT_TRUE(rel_->RunLeftRange(np, 7, 0, 100).empty());
-  EXPECT_TRUE(rel_->RunLeftRange(np, 0, 5, 5).empty());
+  EXPECT_TRUE(rel_->RunForTree(np, 7).empty());
+  EXPECT_TRUE(rel_->LeftRangeIn(rel_->RunForTree(np, 7), 0, 100).empty());
+  EXPECT_TRUE(rel_->LeftRangeIn(slice, 5, 5).empty());
 }
 
 TEST_F(Figure1RelationTest, RunRightRange) {
   // NPs with right == 9: NP6 [3,9] and NP(a dog) [7,9].
   const Symbol np = corpus_.Lookup("NP");
-  auto rows = rel_->RunRightRange(np, 0, 9, 10);
+  auto rows = rel_->RightRangeIn(rel_->RunForTree(np, 0), 9, 10);
   EXPECT_EQ(rows.size(), 2u);
   for (Row r : rows) EXPECT_EQ(rel_->right(r), 9);
+  EXPECT_TRUE(rel_->RightRangeIn(rel_->RunForTree(np, 0), 9, 9).empty());
 }
 
 TEST_F(Figure1RelationTest, RunPidRange) {
@@ -118,12 +128,110 @@ TEST_F(Figure1RelationTest, RunPidRange) {
     if (rel_->left(r) == 3 && rel_->right(r) == 6) np7 = r;
   }
   ASSERT_NE(np7, kNoRow);
-  auto dets = rel_->RunPidRange(corpus_.Lookup("Det"), 0, rel_->id(np7));
+  auto dets = rel_->PidRangeIn(rel_->RunForTree(corpus_.Lookup("Det"), 0),
+                               rel_->id(np7));
   ASSERT_EQ(dets.size(), 1u);
   EXPECT_EQ(rel_->left(dets[0]), 3);
-  auto ns = rel_->RunPidRange(corpus_.Lookup("N"), 0, rel_->id(np7));
+  auto ns = rel_->PidRangeIn(rel_->RunForTree(corpus_.Lookup("N"), 0),
+                             rel_->id(np7));
   ASSERT_EQ(ns.size(), 1u);
   EXPECT_EQ(rel_->left(ns[0]), 5);
+}
+
+/// Checks the slice-relative searches against a filter of the corpus-wide
+/// run, for every (tag, tree) of `rel` under random bounds: the slice is
+/// the run's rows of that tree, and each search inside it returns exactly
+/// the slice rows its bounds select, in its documented order.
+void CheckSliceSearches(const NodeRelation& rel, uint64_t seed) {
+  Rng rng(seed);
+  size_t checked = 0;
+  for (Symbol name = 0; name < rel.interner().end_id(); ++name) {
+    const RowRange run = rel.run(name);
+    if (run.empty()) continue;
+    for (int32_t t = 0; t < rel.tree_count(); ++t) {
+      std::vector<Row> in_tree;
+      for (Row r = run.begin; r < run.end; ++r) {
+        if (rel.tid(r) == t) in_tree.push_back(r);
+      }
+      const RowRange slice = rel.RunForTree(name, t);
+      ASSERT_EQ(slice.size(), in_tree.size());
+      if (in_tree.empty()) continue;
+      ASSERT_EQ(slice.begin, in_tree.front());
+      int32_t max_right = 0;
+      for (Row r : in_tree) max_right = std::max(max_right, rel.right(r));
+      for (int trial = 0; trial < 4; ++trial) {
+        const int32_t a = static_cast<int32_t>(rng.Below(max_right + 2));
+        const int32_t b = static_cast<int32_t>(rng.Below(max_right + 2));
+        const int32_t lo = std::min(a, b);
+        const int32_t hi = std::max(a, b);
+
+        std::vector<Row> want;
+        for (Row r : in_tree) {
+          if (rel.left(r) >= lo && rel.left(r) < hi) want.push_back(r);
+        }
+        const RowRange left = rel.LeftRangeIn(slice, lo, hi);
+        std::vector<Row> got;
+        for (Row r = left.begin; r < left.end; ++r) got.push_back(r);
+        ASSERT_EQ(got, want) << "left [" << lo << "," << hi << ") tree " << t;
+
+        want.clear();
+        for (Row r : in_tree) {
+          if (rel.right(r) >= lo && rel.right(r) < hi) want.push_back(r);
+        }
+        const std::span<const Row> right = rel.RightRangeIn(slice, lo, hi);
+        got.assign(right.begin(), right.end());
+        ASSERT_TRUE(std::is_sorted(got.begin(), got.end(), [&](Row x, Row y) {
+          return rel.right(x) < rel.right(y);
+        }));
+        std::sort(got.begin(), got.end());
+        ASSERT_EQ(got, want) << "right [" << lo << "," << hi << ") tree " << t;
+
+        // A pid drawn from the tree's rows, or one no row has.
+        const int32_t p =
+            trial == 3 ? -1
+                       : rel.pid(in_tree[rng.Below(in_tree.size())]);
+        want.clear();
+        for (Row r : in_tree) {
+          if (rel.pid(r) == p) want.push_back(r);
+        }
+        const std::span<const Row> pid = rel.PidRangeIn(slice, p);
+        got.assign(pid.begin(), pid.end());
+        ASSERT_TRUE(std::is_sorted(got.begin(), got.end(), [&](Row x, Row y) {
+          return rel.left(x) < rel.left(y);
+        }));
+        std::sort(got.begin(), got.end());
+        ASSERT_EQ(got, want) << "pid " << p << " tree " << t;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+TEST(RelationSliceTest, SliceSearchesMatchRunFilterOnWsjCorpus) {
+  Result<Corpus> corpus = gen::GenerateWsj(60, /*seed=*/8);
+  ASSERT_TRUE(corpus.ok());
+  Result<NodeRelation> rel = NodeRelation::Build(std::move(corpus).value());
+  ASSERT_TRUE(rel.ok());
+  CheckSliceSearches(rel.value(), /*seed=*/1);
+}
+
+TEST(RelationSliceTest, SliceSearchesMatchRunFilterOnMergedRelation) {
+  // Compaction merges a base and a delta relation (NodeRelation::Merge)
+  // into one whose per-run orders concatenate the sources'.
+  Result<Corpus> base = gen::GenerateWsj(40, /*seed=*/9);
+  Result<Corpus> delta = gen::GenerateWsj(25, /*seed=*/10);
+  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE(delta.ok());
+  Result<SnapshotPtr> snap = CorpusSnapshot::Build(std::move(base).value());
+  ASSERT_TRUE(snap.ok());
+  Result<SnapshotPtr> chain = (*snap)->Append(delta.value());
+  ASSERT_TRUE(chain.ok());
+  Result<SnapshotPtr> merged = (*chain)->Compact();
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  ASSERT_FALSE((*merged)->has_delta());
+  EXPECT_EQ((*merged)->relation().tree_count(), 65);
+  CheckSliceSearches((*merged)->relation(), /*seed=*/2);
 }
 
 TEST(RelationTest, RandomCorpusConsistency) {

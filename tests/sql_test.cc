@@ -140,6 +140,29 @@ TEST(SqlParserTest, NestingDepthIsBounded) {
   }
 }
 
+TEST(SqlParserTest, ChainsInsideNestingCountAsLevels) {
+  // A long OR chain is a left-deep tree as deep as it is long: inside
+  // NOT (...) its links count toward the nesting limit.
+  std::string ors;
+  for (int i = 0; i < 2000; ++i) ors += " OR a.id = " + std::to_string(i);
+  Result<ExecPlan> r = sql::ParseSql(
+      "SELECT DISTINCT a.tid, a.id FROM nodes AS a WHERE a.name = 'NP' AND "
+      "NOT (a.id = 0" + ors + ")");
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+  // So does an AND chain that an OR makes the first operand of a tree.
+  std::string ands;
+  for (int i = 0; i < 2000; ++i) ands += " AND a.id > 0";
+  r = sql::ParseSql("SELECT DISTINCT a.tid, a.id FROM nodes AS a WHERE "
+                    "a.name = 'NP'" + ands + " OR a.name = 'VP'");
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+  // A short chain inside NOT stays fine.
+  EXPECT_TRUE(sql::ParseSql("SELECT DISTINCT a.tid, a.id FROM nodes AS a "
+                            "WHERE NOT (a.id = 1 OR a.id = 2 AND a.id = 3)")
+                  .ok());
+}
+
 class SqlExecTest : public ::testing::Test {
  protected:
   SqlExecTest() : corpus_(testing::BuildFigure1Corpus()) {
@@ -317,6 +340,23 @@ TEST_F(SqlExecTest, EarlyExitModesAgree) {
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1.value(), r2.value());
+}
+
+TEST_F(SqlExecTest, LongTopLevelConjunctionRuns) {
+  // The WHERE clause's own AND chain is flattened into conjuncts as it is
+  // parsed, so its length is not limited and never recursed over: 200,000
+  // terms once overflowed the stack of the recursive flattening.
+  const std::string q =
+      "SELECT DISTINCT a.tid, a.id FROM nodes AS a WHERE a.name = 'NP'";
+  std::string ands;
+  for (int i = 0; i < 200000; ++i) ands += " AND a.id > 0";
+  Result<QueryResult> r = RunSql(*rel_, q + ands);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->count(), 4u);  // the four NPs of Figure 1
+  // The same chain ending in a syntax error fails cleanly.
+  Result<ExecPlan> bad = sql::ParseSql(q + ands + " AND");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.status().IsInvalidArgument());
 }
 
 TEST_F(SqlExecTest, QueriesAtTheNestingLimitExecute) {
