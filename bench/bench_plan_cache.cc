@@ -1,21 +1,15 @@
-// Plan-cache benchmark: what structural fingerprints buy the serving path
-// when a hot working set arrives under many spellings (the realistic shape
-// for generated queries: tools quote tags differently, reformat whitespace,
-// or template the same structure into fresh text).
+// Plan-cache benchmark: what the text-keyed plan cache and QueryBatch
+// coalescing buy the serving path when a hot working set arrives under
+// many whitespace spellings (tools reformat the same query text).
 //
-//   prepare/Cold       — seconds per *structure* for the full cold path on
-//                        a fresh session: parse + compile + optimize +
+//   prepare/Cold       — seconds per *query* for the full cold path on a
+//                        fresh session: parse + compile + optimize +
 //                        per-source sql::Prepare.
-//   prepare/Respelled  — seconds per *spelling* when the structure is
-//                        already cached under different text: parse +
-//                        compile + fingerprint probe, no sql::Prepare. The
-//                        gap to Cold is the amortized prepare work; the
-//                        `prepares` counter proves it is exactly zero.
 //   hot_exec/PerText   — QPS of a hot mixed-spelling batch issued as
 //                        individual Query() calls (every member is a plan
 //                        cache hit; every member still executes).
 //   hot_exec/Coalesced — the same batch through QueryBatch(): members that
-//                        resolve to one cached plan coalesce into a single
+//                        normalize to one text coalesce into a single
 //                        execution fanned out to all of them. The
 //                        acceptance bar is Coalesced QPS >= PerText QPS
 //                        (bench_diff --ratio Coalesced PerText).
@@ -25,7 +19,6 @@
 // bench/baselines/, warn-only). CI runs the bench_plan_cache_report ctest
 // entry.
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -35,16 +28,14 @@
 #include "bench_common.h"
 #include "gen/generator.h"
 #include "service/query_service.h"
-#include "sql/optimizer.h"
 #include "storage/snapshot.h"
 
 namespace lpath {
 namespace bench {
 namespace {
 
-/// The hot structures. Each carries quotable tags (spelling variants) and
-/// a predicate that keeps an EXISTS subtree after unnesting (OR / NOT), so
-/// the prepare cost covers subplans too.
+/// The hot queries. Each carries a predicate that keeps an EXISTS subtree
+/// after unnesting (OR / NOT), so the prepare cost covers subplans too.
 constexpr const char* kStructures[] = {
     "//S//NP[//N or @lex='zzzunknown']",
     "//VP[not(//X)]//NP",
@@ -59,33 +50,11 @@ constexpr int kSpellingsPerStructure = 9;
 /// bench_ingest (one WSJ snapshot, built once).
 int PlanCacheSentences() { return std::max(200, BenchmarkSentences() / 4); }
 
-/// Deterministic respelling `variant` of `q`: each maximal letter run that
-/// starts uppercase (exactly the node tests — axes, keywords and @lex words
-/// are lowercase) is left bare, single-quoted, or double-quoted by the
-/// next base-3 digit of `variant`. Variant 0 is `q` itself; distinct
-/// variants normalize to distinct cache texts but compile to one plan.
+/// Deterministic whitespace respelling `variant` of `q`: `variant`
+/// leading spaces and `variant` trailing tabs. Every variant is distinct
+/// text that normalizes to `q`, so all of them share one cache entry.
 std::string Respell(const std::string& q, int variant) {
-  std::string out;
-  size_t i = 0;
-  while (i < q.size()) {
-    const unsigned char c = q[i];
-    if (std::isupper(c)) {
-      size_t j = i;
-      while (j < q.size() && std::isalpha(static_cast<unsigned char>(q[j]))) {
-        ++j;
-      }
-      const int style = variant % 3;
-      variant /= 3;
-      const char quote = style == 1 ? '\'' : '"';
-      if (style != 0) out += quote;
-      out.append(q, i, j - i);
-      if (style != 0) out += quote;
-      i = j;
-    } else {
-      out += q[i++];
-    }
-  }
-  return out;
+  return std::string(variant, ' ') + q + std::string(variant, '\t');
 }
 
 struct PlanCacheFixture {
@@ -138,7 +107,7 @@ void FreeFixture() {
 
 ReportTable& PlanCacheTable() {
   static ReportTable* table = new ReportTable(
-      "Plan cache — fingerprint-shared preparation and batch coalescing "
+      "Plan cache — cold preparation and batch coalescing "
       "(WSJ, mixed-spelling hot set)");
   return *table;
 }
@@ -172,52 +141,8 @@ void BenchPrepareCold(benchmark::State& st) {
   }
 }
 
-/// Fresh spellings of already-cached structures: parse + compile +
-/// fingerprint bind, zero sql::Prepare calls (counter-witnessed).
-void BenchPrepareRespelled(benchmark::State& st) {
-  PlanCacheFixture& fx = GetPlanCacheFixture();
-  constexpr int kVariants = kSpellingsPerStructure - 1;  // skip verbatim
-  double total = 0.0;
-  uint64_t iters = 0;
-  uint64_t prepares = 0;
-  for (auto _ : st) {
-    fx.service->UpdateSnapshot(fx.snap);
-    for (const char* structure : kStructures) {  // warm structure, untimed
-      auto plan = fx.service->GetPlan(structure);
-      if (!plan.ok()) {
-        st.SkipWithError(plan.status().ToString().c_str());
-        return;
-      }
-    }
-    const uint64_t before = sql::PrepareCallCount();
-    Timer timer;
-    for (const char* structure : kStructures) {
-      for (int v = 1; v <= kVariants; ++v) {
-        auto plan = fx.service->GetPlan(Respell(structure, v));
-        if (!plan.ok()) {
-          st.SkipWithError(plan.status().ToString().c_str());
-          return;
-        }
-        benchmark::DoNotOptimize(plan.value());
-      }
-    }
-    total += timer.ElapsedSeconds();
-    prepares += sql::PrepareCallCount() - before;
-    ++iters;
-  }
-  constexpr int kPerIter = kNumStructures * kVariants;
-  st.SetItemsProcessed(static_cast<int64_t>(iters * kPerIter));
-  st.counters["prepares"] = static_cast<double>(prepares);
-  if (iters > 0) {
-    PlanCacheTable().Record(
-        "prepare", "Respelled",
-        Measurement{total / static_cast<double>(iters),
-                    static_cast<size_t>(kPerIter), true});
-  }
-}
-
-/// Ensures every hot-batch member is cached (idempotent; first call does
-/// the binds).
+/// Ensures every hot-batch member is cached (idempotent; the first call
+/// prepares).
 bool WarmHotBatch(benchmark::State& st) {
   PlanCacheFixture& fx = GetPlanCacheFixture();
   for (const std::string& q : fx.hot_batch) {
@@ -259,8 +184,8 @@ void BenchHotPerText(benchmark::State& st) {
   }
 }
 
-/// The same batch through QueryBatch(): same-structure members coalesce to
-/// one execution each.
+/// The same batch through QueryBatch(): members of one normalized text
+/// coalesce to one execution each.
 void BenchHotCoalesced(benchmark::State& st) {
   PlanCacheFixture& fx = GetPlanCacheFixture();
   if (!WarmHotBatch(st)) return;
@@ -295,7 +220,6 @@ void RegisterAll() {
     void (*fn)(benchmark::State&);
   };
   for (const Entry& e : {Entry{"prepare/Cold", BenchPrepareCold},
-                         Entry{"prepare/Respelled", BenchPrepareRespelled},
                          Entry{"hot_exec/PerText", BenchHotPerText},
                          Entry{"hot_exec/Coalesced", BenchHotCoalesced}}) {
     benchmark::RegisterBenchmark(e.name, e.fn)
@@ -306,14 +230,13 @@ void RegisterAll() {
 
 void PrintTables() {
   printf("%s", PlanCacheTable()
-                   .Render({"Cold", "Respelled", "PerText", "Coalesced"})
+                   .Render({"Cold", "PerText", "Coalesced"})
                    .c_str());
-  printf("\n(prepare: per pass — Cold preps %d structures, Respelled binds "
-         "%d fresh spellings; hot_exec: per %zu-member mixed-spelling batch; "
-         "scale: %d sentences, LPATHDB_SENTENCES "
-         "overrides)\n",
-         kNumStructures, kNumStructures * (kSpellingsPerStructure - 1),
-         GetPlanCacheFixture().hot_batch.size(), PlanCacheSentences());
+  printf("\n(prepare: per pass — Cold preps %d queries; hot_exec: per "
+         "%zu-member mixed-spelling batch; scale: %d sentences, "
+         "LPATHDB_SENTENCES overrides)\n",
+         kNumStructures, GetPlanCacheFixture().hot_batch.size(),
+         PlanCacheSentences());
 }
 
 /// Writes the table as the BENCH_plan_cache.json trajectory point when

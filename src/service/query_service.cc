@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <limits>
 #include <utility>
 
 #include "common/timer.h"
 #include "lpath/parser.h"
 #include "plan/compile.h"
-#include "plan/sql_gen.h"
-#include "sql/fingerprint.h"
-#include "sql/parser.h"
 
 namespace lpath {
 namespace service {
@@ -20,6 +18,12 @@ namespace {
 
 /// Recent-query latencies kept for the percentile summary.
 constexpr size_t kLatencySamples = 8192;
+
+/// Morsels carved per worker. Over-decomposition is what makes the shared
+/// claim cursor balance skew: with ~4 morsels per worker, a worker that
+/// lands on a giant tree holds one morsel while the others pull the
+/// remaining 4w-1. 1 would degenerate to static even-row shards.
+constexpr int kMorselsPerThread = 4;
 
 double Percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
@@ -93,24 +97,14 @@ std::shared_ptr<const void> QueryService::UpdateSnapshot(SnapshotPtr snapshot) {
 
 SnapshotPtr QueryService::snapshot() const { return CurrentSession()->snapshot; }
 
-Result<ExecPlan> QueryService::CompileQuery(const Session& session,
-                                            const std::string& normalized) {
+Result<CachedPlan> QueryService::PrepareText(const Session& session,
+                                             const std::string& normalized) {
   const NodeRelation& relation = session.snapshot->relation();
   LPATH_ASSIGN_OR_RETURN(LocationPath path, ParseLPath(normalized));
   CompileOptions copts;
   copts.scheme = relation.scheme();
   copts.unnest_predicates = options_.unnest_predicates;
-  LPATH_ASSIGN_OR_RETURN(ExecPlan plan, CompileLPath(path, copts));
-  if (options_.via_sql_text) {
-    const std::string sql_text = GenerateSql(plan);
-    LPATH_ASSIGN_OR_RETURN(plan, sql::ParseSql(sql_text));
-  }
-  return plan;
-}
-
-Result<CachedPlan> QueryService::PrepareCompiled(const Session& session,
-                                                 const ExecPlan& compiled) {
-  const NodeRelation& relation = session.snapshot->relation();
+  LPATH_ASSIGN_OR_RETURN(ExecPlan compiled, CompileLPath(path, copts));
   LPATH_ASSIGN_OR_RETURN(std::unique_ptr<sql::PreparedPlan> prepared,
                          sql::Prepare(compiled, relation, options_.exec));
   CachedPlan entry;
@@ -130,39 +124,28 @@ Result<CachedPlan> QueryService::PrepareCompiled(const Session& session,
 Result<CachedPlanPtr> QueryService::GetPlanIn(const Session& session,
                                               const std::string& query) {
   const std::string key = NormalizeQueryText(query);
-  if (CachedPlanPtr cached = session.cache.Get(key)) {
-    if (cached->negative()) return cached->error;
-    return cached;
+  CachedPlanPtr cached = session.cache.Get(key);
+  if (cached == nullptr) {
+    // Resolve under the text's stripe, so a racing miss of the same text
+    // (another client, or a QueryBatch resolving in parallel) waits and
+    // then finds the entry published here instead of preparing it again.
+    // The re-probe counts nothing: this query already counted its miss.
+    std::lock_guard<std::mutex> stripe(
+        prepare_mu_[std::hash<std::string>{}(key) % prepare_mu_.size()]);
+    cached = session.cache.Get(key, /*count=*/false);
+    if (cached == nullptr) {
+      Result<CachedPlan> prepared = PrepareText(session, key);
+      if (!prepared.ok()) {
+        // Negative entry: the same bad text will be answered from the cache.
+        session.cache.PutNegative(key, prepared.status());
+        return prepared.status();
+      }
+      cached = session.cache.Put(
+          key, std::make_shared<const CachedPlan>(std::move(*prepared)));
+    }
   }
-  // Compile outside the cache lock, then probe the structural level: a
-  // respelling of a cached structure binds to the existing entry and
-  // shares its prepared plans without a sql::Prepare.
-  Result<ExecPlan> compiled = CompileQuery(session, key);
-  if (!compiled.ok()) {
-    // Negative entry: the same bad text will be answered from the cache.
-    session.cache.PutNegative(key, compiled.status());
-    return compiled.status();
-  }
-  const uint64_t fingerprint = sql::PlanFingerprint(*compiled);
-  // Probe and prepare under the structure's stripe, so a racing miss of
-  // the same structure (a respelling QueryBatch resolves in parallel, or
-  // another client) waits and then binds to the entry published here
-  // instead of preparing it again.
-  std::lock_guard<std::mutex> stripe(
-      prepare_mu_[fingerprint % prepare_mu_.size()]);
-  if (CachedPlanPtr shared =
-          session.cache.GetByFingerprint(key, fingerprint, *compiled)) {
-    return shared;
-  }
-  Result<CachedPlan> prepared = PrepareCompiled(session, *compiled);
-  if (!prepared.ok()) {
-    session.cache.PutNegative(key, prepared.status());
-    return prepared.status();
-  }
-  prepared->fingerprint = fingerprint;
-  auto entry = std::make_shared<const CachedPlan>(std::move(*prepared));
-  return session.cache.Put(key, fingerprint, std::move(*compiled),
-                           std::move(entry));
+  if (cached->negative()) return cached->error;
+  return cached;
 }
 
 Result<std::shared_ptr<const sql::PreparedPlan>> QueryService::GetPlan(
@@ -211,7 +194,7 @@ Result<QueryResult> QueryService::RunMorsels(const Session& session,
       root_estimate < options_.adaptive_serial_rows) {
     serial = true;
   }
-  // Morsel planning: ~morsels_per_thread row-balanced tid slices per
+  // Morsel planning: ~kMorselsPerThread row-balanced tid slices per
   // worker, pulled from a shared claim cursor below. Over-decomposition is
   // the skew defence — a giant tree occupies one worker for one morsel
   // while the others drain the rest — and the minimum morsel size keeps
@@ -225,11 +208,9 @@ Result<QueryResult> QueryService::RunMorsels(const Session& session,
   };
   std::vector<Morsel> morsels;
   if (!serial) {
-    const uint64_t min_rows = std::max<uint64_t>(
-        1, options_.adaptive_serial_rows /
-               static_cast<uint64_t>(std::max(1, options_.morsels_per_thread)));
-    const uint64_t budget = static_cast<uint64_t>(
-        workers * std::max(1, options_.morsels_per_thread));
+    const uint64_t min_rows =
+        std::max<uint64_t>(1, options_.adaptive_serial_rows / kMorselsPerThread);
+    const uint64_t budget = static_cast<uint64_t>(workers * kMorselsPerThread);
     uint64_t total_rows = 0;
     for (int s = 0; s < nsources; ++s) {
       if (!sources[s].plan->always_empty) {
@@ -448,74 +429,49 @@ std::vector<Result<QueryResult>> QueryService::QueryBatch(
   // and executes against the same snapshot and the same cache.
   SessionPtr session = CurrentSession();
 
-  // Coalescing, stage 1: group members by normalized text (exact
-  // respellings collapse for free) and resolve each distinct text once —
-  // in parallel, since cache misses carry the parse/compile/prepare cost.
+  // Coalescing, stage 1: group members by normalized text and resolve each
+  // distinct text once — in parallel, since cache misses carry the
+  // parse/compile/prepare cost. A text that fails to resolve answers all
+  // of its members with the error, recorded at its resolution time.
   struct TextGroup {
     std::string key;
     std::vector<int> members;
     Result<CachedPlanPtr> planned = Result<CachedPlanPtr>(nullptr);
   };
-  std::vector<TextGroup> texts;
+  std::vector<TextGroup> groups;
   {
     std::unordered_map<std::string, size_t> index;
     for (size_t i = 0; i < queries.size(); ++i) {
       std::string key = NormalizeQueryText(queries[i]);
-      auto [it, inserted] = index.emplace(std::move(key), texts.size());
+      auto [it, inserted] = index.emplace(std::move(key), groups.size());
       if (inserted) {
-        texts.push_back(TextGroup{});
-        texts.back().key = it->first;
+        groups.push_back(TextGroup{});
+        groups.back().key = it->first;
       }
-      texts[it->second].members.push_back(static_cast<int>(i));
+      groups[it->second].members.push_back(static_cast<int>(i));
     }
   }
-  RunOnPool(static_cast<int>(texts.size()), pool_->size(),
-            [this, &session, &texts](int i, int /*worker*/) {
-    texts[i].planned = GetPlanIn(*session, texts[i].key);
+  RunOnPool(static_cast<int>(groups.size()), pool_->size(),
+            [this, &session, &groups, &results](int g, int /*worker*/) {
+    TextGroup& group = groups[g];
+    Timer timer;
+    group.planned = GetPlanIn(*session, group.key);
+    if (group.planned.ok()) return;
+    for (int member : group.members) results[member] = group.planned.status();
+    RecordQueries(timer.ElapsedSeconds(), /*error=*/true,
+                  static_cast<int>(group.members.size()), /*coalesced=*/0);
   });
 
-  // Stage 2: distinct texts that resolved to the same cache entry —
-  // structurally identical spellings — merge into one execution group.
-  // Entry identity is pointer identity: the cache binds equal structures
-  // to one shared CachedPlan.
-  struct ExecGroup {
-    CachedPlanPtr planned;
-    std::vector<int> members;
-  };
-  std::vector<ExecGroup> groups;
-  {
-    std::unordered_map<const CachedPlan*, size_t> index;
-    for (TextGroup& text : texts) {
-      if (!text.planned.ok()) {
-        // Resolution errors fan out to every member of the text group.
-        for (int member : text.members) {
-          results[member] = text.planned.status();
-        }
-        RecordQueries(/*seconds=*/0.0, /*error=*/true,
-                      static_cast<int>(text.members.size()),
-                      /*coalesced=*/0);
-        continue;
-      }
-      const CachedPlanPtr& planned = *text.planned;
-      auto [it, inserted] = index.emplace(planned.get(), groups.size());
-      if (inserted) {
-        groups.push_back(ExecGroup{planned, {}});
-      }
-      ExecGroup& group = groups[it->second];
-      group.members.insert(group.members.end(), text.members.begin(),
-                           text.members.end());
-    }
-  }
-
-  // Stage 3: workers claim whole groups; each group executes its plan
+  // Stage 2: workers claim whole resolved groups; each executes its plan
   // once as a single morsel (so concurrent groups do not contend over
   // intra-query morsels), and the result fans out to every member.
   RunOnPool(static_cast<int>(groups.size()), pool_->size(),
             [this, &session, &groups, &results](int g, int /*worker*/) {
-    ExecGroup& group = groups[g];
+    TextGroup& group = groups[g];
+    if (!group.planned.ok()) return;
     Timer timer;
     Result<QueryResult> r =
-        RunMorsels(*session, group.planned, /*workers=*/1, /*sink=*/nullptr,
+        RunMorsels(*session, *group.planned, /*workers=*/1, /*sink=*/nullptr,
                    /*cancel=*/nullptr);
     for (int member : group.members) results[member] = r;
     RecordQueries(timer.ElapsedSeconds(), !r.ok(),

@@ -10,14 +10,12 @@
 //     and relation) alive via shared ownership, and new queries pick up the
 //     new one. Prepared plans resolve symbols against one snapshot's
 //     dictionary, so each session gets its own cache;
-//   - a two-level LRU prepared-plan cache: normalized query text in
-//     front, structural plan fingerprints behind (see service/plan_cache.h)
-//     — so each distinct query is parsed, compiled and optimized once,
-//     distinct *spellings* of one structure share a single prepared plan,
-//     and *negative* entries cache the error of a malformed query instead
-//     of re-deriving it per submission;
+//   - an LRU prepared-plan cache keyed on normalized query text (see
+//     service/plan_cache.h) — so each distinct text is parsed, compiled and
+//     optimized once, and *negative* entries cache the error of a malformed
+//     query instead of re-deriving it per submission;
 //   - a fixed thread pool running morsel-driven parallel execution: the
-//     scheduler carves the tree-id space into ~morsels_per_thread×workers
+//     scheduler carves the tree-id space into ~4×workers
 //     row-balanced morsels (storage::NodeRelation::CarveTidRanges over the
 //     per-tree row prefix sums, so a giant tree cannot serialize the whole
 //     query the way an even-by-tid split does on skewed corpora), workers
@@ -45,9 +43,8 @@
 //                 (optionally also streaming to a callback).
 //   QueryBatch()  spreads a batch of queries over the pool workers — the
 //                 throughput path a front end with its own queue would use.
-//                 Members that resolve to the same cached plan (same
-//                 structure, any spelling) coalesce into one execution
-//                 whose result fans out to all of them.
+//                 Members that normalize to the same text coalesce into
+//                 one execution whose result fans out to all of them.
 
 #ifndef LPATHDB_SERVICE_QUERY_SERVICE_H_
 #define LPATHDB_SERVICE_QUERY_SERVICE_H_
@@ -78,26 +75,17 @@ struct QueryServiceOptions {
   int threads = 4;
   /// Workers a single Query() fans out over; 0 means one per thread.
   int shards_per_query = 0;
-  /// Morsels carved per worker. Over-decomposition is what makes the
-  /// shared claim cursor balance skew: with ~4 morsels per worker, a
-  /// worker that lands on a giant tree holds one morsel while the others
-  /// pull the remaining 4w-1. 1 degenerates to static even-row shards.
-  int morsels_per_thread = 4;
   /// Prepared plans kept by each session's LRU cache.
   size_t plan_cache_capacity = 256;
   sql::ExecOptions exec;
   /// Unnest positive predicates into the main join (see plan/compile.h).
   bool unnest_predicates = true;
-  /// Compile through the SQL text round trip (the paper's full loop) when
-  /// preparing a plan. The plans are identical either way (tested); the
-  /// round trip costs a parse per cache miss.
-  bool via_sql_text = false;
   /// Adaptive sharding: a query whose root-variable cardinality estimate
   /// falls below this many rows runs serially — fanning a tiny query out
   /// costs more than it saves. Also sizes the smallest morsel the planner
-  /// will carve (adaptive_serial_rows / morsels_per_thread rows). 0
-  /// disables both heuristics (always fan out when the pool allows, carve
-  /// down to single-tree morsels).
+  /// will carve (adaptive_serial_rows / 4 rows, 4 being the morsels
+  /// carved per worker). 0 disables both heuristics (always fan out when
+  /// the pool allows, carve down to single-tree morsels).
   size_t adaptive_serial_rows = 4096;
 };
 
@@ -121,9 +109,9 @@ struct ServiceStats {
   uint64_t wal_bytes = 0;        ///< payload bytes of those records
   uint64_t replayed_batches = 0; ///< WAL batches recovered on attach/open
   uint64_t checkpoints = 0;      ///< WAL truncations after compaction
-  /// Batch members answered by another member's execution: same-structure
-  /// queries in one QueryBatch call coalesce to a single execution fanned
-  /// out to all of them.
+  /// Batch members answered by another member's execution: members of one
+  /// QueryBatch call that normalize to the same text coalesce to a single
+  /// execution fanned out to all of them.
   uint64_t batch_coalesced = 0;
   PlanCache::Stats cache;        ///< current session's cache (reset by swap)
   sql::ExecStats exec;           ///< summed over all queries and shards
@@ -276,17 +264,13 @@ class QueryService {
 
   /// Plan lookup returning the shared cache entry (one prepared plan per
   /// source); the entry is always positive — errors surface as the
-  /// Status. Resolution order: text front map, then structural fingerprint
-  /// (respellings bind to the existing entry without a sql::Prepare), then
-  /// a full prepare published via Put.
+  /// Status. A miss compiles and prepares under its text's stripe of
+  /// prepare_mu_ and publishes via Put.
   Result<CachedPlanPtr> GetPlanIn(const Session& session,
                                   const std::string& query);
-  /// Parse + compile (+ optional SQL text round trip) of normalized text.
-  Result<ExecPlan> CompileQuery(const Session& session,
-                                const std::string& normalized);
-  /// sql::Prepare per source.
-  Result<CachedPlan> PrepareCompiled(const Session& session,
-                                     const ExecPlan& compiled);
+  /// Parse + compile of normalized text, then sql::Prepare per source.
+  Result<CachedPlan> PrepareText(const Session& session,
+                                 const std::string& normalized);
   /// Fills `out` (room for 2) with the query's executable sources; returns
   /// the count (1, or 2 for a chain).
   static int CollectSources(const Session& session, const CachedPlan& planned,
@@ -342,9 +326,9 @@ class QueryService {
   mutable std::mutex session_mu_;
   SessionPtr session_;
 
-  /// Cache misses prepare under the stripe of their plan fingerprint (see
-  /// GetPlanIn), so one structure is prepared once however many spellings
-  /// of it miss at the same time.
+  /// Cache misses prepare under the stripe of their normalized text (see
+  /// GetPlanIn), so one text is prepared once however many clients miss
+  /// it at the same time.
   std::array<std::mutex, 16> prepare_mu_;
 
   mutable std::mutex stats_mu_;

@@ -6,7 +6,6 @@
 #include <limits>
 #include <set>
 
-#include "sql/fingerprint.h"
 
 namespace lpath {
 namespace sql {
@@ -454,20 +453,12 @@ Result<std::unique_ptr<PreparedPlan>> Prepare(const ExecPlan& plan,
                                               const NodeRelation& rel,
                                               const ExecOptions& options) {
   g_prepare_calls.fetch_add(1, std::memory_order_relaxed);
-  // Fingerprint the unresolved input: the value is corpus-independent, so
-  // a plan cache can recognize this structure no matter which relation the
-  // entry was prepared against.
-  const uint64_t fingerprint = PlanFingerprint(plan);
   ExecPlan resolved = plan.Clone();
   NormalizeOrientation(&resolved);
   bool always_empty = false;
   LPATH_RETURN_IF_ERROR(
       ResolveLiterals(&resolved, rel.interner(), &always_empty));
-  LPATH_ASSIGN_OR_RETURN(
-      std::unique_ptr<PreparedPlan> pp,
-      PrepareResolved(std::move(resolved), rel, options, always_empty));
-  pp->fingerprint = fingerprint;
-  return pp;
+  return PrepareResolved(std::move(resolved), rel, options, always_empty);
 }
 
 uint64_t PrepareCallCount() {

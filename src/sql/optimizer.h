@@ -62,11 +62,6 @@ struct PreparedPlan {
   /// Prepared subplans for every kExists node in the filters.
   std::unordered_map<const BoolExpr*, std::unique_ptr<PreparedPlan>> subs;
 
-  /// Structural fingerprint of the *input* (unresolved) plan — see
-  /// sql/fingerprint.h. Corpus-independent: the same value for this plan
-  /// prepared against any relation, so it can key a cross-source cache.
-  uint64_t fingerprint = 0;
-
   /// True if some conjunct can never hold (e.g. name = unknown tag).
   bool always_empty = false;
 

@@ -1,14 +1,19 @@
 // QueryService tests: the serving layer must be a drop-in equivalent of
 // the serial LPathEngine (differential over the fuzz corpus/generator with
-// a 4-thread pool), the plan cache must hit on normalized respellings and
-// evict LRU, and concurrent clients must see consistent results and stats.
+// a 4-thread pool, base-only and base+delta chains), the plan cache must
+// hit on normalized respellings and evict LRU, concurrent misses of one
+// text must prepare once, QueryBatch must coalesce members of one text,
+// and concurrent clients must see consistent results and stats.
 // This suite runs under ThreadSanitizer in CI.
 
 #include "service/query_service.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <barrier>
+#include <cctype>
 #include <memory>
 #include <string>
 #include <thread>
@@ -17,8 +22,8 @@
 #include "lpath/engines.h"
 #include "plan/exec_plan.h"
 #include "service/plan_cache.h"
-#include "sql/fingerprint.h"
 #include "service/thread_pool.h"
+#include "sql/optimizer.h"
 #include "test_util.h"
 
 namespace lpath {
@@ -91,49 +96,81 @@ TEST(PlanCacheTest, NormalizePreservesQuotedLiterals) {
 
 namespace {
 
-// A structurally distinct plan per tag: one variable whose name column is
-// pinned to a tag-specific literal.
-ExecPlan TaggedPlan(const std::string& tag) {
-  ExecPlan plan;
-  plan.num_vars = 1;
-  Conjunct c;
-  c.lhs = Operand::Column(0, PlanCol::kName);
-  c.rhs = Operand::String(tag);
-  plan.conjuncts.push_back(std::move(c));
-  return plan;
-}
-
-service::CachedPlanPtr MakeBundle(uint64_t fp) {
+service::CachedPlanPtr MakeBundle() {
   auto entry = std::make_shared<service::CachedPlan>();
-  entry->fingerprint = fp;
   entry->plan = std::make_shared<sql::PreparedPlan>();
   return entry;
+}
+
+SnapshotPtr MustBuild(Corpus corpus) {
+  Result<SnapshotPtr> snap = CorpusSnapshot::Build(std::move(corpus));
+  EXPECT_TRUE(snap.ok()) << snap.status().ToString();
+  return std::move(snap).value();
+}
+
+/// A base snapshot with one appended delta (a two-source chain).
+SnapshotPtr MustBuildChain(uint64_t seed) {
+  Result<SnapshotPtr> chain = MustBuild(testing::RandomCorpus(seed, 18))
+                                  ->Append(testing::RandomCorpus(seed + 1, 9));
+  EXPECT_TRUE(chain.ok()) << chain.status().ToString();
+  return std::move(chain).value();
+}
+
+/// Respells `q` by single-quoting every maximal letter run that starts
+/// uppercase. The fuzz grammar (test_util.h) draws tags from a capitalized
+/// alphabet and everything else (axes, keywords, @lex words) lowercase, so
+/// this quotes exactly the node tests — a different normalized text with
+/// the same answer.
+std::string QuoteTags(const std::string& q) {
+  std::string out;
+  size_t i = 0;
+  while (i < q.size()) {
+    if (std::isupper(static_cast<unsigned char>(q[i]))) {
+      size_t j = i;
+      while (j < q.size() &&
+             std::isalpha(static_cast<unsigned char>(q[j]))) {
+        ++j;
+      }
+      out += '\'';
+      out.append(q, i, j - i);
+      out += '\'';
+      i = j;
+    } else {
+      out += q[i++];
+    }
+  }
+  return out;
+}
+
+std::vector<std::string> FuzzQueries(uint64_t seed, int n) {
+  Rng rng(seed);
+  QueryGen gen(&rng);
+  std::vector<std::string> queries;
+  for (int i = 0; i < n; ++i) queries.push_back(gen.Query());
+  return queries;
 }
 
 }  // namespace
 
 TEST(PlanCacheTest, LruEvictsOldestAndCountsStats) {
   service::PlanCache cache(2);
-  auto put = [&cache](const std::string& key) {
-    ExecPlan rep = TaggedPlan(key);
-    const uint64_t fp = sql::PlanFingerprint(rep);
-    cache.Put(key, fp, std::move(rep), MakeBundle(fp));
-  };
   EXPECT_EQ(cache.Get("a"), nullptr);
-  put("a");
-  put("b");
+  cache.Put("a", MakeBundle());
+  cache.Put("b", MakeBundle());
   EXPECT_NE(cache.Get("a"), nullptr);  // "a" now most recent
-  put("c");                            // evicts "b"
+  cache.Put("c", MakeBundle());        // evicts "b"
   EXPECT_EQ(cache.Get("b"), nullptr);
   EXPECT_NE(cache.Get("a"), nullptr);
   EXPECT_NE(cache.Get("c"), nullptr);
+  // Re-probes after a counted miss count nothing.
+  EXPECT_EQ(cache.Get("b", /*count=*/false), nullptr);
+  EXPECT_NE(cache.Get("c", /*count=*/false), nullptr);
   const service::PlanCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits, 3u);
   EXPECT_EQ(stats.negative_hits, 0u);
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.size, 2u);
-  EXPECT_EQ(stats.texts, 2u);
   EXPECT_EQ(stats.capacity, 2u);
 }
 
@@ -149,50 +186,16 @@ TEST(PlanCacheTest, NegativeEntriesShareTheLruAndCountHits) {
   EXPECT_EQ(stats.negative_hits, 1u);
 }
 
-TEST(PlanCacheTest, RespellingsBindToOneEntryByFingerprint) {
-  service::PlanCache cache(4);
-  ExecPlan rep = TaggedPlan("NP");
-  const uint64_t fp = sql::PlanFingerprint(rep);
-  service::CachedPlanPtr first =
-      cache.Put("//NP", fp, rep.Clone(), MakeBundle(fp));
-
-  // A differently spelled query compiling to the same structure binds to
-  // the existing entry without a Put.
-  ExecPlan respelled = TaggedPlan("NP");
-  service::CachedPlanPtr shared =
-      cache.GetByFingerprint("//'NP'", fp, respelled);
-  ASSERT_NE(shared, nullptr);
-  EXPECT_EQ(shared.get(), first.get());
-  // And the spelling is now a front-map hit.
-  EXPECT_EQ(cache.Get("//'NP'").get(), first.get());
-
-  // A genuinely different plan presented under the same hash is refused.
-  ExecPlan other = TaggedPlan("VP");
-  EXPECT_EQ(cache.GetByFingerprint("//VP", fp, other), nullptr);
-
-  const service::PlanCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.shared_prepare_hits, 1u);
-  EXPECT_EQ(stats.fingerprint_collisions, 1u);
-  EXPECT_EQ(stats.size, 1u);
-  EXPECT_EQ(stats.texts, 2u);
-  EXPECT_EQ(stats.fingerprints, 1u);
-}
-
 TEST(PlanCacheTest, RacingPutAdoptsThePublishedEntry) {
   service::PlanCache cache(4);
-  ExecPlan rep = TaggedPlan("NP");
-  const uint64_t fp = sql::PlanFingerprint(rep);
-  service::CachedPlanPtr winner =
-      cache.Put("//NP", fp, rep.Clone(), MakeBundle(fp));
+  service::CachedPlanPtr winner = cache.Put("//NP", MakeBundle());
   // Same text raced: the loser's bundle is dropped, the winner returned.
-  service::CachedPlanPtr same_text =
-      cache.Put("//NP", fp, rep.Clone(), MakeBundle(fp));
+  service::CachedPlanPtr same_text = cache.Put("//NP", MakeBundle());
   EXPECT_EQ(same_text.get(), winner.get());
-  // Different text, structurally equal plan: bound to the same entry.
-  service::CachedPlanPtr same_structure =
-      cache.Put("//'NP'", fp, rep.Clone(), MakeBundle(fp));
-  EXPECT_EQ(same_structure.get(), winner.get());
-  EXPECT_EQ(cache.stats().size, 1u);
+  // A different text gets its own entry, whatever its plan.
+  service::CachedPlanPtr other_text = cache.Put("//'NP'", MakeBundle());
+  EXPECT_NE(other_text.get(), winner.get());
+  EXPECT_EQ(cache.stats().size, 2u);
 }
 
 class QueryServiceTest : public ::testing::Test {
@@ -375,24 +378,6 @@ TEST_F(QueryServiceTest, UpdateSnapshotServesTheNewCorpus) {
   EXPECT_EQ(service->Stats().cache.misses, 1u);
 }
 
-TEST_F(QueryServiceTest, ViaSqlTextPreparesIdenticalResults) {
-  service::QueryServiceOptions direct;
-  service::QueryServiceOptions roundtrip;
-  roundtrip.via_sql_text = true;
-  auto a = MakeService(direct);
-  auto b = MakeService(roundtrip);
-  Rng rng(5150);
-  QueryGen gen(&rng);
-  for (int i = 0; i < 40; ++i) {
-    const std::string q = gen.Query();
-    Result<QueryResult> ra = a->Query(q);
-    Result<QueryResult> rb = b->Query(q);
-    ASSERT_TRUE(ra.ok()) << q;
-    ASSERT_TRUE(rb.ok()) << q;
-    ASSERT_EQ(ra.value(), rb.value()) << "query: " << q;
-  }
-}
-
 TEST_F(QueryServiceTest, ConcurrentClientsSeeConsistentResults) {
   service::QueryServiceOptions opts;
   opts.threads = 4;
@@ -443,6 +428,168 @@ TEST_F(QueryServiceTest, ConcurrentClientsSeeConsistentResults) {
   const service::ServiceStats stats = service->Stats();
   EXPECT_GT(stats.queries, static_cast<uint64_t>(kClients * 50));
   EXPECT_GT(stats.cache.evictions, 0u);
+}
+
+TEST_F(QueryServiceTest, ConcurrentMissesOfOneTextPrepareOnce) {
+  // Eight clients released together miss one new text per round: the
+  // text's prepare stripe lets exactly one of them prepare (one
+  // sql::Prepare per source), and every query counts exactly one cache hit
+  // or miss.
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 20;
+  for (SnapshotPtr snap : {snap_, MustBuildChain(4711)}) {
+    const uint64_t sources = snap->has_delta() ? 2 : 1;
+    service::QueryServiceOptions opts;
+    opts.threads = 2;
+    service::QueryService service(snap, opts);
+    std::barrier sync(kThreads);
+    std::atomic<int> failures{0};
+    const uint64_t before = sql::PrepareCallCount();
+    std::vector<std::thread> clients;
+    for (int t = 0; t < kThreads; ++t) {
+      clients.emplace_back([&] {
+        for (int round = 0; round < kRounds; ++round) {
+          std::string q = "//NP[@lex='w";
+          q += std::to_string(round);
+          q += "' or //N]";
+          sync.arrive_and_wait();
+          if (!service.Query(q).ok()) failures.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(sql::PrepareCallCount() - before, sources * kRounds);
+    const service::ServiceStats stats = service.Stats();
+    EXPECT_EQ(stats.cache.hits + stats.cache.misses,
+              static_cast<uint64_t>(kThreads * kRounds));
+    EXPECT_GE(stats.cache.misses, static_cast<uint64_t>(kRounds));
+    EXPECT_EQ(stats.cache.size, static_cast<size_t>(kRounds));
+  }
+}
+
+TEST_F(QueryServiceTest, QueryBatchCoalescesSameTextMembers) {
+  auto service = MakeService();
+  const std::vector<std::string> batch = {
+      "//NP[@lex='saw' or //N]",         // text A
+      "  //NP[@lex='saw'   or //N]\t",   // text A (normalizes equal)
+      "//'NP'[@lex='saw' or //N]",       // text C: same answer, own group
+      "//S//VP",                         // text B
+      "\n//S//VP ",                      // text B (normalizes equal)
+      "//]broken",                       // parse error
+  };
+  const uint64_t before = sql::PrepareCallCount();
+  std::vector<Result<QueryResult>> results = service->QueryBatch(batch);
+  ASSERT_EQ(results.size(), batch.size());
+  // Three distinct valid texts -> three prepares, regardless of six members.
+  EXPECT_EQ(sql::PrepareCallCount() - before, 3u);
+  for (int i : {0, 1, 2, 3, 4}) {
+    ASSERT_TRUE(results[i].ok()) << batch[i];
+  }
+  EXPECT_EQ(results[1].value(), results[0].value());
+  EXPECT_EQ(results[2].value(), results[0].value());
+  EXPECT_EQ(results[4].value(), results[3].value());
+  EXPECT_FALSE(results[5].ok());
+  // Texts A and B coalesced one member each; C ran alone and the error
+  // member never runs.
+  const service::ServiceStats stats = service->Stats();
+  EXPECT_EQ(stats.batch_coalesced, 2u);
+  EXPECT_EQ(stats.queries, batch.size());
+  EXPECT_EQ(stats.errors, 1u);
+}
+
+TEST_F(QueryServiceTest, FailedBatchMembersRecordTheirResolveTime) {
+  // A member whose text fails to resolve is recorded at the time its
+  // resolution took, as the same failure through Query() is — never as a
+  // 0 ms sample.
+  auto service = MakeService();
+  const std::vector<std::string> batch = {"///[[", "//]broken", "///[["};
+  std::vector<Result<QueryResult>> results = service->QueryBatch(batch);
+  for (const Result<QueryResult>& r : results) EXPECT_FALSE(r.ok());
+  const service::ServiceStats stats = service->Stats();
+  EXPECT_EQ(stats.queries, batch.size());
+  EXPECT_EQ(stats.errors, batch.size());
+  EXPECT_EQ(stats.latency.samples, batch.size());
+  EXPECT_GT(stats.total_seconds, 0.0);
+}
+
+// The suite names below are kept from before the plan cache became one
+// level, so their test ids stay stable.
+
+TEST(FingerprintServiceTest, SharedExistsSubtreeAnswersMatchReference) {
+  // `//_[...]` and `//NP[...]` carry structurally identical EXISTS
+  // subtrees under different top-level plans. Each plan evaluates its
+  // subqueries itself, and both must match the reference engine; the
+  // narrow plan's rows are the NP rows of the wide plan's.
+  SnapshotPtr snap = MustBuild(testing::RandomCorpus(55, 26));
+  auto service = std::make_unique<service::QueryService>(snap);
+  LPathEngine reference(snap->relation());
+  const std::string wide = "//_[//N or @lex='zzzunknown']";
+  const std::string narrow = "//NP[//N or @lex='zzzunknown']";
+  Result<QueryResult> wide_rows = service->Query(wide);
+  Result<QueryResult> narrow_rows = service->Query(narrow);
+  ASSERT_TRUE(wide_rows.ok()) << wide_rows.status();
+  ASSERT_TRUE(narrow_rows.ok()) << narrow_rows.status();
+  Result<QueryResult> wide_ref = reference.Run(wide);
+  Result<QueryResult> narrow_ref = reference.Run(narrow);
+  ASSERT_TRUE(wide_ref.ok());
+  ASSERT_TRUE(narrow_ref.ok());
+  EXPECT_EQ(wide_rows.value(), wide_ref.value());
+  EXPECT_EQ(narrow_rows.value(), narrow_ref.value());
+  ASSERT_GT(narrow_rows->count(), 0u);
+  EXPECT_LT(narrow_rows->count(), wide_rows->count());
+  EXPECT_TRUE(std::includes(wide_rows->hits.begin(), wide_rows->hits.end(),
+                            narrow_rows->hits.begin(),
+                            narrow_rows->hits.end()));
+}
+
+/// Runs `queries` through `service` twice — original spelling, then the
+/// quoted respelling (a distinct text, prepared on its own) — and checks
+/// both against `reference`.
+void RunRespellingDifferential(service::QueryService& service,
+                               LPathEngine& reference,
+                               const std::vector<std::string>& queries) {
+  for (const std::string& q : queries) {
+    Result<QueryResult> expected = reference.Run(q);
+    ASSERT_TRUE(expected.ok()) << q << " -> " << expected.status();
+    Result<QueryResult> verbatim = service.Query(q);
+    ASSERT_TRUE(verbatim.ok()) << q << " -> " << verbatim.status();
+    ASSERT_EQ(verbatim.value(), expected.value()) << q;
+    const std::string respelled = QuoteTags(q);
+    Result<QueryResult> quoted = service.Query(respelled);
+    ASSERT_TRUE(quoted.ok()) << respelled << " -> " << quoted.status();
+    ASSERT_EQ(quoted.value(), expected.value()) << respelled;
+  }
+}
+
+TEST(FingerprintDifferentialTest, BaseOnly150Queries) {
+  SnapshotPtr snap = MustBuild(testing::RandomCorpus(2026, 24));
+  service::QueryServiceOptions opts;
+  opts.threads = 4;
+  opts.adaptive_serial_rows = 0;  // exercise the sharded path too
+  service::QueryService service(snap, opts);
+  LPathEngine reference(snap->relation());
+  RunRespellingDifferential(service, reference, FuzzQueries(808, 150));
+}
+
+TEST(FingerprintDifferentialTest, BaseDeltaChain150Queries) {
+  // The chain prepares every text twice (base + delta dictionaries), and
+  // the rebuilt-combined corpus is the ground truth.
+  Corpus base = testing::RandomCorpus(17, 18);
+  Corpus combined;
+  combined.ResetInterner(base.interner().Clone());
+  combined.AppendFrom(base);
+  combined.AppendFrom(testing::RandomCorpus(18, 9));
+  SnapshotPtr base_snap = MustBuild(std::move(base));
+  Result<SnapshotPtr> chain =
+      base_snap->Append(testing::RandomCorpus(18, 9));
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  ASSERT_TRUE((*chain)->has_delta());
+  SnapshotPtr reference_snap = MustBuild(std::move(combined));
+
+  service::QueryService service(*chain);
+  LPathEngine reference(reference_snap->relation());
+  RunRespellingDifferential(service, reference, FuzzQueries(909, 150));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Documentation consistency gate (CI: the "docs link-check" step).
 #
-# Three checks, all grep-based so the gate needs nothing beyond POSIX sh:
+# Four checks, all grep-based so the gate needs nothing beyond POSIX sh:
 #
 #   1. Every relative markdown link in README.md and docs/*.md must point
 #      at a file or directory that exists (anchors and external URLs are
@@ -16,6 +16,10 @@
 #      field declared in src/sql/executor.h, and its executor table names
 #      no counter that struct no longer declares. Catches new counters
 #      that skip the glossary and stale rows for deleted ones.
+#
+#   4. The OPERATIONS.md service table names every service::PlanCache::Stats
+#      field declared in src/service/plan_cache.h as `cache.<field>`, and
+#      no cache.<field> that struct no longer declares. Same purpose as 3.
 #
 # Exits nonzero listing every violation. Run from the repository root.
 set -u
@@ -95,6 +99,38 @@ if [ -f "$stats_header" ] && [ -f "$ops" ]; then
   for row in $rows; do
     if ! printf '%s\n' "$fields" | grep -qx "$row"; then
       say "STALE: $ops glossary names $row, which ExecStats does not declare"
+      fail=1
+    fi
+  done
+fi
+
+# --- 4. OPERATIONS.md service table matches PlanCache::Stats -------------
+
+cache_header=src/service/plan_cache.h
+if [ -f "$cache_header" ] && [ -f "$ops" ]; then
+  # Fields: the "    uint64_t name = 0;" / "    size_t name = 0;" members
+  # of the nested struct.
+  fields=$(awk '/^  struct Stats \{/,/^  \};/' "$cache_header" |
+           grep -o '^    [a-z0-9_]* [a-z_]* =' | awk '{print $2}')
+  # Every cache.<field> the service table names: from its
+  # "### Service (`service::ServiceStats`" heading to the next heading.
+  rows=$(awk '/^### Service \(`service::ServiceStats`/ {on=1; next}
+              /^#/ {on=0}
+              on && /^\| `/ {print}' "$ops" |
+         grep -o 'cache\.[a-z_]*' | sed 's/^cache\.//' | sort -u)
+  if [ -z "$fields" ] || [ -z "$rows" ]; then
+    say "MISSING: PlanCache::Stats fields in $cache_header or cache.* rows in $ops"
+    fail=1
+  fi
+  for field in $fields; do
+    if ! printf '%s\n' "$rows" | grep -qx "$field"; then
+      say "UNDOCUMENTED: PlanCache::Stats::$field has no cache.$field row in $ops"
+      fail=1
+    fi
+  done
+  for row in $rows; do
+    if ! printf '%s\n' "$fields" | grep -qx "$row"; then
+      say "STALE: $ops names cache.$row, which PlanCache::Stats does not declare"
       fail=1
     fi
   done
