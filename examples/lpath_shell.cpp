@@ -12,7 +12,8 @@
 // Commands:
 //   <lpath query>      evaluate (shard-parallel) and print matches
 //   .sql <query>       show the SQL translation (what goes to the RDBMS)
-//   .plan <query>      show the execution plan IR
+//   .plan <query>      show the execution plan IR and each position's
+//                      access path
 //   .engines <query>   run on all engines that can express it and compare
 //   .stats             corpus statistics (Figure 6a/6b style)
 //   :open NAME FILE    load a bracketed treebank as corpus NAME and use it
@@ -64,7 +65,7 @@ void PrintHelp() {
       "commands:\n"
       "  <lpath query>     e.g. //VP{/VB-->NN}\n"
       "  .sql <query>      show the SQL translation\n"
-      "  .plan <query>     show the execution-plan IR\n"
+      "  .plan <query>     show the execution-plan IR and access paths\n"
       "  .engines <query>  compare the relational and navigational engines\n"
       "  .stats            corpus statistics\n"
       "  :open NAME FILE   load a bracketed treebank as corpus NAME, use it\n"
@@ -442,6 +443,15 @@ int main(int argc, char** argv) {
       Result<ExecPlan> plan = view.lpath->Translate(input.substr(6));
       std::printf("%s\n", plan.ok() ? plan->DebugString().c_str()
                                     : plan.status().ToString().c_str());
+      if (plan.ok() && view.snap != nullptr) {
+        // The access path each position runs on, over the base relation.
+        const NodeRelation& rel = view.snap->relation();
+        Result<std::unique_ptr<sql::PreparedPlan>> pp =
+            sql::Prepare(plan.value(), rel, {});
+        std::printf("%s", pp.ok() ? sql::ExplainAccess(**pp, &rel.interner())
+                                        .c_str()
+                                  : pp.status().ToString().c_str());
+      }
       continue;
     }
     if (StartsWith(input, ".engines ")) {

@@ -100,6 +100,12 @@ void AppendBool(const BoolExpr& e, int indent, std::ostream& os) {
 
 }  // namespace
 
+std::string ConjunctString(const Conjunct& c) {
+  std::ostringstream os;
+  AppendConjunct(c, os);
+  return os.str();
+}
+
 std::unique_ptr<BoolExpr> CloneBoolExpr(const BoolExpr& e) {
   auto out = std::make_unique<BoolExpr>(e.kind);
   if (e.lhs) out->lhs = CloneBoolExpr(*e.lhs);

@@ -93,6 +93,10 @@ struct Conjunct {
   Operand rhs;
 };
 
+/// Debug rendering of a comparison, as DebugString prints it
+/// ("v1.left > v0.left").
+std::string ConjunctString(const Conjunct& c);
+
 struct ExecPlan;
 
 /// Boolean filter tree: comparisons, EXISTS subplans, AND/OR/NOT.
@@ -102,6 +106,9 @@ struct BoolExpr {
   std::unique_ptr<BoolExpr> lhs, rhs;  // kAnd/kOr (both), kNot (lhs)
   Conjunct cmp;                        // kCmp
   std::unique_ptr<ExecPlan> sub;       // kExists
+  /// kExists inside a sql::PreparedPlan's plan: the index of the node's
+  /// prepared subplan in PreparedPlan::subs. -1 elsewhere (Clone resets).
+  int sub_slot = -1;
 
   explicit BoolExpr(Kind k) : kind(k) {}
 };

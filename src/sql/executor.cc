@@ -1,7 +1,6 @@
 #include "sql/executor.h"
 
 #include <algorithm>
-#include <array>
 #include <limits>
 #include <memory>
 
@@ -16,8 +15,6 @@ constexpr int32_t kMaxInt = std::numeric_limits<int32_t>::max();
 /// Output rows buffered before the first in-place DISTINCT pass.
 constexpr size_t kMinCompactRows = 4096;
 
-bool IsLocal(const Operand& o) { return !o.is_literal() && !o.is_outer(); }
-
 /// One plan's binding frame; frames chain to parents for correlation.
 struct Frame {
   const PreparedPlan* pp;
@@ -25,19 +22,26 @@ struct Frame {
   const Frame* parent = nullptr;
 };
 
-/// Bounds derived for a variable's columns from checkable conjuncts.
+/// Values of an access path's bounds for the current outer bindings.
 struct Bounds {
-  bool has_tid = false;
-  int32_t tid = 0;
-  bool has_id = false;
   int32_t id = 0;
-  bool has_pid = false;
   int32_t pid = 0;
-  bool has_value = false;
   Symbol value = kNoSymbol;
   int64_t left_lo = kMinInt, left_hi = kMaxInt;    // half-open
   int64_t right_lo = kMinInt, right_hi = kMaxInt;  // half-open
+  /// The range bounds as int32 arguments. Labels lie far inside int32, so
+  /// clamping loses no row.
+  int32_t LeftLo() const { return Clamp(left_lo); }
+  int32_t LeftHi() const { return Clamp(left_hi); }
+  int32_t RightLo() const { return Clamp(right_lo); }
+  int32_t RightHi() const { return Clamp(right_hi); }
+  static int32_t Clamp(int64_t v) {
+    return static_cast<int32_t>(std::clamp<int64_t>(v, kMinInt, kMaxInt));
+  }
 };
+
+/// True when `v` is a value an int32 column can hold.
+bool FitsInt32(int64_t v) { return v >= kMinInt && v <= kMaxInt; }
 
 class Runner {
  public:
@@ -134,7 +138,7 @@ class Runner {
   }
 
   bool EvalExists(Frame& f, const BoolExpr& e) {
-    const PreparedPlan& sub = *f.pp->subs.find(&e)->second;
+    const PreparedPlan& sub = *f.pp->subs[e.sub_slot];
     // Subplans never carry always_empty: their unknown literals resolve to
     // the unsatisfiable sentinel, so an impossible EXISTS enumerates
     // nothing and evaluates to false here.
@@ -152,17 +156,6 @@ class Runner {
     const bool found = Extend(sub_frame, 0, /*out=*/nullptr);
     spare_rows_.push_back(std::move(sub_frame.bound));
     return found;
-  }
-
-  /// Tree `tid`'s slice of run(name), from the slice cache.
-  RowRange TreeSlice(Symbol name, int32_t tid) {
-    SliceEntry& e = slices_[SliceCacheSlot(name, tid)];
-    if (e.name != name || e.tid != tid) {
-      e.name = name;
-      e.tid = tid;
-      e.range = rel_.RunForTree(name, tid);
-    }
-    return e.range;
   }
 
   /// Binds the variable at `pos` and recurses. Returns true if at least one
@@ -193,7 +186,7 @@ class Runner {
       if (stats_ != nullptr) stats_->candidates += 1;
       f.bound[v] = cand;
       bool ok = true;
-      for (const Conjunct& c : pp.conjuncts_at[pos]) {
+      for (const Conjunct& c : pp.access[pos].residual) {
         if (!EvalConjunct(f, c)) {
           ok = false;
           break;
@@ -222,244 +215,183 @@ class Runner {
       return false;
     };
 
-    ForEachCandidate(f, pos, v, try_candidate);
+    ForEachCandidate(f, pos, try_candidate);
     f.bound[v] = kNoRow;
     return found_any;
   }
 
-  /// Derives bounds on var `v`'s columns from the conjuncts checkable at
-  /// `pos` whose other side is already bound.
-  Bounds DeriveBounds(const Frame& f, int pos, int v) const {
-    Bounds b;
-    for (const Conjunct& c : f.pp->conjuncts_at[pos]) {
-      if (!IsLocal(c.lhs) || c.lhs.var != v) continue;
+  /// Evaluates the access path's bounds under the current bindings. False
+  /// when no row can satisfy them: an equality whose value no int32 column
+  /// (or symbol id) holds, or an operand that is unbound, so that the
+  /// conjunct could not hold either.
+  bool DeriveBounds(const Frame& f, const AccessPath& a, Bounds* b) const {
+    for (const Conjunct& c : a.bounds) {
       int64_t rhs;
-      if (!OperandValue(f, c.rhs, &rhs)) continue;
+      if (!OperandValue(f, c.rhs, &rhs)) return false;
       switch (c.lhs.col) {
-        case PlanCol::kTid:
-          if (c.op == CmpOp::kEq) {
-            b.has_tid = true;
-            b.tid = static_cast<int32_t>(rhs);
-          }
-          break;
         case PlanCol::kId:
-          if (c.op == CmpOp::kEq) {
-            b.has_id = true;
-            b.id = static_cast<int32_t>(rhs);
-          }
+          if (!FitsInt32(rhs)) return false;
+          b->id = static_cast<int32_t>(rhs);
           break;
         case PlanCol::kPid:
-          if (c.op == CmpOp::kEq) {
-            b.has_pid = true;
-            b.pid = static_cast<int32_t>(rhs);
-          }
+          if (!FitsInt32(rhs)) return false;
+          b->pid = static_cast<int32_t>(rhs);
           break;
         case PlanCol::kValue:
-          if (c.op == CmpOp::kEq) {
-            b.has_value = true;
-            b.value = static_cast<Symbol>(rhs);
+          if (rhs < 0 || rhs > std::numeric_limits<Symbol>::max()) {
+            return false;
           }
+          b->value = static_cast<Symbol>(rhs);
           break;
         case PlanCol::kLeft:
-          switch (c.op) {
-            case CmpOp::kEq:
-              b.left_lo = std::max(b.left_lo, rhs);
-              b.left_hi = std::min(b.left_hi, rhs + 1);
-              break;
-            case CmpOp::kGe: b.left_lo = std::max(b.left_lo, rhs); break;
-            case CmpOp::kGt: b.left_lo = std::max(b.left_lo, rhs + 1); break;
-            case CmpOp::kLe: b.left_hi = std::min(b.left_hi, rhs + 1); break;
-            case CmpOp::kLt: b.left_hi = std::min(b.left_hi, rhs); break;
-            default: break;
-          }
+          Narrow(c.op, rhs, &b->left_lo, &b->left_hi);
           break;
         case PlanCol::kRight:
-          switch (c.op) {
-            case CmpOp::kEq:
-              b.right_lo = std::max(b.right_lo, rhs);
-              b.right_hi = std::min(b.right_hi, rhs + 1);
-              break;
-            case CmpOp::kGe: b.right_lo = std::max(b.right_lo, rhs); break;
-            case CmpOp::kGt: b.right_lo = std::max(b.right_lo, rhs + 1); break;
-            case CmpOp::kLe: b.right_hi = std::min(b.right_hi, rhs + 1); break;
-            case CmpOp::kLt: b.right_hi = std::min(b.right_hi, rhs); break;
-            default: break;
-          }
+          Narrow(c.op, rhs, &b->right_lo, &b->right_hi);
           break;
         default:
           break;
       }
     }
-    return b;
+    return true;
   }
 
-  /// Static facts for variable v: name / kind equality with literals.
-  void StaticFacts(const PreparedPlan& pp, int v, Symbol* name,
-                   int* kind) const {
-    *name = kNoSymbol;
-    *kind = -1;
-    for (const Conjunct& c : pp.plan.conjuncts) {
-      if (!IsLocal(c.lhs) || c.lhs.var != v) continue;
-      if (!c.rhs.is_literal() || c.op != CmpOp::kEq) continue;
-      if (c.lhs.col == PlanCol::kName) *name = static_cast<Symbol>(c.rhs.num);
-      if (c.lhs.col == PlanCol::kKind) *kind = static_cast<int>(c.rhs.num);
+  /// Intersects the half-open range [*lo, *hi) with `col op rhs`.
+  static void Narrow(CmpOp op, int64_t rhs, int64_t* lo, int64_t* hi) {
+    switch (op) {
+      case CmpOp::kEq:
+        *lo = std::max(*lo, rhs);
+        *hi = std::min(*hi, rhs + 1);
+        break;
+      case CmpOp::kGe: *lo = std::max(*lo, rhs); break;
+      case CmpOp::kGt: *lo = std::max(*lo, rhs + 1); break;
+      case CmpOp::kLe: *hi = std::min(*hi, rhs + 1); break;
+      case CmpOp::kLt: *hi = std::min(*hi, rhs); break;
+      case CmpOp::kNe: break;
     }
   }
 
+  /// Calls fn(row) for every candidate row of position `pos`, along the
+  /// path the optimizer chose, until fn returns true.
   template <typename Fn>
-  void ForEachCandidate(const Frame& f, int pos, int v, Fn&& fn) {
-    const PreparedPlan& pp = *f.pp;
-    Symbol name;
-    int kind;
-    StaticFacts(pp, v, &name, &kind);
-    Bounds b = DeriveBounds(f, pos, v);
-
-    // No direct tid conjunct available yet? Derive the tree through v's tid
-    // equivalence class: any bound class member, or the class's outer
-    // correlation, pins the tree.
-    if (!b.has_tid) {
-      const int cls = pp.tid_class[v];
-      for (int u = 0; u < static_cast<int>(f.bound.size()) && !b.has_tid;
-           ++u) {
-        if (u != v && pp.tid_class[u] == cls && f.bound[u] != kNoRow) {
-          b.has_tid = true;
-          b.tid = rel_.tid(f.bound[u]);
-        }
-      }
-      if (!b.has_tid && pp.class_has_outer[cls]) {
-        int64_t tid_value = 0;
-        if (OperandValue(f, pp.class_outer_tid[cls], &tid_value)) {
-          b.has_tid = true;
-          b.tid = static_cast<int32_t>(tid_value);
-        }
-      }
-    }
-
+  void ForEachCandidate(const Frame& f, int pos, Fn&& fn) {
+    using Kind = AccessPath::Kind;
+    const AccessPath& a = f.pp->access[pos];
     // Shard constraint: only the root plan's first variable is clamped to
     // the shard's tid slice; every path below inherits the restriction
-    // through the tid links. tids are non-negative, so the unsharded
-    // [0, kMaxInt) defaults are vacuous.
-    const bool sharded = &pp == root_pp_ && pos == 0;
-    const int32_t tid_lo = sharded ? shard_lo_ : 0;
-    const int32_t tid_hi = sharded ? shard_hi_ : kMaxInt;
-    if (b.has_tid && (b.tid < tid_lo || b.tid >= tid_hi)) return;
-
-    const int32_t left_lo =
-        static_cast<int32_t>(std::max<int64_t>(b.left_lo, kMinInt + 1));
-    const int32_t left_hi =
-        static_cast<int32_t>(std::min<int64_t>(b.left_hi, kMaxInt - 1));
-    const int32_t right_lo =
-        static_cast<int32_t>(std::max<int64_t>(b.right_lo, kMinInt + 1));
-    const int32_t right_hi =
-        static_cast<int32_t>(std::min<int64_t>(b.right_hi, kMaxInt - 1));
-    const bool left_bounded = b.left_lo != kMinInt || b.left_hi != kMaxInt;
-    const bool right_bounded = b.right_lo != kMinInt || b.right_hi != kMaxInt;
-
-    // 1. Direct (tid, id) lookup.
-    if (b.has_id && b.has_tid) {
-      if (kind != 0) {
-        for (Row r : rel_.AttrRows(b.tid, b.id)) {
-          if (fn(r)) return;
-        }
-      }
-      if (kind != 1) {
-        const Row r = rel_.ElementRow(b.tid, b.id);
-        if (r != kNoRow && fn(r)) return;
-      }
-      return;
+    // through the tid links.
+    const bool sharded = f.pp == root_pp_ && pos == 0;
+    int32_t tid = 0;
+    if (a.tid_source != AccessPath::TidSource::kNone) {
+      int64_t t;
+      if (!OperandValue(f, a.tid, &t) || t < 0 || t > kMaxInt) return;
+      tid = static_cast<int32_t>(t);
+      if (sharded && (tid < shard_lo_ || tid >= shard_hi_)) return;
     }
-    // 2. Value index. The global index is ordered by (tid, id), so a shard
-    // binary-searches to its first tree and stops at its last.
-    if (b.has_value) {
-      auto rows = b.has_tid ? rel_.ValueRangeForTree(b.value, b.tid)
-                            : rel_.ValueRange(b.value);
-      auto it = rows.begin();
-      if (sharded && !b.has_tid) {
-        it = std::lower_bound(rows.begin(), rows.end(), tid_lo,
-                              [this](Row r, int32_t t) {
-                                return rel_.tid(r) < t;
-                              });
-      }
-      for (; it != rows.end(); ++it) {
-        if (sharded && !b.has_tid && rel_.tid(*it) >= tid_hi) break;
-        if (fn(*it)) return;
-      }
-      return;
-    }
-    // Also use a *static* value fact (value = 'saw' conjunct at this pos is
-    // covered above; a value conjunct scheduled here with literal rhs is in
-    // DeriveBounds already).
+    Bounds b;
+    if (!DeriveBounds(f, a, &b)) return;
+    const int kind = a.node_kind;
 
-    // 3. pid equality (children / siblings).
-    if (b.has_pid && b.has_tid) {
-      if (name != kNoSymbol) {
-        for (Row r : rel_.PidRangeIn(TreeSlice(name, b.tid), b.pid)) {
-          if (fn(r)) return;
-        }
-        return;
-      }
-      if (b.pid == 0) {
-        const Row root = rel_.ElementRow(b.tid, 1);
-        if (root != kNoRow && fn(root)) return;
-        return;
-      }
-      const Row parent = rel_.ElementRow(b.tid, b.pid);
-      if (parent == kNoRow) return;
-      for (Row r : rel_.ElementsInLeftRange(b.tid, rel_.left(parent),
-                                            rel_.right(parent))) {
-        if (rel_.pid(r) == b.pid && fn(r)) return;
-      }
-      return;
-    }
-    // 4. Tag run with ranges. These are the containment / sibling-order /
-    // edge-alignment workhorses: the access path gives a contiguous
-    // clustered slice (or a by-right row list), and the remaining interval
-    // predicates are checked per candidate.
-    if (name != kNoSymbol) {
-      if (b.has_tid) {
-        const RowRange slice = TreeSlice(name, b.tid);
-        if (right_bounded && !left_bounded) {
-          for (Row r : rel_.RightRangeIn(slice, right_lo, right_hi)) {
+    switch (a.kind) {
+      case Kind::kIdLookup:
+        if (kind != 0) {
+          for (Row r : rel_.AttrRows(tid, b.id)) {
             if (fn(r)) return;
           }
+        }
+        if (kind != 1) {
+          const Row r = rel_.ElementRow(tid, b.id);
+          if (r != kNoRow && fn(r)) return;
+        }
+        return;
+      case Kind::kValueIndex: {
+        // The global index is ordered by (tid, id), so a shard
+        // binary-searches to its first tree and stops at its last.
+        const bool in_tree = a.tid_source != AccessPath::TidSource::kNone;
+        auto rows = in_tree ? rel_.ValueRangeForTree(b.value, tid)
+                            : rel_.ValueRange(b.value);
+        auto it = rows.begin();
+        const bool clamp = sharded && !in_tree;
+        if (clamp) {
+          it = std::lower_bound(rows.begin(), rows.end(), shard_lo_,
+                                [this](Row r, int32_t t) {
+                                  return rel_.tid(r) < t;
+                                });
+        }
+        for (; it != rows.end(); ++it) {
+          if (clamp && rel_.tid(*it) >= shard_hi_) break;
+          if (fn(*it)) return;
+        }
+        return;
+      }
+      case Kind::kPidInRun:
+        for (Row r : rel_.PidRangeIn(rel_.RunForTree(a.tag, tid), b.pid)) {
+          if (fn(r)) return;
+        }
+        return;
+      case Kind::kPidWildcard: {
+        if (b.pid == 0) {
+          const Row root = rel_.ElementRow(tid, 1);
+          if (root != kNoRow) fn(root);
           return;
         }
-        const RowRange range =
-            left_bounded ? rel_.LeftRangeIn(slice, left_lo, left_hi) : slice;
+        const Row parent = rel_.ElementRow(tid, b.pid);
+        if (parent == kNoRow) return;
+        for (Row r : rel_.ElementsInLeftRange(tid, rel_.left(parent),
+                                              rel_.right(parent))) {
+          if (rel_.pid(r) == b.pid && fn(r)) return;
+        }
+        return;
+      }
+      case Kind::kRightRange:
+        for (Row r : rel_.RightRangeIn(rel_.RunForTree(a.tag, tid),
+                                       b.RightLo(), b.RightHi())) {
+          if (fn(r)) return;
+        }
+        return;
+      case Kind::kLeftRange:
+      case Kind::kTreeSlice:
+      case Kind::kRun: {
+        RowRange range;
+        if (a.kind == Kind::kRun) {
+          range = sharded ? rel_.RunTidRange(a.tag, shard_lo_, shard_hi_)
+                          : rel_.run(a.tag);
+        } else {
+          range = rel_.RunForTree(a.tag, tid);
+          if (a.kind == Kind::kLeftRange) {
+            range = rel_.LeftRangeIn(range, b.LeftLo(), b.LeftHi());
+          }
+        }
         for (Row r = range.begin; r < range.end; ++r) {
           if (fn(r)) return;
         }
         return;
       }
-      const RowRange range = sharded ? rel_.RunTidRange(name, tid_lo, tid_hi)
-                                     : rel_.run(name);
-      for (Row r = range.begin; r < range.end; ++r) {
-        if (fn(r)) return;
-      }
-      return;
-    }
-    // 5. Wildcard within a tree.
-    if (b.has_tid) {
-      auto rows = left_bounded
-                      ? rel_.ElementsInLeftRange(b.tid, left_lo, left_hi)
-                      : rel_.ElementsOfTree(b.tid);
-      for (Row r : rows) {
-        if (kind != 1 && fn(r)) return;
-        if (kind != 0) {
-          for (Row a : rel_.AttrRows(b.tid, rel_.id(r))) {
-            if (fn(a)) return;
+      case Kind::kTreeWildcard: {
+        auto rows = a.bounds.empty()
+                        ? rel_.ElementsOfTree(tid)
+                        : rel_.ElementsInLeftRange(tid, b.LeftLo(),
+                                                   b.LeftHi());
+        for (Row r : rows) {
+          if (kind != 1 && fn(r)) return;
+          if (kind != 0) {
+            for (Row attr : rel_.AttrRows(tid, rel_.id(r))) {
+              if (fn(attr)) return;
+            }
           }
         }
+        return;
       }
-      return;
-    }
-    // 6. Full scan.
-    for (Row r = 0; r < static_cast<Row>(rel_.row_count()); ++r) {
-      if (sharded && (rel_.tid(r) < tid_lo || rel_.tid(r) >= tid_hi)) {
-        continue;
-      }
-      if (kind >= 0 && static_cast<int>(rel_.kind(r)) != kind) continue;
-      if (fn(r)) return;
+      case Kind::kFullScan:
+        for (Row r = 0; r < static_cast<Row>(rel_.row_count()); ++r) {
+          if (sharded &&
+              (rel_.tid(r) < shard_lo_ || rel_.tid(r) >= shard_hi_)) {
+            continue;
+          }
+          if (kind >= 0 && static_cast<int>(rel_.kind(r)) != kind) continue;
+          if (fn(r)) return;
+        }
+        return;
     }
   }
 
@@ -471,12 +403,6 @@ class Runner {
   int32_t shard_hi_ = kMaxInt;
   size_t compact_at_ = kMinCompactRows;
 
-  struct SliceEntry {
-    Symbol name = kNoSymbol;  ///< never a lookup key: marks an empty slot
-    int32_t tid = 0;
-    RowRange range;
-  };
-  std::array<SliceEntry, kSliceCacheSlots> slices_;
   std::vector<std::vector<Row>> spare_rows_;  ///< released subquery frames
 };
 

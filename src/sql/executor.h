@@ -1,16 +1,17 @@
 // The index-nested-loop executor over storage::NodeRelation.
 //
-// Binds plan variables in the optimizer's order; for each new variable it
-// derives the best available access path from the conjuncts whose other
-// side is already bound — the clustered tag runs, (tid,left)/(tid,right)
-// ranges, the pid and value indexes, or direct (tid,id) lookup — then
-// filters with the remaining conjuncts and boolean filters. Every
-// tree-bound path searches inside one tree's slice of a tag run, which a
-// run-private cache (kSliceCacheSlots entries) keeps at hand. EXISTS
-// subplans run recursively, once per evaluation, with no memo: their probes
-// stay inside the correlated tree, so rerunning one is cheaper than
-// looking its answer up. Output is the DISTINCT (tid, id) set of the
-// output variable.
+// Binds plan variables in the optimizer's order. Each position enumerates
+// its candidates along the access path the optimizer chose for it at
+// prepare time (sql::AccessPath) — the clustered tag runs, (tid,left)/
+// (tid,right) ranges, the pid and value indexes, or direct (tid,id)
+// lookup — evaluating only the path's bounds under the current bindings,
+// then checks each candidate against the path's residual conjuncts and the
+// boolean filters. Every tree-bound path searches inside one tree's slice
+// of a tag run, which the relation's per-tree tag directory serves in
+// O(1). EXISTS subplans run recursively, once per evaluation, with no
+// memo: their probes stay inside the correlated tree, so rerunning one is
+// cheaper than looking its answer up. Output is the DISTINCT (tid, id) set
+// of the output variable.
 
 #ifndef LPATHDB_SQL_EXECUTOR_H_
 #define LPATHDB_SQL_EXECUTOR_H_
@@ -70,20 +71,6 @@ struct ExecStats {
   }
 };
 
-/// Entries of the executor's per-run tree-slice cache: a direct-mapped
-/// table from (tag, tree) to that tree's slice of the tag's run
-/// (NodeRelation::RunForTree). It lives and dies with one run over one
-/// relation, so it needs no invalidation.
-inline constexpr size_t kSliceCacheSlots = 256;
-
-/// The cache slot of (tag, tree): (tag + tree) mod kSliceCacheSlots. A run
-/// visits one tree at a time, whose few tags land in distinct slots; keys
-/// 256 trees or 256 symbol ids apart share one.
-inline size_t SliceCacheSlot(Symbol name, int32_t tid) {
-  return (static_cast<size_t>(name) + static_cast<uint32_t>(tid)) %
-         kSliceCacheSlots;
-}
-
 /// Executes prepared plans. Stateless between calls; one executor can be
 /// shared for many queries against the same relation.
 class PlanExecutor {
@@ -117,7 +104,7 @@ class PlanExecutor {
   /// row lies in its shard's tid range and the shard results are pairwise
   /// disjoint; otherwise the union needs deduplicating. Safe to call
   /// concurrently from many threads with one shared PreparedPlan: each
-  /// call keeps its state, slice cache included, to itself.
+  /// call keeps its state to itself.
   Result<QueryResult> ExecuteShard(const PreparedPlan& pp, int32_t tid_lo,
                                    int32_t tid_hi,
                                    ExecStats* stats = nullptr) const;

@@ -5,7 +5,7 @@
 #include <functional>
 #include <limits>
 #include <set>
-
+#include <sstream>
 
 namespace lpath {
 namespace sql {
@@ -345,9 +345,129 @@ Conjunct Orient(const Conjunct& c, int var_at_pos) {
   return c;
 }
 
+/// Chooses the access path of position `pos`: the executor's index
+/// choice, made once. The order fixes which variables are bound before
+/// `pos`, so the choice depends on no row. `correlated` says whether the
+/// plan is a subplan, whose outer references are bound; `class_outer`
+/// holds each tid class's outer reference (or null).
+AccessPath ChooseAccess(const PreparedPlan& pp, int pos, bool correlated,
+                        const std::vector<const Operand*>& class_outer) {
+  using Kind = AccessPath::Kind;
+  using TidSource = AccessPath::TidSource;
+  const int v = pp.order[pos];
+  const std::vector<Conjunct>& at = pp.conjuncts_at[pos];
+  auto ready = [&](const Operand& o) {
+    if (o.is_literal()) return true;
+    if (o.is_outer()) return correlated;
+    return o.var != v && pp.pos_of[o.var] < pos;
+  };
+
+  // The last literal tag and node-kind equalities, and the conjuncts an
+  // index can search by: the last ready tid/id/pid/value equality and
+  // every ready left/right comparison.
+  AccessPath a;
+  int tag_at = -1, tid_at = -1, id_at = -1, pid_at = -1, value_at = -1;
+  std::vector<int> left_at, right_at;
+  for (int i = 0; i < static_cast<int>(at.size()); ++i) {
+    const Conjunct& c = at[i];
+    if (!IsLocal(c.lhs) || c.lhs.var != v) continue;
+    if (c.rhs.is_literal() && c.op == CmpOp::kEq) {
+      if (c.lhs.col == PlanCol::kName) {
+        a.tag = static_cast<Symbol>(c.rhs.num);
+        tag_at = i;
+      }
+      if (c.lhs.col == PlanCol::kKind) {
+        a.node_kind = static_cast<int>(c.rhs.num);
+      }
+    }
+    if (!ready(c.rhs)) continue;
+    const bool eq = c.op == CmpOp::kEq;
+    switch (c.lhs.col) {
+      case PlanCol::kTid: if (eq) tid_at = i; break;
+      case PlanCol::kId: if (eq) id_at = i; break;
+      case PlanCol::kPid: if (eq) pid_at = i; break;
+      case PlanCol::kValue: if (eq) value_at = i; break;
+      case PlanCol::kLeft:
+        if (c.op != CmpOp::kNe) left_at.push_back(i);
+        break;
+      case PlanCol::kRight:
+        if (c.op != CmpOp::kNe) right_at.push_back(i);
+        break;
+      default: break;
+    }
+  }
+
+  // The tree: a tid equality here, else any earlier member of v's tid
+  // class, else the class's outer reference.
+  if (tid_at >= 0) {
+    a.tid_source = TidSource::kConjunct;
+    a.tid = at[tid_at].rhs;
+  } else {
+    const int cls = pp.tid_class[v];
+    for (int u = 0; u < pp.plan.num_vars; ++u) {
+      if (u != v && pp.tid_class[u] == cls && pp.pos_of[u] < pos) {
+        a.tid_source = TidSource::kClassMember;
+        a.tid = Operand::Column(u, PlanCol::kTid);
+        break;
+      }
+    }
+    if (a.tid_source == TidSource::kNone && correlated &&
+        class_outer[cls] != nullptr) {
+      a.tid_source = TidSource::kClassOuter;
+      a.tid = *class_outer[cls];
+    }
+  }
+  const bool has_tid = a.tid_source != TidSource::kNone;
+
+  std::vector<bool> implied(at.size(), false);
+  auto search_by = [&](int i, bool implies) {
+    a.bounds.push_back(at[i]);
+    implied[i] = implies;
+  };
+  bool by_tag = false;
+  if (id_at >= 0 && has_tid) {
+    a.kind = Kind::kIdLookup;
+    search_by(id_at, true);
+  } else if (value_at >= 0) {
+    a.kind = Kind::kValueIndex;
+    search_by(value_at, true);
+  } else if (pid_at >= 0 && has_tid) {
+    by_tag = a.tag != kNoSymbol;
+    a.kind = by_tag ? Kind::kPidInRun : Kind::kPidWildcard;
+    search_by(pid_at, by_tag);
+  } else if (a.tag != kNoSymbol) {
+    by_tag = true;
+    if (!has_tid) {
+      a.kind = Kind::kRun;
+    } else if (!right_at.empty() && left_at.empty()) {
+      a.kind = Kind::kRightRange;
+      for (int i : right_at) search_by(i, true);
+    } else if (!left_at.empty()) {
+      a.kind = Kind::kLeftRange;
+      for (int i : left_at) search_by(i, true);
+    } else {
+      a.kind = Kind::kTreeSlice;
+    }
+  } else if (has_tid) {
+    a.kind = Kind::kTreeWildcard;
+    for (int i : left_at) search_by(i, false);
+  }
+  // A path on the tag's run implies the tag equality (unless the literal
+  // does not fit a symbol id); every path with a tree implies the tid
+  // equality it took the tree from.
+  if (by_tag && at[tag_at].rhs.num == static_cast<int64_t>(a.tag)) {
+    implied[tag_at] = true;
+  }
+  if (tid_at >= 0) implied[tid_at] = true;
+  for (size_t i = 0; i < at.size(); ++i) {
+    if (!implied[i]) a.residual.push_back(at[i]);
+  }
+  return a;
+}
+
 Result<std::unique_ptr<PreparedPlan>> PrepareResolved(
     ExecPlan plan, const NodeRelation& rel, const ExecOptions& options,
-    bool always_empty) {
+    bool always_empty, bool correlated) {
   auto pp = std::make_unique<PreparedPlan>();
   pp->always_empty = always_empty;
   pp->plan = std::move(plan);
@@ -387,26 +507,27 @@ Result<std::unique_ptr<PreparedPlan>> PrepareResolved(
     }
     pp->tid_class.resize(p.num_vars);
     for (int v = 0; v < p.num_vars; ++v) pp->tid_class[v] = find(v);
-    pp->class_outer_tid.assign(p.num_vars, Operand{});
-    pp->class_has_outer.assign(p.num_vars, 0);
-    for (const Conjunct& c : p.conjuncts) {
-      if (c.op != CmpOp::kEq) continue;
-      if (c.lhs.col != PlanCol::kTid || c.rhs.col != PlanCol::kTid) continue;
-      const Operand* local = nullptr;
-      const Operand* outer = nullptr;
-      if (IsLocal(c.lhs) && c.rhs.is_outer()) {
-        local = &c.lhs;
-        outer = &c.rhs;
-      } else if (IsLocal(c.rhs) && c.lhs.is_outer()) {
-        local = &c.rhs;
-        outer = &c.lhs;
-      } else {
-        continue;
-      }
-      const int cls = pp->tid_class[local->var];
-      pp->class_outer_tid[cls] = *outer;
-      pp->class_has_outer[cls] = 1;
+  }
+  // Per tid class: the last outer reference whose tid the class equals.
+  std::vector<const Operand*> class_outer(p.num_vars, nullptr);
+  for (const Conjunct& c : p.conjuncts) {
+    if (c.op != CmpOp::kEq) continue;
+    if (c.lhs.col != PlanCol::kTid || c.rhs.col != PlanCol::kTid) continue;
+    const Operand* local = nullptr;
+    const Operand* outer = nullptr;
+    if (IsLocal(c.lhs) && c.rhs.is_outer()) {
+      local = &c.lhs;
+      outer = &c.rhs;
+    } else if (IsLocal(c.rhs) && c.lhs.is_outer()) {
+      local = &c.rhs;
+      outer = &c.lhs;
+    } else {
+      continue;
     }
+    class_outer[pp->tid_class[local->var]] = outer;
+  }
+  for (int pos = 0; pos < static_cast<int>(pp->order.size()); ++pos) {
+    pp->access.push_back(ChooseAccess(*pp, pos, correlated, class_outer));
   }
 
   pp->filters_at.resize(std::max(1, p.num_vars));
@@ -419,10 +540,10 @@ Result<std::unique_ptr<PreparedPlan>> PrepareResolved(
   }
 
   // Prepare subplans recursively.
-  std::vector<const BoolExpr*> stack;
-  for (const auto& f : p.filters) stack.push_back(f.get());
+  std::vector<BoolExpr*> stack;
+  for (const auto& f : pp->plan.filters) stack.push_back(f.get());
   while (!stack.empty()) {
-    const BoolExpr* e = stack.back();
+    BoolExpr* e = stack.back();
     stack.pop_back();
     switch (e->kind) {
       case BoolExpr::Kind::kAnd:
@@ -438,8 +559,10 @@ Result<std::unique_ptr<PreparedPlan>> PrepareResolved(
       case BoolExpr::Kind::kExists: {
         LPATH_ASSIGN_OR_RETURN(
             std::unique_ptr<PreparedPlan> sub,
-            PrepareResolved(e->sub->Clone(), rel, options, false));
-        pp->subs.emplace(e, std::move(sub));
+            PrepareResolved(e->sub->Clone(), rel, options,
+                            /*always_empty=*/false, /*correlated=*/true));
+        e->sub_slot = static_cast<int>(pp->subs.size());
+        pp->subs.push_back(std::move(sub));
         break;
       }
     }
@@ -458,7 +581,61 @@ Result<std::unique_ptr<PreparedPlan>> Prepare(const ExecPlan& plan,
   bool always_empty = false;
   LPATH_RETURN_IF_ERROR(
       ResolveLiterals(&resolved, rel.interner(), &always_empty));
-  return PrepareResolved(std::move(resolved), rel, options, always_empty);
+  return PrepareResolved(std::move(resolved), rel, options, always_empty,
+                         /*correlated=*/false);
+}
+
+std::string_view AccessKindName(AccessPath::Kind kind) {
+  using Kind = AccessPath::Kind;
+  switch (kind) {
+    case Kind::kIdLookup: return "id-lookup";
+    case Kind::kValueIndex: return "value-index";
+    case Kind::kPidInRun: return "pid-in-run";
+    case Kind::kPidWildcard: return "pid-wildcard";
+    case Kind::kRightRange: return "right-range";
+    case Kind::kLeftRange: return "left-range";
+    case Kind::kTreeSlice: return "tree-slice";
+    case Kind::kRun: return "run";
+    case Kind::kTreeWildcard: return "tree-wildcard";
+    case Kind::kFullScan: return "full-scan";
+  }
+  return "?";
+}
+
+namespace {
+
+void AppendAccess(const PreparedPlan& pp, const Interner* names, int indent,
+                  std::ostringstream& os) {
+  const std::string pad(indent, ' ');
+  for (size_t pos = 0; pos < pp.access.size(); ++pos) {
+    const AccessPath& a = pp.access[pos];
+    os << pad << 'v' << pp.order[pos] << ' ' << AccessKindName(a.kind)
+       << " tag=";
+    if (a.tag == kNoSymbol) {
+      os << '*';
+    } else if (names != nullptr && a.tag < names->end_id()) {
+      os << names->name(a.tag);
+    } else {
+      os << a.tag;
+    }
+    os << " bounds=" << a.bounds.size() << " residual=[";
+    for (size_t i = 0; i < a.residual.size(); ++i) {
+      os << (i > 0 ? ", " : "") << ConjunctString(a.residual[i]);
+    }
+    os << "]\n";
+  }
+  for (const auto& sub : pp.subs) {
+    os << pad << "exists\n";
+    AppendAccess(*sub, names, indent + 2, os);
+  }
+}
+
+}  // namespace
+
+std::string ExplainAccess(const PreparedPlan& pp, const Interner* names) {
+  std::ostringstream os;
+  AppendAccess(pp, names, 0, os);
+  return os.str();
 }
 
 uint64_t PrepareCallCount() {

@@ -11,13 +11,19 @@
 //      ablation benchmark;
 //   3. conjuncts are oriented (later-bound variable on the left) and
 //      scheduled at the position where they first become checkable;
-//   4. EXISTS subplans are prepared recursively.
+//   4. each position's access path is chosen once (an AccessPath): the
+//      variables bound before it are fixed by the order, so which index
+//      serves it is a static choice. The path keeps the conjuncts it
+//      searches by (`bounds`) apart from the ones it leaves for the
+//      executor to check per candidate (`residual`);
+//   5. EXISTS subplans are prepared recursively.
 
 #ifndef LPATHDB_SQL_OPTIMIZER_H_
 #define LPATHDB_SQL_OPTIMIZER_H_
 
 #include <memory>
-#include <unordered_map>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -42,6 +48,47 @@ struct ExecOptions {
   bool distinct_early_exit = true;
 };
 
+/// How the executor enumerates the candidate rows of one plan position,
+/// chosen at prepare time. Paths that need a tree (every kind but kRun and
+/// kFullScan, and kValueIndex optionally) read it from `tid`.
+struct AccessPath {
+  enum class Kind : uint8_t {
+    kIdLookup,      ///< (tid, id) lookup: the element and its attribute rows
+    kValueIndex,    ///< value index, inside one tree when the tid is known
+    kPidInRun,      ///< pid search inside one tree's slice of the tag's run
+    kPidWildcard,   ///< children of one element (pid 0: the root), any tag
+    kRightRange,    ///< right range inside one tree's slice, by-right order
+    kLeftRange,     ///< left range inside one tree's slice
+    kTreeSlice,     ///< one tree's whole slice of the tag's run
+    kRun,           ///< the tag's run, clamped to a shard's tids at the root
+    kTreeWildcard,  ///< one tree's elements (+ attributes), maybe left-ranged
+    kFullScan,      ///< every row of the relation
+  };
+  /// Where the path's tree comes from.
+  enum class TidSource : uint8_t {
+    kNone,         ///< no tree: kRun, kFullScan or a corpus-wide kValueIndex
+    kConjunct,     ///< a tid equality at this position (implied by the path)
+    kClassMember,  ///< an earlier-bound variable of the same tid class
+    kClassOuter,   ///< the tid class's outer reference (correlated subplan)
+  };
+
+  Kind kind = Kind::kFullScan;
+  Symbol tag = kNoSymbol;  ///< literal name equality, else kNoSymbol
+  int node_kind = -1;      ///< literal kind equality (0/1), else -1
+  TidSource tid_source = TidSource::kNone;
+  Operand tid;  ///< the tree's operand, unless tid_source is kNone
+  /// The id / value / pid equality, or the left or right comparisons, the
+  /// path searches by; their other sides are bound by this position.
+  std::vector<Conjunct> bounds;
+  /// This position's conjuncts the path does not imply, checked for each
+  /// candidate. Implied, and so absent: the tag and tid equalities a path
+  /// enforces, and every bound except on kTreeWildcard.
+  std::vector<Conjunct> residual;
+};
+
+/// Stable name of an access kind ("run", "left-range", ...).
+std::string_view AccessKindName(AccessPath::Kind kind);
+
 /// A plan ready for execution against one NodeRelation. Owns a rewritten
 /// copy of the plan, so it must not outlive the relation (symbols) but is
 /// independent of the original ExecPlan.
@@ -56,11 +103,15 @@ struct PreparedPlan {
   /// (oriented: lhs.var is that variable whenever a local var is involved).
   std::vector<std::vector<Conjunct>> conjuncts_at;
 
+  /// Position p's access path (bounds and residual split conjuncts_at[p]).
+  std::vector<AccessPath> access;
+
   /// Filters evaluable once position p is bound.
   std::vector<std::vector<const BoolExpr*>> filters_at;
 
-  /// Prepared subplans for every kExists node in the filters.
-  std::unordered_map<const BoolExpr*, std::unique_ptr<PreparedPlan>> subs;
+  /// Prepared subplans, one per kExists node of the filters; each node's
+  /// BoolExpr::sub_slot indexes its entry.
+  std::vector<std::unique_ptr<PreparedPlan>> subs;
 
   /// True if some conjunct can never hold (e.g. name = unknown tag).
   bool always_empty = false;
@@ -72,17 +123,13 @@ struct PreparedPlan {
   size_t root_cardinality = 0;
 
   /// tid equivalence classes: variables linked (transitively) by tid
-  /// equality conjuncts share a class, so the executor can derive a
-  /// variable's tree from *any* bound variable in its class — not only
-  /// from the variable its tid conjunct happens to mention. Every variable
-  /// has a class: its entry is the id of the class's representative
-  /// variable (in [0, num_vars)), and a variable with no local tid link is
-  /// its own singleton class.
+  /// equality conjuncts share a class, so an access path can take a
+  /// variable's tree from *any* earlier-bound variable in its class — not
+  /// only from the variable its tid conjunct happens to mention. Every
+  /// variable has a class: its entry is the id of the class's
+  /// representative variable (in [0, num_vars)), and a variable with no
+  /// local tid link is its own singleton class.
   std::vector<int> tid_class;
-  /// Per class: an outer-reference operand whose tid the class equals
-  /// (correlated subplans), or a literal-free invalid operand.
-  std::vector<Operand> class_outer_tid;  ///< indexed by class id
-  std::vector<uint8_t> class_has_outer;
 
   /// True when the output variable shares the root (first-bound)
   /// variable's tid class. A shard clamps the root's tids, so it then
@@ -99,6 +146,13 @@ struct PreparedPlan {
 Result<std::unique_ptr<PreparedPlan>> Prepare(const ExecPlan& plan,
                                               const NodeRelation& rel,
                                               const ExecOptions& options);
+
+/// One line per position of `pp` and, indented below, of its subplans:
+/// the variable, its access kind, its tag (by name when `names` is given,
+/// else by symbol id), the number of bound conjuncts and the residual
+/// conjuncts rendered. The groundwork of an EXPLAIN.
+std::string ExplainAccess(const PreparedPlan& pp,
+                          const Interner* names = nullptr);
 
 /// Process-wide count of top-level Prepare() calls — a test witness for
 /// prepare dedup (N spellings of one structure must prepare once per

@@ -245,6 +245,9 @@ class MappedFile {
 struct MappedBacking {
   std::shared_ptr<MappedFile> file;
   std::array<std::vector<uint32_t>, kRelColEncodable> decoded;
+  // The per-tree tag directory, derived at open (never stored).
+  std::vector<uint32_t> tag_dir_offsets;
+  std::vector<NodeRelation::TagSlice> tag_dir;
 };
 
 /// Image writer over a raw descriptor that checksums everything after the
@@ -733,11 +736,18 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
   };
 
   // --- Index sanity: keep every accessor in bounds over the mapping --------
+  // Well-formed runs partition the rows; bounding their total keeps the
+  // tag directory derived from them within one entry per row.
   const auto runs = SectionSpan<RowRange>(*file, table[kIdxRuns]);
+  uint64_t run_rows = 0;
   for (const RowRange& r : runs) {
     if (r.begin > r.end || r.end > rows) {
       return CorruptionAt(path, "run directory out of bounds");
     }
+    run_rows += r.end - r.begin;
+  }
+  if (run_rows > rows) {
+    return CorruptionAt(path, "run directory covers more rows than exist");
   }
   if (!RowsInBounds(SectionSpan<Row>(*file, table[kIdxByRight]), rows) ||
       !RowsInBounds(SectionSpan<Row>(*file, table[kIdxByPid]), rows) ||
@@ -827,6 +837,7 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
   rel.elem_row_ = SectionSpan<Row>(*file, table[kIdxElemRow]);
   rel.attr_offsets_ = SectionSpan<uint32_t>(*file, table[kIdxAttrOffsets]);
   rel.attr_rows_ = SectionSpan<Row>(*file, table[kIdxAttrRows]);
+  rel.BindTagDirectory(&backing->tag_dir_offsets, &backing->tag_dir);
   rel.backing_ = std::move(backing);
   return rel;
 }

@@ -150,7 +150,9 @@ class ImageIO {
   /// and section bounds, rebuilds the interner into a fresh (tree-less)
   /// corpus, and binds the relation's columns straight into the mapping —
   /// columns the image stores encoded are decoded once into an owned
-  /// arena. Performs no labeling and no sorting: cost is O(file size).
+  /// arena, next to the per-tree tag directory, which two linear passes
+  /// derive from the validated run directory and tid column. Performs no
+  /// labeling and no sorting: cost is O(file size).
   ///
   /// The returned relation's corpus carries the dictionary but no trees —
   /// everything the SQL executor needs, but not the bracketed text

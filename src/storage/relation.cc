@@ -34,6 +34,8 @@ struct ColumnArena {
   std::vector<Row> elem_row;
   std::vector<uint32_t> attr_offsets;
   std::vector<Row> attr_rows;
+  std::vector<uint32_t> tag_dir_offsets;
+  std::vector<NodeRelation::TagSlice> tag_dir;
 };
 
 /// Counts every label+sort build (see NodeRelation::BuildCount).
@@ -248,6 +250,7 @@ Result<NodeRelation> NodeRelation::Build(std::shared_ptr<const Corpus> owned,
   rel.elem_row_ = cols.elem_row;
   rel.attr_offsets_ = cols.attr_offsets;
   rel.attr_rows_ = cols.attr_rows;
+  rel.BindTagDirectory(&cols.tag_dir_offsets, &cols.tag_dir);
   rel.backing_ = std::move(arena);
   return rel;
 }
@@ -433,6 +436,7 @@ Result<NodeRelation> NodeRelation::Merge(const NodeRelation& base,
   rel.elem_row_ = cols.elem_row;
   rel.attr_offsets_ = cols.attr_offsets;
   rel.attr_rows_ = cols.attr_rows;
+  rel.BindTagDirectory(&cols.tag_dir_offsets, &cols.tag_dir);
   rel.backing_ = std::move(arena);
   return rel;
 }
@@ -471,13 +475,55 @@ RowRange NodeRelation::run(Symbol name) const {
   return runs_[name];
 }
 
+void NodeRelation::BindTagDirectory(std::vector<uint32_t>* offsets,
+                                    std::vector<TagSlice>* entries) {
+  // One entry per maximal stretch of equal tids in a run. A well-formed
+  // run holds one stretch per tree; a forged image's run may hold several,
+  // which simply become several entries, each within the run. Tids are
+  // non-negative, so -1 never equals one.
+  //
+  // Counting pass: off[t + 2] counts tree t's entries (branch-free: the
+  // stretches average two rows, so a branch per stretch mispredicts).
+  std::vector<uint32_t>& off = *offsets;
+  off.assign(static_cast<size_t>(tree_count_) + 2, 0);
+  for (const RowRange run : runs_) {
+    int32_t prev = -1;
+    for (Row r = run.begin; r < run.end; ++r) {
+      off[tid_[r] + 2] += tid_[r] != prev;
+      prev = tid_[r];
+    }
+  }
+  for (size_t i = 2; i < off.size(); ++i) off[i] += off[i - 1];
+  // Fill pass, in tag order so each tree's entries come out sorted by tag:
+  // off[t + 1], now tree t's first entry, is its cursor and ends at tree
+  // t + 1's first entry, so the table needs no second array.
+  entries->resize(off.back());
+  for (Symbol s = 0; s < runs_.size(); ++s) {
+    int32_t prev = -1;
+    TagSlice* entry = nullptr;
+    for (Row r = runs_[s].begin; r < runs_[s].end; ++r) {
+      if (tid_[r] != prev) {
+        prev = tid_[r];
+        entry = &(*entries)[off[prev + 1]++];
+        *entry = TagSlice{s, RowRange{r, r}};
+      }
+      entry->rows.end = r + 1;
+    }
+  }
+  off.pop_back();
+  tag_dir_offsets_ = off;
+  tag_dir_ = *entries;
+}
+
 RowRange NodeRelation::RunForTree(Symbol name, int32_t t) const {
-  const RowRange full = run(name);
-  if (full.empty()) return full;
-  const auto tb = tid_.begin();
-  auto lo = std::lower_bound(tb + full.begin, tb + full.end, t);
-  auto hi = std::upper_bound(lo, tb + full.end, t);
-  return RowRange{static_cast<Row>(lo - tb), static_cast<Row>(hi - tb)};
+  if (t < 0 || t >= tree_count_) return RowRange{};
+  const TagSlice* first = tag_dir_.data() + tag_dir_offsets_[t];
+  const TagSlice* last = tag_dir_.data() + tag_dir_offsets_[t + 1];
+  const TagSlice* it =
+      std::lower_bound(first, last, name, [](const TagSlice& e, Symbol s) {
+        return e.name < s;
+      });
+  return it != last && it->name == name ? it->rows : RowRange{};
 }
 
 RowRange NodeRelation::RunTidRange(Symbol name, int32_t tid_lo,
@@ -608,6 +654,8 @@ size_t NodeRelation::MemoryBytes() const {
   bytes += (value_offsets_.size() + tree_base_.size() + attr_offsets_.size()) *
            sizeof(uint32_t);
   bytes += tree_row_prefix_.size() * sizeof(uint64_t);
+  bytes += tag_dir_offsets_.size() * sizeof(uint32_t) +
+           tag_dir_.size() * sizeof(TagSlice);
   return bytes;
 }
 

@@ -9,11 +9,16 @@
 //
 // Access paths exposed here are what the SQL executor uses:
 //   - a per-tag "run" (contiguous, sorted by tid,left,right,depth,id);
-//   - one tree's slice of a run, and left ranges searched inside it;
+//   - one tree's slice of a run, read in O(1) from the per-tree tag
+//     directory, and left ranges searched inside it;
 //   - per-run permutations ordered by (tid, right) and (tid, pid, left),
 //     searched inside the same slice;
 //   - the global value index;
 //   - direct element lookup by (tid, id).
+//
+// The tag directory is derived, never stored: Build, Merge and image Open
+// each fill it with a counting pass and a fill pass over the run directory
+// and the tid column.
 
 #ifndef LPATHDB_STORAGE_RELATION_H_
 #define LPATHDB_STORAGE_RELATION_H_
@@ -70,6 +75,12 @@ class ImageIO;
 /// reads through one accessor surface and cannot tell the difference.
 class NodeRelation {
  public:
+  /// One entry of the per-tree tag directory: tree t's rows of run(name).
+  struct TagSlice {
+    Symbol name;
+    RowRange rows;
+  };
+
   /// Labels every tree of `*corpus` under `options.scheme`, flattens nodes
   /// and attributes to rows, sorts into the clustered order and builds all
   /// secondary indexes. The relation shares ownership of the corpus (and
@@ -141,7 +152,9 @@ class NodeRelation {
     return RowRange{0, static_cast<Row>(row_count())};
   }
 
-  /// Subrange of run(name) with tid == t; binary search.
+  /// Subrange of run(name) with tid == t, from the per-tree tag
+  /// directory: a search over tree t's few (tag, slice) entries. Empty for
+  /// unknown tags and tids outside [0, tree_count()).
   RowRange RunForTree(Symbol name, int32_t t) const;
 
   /// Subrange of run(name) with tid in [tid_lo, tid_hi); binary search.
@@ -244,6 +257,13 @@ class NodeRelation {
 
   NodeRelation() = default;
 
+  /// Fills the per-tree tag directory from runs_ and tid_ (which must
+  /// already be bound, with every tid in [0, tree_count_)) into `offsets`
+  /// and `entries`, and binds tag_dir_offsets_ / tag_dir_ to them. The
+  /// vectors belong to the relation's backing.
+  void BindTagDirectory(std::vector<uint32_t>* offsets,
+                        std::vector<TagSlice>* entries);
+
   LabelScheme scheme_ = LabelScheme::kLPath;
   // Shared so the corpus (symbols, trees) outlives every reader; built
   // through the borrowing overload this is a non-owning alias.
@@ -264,6 +284,12 @@ class NodeRelation {
 
   // name symbol -> clustered run. Dense by symbol id.
   std::span<const RowRange> runs_;
+
+  // Per-tree tag directory, CSR by tid: tree t's slices of the runs are
+  // tag_dir_[tag_dir_offsets_[t] .. tag_dir_offsets_[t + 1]), sorted by
+  // tag. Derived from runs_ and tid_; not part of the image format.
+  std::span<const uint32_t> tag_dir_offsets_;  // size = tree_count_ + 1
+  std::span<const TagSlice> tag_dir_;
 
   // Per-run permutations, concatenated in run order (same offsets as rows):
   // by (tid, right, left) and by (tid, pid, left).

@@ -208,15 +208,18 @@ TEST(ShardConcurrencyTest, ConcurrentShardsOnSharedPlanAgree) {
   }
 }
 
-/// A corpus whose tags A and B have symbol ids kSliceCacheSlots apart, so
-/// (A, t) and (B, t) share a slice-cache slot in every tree t, as do (A, t)
-/// and (A, t + kSliceCacheSlots). Each tree is an S over a few NPs over a
-/// seeded mix of A, B and X leaves.
+/// Symbol-id and tree-id stride of the aliasing corpus: keys (A, t),
+/// (B, t) and (A, t + kAliasStride) collide under any (tag + tree) mod
+/// 256 hashing of (tag, tree) keys.
+constexpr size_t kAliasStride = 256;
+
+/// A corpus whose tags A and B have symbol ids kAliasStride apart. Each
+/// tree is an S over a few NPs over a seeded mix of A, B and X leaves.
 Corpus AliasingCorpus(int trees, Symbol* a, Symbol* b) {
   Corpus corpus;
   Interner* in = corpus.mutable_interner();
   *a = in->Intern("A");
-  for (size_t i = 1; i < sql::kSliceCacheSlots; ++i) {
+  for (size_t i = 1; i < kAliasStride; ++i) {
     std::string filler = "filler";
     filler += std::to_string(i);
     in->Intern(filler);
@@ -243,15 +246,11 @@ Corpus AliasingCorpus(int trees, Symbol* a, Symbol* b) {
   return corpus;
 }
 
-TEST(SliceCacheTest, AliasingKeysVisitedAlternatelyMatchNavigational) {
+TEST(TagDirectoryTest, AliasingKeysVisitedAlternatelyMatchNavigational) {
   constexpr int kTrees = 320;
   Symbol a = kNoSymbol, b = kNoSymbol;
   const Corpus corpus = AliasingCorpus(kTrees, &a, &b);
-  for (int32_t t = 0; t < kTrees; ++t) {
-    ASSERT_EQ(sql::SliceCacheSlot(a, t), sql::SliceCacheSlot(b, t));
-  }
-  ASSERT_EQ(sql::SliceCacheSlot(a, 7),
-            sql::SliceCacheSlot(a, 7 + sql::kSliceCacheSlots));
+  ASSERT_EQ(b - a, kAliasStride);
   Result<NodeRelation> rel = NodeRelation::Build(corpus);
   ASSERT_TRUE(rel.ok());
   LPathEngine engine(rel.value());
@@ -259,7 +258,7 @@ TEST(SliceCacheTest, AliasingKeysVisitedAlternatelyMatchNavigational) {
   sql::PlanExecutor executor(rel.value());
 
   // Each outer row probes A and then, when A is there, B in its own tree:
-  // the probes alternate between two keys of one slot, tree after tree.
+  // the probes alternate between two aliasing keys, tree after tree.
   // The descendant, child and preceding axes reach the slice through its
   // left, pid and right searches.
   for (const char* q : {"//S[not(//A) or //B]", "//NP[not(/A) or /B]",
@@ -276,7 +275,7 @@ TEST(SliceCacheTest, AliasingKeysVisitedAlternatelyMatchNavigational) {
     sql::ExecStats stats;
     Result<QueryResult> serial = executor.ExecutePrepared(*pp.value(), &stats);
     ASSERT_TRUE(serial.ok()) << q;
-    EXPECT_GT(stats.subqueries, sql::kSliceCacheSlots) << q;
+    EXPECT_GT(stats.subqueries, kAliasStride) << q;
     EXPECT_EQ(serial.value(), want.value()) << q;
     EXPECT_EQ(MergeShards(executor, *pp.value(), kTrees, 7), want.value())
         << q;

@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -447,6 +449,62 @@ TEST_F(ImageCorruptionTest, BracketFileIsNotAnImage) {
   WriteAll(path, {'(', 'S', ' ', '(', 'N', 'P', ' ', 'x', ')', ')'});
   EXPECT_FALSE(LooksLikeImageFile(path));
   ExpectOpenFails(path);
+}
+
+TEST_F(ImageCorruptionTest, RunWithNonContiguousTidsOpensInBoundsOrFails) {
+  // A forged image whose tag runs are no longer grouped by tree: the first
+  // and last tid of every run that spans trees are swapped. Open derives
+  // the per-tree tag directory from exactly these sections, so it must
+  // either refuse the file with Corruption or serve lookups that stay
+  // inside the relation (ASan checks the second case). HeaderOnly skips
+  // the payload checksum the edit would otherwise trip.
+  const std::string raw_path = dir_.File("raw.img");
+  ImageSaveOptions raw;
+  raw.encoding = ImageEncoding::kRaw;
+  const NodeRelation& built = snapshot_->relation();
+  ASSERT_TRUE(ImageIO::Save(built, raw_path, raw).ok());
+  std::vector<char> bytes = ReadAll(raw_path);
+  // The header is 80 bytes; the section table follows, 40 bytes an entry,
+  // the tid column first, its offset at byte 8 of the entry.
+  uint64_t tid_offset = 0;
+  std::memcpy(&tid_offset, bytes.data() + 80 + 8, sizeof(tid_offset));
+  int forged_runs = 0;
+  for (Symbol s = 0; s < built.interner().end_id(); ++s) {
+    const RowRange run = built.run(s);
+    if (run.empty() || built.tid(run.begin) == built.tid(run.end - 1)) {
+      continue;
+    }
+    char* first = bytes.data() + tid_offset + 4 * uint64_t{run.begin};
+    char* last = bytes.data() + tid_offset + 4 * uint64_t{run.end - 1};
+    std::swap_ranges(first, first + 4, last);
+    ++forged_runs;
+  }
+  ASSERT_GT(forged_runs, 0);
+  const std::string path = dir_.File("forged.img");
+  WriteAll(path, bytes);
+
+  ImageOpenOptions lazy;
+  lazy.verify = ImageVerify::kHeaderOnly;
+  Result<NodeRelation> opened = ImageIO::Open(path, lazy);
+  if (!opened.ok()) {
+    EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
+    return;
+  }
+  const NodeRelation& rel = opened.value();
+  for (Symbol s = 0; s < rel.interner().end_id() + 2; ++s) {
+    const RowRange run = rel.run(s);
+    for (int32_t t = -1; t <= rel.tree_count(); ++t) {
+      const RowRange slice = rel.RunForTree(s, t);
+      if (slice.empty()) continue;
+      EXPECT_GE(slice.begin, run.begin) << s << " " << t;
+      EXPECT_LE(slice.end, run.end) << s << " " << t;
+      EXPECT_EQ(rel.tid(slice.begin), t) << s;
+    }
+  }
+  for (const char* q : {"//S//NP", "//VP{/NP$}", "//NP[not(//JJ)]",
+                        "//_[@lex=saw]", "//NP/NP", "//VB->NP"}) {
+    EXPECT_TRUE(LPathEngine(rel).Run(q).ok()) << q;
+  }
 }
 
 // --- Mapped-snapshot hot swap under concurrency (TSan coverage) -------------

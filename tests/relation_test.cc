@@ -4,12 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "gen/generator.h"
+#include "storage/image.h"
 #include "storage/snapshot.h"
 
 #include "test_util.h"
@@ -206,6 +211,88 @@ void CheckSliceSearches(const NodeRelation& rel, uint64_t seed) {
     }
   }
   EXPECT_GT(checked, 0u);
+}
+
+/// Checks the per-tree tag directory against a filter of the corpus-wide
+/// run for every (tag, tid) pair, unknown tags (kNoSymbol and ids past the
+/// dictionary) and tids outside [0, tree_count()) included: RunForTree
+/// returns exactly the run's rows of that tree. `*nonempty` receives the
+/// number of non-empty slices checked.
+void CheckTagDirectory(const NodeRelation& rel, size_t* nonempty) {
+  *nonempty = 0;
+  for (Symbol name = 0; name < rel.interner().end_id() + 3; ++name) {
+    const RowRange run = rel.run(name);
+    for (int32_t t = -2; t < rel.tree_count() + 2; ++t) {
+      std::vector<Row> want;
+      for (Row r = run.begin; r < run.end; ++r) {
+        if (rel.tid(r) == t) want.push_back(r);
+      }
+      const RowRange slice = rel.RunForTree(name, t);
+      std::vector<Row> got;
+      for (Row r = slice.begin; r < slice.end; ++r) got.push_back(r);
+      ASSERT_EQ(got, want) << "tag " << name << " tree " << t;
+      *nonempty += want.empty() ? 0 : 1;
+    }
+  }
+}
+
+TEST(RelationSliceTest, TagDirectoryMatchesRunFilterOnBuiltRelation) {
+  Result<Corpus> corpus = gen::GenerateWsj(60, /*seed=*/8);
+  ASSERT_TRUE(corpus.ok());
+  Result<NodeRelation> rel = NodeRelation::Build(std::move(corpus).value());
+  ASSERT_TRUE(rel.ok());
+  size_t slices = 0;
+  CheckTagDirectory(rel.value(), &slices);
+  EXPECT_GT(slices, 0u);
+  const Corpus empty;
+  Result<NodeRelation> none = NodeRelation::Build(empty);
+  ASSERT_TRUE(none.ok());
+  CheckTagDirectory(none.value(), &slices);
+  EXPECT_EQ(slices, 0u);
+}
+
+TEST(RelationSliceTest, TagDirectoryMatchesRunFilterOnMergedRelation) {
+  // The SWB batches bring tags the WSJ base never had. The second append
+  // merges its batch onto the delta; compaction merges base and delta.
+  Result<Corpus> base = gen::GenerateWsj(40, /*seed=*/9);
+  Result<Corpus> batch1 = gen::GenerateSwb(25, /*seed=*/10);
+  Result<Corpus> batch2 = gen::GenerateSwb(15, /*seed=*/12);
+  ASSERT_TRUE(base.ok() && batch1.ok() && batch2.ok());
+  Result<SnapshotPtr> snap = CorpusSnapshot::Build(std::move(base).value());
+  ASSERT_TRUE(snap.ok());
+  Result<SnapshotPtr> chain1 = (*snap)->Append(batch1.value());
+  ASSERT_TRUE(chain1.ok());
+  Result<SnapshotPtr> chain = (*chain1)->Append(batch2.value());
+  ASSERT_TRUE(chain.ok());
+  ASSERT_EQ((*chain)->delta_tree_count(), 40);
+  size_t slices = 0;
+  CheckTagDirectory(*(*chain)->delta_relation(), &slices);
+  EXPECT_GT(slices, 0u);
+  Result<SnapshotPtr> merged = (*chain)->Compact();
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  CheckTagDirectory((*merged)->relation(), &slices);
+  EXPECT_GT(slices, 0u);
+}
+
+TEST(RelationSliceTest, TagDirectoryMatchesRunFilterOnOpenedImage) {
+  Result<Corpus> corpus = gen::GenerateWsj(50, /*seed=*/11);
+  ASSERT_TRUE(corpus.ok());
+  Result<NodeRelation> built = NodeRelation::Build(std::move(corpus).value());
+  ASSERT_TRUE(built.ok());
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("lpathdb_relation_tag_dir_" + std::to_string(::getpid()) + ".img"))
+          .string();
+  ASSERT_TRUE(ImageIO::Save(built.value(), path).ok());
+  const uint64_t builds = NodeRelation::BuildCount();
+  Result<NodeRelation> opened = ImageIO::Open(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  EXPECT_EQ(NodeRelation::BuildCount(), builds);
+  EXPECT_EQ(opened->MemoryBytes(), built->MemoryBytes());
+  size_t slices = 0;
+  CheckTagDirectory(opened.value(), &slices);
+  EXPECT_GT(slices, 0u);
 }
 
 TEST(RelationSliceTest, SliceSearchesMatchRunFilterOnWsjCorpus) {

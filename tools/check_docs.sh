@@ -1,7 +1,7 @@
 #!/bin/sh
 # Documentation consistency gate (CI: the "docs link-check" step).
 #
-# Four checks, all grep-based so the gate needs nothing beyond POSIX sh:
+# Five checks, all grep-based so the gate needs nothing beyond POSIX sh:
 #
 #   1. Every relative markdown link in README.md and docs/*.md must point
 #      at a file or directory that exists (anchors and external URLs are
@@ -20,6 +20,10 @@
 #   4. The OPERATIONS.md service table names every service::PlanCache::Stats
 #      field declared in src/service/plan_cache.h as `cache.<field>`, and
 #      no cache.<field> that struct no longer declares. Same purpose as 3.
+#
+#   5. The ARCHITECTURE.md access-path table names every sql::AccessPath
+#      kind declared in src/sql/optimizer.h, and no kind that enum no
+#      longer declares. Same purpose as 3.
 #
 # Exits nonzero listing every violation. Run from the repository root.
 set -u
@@ -131,6 +135,41 @@ if [ -f "$cache_header" ] && [ -f "$ops" ]; then
   for row in $rows; do
     if ! printf '%s\n' "$fields" | grep -qx "$row"; then
       say "STALE: $ops names cache.$row, which PlanCache::Stats does not declare"
+      fail=1
+    fi
+  done
+fi
+
+# --- 5. ARCHITECTURE.md access-path table matches sql::AccessPath -------
+
+path_header=src/sql/optimizer.h
+arch=docs/ARCHITECTURE.md
+if [ -f "$path_header" ] && [ -f "$arch" ]; then
+  # Kinds: the "    kName," enumerators of AccessPath's nested Kind enum.
+  kinds=$(awk '/^struct AccessPath \{/ {on=1}
+               on && /^  enum class Kind/ {k=1; next}
+               k && /^  \};/ {exit}
+               k' "$path_header" |
+          grep -o '^    k[A-Za-z]*' | awk '{print $1}')
+  # First-column names of the table under the "### Access paths
+  # (`sql::AccessPath`)" heading, up to the next heading.
+  rows=$(awk '/^### Access paths \(`sql::AccessPath`\)/ {on=1; next}
+              /^#/ {on=0}
+              on && /^\| `/ {print}' "$arch" |
+         cut -d'|' -f2 | grep -o '`k[A-Za-z]*`' | tr -d '`')
+  if [ -z "$kinds" ] || [ -z "$rows" ]; then
+    say "MISSING: AccessPath kinds in $path_header or their table in $arch"
+    fail=1
+  fi
+  for kind in $kinds; do
+    if ! printf '%s\n' "$rows" | grep -qx "$kind"; then
+      say "UNDOCUMENTED: AccessPath::Kind::$kind has no row in the $arch table"
+      fail=1
+    fi
+  done
+  for row in $rows; do
+    if ! printf '%s\n' "$kinds" | grep -qx "$row"; then
+      say "STALE: $arch names $row, which AccessPath::Kind does not declare"
       fail=1
     fi
   done
