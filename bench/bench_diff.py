@@ -3,19 +3,11 @@
 
 Usage:
     bench_diff.py BASELINE.json CURRENT.json [--threshold PCT]
-                  [--ratio NUM_COL DEN_COL]
 
 Compares per-(row, column) QPS between a baseline trajectory (the
 previous main-branch artifact, or the committed bench/baselines/ snapshot)
 and the current run, printing a GitHub-flavoured markdown table plus
 ``::warning::`` / ``::notice::`` workflow annotations.
-
-``--ratio NUM DEN`` additionally reports the per-row QPS ratio between two
-columns of the *same* run (e.g. ``--ratio Coalesced PerText`` for
-BENCH_plan_cache.json: how much faster coalesced batches run than per-text
-execution), for baseline and current side by side, plus the geometric mean. A geomean below 1.0 in the
-current run (the numerator column lost to the denominator) draws a
-``::warning::``; like everything here it never fails the build.
 
 Warn-only by design: the exit code is always 0. CI benchmark runners are
 noisy shared machines, so a QPS drop here is a prompt
@@ -26,7 +18,6 @@ incomparable instead of being diffed into nonsense.
 
 import argparse
 import json
-import math
 import sys
 
 
@@ -49,59 +40,6 @@ def cells(doc):
     return out
 
 
-def ratios(qps, num_col, den_col):
-    """row -> QPS(num_col) / QPS(den_col) for rows holding both cells."""
-    out = {}
-    for (row, column), value in qps.items():
-        if column != num_col:
-            continue
-        den = qps.get((row, den_col))
-        if den:
-            out[row] = value / den
-    return out
-
-
-def geomean(values):
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def print_ratio_report(base, cur, num_col, den_col, cross_machine):
-    """The --ratio section: per-row NUM/DEN QPS ratios, both trajectories."""
-    base_r = ratios(base, num_col, den_col)
-    cur_r = ratios(cur, num_col, den_col)
-    if not cur_r:
-        print(
-            f"::notice::bench-diff: no rows hold both {num_col} and "
-            f"{den_col} cells; --ratio skipped"
-        )
-        return
-    print()
-    print(f"### {num_col} / {den_col} QPS ratio (>1.0 = {num_col} faster)")
-    print()
-    print("| row | baseline | current |")
-    print("|---|---:|---:|")
-    # Length-then-lexical sort keeps Q2 ahead of Q10.
-    for row in sorted(cur_r, key=lambda r: (len(r), r)):
-        b = f"{base_r[row]:.2f}x" if row in base_r else "—"
-        print(f"| {row} | {b} | {cur_r[row]:.2f}x |")
-    gm = geomean(list(cur_r.values()))
-    base_gm = geomean(list(base_r.values())) if base_r else None
-    base_text = f" (baseline {base_gm:.2f}x)" if base_gm is not None else ""
-    print(f"| **geomean** | {f'{base_gm:.2f}x' if base_gm else '—'} "
-          f"| **{gm:.2f}x** |")
-    if gm < 1.0 and not cross_machine:
-        print(
-            f"::warning::bench-diff: geomean {num_col}/{den_col} QPS ratio "
-            f"is {gm:.2f}x{base_text} — the {num_col} column lost to "
-            f"{den_col} overall (warn-only; check the per-row table)"
-        )
-    else:
-        print(
-            f"::notice::bench-diff: geomean {num_col}/{den_col} QPS ratio "
-            f"{gm:.2f}x{base_text} over {len(cur_r)} rows"
-        )
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
@@ -111,12 +49,6 @@ def main():
         type=float,
         default=10.0,
         help="percent QPS drop that triggers a ::warning:: (default 10)",
-    )
-    parser.add_argument(
-        "--ratio",
-        nargs=2,
-        metavar=("NUM_COL", "DEN_COL"),
-        help="also report the per-row NUM_COL/DEN_COL QPS ratio",
     )
     args = parser.parse_args()
 
@@ -203,9 +135,6 @@ def main():
             f"{args.threshold:.0f}% QPS across {len(shared)} cells"
         )
 
-    if args.ratio:
-        print_ratio_report(base, cur, args.ratio[0], args.ratio[1],
-                           cross_machine)
     return 0
 
 

@@ -3,14 +3,15 @@
 // profile corpora.
 //
 // Three shapes are measured over the 23-query suite:
-//   Batch/<dataset>/threads:N — the serving path: the suite submitted as a
-//     batch, queries spread across N pool workers, plans from the LRU
-//     cache. Reported as items_per_second (QPS).
+//   Batch/<dataset>/threads:N — the serving path: every suite query
+//     Submit()ted at once, then awaited; the queries run on N pool workers
+//     (each fanning its morsels out over the same pool), plans from the
+//     LRU cache. Reported as items_per_second (QPS).
 //   Morsel/<dataset>/threads:N — single-query latency: each query's
 //     execution carved into row-balanced morsels pulled by N workers from
 //     the shared claim cursor.
-//   Serial/<dataset>/threads:N — the serial baseline (fan-out forced to
-//     one); flat in N by construction.
+//   Serial/<dataset>/threads:N — the serial baseline: a 1-thread service,
+//     so every query runs as one morsel; flat in N by construction.
 // Expected shape: batch QPS scales near-linearly with threads until the
 // corpus's tree count or memory bandwidth binds; morsel latency gains are
 // query-dependent (long scans split well, tiny lookups are overhead-bound).
@@ -57,6 +58,7 @@ ServiceRegistry() {
 }
 
 service::QueryService* GetService(Dataset dataset, int threads, Mode mode) {
+  if (mode == Mode::kSerial) threads = 1;
   service::QueryService*& slot = ServiceRegistry()[{dataset, threads, mode}];
   if (slot == nullptr) {
     const EngineSet& fx = GetFixture(dataset);
@@ -64,9 +66,8 @@ service::QueryService* GetService(Dataset dataset, int threads, Mode mode) {
     opts.threads = threads;
     // Fixed fan-out: this figure measures morsel scheduling against thread
     // count, so the adaptive serial heuristic is disabled; the serial
-    // baseline instead caps the per-query fan-out at one worker.
+    // baseline is a 1-thread service instead.
     opts.adaptive_serial_rows = 0;
-    if (mode == Mode::kSerial) opts.shards_per_query = 1;
     slot = new service::QueryService(fx.lpath_snapshot, opts);
     // Warm the plan cache so the timed loop measures the serve path, not
     // the one-off parse/compile/optimize of each query.
@@ -100,22 +101,28 @@ std::string RowName(const char* shape, Dataset dataset) {
   return row;
 }
 
-/// The full suite submitted as one batch; QPS = queries / wall time.
+/// The full suite submitted at once and awaited; QPS = queries / wall time.
 void BenchBatch(benchmark::State& st, Dataset dataset, int threads) {
   service::QueryService* service = GetService(dataset, threads, Mode::kMorsel);
   const std::vector<std::string>& queries = SuiteQueries();
 
   double total = 0.0;
   uint64_t iters = 0;
+  std::vector<service::PendingQuery> pending(queries.size());
   for (auto _ : st) {
     Timer timer;
-    std::vector<Result<QueryResult>> results = service->QueryBatch(queries);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      pending[i] = service->Submit(queries[i]);
+    }
+    Status failure;
+    for (const service::PendingQuery& p : pending) {
+      Result<QueryResult> r = p.Get();
+      if (!r.ok()) failure = r.status();
+    }
     total += timer.ElapsedSeconds();
-    for (const Result<QueryResult>& r : results) {
-      if (!r.ok()) {
-        st.SkipWithError(r.status().ToString().c_str());
-        return;
-      }
+    if (!failure.ok()) {
+      st.SkipWithError(failure.ToString().c_str());
+      return;
     }
     ++iters;
   }
@@ -136,8 +143,8 @@ void BenchPerQuery(benchmark::State& st, Dataset dataset, int threads,
   service::QueryService* service = GetService(dataset, threads, mode);
   const std::vector<std::string>& queries = SuiteQueries();
   // Stats are service-lifetime-cumulative and the service is shared with
-  // the Batch benchmark (whose queries all run serially); report this
-  // loop's delta or the fan-out counters dilute toward 1.
+  // the Batch benchmark; report this loop's delta so the counters describe
+  // this loop alone.
   const service::ServiceStats before = service->Stats();
 
   double total = 0.0;

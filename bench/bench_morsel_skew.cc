@@ -5,7 +5,8 @@
 // running long after the rest went idle.
 //
 // Three execution shapes, per thread count:
-//   Serial/threads:N    — one worker (baseline; flat in N);
+//   Serial/threads:N    — a 1-thread service, every query one morsel
+//                         (baseline; flat in N);
 //   EvenShard/threads:N — the old fixed split: N shards of equal tree
 //                         count, one thread each (no stealing);
 //   Morsel/threads:N    — the service's scheduler: ~4N row-balanced
@@ -75,12 +76,12 @@ std::map<std::pair<Mode, int>, service::QueryService*>& ServiceRegistry() {
 }
 
 service::QueryService* GetService(Mode mode, int threads) {
+  if (mode == Mode::kSerial) threads = 1;
   service::QueryService*& slot = ServiceRegistry()[{mode, threads}];
   if (slot == nullptr) {
     service::QueryServiceOptions opts;
     opts.threads = threads;
     opts.adaptive_serial_rows = 0;
-    if (mode == Mode::kSerial) opts.shards_per_query = 1;
     slot = new service::QueryService(SkewSnapshot(), opts);
     for (const std::string& q : SkewQueries()) (void)slot->GetPlan(q);
   }

@@ -1,6 +1,6 @@
-// Plan-cache benchmark: what the text-keyed plan cache and QueryBatch
-// coalescing buy the serving path when a hot working set arrives under
-// many whitespace spellings (tools reformat the same query text).
+// Plan-cache benchmark: what the text-keyed plan cache buys the serving
+// path when a hot working set arrives under many whitespace spellings
+// (tools reformat the same query text).
 //
 //   prepare/Cold       — seconds per *query* for the full cold path on a
 //                        fresh session: parse + compile + optimize +
@@ -8,11 +8,6 @@
 //   hot_exec/PerText   — QPS of a hot mixed-spelling batch issued as
 //                        individual Query() calls (every member is a plan
 //                        cache hit; every member still executes).
-//   hot_exec/Coalesced — the same batch through QueryBatch(): members that
-//                        normalize to one text coalesce into a single
-//                        execution fanned out to all of them. The
-//                        acceptance bar is Coalesced QPS >= PerText QPS
-//                        (bench_diff --ratio Coalesced PerText).
 //
 // Machine-readable output: set LPATHDB_BENCH_JSON=<path> to dump the table
 // as the BENCH_plan_cache.json trajectory (bench_diff.py diffs it against
@@ -107,7 +102,7 @@ void FreeFixture() {
 
 ReportTable& PlanCacheTable() {
   static ReportTable* table = new ReportTable(
-      "Plan cache — cold preparation and batch coalescing "
+      "Plan cache — cold preparation and hot execution "
       "(WSJ, mixed-spelling hot set)");
   return *table;
 }
@@ -184,44 +179,13 @@ void BenchHotPerText(benchmark::State& st) {
   }
 }
 
-/// The same batch through QueryBatch(): members of one normalized text
-/// coalesce to one execution each.
-void BenchHotCoalesced(benchmark::State& st) {
-  PlanCacheFixture& fx = GetPlanCacheFixture();
-  if (!WarmHotBatch(st)) return;
-  double total = 0.0;
-  uint64_t evaluated = 0;
-  for (auto _ : st) {
-    Timer timer;
-    std::vector<Result<QueryResult>> results =
-        fx.service->QueryBatch(fx.hot_batch);
-    total += timer.ElapsedSeconds();
-    for (const Result<QueryResult>& r : results) {
-      if (!r.ok()) {
-        st.SkipWithError(r.status().ToString().c_str());
-        return;
-      }
-    }
-    evaluated += fx.hot_batch.size();
-  }
-  st.SetItemsProcessed(static_cast<int64_t>(evaluated));
-  if (evaluated > 0 && total > 0.0) {
-    st.counters["qps"] = static_cast<double>(evaluated) / total;
-    const double per_batch = total * static_cast<double>(fx.hot_batch.size()) /
-                             static_cast<double>(evaluated);
-    PlanCacheTable().Record("hot_exec", "Coalesced",
-                            Measurement{per_batch, fx.hot_batch.size(), true});
-  }
-}
-
 void RegisterAll() {
   struct Entry {
     const char* name;
     void (*fn)(benchmark::State&);
   };
   for (const Entry& e : {Entry{"prepare/Cold", BenchPrepareCold},
-                         Entry{"hot_exec/PerText", BenchHotPerText},
-                         Entry{"hot_exec/Coalesced", BenchHotCoalesced}}) {
+                         Entry{"hot_exec/PerText", BenchHotPerText}}) {
     benchmark::RegisterBenchmark(e.name, e.fn)
         ->UseRealTime()
         ->Unit(benchmark::kMillisecond);
@@ -230,7 +194,7 @@ void RegisterAll() {
 
 void PrintTables() {
   printf("%s", PlanCacheTable()
-                   .Render({"Cold", "PerText", "Coalesced"})
+                   .Render({"Cold", "PerText"})
                    .c_str());
   printf("\n(prepare: per pass — Cold preps %d queries; hot_exec: per "
          "%zu-member mixed-spelling batch; scale: %d sentences, "

@@ -89,7 +89,7 @@ void PrintServiceStats(const std::string& name,
   const service::ServiceStats st = service.Stats();
   std::printf(
       "service[%s]: %d threads, %llu queries (%llu errors, %llu sharded, "
-      "%llu serial, %llu batch-coalesced)\n"
+      "%llu serial)\n"
       "plan cache: %zu/%zu plans, %llu hits (%llu negative), %llu misses, "
       "%llu evictions\n"
       "latency: p50 %.3f ms, p90 %.3f ms, p99 %.3f ms, max %.3f ms "
@@ -105,7 +105,7 @@ void PrintServiceStats(const std::string& name,
       static_cast<unsigned long long>(st.errors),
       static_cast<unsigned long long>(st.sharded_queries),
       static_cast<unsigned long long>(st.serial_queries),
-      static_cast<unsigned long long>(st.batch_coalesced), st.cache.size,
+      st.cache.size,
       st.cache.capacity, static_cast<unsigned long long>(st.cache.hits),
       static_cast<unsigned long long>(st.cache.negative_hits),
       static_cast<unsigned long long>(st.cache.misses),

@@ -673,15 +673,6 @@ Result<QueryResult> Database::Query(const std::string& name,
 }
 
 Result<service::PendingQuery> Database::Submit(const std::string& name,
-                                               const std::string& query) {
-  std::shared_ptr<service::QueryService> service = Resolve(name);
-  if (service == nullptr) {
-    return Status::NotFound("corpus not attached: " + name);
-  }
-  return service->Submit(query);
-}
-
-Result<service::PendingQuery> Database::Submit(const std::string& name,
                                                const std::string& query,
                                                service::RowSink sink,
                                                service::SubmitOptions opts) {
@@ -690,15 +681,6 @@ Result<service::PendingQuery> Database::Submit(const std::string& name,
     return Status::NotFound("corpus not attached: " + name);
   }
   return service->Submit(query, std::move(sink), std::move(opts));
-}
-
-Status Database::QueryStream(const std::string& name, const std::string& query,
-                             const service::RowSink& sink) {
-  std::shared_ptr<service::QueryService> service = Resolve(name);
-  if (service == nullptr) {
-    return Status::NotFound("corpus not attached: " + name);
-  }
-  return service->QueryStream(query, sink);
 }
 
 std::shared_ptr<service::QueryService> Database::Resolve(

@@ -3,7 +3,8 @@
 // cache + shard pool). This is the shape of the server the paper's pitch
 // implies: one process holding several treebanks (WSJ, SWB, ...), routing
 // each query to the right corpus, swapping in rebuilt indexes without
-// downtime, and serving clients synchronously, asynchronously or streaming.
+// downtime, and serving clients synchronously (Query) or asynchronously,
+// optionally streaming to a sink (Submit).
 //
 // Concurrency model:
 //   - One mutex guards the catalog map shape and the options, taken only
@@ -191,22 +192,16 @@ class Database {
   /// Evaluates `query` against corpus `name`, synchronously.
   Result<QueryResult> Query(const std::string& name, const std::string& query);
 
-  /// Submits `query` against corpus `name` for asynchronous evaluation.
-  Result<service::PendingQuery> Submit(const std::string& name,
-                                       const std::string& query);
-
-  /// The network front end's entry point (src/net/): streams batches to
-  /// `sink` and honors the cancellation/completion hooks in `opts`. The
-  /// returned handle, the sink and the hooks all stay valid across a
-  /// concurrent Swap/Detach (the query pins its service and session).
+  /// Submits `query` against corpus `name` for asynchronous evaluation
+  /// (see service::QueryService::Submit: with a sink, the rows go to the
+  /// sink and the handle resolves to an empty result). The network front
+  /// end's entry point (src/net/). The returned handle, the sink and the
+  /// hooks in `opts` all stay valid across a concurrent Swap/Detach (the
+  /// query pins its service and session).
   Result<service::PendingQuery> Submit(const std::string& name,
                                        const std::string& query,
-                                       service::RowSink sink,
-                                       service::SubmitOptions opts);
-
-  /// Streams `query`'s result rows against corpus `name` (see RowSink).
-  Status QueryStream(const std::string& name, const std::string& query,
-                     const service::RowSink& sink);
+                                       service::RowSink sink = {},
+                                       service::SubmitOptions opts = {});
 
  private:
   std::shared_ptr<service::QueryService> Resolve(const std::string& name) const;

@@ -126,10 +126,10 @@ Result<CachedPlanPtr> QueryService::GetPlanIn(const Session& session,
   const std::string key = NormalizeQueryText(query);
   CachedPlanPtr cached = session.cache.Get(key);
   if (cached == nullptr) {
-    // Resolve under the text's stripe, so a racing miss of the same text
-    // (another client, or a QueryBatch resolving in parallel) waits and
-    // then finds the entry published here instead of preparing it again.
-    // The re-probe counts nothing: this query already counted its miss.
+    // Resolve under the text's stripe, so another client's racing miss of
+    // the same text waits and then finds the entry published here instead
+    // of preparing it again. The re-probe counts nothing: this query
+    // already counted its miss.
     std::lock_guard<std::mutex> stripe(
         prepare_mu_[std::hash<std::string>{}(key) % prepare_mu_.size()]);
     cached = session.cache.Get(key, /*count=*/false);
@@ -170,7 +170,7 @@ int QueryService::CollectSources(const Session& session,
 
 Result<QueryResult> QueryService::RunMorsels(const Session& session,
                                              CachedPlanPtr planned,
-                                             int workers, const RowSink* sink,
+                                             const RowSink* sink,
                                              const std::atomic<bool>* cancel) {
   SourceRun sources[2];
   const int nsources = CollectSources(session, *planned, sources);
@@ -189,6 +189,7 @@ Result<QueryResult> QueryService::RunMorsels(const Session& session,
     root_estimate += sources[s].plan->root_cardinality;
     disjoint = disjoint && sources[s].plan->OutputTiedToRoot();
   }
+  const int workers = pool_->size();
   bool serial = !any_live || workers <= 1 || !disjoint;
   if (!serial && options_.adaptive_serial_rows > 0 &&
       root_estimate < options_.adaptive_serial_rows) {
@@ -235,7 +236,6 @@ Result<QueryResult> QueryService::RunMorsels(const Session& session,
     // The one-morsel case: every source runs whole, in order, on the
     // caller's thread.
     morsels.clear();
-    workers = 1;
     for (int s = 0; s < nsources; ++s) {
       morsels.push_back(
           Morsel{s, TidRange{0, std::numeric_limits<int32_t>::max(), 0}});
@@ -254,9 +254,8 @@ Result<QueryResult> QueryService::RunMorsels(const Session& session,
   // (`sources`, `morsels`, `results`, ...) are captured by reference: a
   // late helper never claims an item, so it never dereferences them after
   // this frame returns.
-  RunOnPool(count, workers,
-            [planned, &sources, &morsels, &results, &stats, &steals, &sink_mu,
-             sink, cancel](int i, int worker) {
+  auto run = [planned, &sources, &morsels, &results, &stats, &steals,
+              &sink_mu, sink, cancel](int i, int worker) {
     // A cancelled query skips its remaining morsels (their result slots
     // keep the empty default); the terminal status is derived below.
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) return;
@@ -270,12 +269,20 @@ Result<QueryResult> QueryService::RunMorsels(const Session& session,
     }
     if (worker > 0) steals.fetch_add(1, std::memory_order_relaxed);
     // Tid-disjoint morsels, sources rebased into disjoint tid ranges: the
-    // sorted output goes to the sink as it is.
-    if (sink != nullptr && results[i].ok() && !results[i]->hits.empty()) {
-      std::lock_guard<std::mutex> lock(sink_mu);
-      (*sink)(std::span<const Hit>(results[i]->hits));
+    // sorted output goes to the sink as it is, and the sink keeps it.
+    if (sink != nullptr && results[i].ok()) {
+      if (!results[i]->hits.empty()) {
+        std::lock_guard<std::mutex> lock(sink_mu);
+        (*sink)(std::span<const Hit>(results[i]->hits));
+      }
+      results[i]->hits = {};
     }
-  });
+  };
+  if (serial) {
+    for (int i = 0; i < count; ++i) run(i, /*worker=*/0);
+  } else {
+    RunOnPool(count, run);
+  }
 
   sql::ExecStats total;
   for (int i = 0; i < count; ++i) total.Add(stats[i]);
@@ -293,6 +300,7 @@ Result<QueryResult> QueryService::RunMorsels(const Session& session,
     if (!results[i].ok()) return results[i].status();
     rows += results[i]->hits.size();
   }
+  if (sink != nullptr) return QueryResult{};
   QueryResult merged = std::move(results[0]).value();
   merged.hits.reserve(rows);
   for (int i = 1; i < count; ++i) {
@@ -302,13 +310,8 @@ Result<QueryResult> QueryService::RunMorsels(const Session& session,
   return merged;
 }
 
-void QueryService::RunOnPool(int items, int max_workers,
-                             std::function<void(int, int)> fn) {
-  const int helpers = std::min({pool_->size(), items, max_workers}) - 1;
-  if (helpers <= 0) {  // no fan-out: run on the caller's thread alone
-    for (int i = 0; i < items; ++i) fn(i, 0);
-    return;
-  }
+void QueryService::RunOnPool(int items, std::function<void(int, int)> fn) {
+  const int helpers = std::min(pool_->size(), items) - 1;
   // Shared by the submitting thread and the pool helpers. Helpers hold the
   // state (and through it `fn` and whatever it owns) alive even if they
   // only get scheduled after the call has returned and claim no item.
@@ -355,49 +358,28 @@ Result<QueryResult> QueryService::QueryOnce(const std::string& query,
   SessionPtr session = CurrentSession();
   Result<QueryResult> r = [&]() -> Result<QueryResult> {
     LPATH_ASSIGN_OR_RETURN(CachedPlanPtr planned, GetPlanIn(*session, query));
-    const int workers = options_.shards_per_query > 0
-                            ? std::min(options_.shards_per_query, pool_->size())
-                            : pool_->size();
-    return RunMorsels(*session, std::move(planned), workers, sink, cancel);
+    return RunMorsels(*session, std::move(planned), sink, cancel);
   }();
-  RecordQueries(timer.ElapsedSeconds(), !r.ok(), /*count=*/1,
-                /*coalesced=*/0);
+  RecordQuery(timer.ElapsedSeconds(), !r.ok());
   return r;
 }
 
-void QueryService::RecordQueries(double seconds, bool error, int count,
-                                 int coalesced) {
+void QueryService::RecordQuery(double seconds, bool error) {
   std::lock_guard<std::mutex> lock(stats_mu_);
-  queries_ += static_cast<uint64_t>(count);
-  if (error) errors_ += static_cast<uint64_t>(count);
-  batch_coalesced_ += static_cast<uint64_t>(coalesced);
-  total_seconds_ += seconds * count;
+  queries_ += 1;
+  if (error) errors_ += 1;
+  total_seconds_ += seconds;
   const double ms = seconds * 1e3;
-  for (int i = 0; i < count; ++i) {
-    if (latency_ring_ms_.size() < kLatencySamples) {
-      latency_ring_ms_.push_back(ms);
-    } else {
-      latency_ring_ms_[next_sample_ % kLatencySamples] = ms;
-    }
-    next_sample_ += 1;
+  if (latency_ring_ms_.size() < kLatencySamples) {
+    latency_ring_ms_.push_back(ms);
+  } else {
+    latency_ring_ms_[next_sample_ % kLatencySamples] = ms;
   }
+  next_sample_ += 1;
 }
 
 Result<QueryResult> QueryService::Query(const std::string& query) {
   return QueryOnce(query, /*sink=*/nullptr, /*cancel=*/nullptr);
-}
-
-Status QueryService::QueryStream(const std::string& query,
-                                 const RowSink& sink) {
-  return QueryOnce(query, &sink, /*cancel=*/nullptr).status();
-}
-
-PendingQuery QueryService::Submit(const std::string& query) {
-  return Submit(query, RowSink{});
-}
-
-PendingQuery QueryService::Submit(const std::string& query, RowSink sink) {
-  return Submit(query, std::move(sink), SubmitOptions{});
 }
 
 PendingQuery QueryService::Submit(const std::string& query, RowSink sink,
@@ -417,68 +399,6 @@ PendingQuery QueryService::Submit(const std::string& query, RowSink sink,
   PendingQuery handle(task->get_future().share());
   pool_->Post([task] { (*task)(); });
   return handle;
-}
-
-std::vector<Result<QueryResult>> QueryService::QueryBatch(
-    const std::vector<std::string>& queries) {
-  std::vector<Result<QueryResult>> results(queries.size(),
-                                           Result<QueryResult>(QueryResult{}));
-  if (queries.empty()) return results;
-
-  // One consistent session for the whole batch, so every member resolves
-  // and executes against the same snapshot and the same cache.
-  SessionPtr session = CurrentSession();
-
-  // Coalescing, stage 1: group members by normalized text and resolve each
-  // distinct text once — in parallel, since cache misses carry the
-  // parse/compile/prepare cost. A text that fails to resolve answers all
-  // of its members with the error, recorded at its resolution time.
-  struct TextGroup {
-    std::string key;
-    std::vector<int> members;
-    Result<CachedPlanPtr> planned = Result<CachedPlanPtr>(nullptr);
-  };
-  std::vector<TextGroup> groups;
-  {
-    std::unordered_map<std::string, size_t> index;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      std::string key = NormalizeQueryText(queries[i]);
-      auto [it, inserted] = index.emplace(std::move(key), groups.size());
-      if (inserted) {
-        groups.push_back(TextGroup{});
-        groups.back().key = it->first;
-      }
-      groups[it->second].members.push_back(static_cast<int>(i));
-    }
-  }
-  RunOnPool(static_cast<int>(groups.size()), pool_->size(),
-            [this, &session, &groups, &results](int g, int /*worker*/) {
-    TextGroup& group = groups[g];
-    Timer timer;
-    group.planned = GetPlanIn(*session, group.key);
-    if (group.planned.ok()) return;
-    for (int member : group.members) results[member] = group.planned.status();
-    RecordQueries(timer.ElapsedSeconds(), /*error=*/true,
-                  static_cast<int>(group.members.size()), /*coalesced=*/0);
-  });
-
-  // Stage 2: workers claim whole resolved groups; each executes its plan
-  // once as a single morsel (so concurrent groups do not contend over
-  // intra-query morsels), and the result fans out to every member.
-  RunOnPool(static_cast<int>(groups.size()), pool_->size(),
-            [this, &session, &groups, &results](int g, int /*worker*/) {
-    TextGroup& group = groups[g];
-    if (!group.planned.ok()) return;
-    Timer timer;
-    Result<QueryResult> r =
-        RunMorsels(*session, *group.planned, /*workers=*/1, /*sink=*/nullptr,
-                   /*cancel=*/nullptr);
-    for (int member : group.members) results[member] = r;
-    RecordQueries(timer.ElapsedSeconds(), !r.ok(),
-                  static_cast<int>(group.members.size()),
-                  static_cast<int>(group.members.size()) - 1);
-  });
-  return results;
 }
 
 void QueryService::RecordExec(const sql::ExecStats& exec, bool sharded) {
@@ -536,7 +456,6 @@ ServiceStats QueryService::Stats() const {
     s.wal_bytes = wal_bytes_;
     s.replayed_batches = replayed_batches_;
     s.checkpoints = checkpoints_;
-    s.batch_coalesced = batch_coalesced_;
     s.exec = exec_;
     s.total_seconds = total_seconds_;
     sorted = latency_ring_ms_;
@@ -562,7 +481,6 @@ void QueryService::ResetStats() {
   wal_bytes_ = 0;
   replayed_batches_ = 0;
   checkpoints_ = 0;
-  batch_coalesced_ = 0;
   exec_ = sql::ExecStats{};
   total_seconds_ = 0.0;
   latency_ring_ms_.clear();

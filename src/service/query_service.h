@@ -35,16 +35,12 @@
 //   - aggregated executor work counters and a latency reservoir with
 //     percentile summaries.
 //
-// Entry points, all safe to call concurrently from many threads:
-//   Query()       synchronous; a thin wrapper over the streaming path.
-//   QueryStream() rows delivered to a callback per morsel as morsels
-//                 finish; morsel outputs are already disjoint.
-//   Submit()      asynchronous; returns a future-like PendingQuery handle
-//                 (optionally also streaming to a callback).
-//   QueryBatch()  spreads a batch of queries over the pool workers — the
-//                 throughput path a front end with its own queue would use.
-//                 Members that normalize to the same text coalesce into
-//                 one execution whose result fans out to all of them.
+// Two entry points, both safe to call concurrently from many threads:
+//   Query()   synchronous; returns the (source, tid)-ordered result.
+//   Submit()  asynchronous; returns a future-like PendingQuery handle. With
+//             a sink, each morsel's rows go to the sink as the morsel
+//             finishes and are then dropped: the handle resolves to an
+//             empty result. Without one, it resolves to the full result.
 
 #ifndef LPATHDB_SERVICE_QUERY_SERVICE_H_
 #define LPATHDB_SERVICE_QUERY_SERVICE_H_
@@ -71,10 +67,9 @@ namespace lpath {
 namespace service {
 
 struct QueryServiceOptions {
-  /// Worker threads; also the default parallelism of one query.
+  /// Worker threads; also the fan-out of one query, so a 1-thread
+  /// service runs every query as one morsel.
   int threads = 4;
-  /// Workers a single Query() fans out over; 0 means one per thread.
-  int shards_per_query = 0;
   /// Prepared plans kept by each session's LRU cache.
   size_t plan_cache_capacity = 256;
   sql::ExecOptions exec;
@@ -99,7 +94,7 @@ struct LatencySummary {
 };
 
 struct ServiceStats {
-  uint64_t queries = 0;  ///< completed evaluations across all entry points
+  uint64_t queries = 0;  ///< completed evaluations (Query and Submit)
   uint64_t errors = 0;
   uint64_t sharded_queries = 0;  ///< executed with fan-out > 1
   uint64_t serial_queries = 0;   ///< executed serially (incl. adaptive picks)
@@ -109,10 +104,6 @@ struct ServiceStats {
   uint64_t wal_bytes = 0;        ///< payload bytes of those records
   uint64_t replayed_batches = 0; ///< WAL batches recovered on attach/open
   uint64_t checkpoints = 0;      ///< WAL truncations after compaction
-  /// Batch members answered by another member's execution: members of one
-  /// QueryBatch call that normalize to the same text coalesce to a single
-  /// execution fanned out to all of them.
-  uint64_t batch_coalesced = 0;
   PlanCache::Stats cache;        ///< current session's cache (reset by swap)
   sql::ExecStats exec;           ///< summed over all queries and shards
   LatencySummary latency;
@@ -185,27 +176,17 @@ class QueryService {
   /// (unless the adaptive heuristic picks serial).
   Result<QueryResult> Query(const std::string& query);
 
-  /// Evaluates one query, streaming result rows to `sink` per shard as
-  /// shards complete (see RowSink for the delivery contract). Rows may
-  /// have been delivered even when the final status is an error (a late
-  /// shard can fail after earlier ones streamed).
-  Status QueryStream(const std::string& query, const RowSink& sink);
-
-  /// Submits a query for asynchronous evaluation on the pool. The second
-  /// form also streams rows to `sink` as shards complete; the handle
-  /// resolves after the final batch was delivered.
-  PendingQuery Submit(const std::string& query);
-  PendingQuery Submit(const std::string& query, RowSink sink);
-  /// The front-end form: `sink` streams batches, `opts.cancel` aborts the
-  /// execution at the next morsel/source boundary, `opts.done` fires after
-  /// the final delivery with the query's terminal status.
-  PendingQuery Submit(const std::string& query, RowSink sink,
-                      SubmitOptions opts);
-
-  /// Evaluates a batch of LPath queries, spreading them over the pool
-  /// workers; results are positionally aligned with `queries`.
-  std::vector<Result<QueryResult>> QueryBatch(
-      const std::vector<std::string>& queries);
+  /// Submits a query for asynchronous evaluation on the pool. A non-null
+  /// `sink` takes the rows as morsels complete (see RowSink for the
+  /// delivery contract) and the handle then resolves to an empty result
+  /// after the final batch was delivered; rows may have been delivered
+  /// even when the final status is an error (a late morsel can fail after
+  /// earlier ones streamed). Without a sink the handle resolves to the
+  /// full result. `opts.cancel` aborts the execution at the next
+  /// morsel/source boundary, `opts.done` fires after the final delivery
+  /// with the query's terminal status.
+  PendingQuery Submit(const std::string& query, RowSink sink = {},
+                      SubmitOptions opts = {});
 
   /// Parses/compiles/optimizes `query` into the current session's plan
   /// cache (or returns the cached plan). Exposed for warmup and for plan
@@ -276,35 +257,31 @@ class QueryService {
   static int CollectSources(const Session& session, const CachedPlan& planned,
                             SourceRun* out);
   /// The morsel runner: carves the query's sources into tid-range morsels
-  /// and runs them on up to `workers` pool threads, the caller included.
-  /// Serial execution is its one-morsel case: each source runs whole
-  /// on the caller's thread — picked for `workers` <= 1, for a tiny root
+  /// and runs them on the pool threads, the caller included. Serial
+  /// execution is its one-morsel case: each source runs whole on the
+  /// caller's thread — picked for a 1-thread pool, for a tiny root
   /// estimate (adaptive_serial_rows), or for a plan whose output is not
   /// tied to its root's tree (sql::PreparedPlan::OutputTiedToRoot).
-  /// Morsel outputs are sorted and pairwise disjoint, so each goes to
-  /// `sink` as it finishes and the result is their concatenation in
-  /// (source, tid) order. `cancel` (nullable) is polled per morsel: set
-  /// mid-flight, the remaining morsels are skipped and the query resolves
-  /// to Cancelled.
+  /// Morsel outputs are sorted and pairwise disjoint: with a `sink`, each
+  /// goes to the sink as it finishes and is dropped, and the result is
+  /// empty; without one, the result is their concatenation in (source,
+  /// tid) order. `cancel` (nullable) is polled per morsel: set mid-flight,
+  /// the remaining morsels are skipped and the query resolves to Cancelled.
   Result<QueryResult> RunMorsels(const Session& session, CachedPlanPtr planned,
-                                 int workers, const RowSink* sink,
+                                 const RowSink* sink,
                                  const std::atomic<bool>* cancel);
   Result<QueryResult> QueryOnce(const std::string& query, const RowSink* sink,
                                 const std::atomic<bool>* cancel);
-  /// Records `count` completed queries sharing one wall-clock measurement
-  /// (QueryBatch's coalesced groups record every member at the group's
-  /// latency; count-1 of them tick the coalesced counter).
-  void RecordQueries(double seconds, bool error, int count, int coalesced);
+  /// Records one completed query and its wall-clock time.
+  void RecordQuery(double seconds, bool error);
   /// Runs fn(0..items-1, worker) across the pool: helper tasks are bulk-
-  /// posted for up to max_workers-1 other workers while the calling thread
-  /// (worker 0) drains the same claim counter, and the call returns once
-  /// every item has finished. The shared counter is the morsel cursor:
-  /// whichever worker is free claims the next item, so skew balances
-  /// itself and a saturated pool degrades to serial execution instead of
-  /// deadlocking. With no helper to post (one worker or one item), the
-  /// items simply run in order on the calling thread.
-  void RunOnPool(int items, int max_workers,
-                 std::function<void(int, int)> fn);
+  /// posted for the other pool workers while the calling thread (worker 0)
+  /// drains the same claim counter, and the call returns once every item
+  /// has finished. The shared counter is the morsel cursor: whichever
+  /// worker is free claims the next item, so skew balances itself and a
+  /// saturated pool degrades to serial execution instead of deadlocking.
+  /// Called only with at least two items and at least two pool threads.
+  void RunOnPool(int items, std::function<void(int, int)> fn);
   void RecordExec(const sql::ExecStats& exec, bool sharded);
 
   SessionPtr CurrentSession() const;
@@ -342,7 +319,6 @@ class QueryService {
   uint64_t wal_bytes_ = 0;
   uint64_t replayed_batches_ = 0;
   uint64_t checkpoints_ = 0;
-  uint64_t batch_coalesced_ = 0;
   sql::ExecStats exec_;
   double total_seconds_ = 0.0;
   std::vector<double> latency_ring_ms_;  // bounded reservoir of recent queries

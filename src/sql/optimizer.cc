@@ -347,19 +347,22 @@ Conjunct Orient(const Conjunct& c, int var_at_pos) {
 
 /// Chooses the access path of position `pos`: the executor's index
 /// choice, made once. The order fixes which variables are bound before
-/// `pos`, so the choice depends on no row. `correlated` says whether the
-/// plan is a subplan, whose outer references are bound; `class_outer`
-/// holds each tid class's outer reference (or null).
-AccessPath ChooseAccess(const PreparedPlan& pp, int pos, bool correlated,
+/// `pos` (`pos_of`: variable -> position), so the choice depends on no
+/// row. `at` holds the conjuncts checkable once `pos` is bound, oriented
+/// by Orient. `correlated` says whether the plan is a subplan, whose outer
+/// references are bound; `class_outer` holds each tid class's outer
+/// reference (or null).
+AccessPath ChooseAccess(const PreparedPlan& pp, int pos,
+                        const std::vector<int>& pos_of,
+                        const std::vector<Conjunct>& at, bool correlated,
                         const std::vector<const Operand*>& class_outer) {
   using Kind = AccessPath::Kind;
   using TidSource = AccessPath::TidSource;
   const int v = pp.order[pos];
-  const std::vector<Conjunct>& at = pp.conjuncts_at[pos];
   auto ready = [&](const Operand& o) {
     if (o.is_literal()) return true;
     if (o.is_outer()) return correlated;
-    return o.var != v && pp.pos_of[o.var] < pos;
+    return o.var != v && pos_of[o.var] < pos;
   };
 
   // The last literal tag and node-kind equalities, and the conjuncts an
@@ -405,7 +408,7 @@ AccessPath ChooseAccess(const PreparedPlan& pp, int pos, bool correlated,
   } else {
     const int cls = pp.tid_class[v];
     for (int u = 0; u < pp.plan.num_vars; ++u) {
-      if (u != v && pp.tid_class[u] == cls && pp.pos_of[u] < pos) {
+      if (u != v && pp.tid_class[u] == cls && pos_of[u] < pos) {
         a.tid_source = TidSource::kClassMember;
         a.tid = Operand::Column(u, PlanCol::kTid);
         break;
@@ -479,16 +482,20 @@ Result<std::unique_ptr<PreparedPlan>> PrepareResolved(
       pp->order.empty()
           ? 0
           : static_cast<size_t>(BaseCardinality(facts[pp->order[0]], rel));
-  pp->pos_of.assign(p.num_vars, 0);
+  std::vector<int> pos_of(p.num_vars, 0);  // variable -> position
   for (int pos = 0; pos < static_cast<int>(pp->order.size()); ++pos) {
-    pp->pos_of[pp->order[pos]] = pos;
+    pos_of[pp->order[pos]] = pos;
   }
-  pp->output_pos = p.num_vars > 0 ? pp->pos_of[p.output_var] : 0;
+  pp->output_pos = p.num_vars > 0 ? pos_of[p.output_var] : 0;
 
-  pp->conjuncts_at.resize(std::max(1, p.num_vars));
+  // Conjuncts checkable once position p is bound, oriented so lhs.var is
+  // that position's variable whenever a local variable is involved; the
+  // access paths split each position's set into bounds and residual.
+  std::vector<std::vector<Conjunct>> pos_conjuncts(std::max(1, p.num_vars));
   for (const Conjunct& c : p.conjuncts) {
-    const int pos = ReadyPos(c, pp->pos_of);
-    pp->conjuncts_at[pos].push_back(Orient(c, pp->order.empty() ? -1 : pp->order[pos]));
+    const int pos = ReadyPos(c, pos_of);
+    pos_conjuncts[pos].push_back(
+        Orient(c, pp->order.empty() ? -1 : pp->order[pos]));
   }
   // tid equivalence classes (union-find over tid = tid conjuncts).
   {
@@ -527,7 +534,8 @@ Result<std::unique_ptr<PreparedPlan>> PrepareResolved(
     class_outer[pp->tid_class[local->var]] = outer;
   }
   for (int pos = 0; pos < static_cast<int>(pp->order.size()); ++pos) {
-    pp->access.push_back(ChooseAccess(*pp, pos, correlated, class_outer));
+    pp->access.push_back(ChooseAccess(*pp, pos, pos_of, pos_conjuncts[pos],
+                                      correlated, class_outer));
   }
 
   pp->filters_at.resize(std::max(1, p.num_vars));
@@ -535,7 +543,7 @@ Result<std::unique_ptr<PreparedPlan>> PrepareResolved(
     std::set<int> vars;
     CollectVars(*f, &vars);
     int pos = 0;
-    for (int v : vars) pos = std::max(pos, pp->pos_of[v]);
+    for (int v : vars) pos = std::max(pos, pos_of[v]);
     pp->filters_at[pos].push_back(f.get());
   }
 

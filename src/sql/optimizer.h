@@ -95,15 +95,12 @@ std::string_view AccessKindName(AccessPath::Kind kind);
 struct PreparedPlan {
   ExecPlan plan;  // literals resolved to symbol ids (numbers)
 
-  std::vector<int> order;   ///< position -> variable
-  std::vector<int> pos_of;  ///< variable -> position
+  std::vector<int> order;  ///< position -> variable
   int output_pos = 0;
 
-  /// Conjuncts checkable once the variable at position p is bound
-  /// (oriented: lhs.var is that variable whenever a local var is involved).
-  std::vector<std::vector<Conjunct>> conjuncts_at;
-
-  /// Position p's access path (bounds and residual split conjuncts_at[p]).
+  /// Position p's access path. Its bounds and residual split the
+  /// conjuncts checkable once the variable at p is bound (oriented:
+  /// lhs.var is that variable whenever a local var is involved).
   std::vector<AccessPath> access;
 
   /// Filters evaluable once position p is bound.

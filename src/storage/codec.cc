@@ -66,20 +66,20 @@ void AppendPod(std::vector<uint8_t>* out, const T& pod) {
   std::memcpy(out->data() + at, &pod, sizeof(T));
 }
 
-/// Unpacks values [from, to) of one full-width block, branch-free per
-/// value: the straddling high word is masked in unconditionally (the
-/// payload geometry guarantees words[word + 1] exists whenever the value
-/// actually straddles; a non-straddling value multiplies it by zero).
-void UnpackBlock(const BlockDesc& desc, const uint64_t* words, uint64_t from,
-                 uint64_t to, uint32_t* out) {
+/// Unpacks the first `n` values of one block, branch-free per value: the
+/// straddling high word is masked in unconditionally (the payload geometry
+/// guarantees words[word + 1] exists whenever the value actually
+/// straddles; a non-straddling value multiplies it by zero).
+void UnpackBlock(const BlockDesc& desc, const uint64_t* words, uint64_t n,
+                 uint32_t* out) {
   if (desc.width == 0) {
-    for (uint64_t i = from; i < to; ++i) *out++ = desc.reference;
+    std::fill_n(out, n, desc.reference);
     return;
   }
   const uint64_t width = desc.width;
   const uint64_t mask =
       width == 64 ? ~uint64_t{0} : ((uint64_t{1} << width) - 1);
-  for (uint64_t i = from; i < to; ++i) {
+  for (uint64_t i = 0; i < n; ++i) {
     const uint64_t bit = i * width;
     const uint64_t word = bit >> 6;
     const uint64_t shift = bit & 63;
@@ -270,55 +270,33 @@ Status ColumnCodec::Validate(const EncodedColumnView& column) {
   return Status::OK();
 }
 
-uint64_t ColumnCodec::DecodeRange(const EncodedColumnView& column,
-                                  uint64_t begin, uint64_t n, uint32_t* out) {
-  if (n == 0) return 0;
+void ColumnCodec::Decode(const EncodedColumnView& column, uint32_t* out) {
+  if (column.count == 0) return;
   if (column.encoding == ColumnEncoding::kRle) {
     const Run* runs =
         reinterpret_cast<const Run*>(column.bytes.data() + sizeof(uint64_t));
     uint64_t run_count = 0;
     std::memcpy(&run_count, column.bytes.data(), sizeof(run_count));
-    // First run whose exclusive end exceeds `begin`.
-    const Run* run = std::upper_bound(
-        runs, runs + run_count, begin,
-        [](uint64_t pos, const Run& r) { return pos < r.end; });
-    uint64_t touched = 0;
-    uint64_t at = begin;
-    const uint64_t end = begin + n;
-    while (at < end) {
-      const uint64_t run_end = std::min<uint64_t>(run->end, end);
-      for (; at < run_end; ++at) *out++ = run->value;
-      ++run;
-      ++touched;
+    uint64_t at = 0;
+    for (uint64_t r = 0; r < run_count; ++r) {
+      out = std::fill_n(out, runs[r].end - at, runs[r].value);
+      at = runs[r].end;
     }
-    return touched;
+    return;
   }
-  // kBitPack.
+  // kBitPack: every block is full but the last.
   const BlockDesc* descs = reinterpret_cast<const BlockDesc*>(
       column.bytes.data() + sizeof(uint64_t));
   uint64_t blocks = 0;
   std::memcpy(&blocks, column.bytes.data(), sizeof(blocks));
   const uint64_t* words = reinterpret_cast<const uint64_t*>(
       column.bytes.data() + sizeof(uint64_t) + blocks * sizeof(BlockDesc));
-  uint64_t touched = 0;
-  uint64_t at = begin;
-  const uint64_t end = begin + n;
-  while (at < end) {
-    const uint64_t b = at / kCodecBlockValues;
-    const uint64_t lo = at - b * kCodecBlockValues;
-    const uint64_t hi =
-        std::min<uint64_t>(kCodecBlockValues, end - b * kCodecBlockValues);
-    UnpackBlock(descs[b], words + descs[b].word_offset, lo, hi, out);
-    out += hi - lo;
-    at = b * kCodecBlockValues + hi;
-    ++touched;
+  for (uint64_t b = 0; b < blocks; ++b) {
+    const uint64_t n = std::min<uint64_t>(
+        kCodecBlockValues, column.count - b * kCodecBlockValues);
+    UnpackBlock(descs[b], words + descs[b].word_offset, n, out);
+    out += n;
   }
-  return touched;
-}
-
-void ColumnCodec::Decode(const EncodedColumnView& column, uint32_t* out) {
-  if (column.count == 0) return;
-  DecodeRange(column, 0, column.count, out);
 }
 
 }  // namespace lpath

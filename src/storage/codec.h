@@ -1,8 +1,8 @@
 // Lightweight column compression for the relation's persistent images, in
 // the style of Abadi-style column codecs: cheap to decode (a handful of
-// shifts and adds per value), block-oriented so any row range decodes
-// without touching the rest, and picked per column by measured encoded
-// size rather than by type. Images decode encoded columns once, at open.
+// shifts and adds per value), block-oriented, and picked per column by
+// measured encoded size rather than by type. Images decode encoded columns
+// whole, once, at open.
 //
 //   kRaw     — the column's verbatim 32-bit words (incompressible columns).
 //              Not represented as encoded bytes; a raw section is served
@@ -15,8 +15,7 @@
 //   kRle     — run-length over the 32-bit words as (exclusive end, value)
 //              pairs. The name column is a handful of runs by construction
 //              (the relation is clustered by name); the value column is
-//              kNoSymbol across every element row. Runs are binary
-//              searchable, so range decode is O(log runs + n).
+//              kNoSymbol across every element row.
 //
 // All codecs are value-preserving over the raw 32-bit patterns (signed
 // columns round-trip bit-exactly through unsigned arithmetic), and
@@ -77,17 +76,12 @@ class ColumnCodec {
 
   /// Structural validation of an untrusted payload: block descriptors in
   /// bounds, widths <= 32, run ends strictly increasing and summing to
-  /// `count`, total size exact. After an OK here, every Decode*() below is
+  /// `count`, total size exact. After an OK here, Decode() below is
   /// memory-safe over the view.
   static Status Validate(const EncodedColumnView& column);
 
   /// Decodes the whole column; `out` must hold `column.count` values.
   static void Decode(const EncodedColumnView& column, uint32_t* out);
-
-  /// Decodes values [begin, begin + n); any range within the column is
-  /// legal. Returns the number of codec blocks (or runs) touched.
-  static uint64_t DecodeRange(const EncodedColumnView& column, uint64_t begin,
-                              uint64_t n, uint32_t* out);
 };
 
 }  // namespace lpath

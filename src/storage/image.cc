@@ -615,10 +615,8 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
   if (options.verify == ImageVerify::kFull) {
     // The scan below touches every payload page once, in order: tell the
     // kernel to start fetching them ahead of the read.
-    if (options.madvise) {
-      AdviseRange(*file, sizeof(ImageHeader),
-                  file->size() - sizeof(ImageHeader), kAdviseWillNeed);
-    }
+    AdviseRange(*file, sizeof(ImageHeader),
+                file->size() - sizeof(ImageHeader), kAdviseWillNeed);
     Fnv64 fnv;
     fnv.Update(file->data() + sizeof(ImageHeader),
                file->size() - sizeof(ImageHeader));
@@ -692,23 +690,23 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
   // Raw columns bind straight into the mapping; encoded ones are decoded
   // once here so every span accessor (and the binary searches behind the
   // run/range lookups) work identically over both.
-  // Mapping hints (see ImageOpenOptions::madvise): the sections consumed
-  // eagerly right below — encoded column payloads (decoded into the arena)
-  // and the interner table (re-interned into the fresh corpus) — are
-  // prefetched; the sections served straight out of the mapping at query
-  // time get MADV_RANDOM after the one-time sanity scans further down.
-  if (options.madvise) {
-    for (uint32_t i = 0; i < kRelColEncodable; ++i) {
-      if (table[i].encoding != static_cast<uint32_t>(ColumnEncoding::kRaw)) {
-        AdviseRange(*file, table[i].offset, table[i].stored_bytes,
-                    kAdviseWillNeed);
-      }
+  // Mapping hints (see AdviseRange): the sections consumed eagerly right
+  // below — encoded column payloads (decoded into the arena) and the
+  // interner table (re-interned into the fresh corpus) — are prefetched;
+  // the sections served straight out of the mapping at query time get
+  // MADV_RANDOM after the one-time sanity scans further down, since their
+  // steady-state access is binary searches that readahead only pollutes
+  // the page cache for.
+  for (uint32_t i = 0; i < kRelColEncodable; ++i) {
+    if (table[i].encoding != static_cast<uint32_t>(ColumnEncoding::kRaw)) {
+      AdviseRange(*file, table[i].offset, table[i].stored_bytes,
+                  kAdviseWillNeed);
     }
-    AdviseRange(*file, table[kIdxInternerOffsets].offset,
-                table[kIdxInternerOffsets].stored_bytes, kAdviseWillNeed);
-    AdviseRange(*file, table[kIdxInternerBlob].offset,
-                table[kIdxInternerBlob].stored_bytes, kAdviseWillNeed);
   }
+  AdviseRange(*file, table[kIdxInternerOffsets].offset,
+              table[kIdxInternerOffsets].stored_bytes, kAdviseWillNeed);
+  AdviseRange(*file, table[kIdxInternerBlob].offset,
+              table[kIdxInternerBlob].stored_bytes, kAdviseWillNeed);
 
   auto backing = std::make_shared<MappedBacking>();
   backing->file = file;
@@ -797,16 +795,13 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
   // mapped sections are hit by binary searches and point lookups, where
   // readahead only evicts useful pages. Encoded columns are excluded: their
   // payloads were decoded into the arena and are never read again.
-  if (options.madvise) {
-    for (uint32_t i = 0; i < kSectionCount; ++i) {
-      if (i == kIdxInternerOffsets || i == kIdxInternerBlob) continue;
-      if (i < kRelColEncodable &&
-          table[i].encoding != static_cast<uint32_t>(ColumnEncoding::kRaw)) {
-        continue;
-      }
-      AdviseRange(*file, table[i].offset, table[i].stored_bytes,
-                  kAdviseRandom);
+  for (uint32_t i = 0; i < kSectionCount; ++i) {
+    if (i == kIdxInternerOffsets || i == kIdxInternerBlob) continue;
+    if (i < kRelColEncodable &&
+        table[i].encoding != static_cast<uint32_t>(ColumnEncoding::kRaw)) {
+      continue;
     }
+    AdviseRange(*file, table[i].offset, table[i].stored_bytes, kAdviseRandom);
   }
 
   // --- Bind the relation straight onto the mapping --------------------------

@@ -83,15 +83,6 @@ enum class ImageVerify {
 
 struct ImageOpenOptions {
   ImageVerify verify = ImageVerify::kFull;
-  /// Issue posix_madvise hints on the fresh mapping (no-op on platforms
-  /// without it): MADV_WILLNEED ahead of everything Open reads eagerly —
-  /// the whole payload before a kFull checksum scan, the encoded column
-  /// payloads before decode, the interner table before re-interning — and
-  /// MADV_RANDOM on the sections served straight out of the mapping at
-  /// query time (raw columns, permutations, indexes), whose steady-state
-  /// access is binary searches that readahead only pollutes the page cache
-  /// for.
-  bool madvise = true;
 };
 
 /// Column encoding policy for Save().

@@ -87,15 +87,11 @@ Status CorpusSnapshot::Save(const std::string& path, ImageSaveOptions options,
 }
 
 Result<SnapshotPtr> CorpusSnapshot::Rebuild() const {
-  return Rebuild(options_);
-}
-
-Result<SnapshotPtr> CorpusSnapshot::Rebuild(RelationOptions options) const {
   // An image-backed snapshot has no trees to relabel: re-open the image
-  // (its labeling is baked in; `options` cannot change it).
+  // (its labeling is baked in).
   LPATH_ASSIGN_OR_RETURN(SnapshotPtr base, image_backed()
                                                ? Open(image_path_)
-                                               : Build(corpus_, options));
+                                               : Build(corpus_, options_));
   if (!has_delta()) return base;
   // Carry the chain: re-layer the delta trees onto the new base's
   // dictionary (an image re-open brings a fresh one; the old overlay would

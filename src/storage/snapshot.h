@@ -76,13 +76,13 @@ class CorpusSnapshot {
   Status Save(const std::string& path, ImageSaveOptions options = {},
               ImageSaveStats* stats = nullptr) const;
 
-  /// A new snapshot over the same corpus with a freshly built relation —
-  /// the "rebuilt index" input to a hot swap. For an image-backed snapshot
+  /// A new snapshot over the same corpus with a relation freshly built
+  /// under the snapshot's own options — the "rebuilt index" input to a hot
+  /// swap. For an image-backed snapshot
   /// there are no trees to relabel; Rebuild re-opens the image instead
   /// (a fresh mapping picks up a republished file). A chain's delta is
   /// rebuilt over the (immutable) delta corpus and re-attached.
   Result<SnapshotPtr> Rebuild() const;
-  Result<SnapshotPtr> Rebuild(RelationOptions options) const;
 
   // --- Snapshot chain -------------------------------------------------------
 

@@ -1,8 +1,8 @@
 // ColumnCodec unit tests: bit-exact round trips through both codecs over
 // adversarial value shapes (empty, constant, block boundaries, full 32-bit
-// width, signed bit patterns), DecodeRange agreeing with a full Decode on
-// random windows, PickEncoding choosing by measured size, and Validate
-// rejecting structurally corrupt payloads before any decode touches them.
+// width, signed bit patterns), PickEncoding choosing by measured size, and
+// Validate rejecting structurally corrupt payloads before any decode
+// touches them.
 
 #include "storage/codec.h"
 
@@ -99,39 +99,6 @@ TEST(CodecTest, RandomColumnsRoundTripUnderBothCodecs) {
          {ColumnEncoding::kBitPack, ColumnEncoding::kRle}) {
       ASSERT_EQ(RoundTrip(values, encoding), values)
           << "trial " << trial << " under " << ColumnEncodingName(encoding);
-    }
-  }
-}
-
-TEST(CodecTest, DecodeRangeMatchesFullDecodeOnRandomWindows) {
-  Rng rng(77);
-  std::vector<uint32_t> values(4096 + 513);
-  for (size_t i = 0; i < values.size(); ++i) {
-    values[i] = static_cast<uint32_t>(rng.Below(100)) + (i / 7);
-  }
-  for (const ColumnEncoding encoding :
-       {ColumnEncoding::kBitPack, ColumnEncoding::kRle}) {
-    const std::vector<uint8_t> bytes = ColumnCodec::Encode(values, encoding);
-    EncodedColumnView view;
-    view.encoding = encoding;
-    view.count = values.size();
-    view.bytes = bytes;
-    ASSERT_TRUE(ColumnCodec::Validate(view).ok());
-    for (int trial = 0; trial < 200; ++trial) {
-      const uint64_t begin = rng.Below(values.size());
-      const uint64_t n =
-          std::min<uint64_t>(rng.Below(1500), values.size() - begin);
-      std::vector<uint32_t> out(n, 0xdeadbeef);
-      const uint64_t touched =
-          ColumnCodec::DecodeRange(view, begin, n, out.data());
-      if (n > 0) {
-        EXPECT_GT(touched, 0u);
-      }
-      for (uint64_t i = 0; i < n; ++i) {
-        ASSERT_EQ(out[i], values[begin + i])
-            << "window [" << begin << ", " << begin + n << ") at " << i
-            << " under " << ColumnEncodingName(encoding);
-      }
     }
   }
 }

@@ -135,10 +135,14 @@ TEST(DatabaseTest, SubmitAndStreamRouteLikeQuery) {
   EXPECT_EQ(async.value(), sync.value());
 
   QueryResult streamed;
-  Status s = database.QueryStream("x", q, [&streamed](std::span<const Hit> rows) {
-    streamed.hits.insert(streamed.hits.end(), rows.begin(), rows.end());
-  });
-  ASSERT_TRUE(s.ok());
+  Result<service::PendingQuery> sinking =
+      database.Submit("x", q, [&streamed](std::span<const Hit> rows) {
+        streamed.hits.insert(streamed.hits.end(), rows.begin(), rows.end());
+      });
+  ASSERT_TRUE(sinking.ok());
+  Result<QueryResult> drained = sinking->Get();
+  ASSERT_TRUE(drained.ok());
+  EXPECT_EQ(drained->count(), 0u);  // the sink took the rows
   streamed.Normalize();
   EXPECT_EQ(streamed, sync.value());
 }
@@ -199,13 +203,15 @@ TEST(DatabaseTest, HotSwapUnderConcurrentQueriesStaysConsistent) {
         if (!consistent) failures.fetch_add(1);
         // Exercise the streaming path under swaps too.
         QueryResult streamed;
-        Status s = database.QueryStream(
+        Result<service::PendingQuery> submitted = database.Submit(
             "x", queries[qi], [&streamed](std::span<const Hit> rows) {
               streamed.hits.insert(streamed.hits.end(), rows.begin(),
                                    rows.end());
             });
+        Result<QueryResult> handle =
+            submitted.ok() ? submitted->Get() : submitted.status();
         streamed.Normalize();
-        if (!s.ok() ||
+        if (!handle.ok() || handle->count() != 0 ||
             !(streamed == expected_a[qi] || streamed == expected_b[qi])) {
           failures.fetch_add(1);
         }

@@ -509,7 +509,7 @@ TEST_F(ImageCorruptionTest, RunWithNonContiguousTidsOpensInBoundsOrFails) {
 
 // --- Mapped-snapshot hot swap under concurrency (TSan coverage) -------------
 
-// Clients hammer Query()/QueryStream() against a corpus whose snapshot
+// Clients hammer Query() and sinking Submit()s against a corpus whose snapshot
 // alternates between an in-memory build and freshly opened mmap images;
 // retiring a mapped snapshot munmaps it, so this exercises exactly the
 // "mapping must outlive every in-flight reader" contract. The image stores
@@ -549,13 +549,18 @@ TEST(ImageTest, MappedHotSwapHammerStaysConsistentAndSafe) {
         Result<QueryResult> r = database.Query("x", queries[qi]);
         if (!r.ok() || !(r.value() == expected[qi])) failures.fetch_add(1);
         QueryResult streamed;
-        Status s = database.QueryStream(
+        Result<service::PendingQuery> submitted = database.Submit(
             "x", queries[qi], [&streamed](std::span<const Hit> rows) {
               streamed.hits.insert(streamed.hits.end(), rows.begin(),
                                    rows.end());
             });
+        Result<QueryResult> handle =
+            submitted.ok() ? submitted->Get() : submitted.status();
         streamed.Normalize();
-        if (!s.ok() || !(streamed == expected[qi])) failures.fetch_add(1);
+        if (!handle.ok() || handle->count() != 0 ||
+            !(streamed == expected[qi])) {
+          failures.fetch_add(1);
+        }
       }
     });
   }

@@ -3,7 +3,7 @@
 // tree-count-based work splitting):
 //   - the planner's row-balanced carving must bound per-worker work where
 //     the old even-by-tid split provably does not;
-//   - morsel execution (sync Query and QueryStream) must be result-
+//   - morsel execution (sync Query and Submit with a sink) must be result-
 //     identical to serial ExecutePrepared — differential over the fuzz
 //     query generator;
 //   - EXISTS-heavy queries (Q9 and its variants) fanned out over many
@@ -187,6 +187,29 @@ TEST_F(MorselServiceTest, MorselQueriesMatchSerialOnSkewedCorpus) {
   EXPECT_GT(stats.exec.morsels, stats.queries);
 }
 
+TEST_F(MorselServiceTest, OneThreadServiceRunsEveryQueryAsOneMorsel) {
+  // Fan-out is the pool size, so a 1-thread service is the serial
+  // service: every query, synchronous or submitted, is one morsel on one
+  // thread, with the same answers as the serial engine.
+  auto service = MakeMorselService(/*threads=*/1);
+  Rng rng(8086);
+  QueryGen gen(&rng);
+  for (int i = 0; i < 60; ++i) {
+    const std::string q = gen.Query();
+    Result<QueryResult> got =
+        i % 2 == 0 ? service->Query(q) : service->Submit(q).Get();
+    Result<QueryResult> expected = serial_->Run(q);
+    ASSERT_TRUE(got.ok()) << q << " -> " << got.status();
+    ASSERT_TRUE(expected.ok()) << q << " -> " << expected.status();
+    ASSERT_EQ(got.value(), expected.value()) << "query: " << q;
+  }
+  const service::ServiceStats stats = service->Stats();
+  EXPECT_EQ(stats.queries, 60u);
+  EXPECT_EQ(stats.exec.morsels, stats.queries);
+  EXPECT_EQ(stats.sharded_queries, 0u);
+  EXPECT_EQ(stats.exec.steal_count, 0u);
+}
+
 TEST_F(MorselServiceTest, StreamedMorselBatchesMatchSerialOnSkewedCorpus) {
   auto service = MakeMorselService();
   Rng rng(424242);
@@ -194,10 +217,15 @@ TEST_F(MorselServiceTest, StreamedMorselBatchesMatchSerialOnSkewedCorpus) {
   for (int i = 0; i < 100; ++i) {
     const std::string q = gen.Query();
     std::vector<std::vector<Hit>> batches;
-    Status s = service->QueryStream(q, [&batches](std::span<const Hit> rows) {
-      batches.emplace_back(rows.begin(), rows.end());
-    });
-    ASSERT_TRUE(s.ok()) << q << " -> " << s;
+    Result<QueryResult> handle =
+        service
+            ->Submit(q,
+                     [&batches](std::span<const Hit> rows) {
+                       batches.emplace_back(rows.begin(), rows.end());
+                     })
+            .Get();
+    ASSERT_TRUE(handle.ok()) << q << " -> " << handle.status();
+    ASSERT_EQ(handle->count(), 0u) << q << ": rows kept besides the sink";
 
     // Delivery contract unchanged by morsel scheduling: batches internally
     // sorted, disjoint, never empty; union = the serial DISTINCT result.
@@ -292,7 +320,7 @@ class ManyBindingsDistinctTest : public ::testing::Test {
     chain_ = std::move(chain).value();
   }
 
-  /// Runs every query through Query() and QueryStream() of a service over
+  /// Runs every query through Query() and a sinking Submit() of a service over
   /// `snap` and checks both against the navigational engine over `corpus`.
   /// `min_morsels` is the fan-out each query must have had (1 = serial).
   void Check(const SnapshotPtr& snap, const Corpus& corpus,
@@ -327,10 +355,15 @@ class ManyBindingsDistinctTest : public ::testing::Test {
       EXPECT_EQ(got.value(), expected.value()) << q;
 
       std::vector<std::vector<Hit>> batches;
-      Status s = service.QueryStream(q, [&batches](std::span<const Hit> rows) {
-        batches.emplace_back(rows.begin(), rows.end());
-      });
-      ASSERT_TRUE(s.ok()) << q << " -> " << s;
+      Result<QueryResult> handle =
+          service
+              .Submit(q,
+                      [&batches](std::span<const Hit> rows) {
+                        batches.emplace_back(rows.begin(), rows.end());
+                      })
+              .Get();
+      ASSERT_TRUE(handle.ok()) << q << " -> " << handle.status();
+      ASSERT_EQ(handle->count(), 0u) << q;
       std::set<Hit> seen;
       QueryResult streamed;
       for (const std::vector<Hit>& batch : batches) {
@@ -408,16 +441,16 @@ class FannedOutExistsTest : public ::testing::Test {
   }
 
   /// Runs every query fanned out (8 threads, no adaptive serial pick) and
-  /// as one morsel, and checks both against the navigational engine over
-  /// `corpus`.
+  /// on a 1-thread service (one morsel each), and checks both against the
+  /// navigational engine over `corpus`.
   void Check(const SnapshotPtr& snap, const Corpus& corpus) {
     NavigationalEngine nav(corpus);
     service::QueryServiceOptions fanned;
     fanned.threads = 8;
     fanned.adaptive_serial_rows = 0;
     service::QueryServiceOptions serial;
-    serial.threads = 8;
-    serial.shards_per_query = 1;
+    serial.threads = 1;
+    serial.adaptive_serial_rows = 0;
     service::QueryService fanned_service(snap, fanned);
     service::QueryService serial_service(snap, serial);
     for (const char* q : kQueries) {
@@ -520,15 +553,17 @@ TEST(MorselMemoHammerTest, ConcurrentMorselsAndHotSwapsStayConsistent) {
           failures.fetch_add(1);
         }
         QueryResult streamed;
-        Status s = service.QueryStream(
-            queries[(qi + 1) % queries.size()],
-            [&streamed](std::span<const Hit> rows) {
-              streamed.hits.insert(streamed.hits.end(), rows.begin(),
-                                   rows.end());
-            });
+        Result<QueryResult> handle =
+            service
+                .Submit(queries[(qi + 1) % queries.size()],
+                        [&streamed](std::span<const Hit> rows) {
+                          streamed.hits.insert(streamed.hits.end(),
+                                               rows.begin(), rows.end());
+                        })
+                .Get();
         streamed.Normalize();
         const size_t si = (qi + 1) % queries.size();
-        if (!s.ok() ||
+        if (!handle.ok() || handle->count() != 0 ||
             !(streamed == truth_a[si] || streamed == truth_b[si])) {
           failures.fetch_add(1);
         }

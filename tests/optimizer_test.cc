@@ -134,11 +134,23 @@ TEST_F(OptimizerTest, ConjunctsScheduledAtMaxPosition) {
       "WHERE a.name = 'S' AND b.name = 'NP' AND b.tid = a.tid AND "
       "b.left >= a.left");
   // Single-variable conjuncts land at that variable's position; the two
-  // cross-variable conjuncts land at the later position (1).
-  size_t at0 = pp->conjuncts_at[0].size();
-  size_t at1 = pp->conjuncts_at[1].size();
-  EXPECT_EQ(at0, 1u);  // the anchor's name test
-  EXPECT_EQ(at1, 3u);  // the other name test + tid link + left bound
+  // cross-variable conjuncts land at the later position (1). Position 0
+  // scans its name test's tag run (the test is implied, nothing is left
+  // to check); position 1 enforces its name test by its tag, takes its
+  // tree from the tid link and searches by the left bound.
+  ASSERT_EQ(pp->access.size(), 2u);
+  const sql::AccessPath& a0 = pp->access[0];
+  const sql::AccessPath& a1 = pp->access[1];
+  EXPECT_EQ(a0.kind, sql::AccessPath::Kind::kRun);
+  EXPECT_NE(a0.tag, kNoSymbol);
+  EXPECT_EQ(a0.bounds.size() + a0.residual.size(), 0u);
+  EXPECT_EQ(a1.kind, sql::AccessPath::Kind::kLeftRange);
+  EXPECT_NE(a1.tag, kNoSymbol);
+  EXPECT_NE(a1.tag, a0.tag);
+  EXPECT_EQ(a1.tid_source, sql::AccessPath::TidSource::kConjunct);
+  ASSERT_EQ(a1.bounds.size(), 1u);
+  EXPECT_EQ(a1.bounds[0].lhs.col, PlanCol::kLeft);
+  EXPECT_TRUE(a1.residual.empty());
 }
 
 TEST_F(OptimizerTest, OrientationPutsLaterVarOnLhs) {
@@ -147,13 +159,24 @@ TEST_F(OptimizerTest, OrientationPutsLaterVarOnLhs) {
       "WHERE a.name = 'S' AND b.name = 'NP' AND a.tid = b.tid AND "
       "a.right <= b.left");
   // Whatever side the SQL wrote them on, conjuncts checkable at position 1
-  // must have the position-1 variable on the left.
+  // must have the position-1 variable on the left: the range bound the
+  // path searches by, anything residual, and the tid link it takes its
+  // tree from (whose other side is the earlier variable).
   const int late_var = pp->order[1];
-  for (const Conjunct& c : pp->conjuncts_at[1]) {
-    if (!c.lhs.is_literal() && !c.rhs.is_literal()) {
-      EXPECT_EQ(c.lhs.var, late_var);
+  const sql::AccessPath& a1 = pp->access[1];
+  ASSERT_EQ(a1.bounds.size(), 1u);
+  int checked = 0;
+  for (const std::vector<Conjunct>* set : {&a1.bounds, &a1.residual}) {
+    for (const Conjunct& c : *set) {
+      if (!c.lhs.is_literal() && !c.rhs.is_literal()) {
+        EXPECT_EQ(c.lhs.var, late_var);
+        ++checked;
+      }
     }
   }
+  EXPECT_GE(checked, 1);
+  EXPECT_EQ(a1.tid_source, sql::AccessPath::TidSource::kConjunct);
+  EXPECT_EQ(a1.tid.var, pp->order[0]);
 }
 
 TEST_F(OptimizerTest, StringComparisonWithOrderingRejected) {

@@ -1,8 +1,10 @@
-// Async/streaming differential tests: rows streamed per shard, once
-// collected, must be bit-identical to the synchronous Query() result (and
-// to the serial reference engine) over the fuzz corpus; Submit() handles
-// must resolve to the same results. This suite runs under ThreadSanitizer
-// in CI.
+// Async/streaming differential tests: rows a Submit() sink receives per
+// morsel, once collected, must be bit-identical to the synchronous Query()
+// result (and to the reference engines) over the fuzz corpus, and the
+// handle of a query with a sink resolves to an empty result — the rows go
+// to the sink or into the result, never both. Submit() handles without a
+// sink must resolve to the full results. This suite runs under
+// ThreadSanitizer in CI.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "lpath/engines.h"
+#include "lpath/eval_nav.h"
 #include "service/query_service.h"
 #include "test_util.h"
 
@@ -51,10 +54,15 @@ TEST_F(ServiceStreamTest, StreamedRowsEqualSynchronousResults) {
   for (int i = 0; i < 120; ++i) {
     const std::string q = gen.Query();
     std::vector<std::vector<Hit>> batches;
-    Status s = service->QueryStream(q, [&batches](std::span<const Hit> rows) {
-      batches.emplace_back(rows.begin(), rows.end());
-    });
-    ASSERT_TRUE(s.ok()) << q << " -> " << s;
+    Result<QueryResult> handle =
+        service
+            ->Submit(q,
+                     [&batches](std::span<const Hit> rows) {
+                       batches.emplace_back(rows.begin(), rows.end());
+                     })
+            .Get();
+    ASSERT_TRUE(handle.ok()) << q << " -> " << handle.status();
+    ASSERT_EQ(handle->count(), 0u) << q << ": rows kept besides the sink";
 
     // Delivery contract: batches internally sorted, disjoint across the
     // stream, never empty.
@@ -82,9 +90,10 @@ TEST_F(ServiceStreamTest, StreamedRowsEqualSynchronousResults) {
 TEST_F(ServiceStreamTest, StreamingReportsErrorsWithoutRows) {
   auto service = MakeService();
   int batches = 0;
-  Status s = service->QueryStream("///[[",
-                                  [&batches](std::span<const Hit>) { ++batches; });
-  EXPECT_FALSE(s.ok());
+  Result<QueryResult> r =
+      service->Submit("///[[", [&batches](std::span<const Hit>) { ++batches; })
+          .Get();
+  EXPECT_FALSE(r.ok());
   EXPECT_EQ(batches, 0);
 }
 
@@ -111,23 +120,48 @@ TEST_F(ServiceStreamTest, SubmittedQueriesResolveToSynchronousResults) {
 }
 
 TEST_F(ServiceStreamTest, SubmitWithSinkStreamsAndResolves) {
+  // A fanned-out query over one relation, then the same over a two-source
+  // chain (base + delta): the sink receives every row, the handle resolves
+  // to an empty result, and the normalized sink rows equal the
+  // navigational oracle over the whole corpus.
+  Result<SnapshotPtr> base =
+      CorpusSnapshot::Build(testing::RandomCorpus(4343, 16, 30));
+  Corpus combined = testing::RandomCorpus(4343, 16, 30);  // the same trees
+  const Corpus delta = testing::RandomCorpus(4344, 8, 30);
+  ASSERT_TRUE(base.ok());
+  Result<SnapshotPtr> chain = (*base)->Append(delta);
+  ASSERT_TRUE(chain.ok());
+  combined.AppendFrom(delta);
+  NavigationalEngine nav_base((*base)->corpus());
+  NavigationalEngine nav_chain(combined);
+
   service::QueryServiceOptions opts;
   opts.threads = 4;
   opts.adaptive_serial_rows = 0;
-  auto service = MakeService(opts);
-  const std::string q = "//NP//_";
-  QueryResult streamed;
-  service::PendingQuery pending =
-      service->Submit(q, [&streamed](std::span<const Hit> rows) {
-        streamed.hits.insert(streamed.hits.end(), rows.begin(), rows.end());
-      });
-  Result<QueryResult> got = pending.Get();  // also fences the sink writes
-  ASSERT_TRUE(got.ok());
-  streamed.Normalize();
-  EXPECT_EQ(streamed, got.value());
-  Result<QueryResult> expected = serial_->Run(q);
-  ASSERT_TRUE(expected.ok());
-  EXPECT_EQ(got.value(), expected.value());
+  for (const auto& [snap, nav] :
+       {std::pair<SnapshotPtr, const NavigationalEngine*>{*base, &nav_base},
+        {*chain, &nav_chain}}) {
+    service::QueryService service(snap, opts);
+    for (const std::string q : {"//NP//_", "//VP[//N]", "//S//NP"}) {
+      QueryResult streamed;
+      service::PendingQuery pending =
+          service.Submit(q, [&streamed](std::span<const Hit> rows) {
+            streamed.hits.insert(streamed.hits.end(), rows.begin(),
+                                 rows.end());
+          });
+      Result<QueryResult> got = pending.Get();  // also fences the sink writes
+      ASSERT_TRUE(got.ok()) << q << " -> " << got.status();
+      EXPECT_EQ(got->count(), 0u) << q;
+      streamed.Normalize();
+      Result<QueryResult> expected = nav->Run(q);
+      ASSERT_TRUE(expected.ok());
+      ASSERT_GT(expected->count(), 0u) << q;
+      EXPECT_EQ(streamed, expected.value()) << q;
+    }
+    const service::ServiceStats stats = service.Stats();
+    EXPECT_EQ(stats.sharded_queries, 3u);
+    EXPECT_EQ(stats.exec.sources, snap->has_delta() ? 2u : 1u);
+  }
 }
 
 TEST_F(ServiceStreamTest, SubmittedErrorsSurfaceThroughTheHandle) {

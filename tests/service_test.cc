@@ -2,8 +2,9 @@
 // the serial LPathEngine (differential over the fuzz corpus/generator with
 // a 4-thread pool, base-only and base+delta chains), the plan cache must
 // hit on normalized respellings and evict LRU, concurrent misses of one
-// text must prepare once, QueryBatch must coalesce members of one text,
-// and concurrent clients must see consistent results and stats.
+// text must prepare once, concurrent Submit()s must each match the
+// navigational oracle, and concurrent clients must see consistent results
+// and stats.
 // This suite runs under ThreadSanitizer in CI.
 
 #include "service/query_service.h"
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "lpath/engines.h"
+#include "lpath/eval_nav.h"
 #include "plan/exec_plan.h"
 #include "service/plan_cache.h"
 #include "service/thread_pool.h"
@@ -235,21 +237,23 @@ TEST_F(QueryServiceTest, AgreesWithSerialEngineOnFuzzQueries) {
 }
 
 TEST_F(QueryServiceTest, BatchMatchesIndividualQueries) {
+  // 60 queries in flight at once: each handle resolves to the navigational
+  // oracle's answer, whatever the pool interleaving.
   service::QueryServiceOptions opts;
   opts.threads = 4;
   auto service = MakeService(opts);
-  Rng rng(1234);
-  QueryGen gen(&rng);
-  std::vector<std::string> queries;
-  for (int i = 0; i < 60; ++i) queries.push_back(gen.Query());
-  std::vector<Result<QueryResult>> batch = service->QueryBatch(queries);
-  ASSERT_EQ(batch.size(), queries.size());
+  NavigationalEngine nav(snap_->corpus());
+  std::vector<std::string> queries = FuzzQueries(1234, 60);
+  std::vector<service::PendingQuery> pending;
+  for (const std::string& q : queries) pending.push_back(service->Submit(q));
   for (size_t i = 0; i < queries.size(); ++i) {
-    Result<QueryResult> expected = serial_->Run(queries[i]);
-    ASSERT_TRUE(batch[i].ok()) << queries[i] << " -> " << batch[i].status();
+    Result<QueryResult> got = pending[i].Get();
+    Result<QueryResult> expected = nav.Run(queries[i]);
+    ASSERT_TRUE(got.ok()) << queries[i] << " -> " << got.status();
     ASSERT_TRUE(expected.ok());
-    ASSERT_EQ(batch[i].value(), expected.value()) << "query: " << queries[i];
+    ASSERT_EQ(got.value(), expected.value()) << "query: " << queries[i];
   }
+  EXPECT_EQ(service->Stats().queries, queries.size());
 }
 
 TEST_F(QueryServiceTest, PlanCacheHitsOnRespellings) {
@@ -386,7 +390,7 @@ TEST_F(QueryServiceTest, ConcurrentClientsSeeConsistentResults) {
   auto service = MakeService(opts);
 
   // A mixed workload per client: shared hot queries (cache hits) plus
-  // client-unique ones (misses + evictions), half through the batch path.
+  // client-unique ones (misses + evictions), some through Submit().
   constexpr int kClients = 6;
   std::vector<std::string> hot = {"//NP//_", "//VP[//N]", "//S",
                                   "//_[@lex='dog' or @lex='zzzunknown']"};
@@ -410,14 +414,12 @@ TEST_F(QueryServiceTest, ConcurrentClientsSeeConsistentResults) {
         // Unique query: exercises miss + prepare + eviction concurrently.
         (void)service->Query(gen.Query());
         if (round % 5 == 0) {
-          std::vector<Result<QueryResult>> batch =
-              service->QueryBatch({hot[0], hot[1]});
-          if (!(batch[0].ok() && batch[0].value() == expected[0])) {
-            failures.fetch_add(1);
-          }
-          if (!(batch[1].ok() && batch[1].value() == expected[1])) {
-            failures.fetch_add(1);
-          }
+          service::PendingQuery p0 = service->Submit(hot[0]);
+          service::PendingQuery p1 = service->Submit(hot[1]);
+          Result<QueryResult> r0 = p0.Get();
+          Result<QueryResult> r1 = p1.Get();
+          if (!(r0.ok() && r0.value() == expected[0])) failures.fetch_add(1);
+          if (!(r1.ok() && r1.value() == expected[1])) failures.fetch_add(1);
         }
         (void)service->Stats();  // stats reads race with recording
       }
@@ -466,51 +468,6 @@ TEST_F(QueryServiceTest, ConcurrentMissesOfOneTextPrepareOnce) {
     EXPECT_GE(stats.cache.misses, static_cast<uint64_t>(kRounds));
     EXPECT_EQ(stats.cache.size, static_cast<size_t>(kRounds));
   }
-}
-
-TEST_F(QueryServiceTest, QueryBatchCoalescesSameTextMembers) {
-  auto service = MakeService();
-  const std::vector<std::string> batch = {
-      "//NP[@lex='saw' or //N]",         // text A
-      "  //NP[@lex='saw'   or //N]\t",   // text A (normalizes equal)
-      "//'NP'[@lex='saw' or //N]",       // text C: same answer, own group
-      "//S//VP",                         // text B
-      "\n//S//VP ",                      // text B (normalizes equal)
-      "//]broken",                       // parse error
-  };
-  const uint64_t before = sql::PrepareCallCount();
-  std::vector<Result<QueryResult>> results = service->QueryBatch(batch);
-  ASSERT_EQ(results.size(), batch.size());
-  // Three distinct valid texts -> three prepares, regardless of six members.
-  EXPECT_EQ(sql::PrepareCallCount() - before, 3u);
-  for (int i : {0, 1, 2, 3, 4}) {
-    ASSERT_TRUE(results[i].ok()) << batch[i];
-  }
-  EXPECT_EQ(results[1].value(), results[0].value());
-  EXPECT_EQ(results[2].value(), results[0].value());
-  EXPECT_EQ(results[4].value(), results[3].value());
-  EXPECT_FALSE(results[5].ok());
-  // Texts A and B coalesced one member each; C ran alone and the error
-  // member never runs.
-  const service::ServiceStats stats = service->Stats();
-  EXPECT_EQ(stats.batch_coalesced, 2u);
-  EXPECT_EQ(stats.queries, batch.size());
-  EXPECT_EQ(stats.errors, 1u);
-}
-
-TEST_F(QueryServiceTest, FailedBatchMembersRecordTheirResolveTime) {
-  // A member whose text fails to resolve is recorded at the time its
-  // resolution took, as the same failure through Query() is — never as a
-  // 0 ms sample.
-  auto service = MakeService();
-  const std::vector<std::string> batch = {"///[[", "//]broken", "///[["};
-  std::vector<Result<QueryResult>> results = service->QueryBatch(batch);
-  for (const Result<QueryResult>& r : results) EXPECT_FALSE(r.ok());
-  const service::ServiceStats stats = service->Stats();
-  EXPECT_EQ(stats.queries, batch.size());
-  EXPECT_EQ(stats.errors, batch.size());
-  EXPECT_EQ(stats.latency.samples, batch.size());
-  EXPECT_GT(stats.total_seconds, 0.0);
 }
 
 // The suite names below are kept from before the plan cache became one

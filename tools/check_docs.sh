@@ -19,7 +19,11 @@
 #
 #   4. The OPERATIONS.md service table names every service::PlanCache::Stats
 #      field declared in src/service/plan_cache.h as `cache.<field>`, and
-#      no cache.<field> that struct no longer declares. Same purpose as 3.
+#      no cache.<field> that struct no longer declares; likewise every
+#      scalar service::ServiceStats member of src/service/query_service.h
+#      (the uint64_t counters, total_seconds and the latency summary) by
+#      its bare name, and no bare name that struct no longer declares.
+#      Same purpose as 3.
 #
 #   5. The ARCHITECTURE.md access-path table names every sql::AccessPath
 #      kind declared in src/sql/optimizer.h, and no kind that enum no
@@ -108,7 +112,8 @@ if [ -f "$stats_header" ] && [ -f "$ops" ]; then
   done
 fi
 
-# --- 4. OPERATIONS.md service table matches PlanCache::Stats -------------
+# --- 4. OPERATIONS.md service table matches PlanCache::Stats and ---------
+# ---    ServiceStats --------------------------------------------------------
 
 cache_header=src/service/plan_cache.h
 if [ -f "$cache_header" ] && [ -f "$ops" ]; then
@@ -135,6 +140,36 @@ if [ -f "$cache_header" ] && [ -f "$ops" ]; then
   for row in $rows; do
     if ! printf '%s\n' "$fields" | grep -qx "$row"; then
       say "STALE: $ops names cache.$row, which PlanCache::Stats does not declare"
+      fail=1
+    fi
+  done
+fi
+
+service_header=src/service/query_service.h
+if [ -f "$service_header" ] && [ -f "$ops" ]; then
+  # Scalar members: everything but the nested cache/exec structs, which
+  # the checks above cover.
+  fields=$(awk '/^struct ServiceStats \{/,/^};/' "$service_header" |
+           grep -oE '^  (uint64_t|double|LatencySummary) [a-z_]+' |
+           awk '{print $2}')
+  # Bare `name` cells (no cache. prefix) in the service table's first column.
+  rows=$(awk '/^### Service \(`service::ServiceStats`/ {on=1; next}
+              /^#/ {on=0}
+              on && /^\| `/ {print}' "$ops" |
+         cut -d'|' -f2 | grep -o '`[a-z_]*`' | tr -d '`' | sort -u)
+  if [ -z "$fields" ] || [ -z "$rows" ]; then
+    say "MISSING: ServiceStats members in $service_header or their rows in $ops"
+    fail=1
+  fi
+  for field in $fields; do
+    if ! printf '%s\n' "$rows" | grep -qx "$field"; then
+      say "UNDOCUMENTED: ServiceStats::$field has no row in the $ops service table"
+      fail=1
+    fi
+  done
+  for row in $rows; do
+    if ! printf '%s\n' "$fields" | grep -qx "$row"; then
+      say "STALE: $ops service table names $row, which ServiceStats does not declare"
       fail=1
     fi
   done
