@@ -108,7 +108,7 @@ ReportTable& PlanCacheTable() {
 }
 
 /// Full cold pipeline, one fresh session per iteration: every structure is
-/// parsed, compiled, optimized and prepared per source.
+/// parsed, compiled, optimized and prepared once.
 void BenchPrepareCold(benchmark::State& st) {
   PlanCacheFixture& fx = GetPlanCacheFixture();
   double total = 0.0;

@@ -2,12 +2,13 @@
 // in the spirit of the query tools the paper's linguists used.
 //
 //   ./examples/lpath_shell [--wsj N | --swb N | --corpus FILE.mrg]
-//                          [--wal DIR]
+//                          [--threads N] [--wal DIR]
 //
 // The shell fronts a db::Database: several corpora may be attached at
 // once, each served by its own QueryService (plan cache + shard pool);
 // queries are routed to the current corpus, and a rebuilt index can be
-// hot-swapped in (:reload) without restarting.
+// hot-swapped in (:reload) without restarting. --threads N sizes every
+// corpus's query service (1..256, default 4); it is fixed for the session.
 //
 // Commands:
 //   <lpath query>      evaluate (shard-parallel) and print matches
@@ -30,8 +31,6 @@
 //                      hot-swap the compacted snapshot in
 //   :reload            rebuild the current corpus's index and hot-swap it
 //                      (an image-backed corpus re-opens its image)
-//   :threads N         rebuild every query service with N threads
-//                      (plan caches and stats start fresh)
 //   :cache             plan-cache and latency statistics
 //   :wal               durability status: per-corpus write-ahead-log
 //                      position and segment count, replayed batches,
@@ -76,8 +75,6 @@ void PrintHelp() {
       "  :ingest FILE      append FILE's trees live (delta relation)\n"
       "  :compact          merge the delta into the base index\n"
       "  :reload           rebuild the current index and hot-swap it\n"
-      "  :threads N        rebuild the query services with N threads\n"
-      "                    (plan caches and stats start fresh)\n"
       "  :cache            plan-cache and latency statistics\n"
       "  :wal              durability status (WAL position, checkpoints,\n"
       "                    compaction health; enable with --wal DIR)\n"
@@ -148,6 +145,7 @@ int main(int argc, char** argv) {
   std::string corpus_path;
   std::string wal_dir;
   int sentences = 1000;
+  int threads = 0;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if ((arg == "--wsj" || arg == "--swb") && i + 1 < argc) {
@@ -155,6 +153,12 @@ int main(int argc, char** argv) {
       sentences = std::atoi(argv[++i]);
     } else if (arg == "--corpus" && i + 1 < argc) {
       corpus_path = argv[++i];
+    } else if (arg == "--threads" && i + 1 < argc) {
+      threads = std::atoi(argv[++i]);
+      if (threads < 1 || threads > 256) {
+        std::fprintf(stderr, "--threads takes 1..256\n");
+        return 2;
+      }
     } else if (arg == "--wal" && i + 1 < argc) {
       wal_dir = argv[++i];
     }
@@ -162,6 +166,7 @@ int main(int argc, char** argv) {
 
   db::DatabaseOptions db_opts;
   db_opts.wal_dir = wal_dir;
+  if (threads > 0) db_opts.service.threads = threads;
   db::Database db(db_opts);
   std::string current;
   if (!corpus_path.empty()) {
@@ -375,18 +380,6 @@ int main(int argc, char** argv) {
                   current.c_str(),
                   static_cast<unsigned long long>(view.snap->id()),
                   timer.ElapsedSeconds() * 1e3);
-      continue;
-    }
-    if (input == ":threads" || StartsWith(input, ":threads ")) {
-      const int n = std::atoi(input.substr(8).c_str());
-      if (n < 1 || n > 256) {
-        std::printf("usage: :threads N (1..256)\n");
-        continue;
-      }
-      db_opts.service.threads = n;
-      db.SetServiceOptions(db_opts.service);
-      std::printf("query services rebuilt with %d threads\n",
-                  db.service(current)->threads());
       continue;
     }
     if (input == ":cache") {

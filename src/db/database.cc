@@ -68,19 +68,13 @@ Status Database::Attach(const std::string& name, SnapshotPtr snapshot) {
   if (snapshot == nullptr) {
     return Status::InvalidArgument("Database::Attach: null snapshot");
   }
-  service::QueryServiceOptions service_options;
-  uint64_t seen_version = 0;
-  std::string wal_dir;
-  WalOptions wal_options;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Fast-fail before the log replay and the pool build; the insert below
+    // re-checks authoritatively for the racing case.
     if (catalog_.count(name) > 0) {
       return Status::AlreadyExists("corpus already attached: " + name);
     }
-    service_options = options_.service;
-    seen_version = options_version_;
-    wal_dir = options_.wal_dir;
-    wal_options = options_.wal;
   }
   // Durable mode: open the corpus's sidecar log and fold every record the
   // snapshot does not already cover into the delta chain *before* the
@@ -91,9 +85,9 @@ Status Database::Attach(const std::string& name, SnapshotPtr snapshot) {
   // corpus refuses to attach rather than silently serve a lossy middle.
   std::shared_ptr<Wal> wal;
   uint64_t replayed_batches = 0;
-  if (!wal_dir.empty()) {
-    LPATH_ASSIGN_OR_RETURN(wal, Wal::Open(WalDirFor(wal_dir, name),
-                                          wal_options));
+  if (!options_.wal_dir.empty()) {
+    LPATH_ASSIGN_OR_RETURN(wal, Wal::Open(WalDirFor(options_.wal_dir, name),
+                                          options_.wal));
     // A checkpoint that emptied the log persists its position in the fresh
     // segment header — but a crash between its unlinks and that rotation
     // loses it. The image's stamp is the floor that closes the window:
@@ -111,40 +105,24 @@ Status Database::Attach(const std::string& name, SnapshotPtr snapshot) {
       LPATH_ASSIGN_OR_RETURN(snapshot, snapshot->Append(pending));
     }
   }
-  for (;;) {
-    // The service (and its thread pool) is built outside the catalog lock;
-    // the insert below re-checks both a racing attach of the same name and
-    // a racing SetServiceOptions (which only rebuilds services already in
-    // the catalog — inserting one built on the old options would leave
-    // this corpus permanently behind).
-    auto created =
-        std::make_shared<service::QueryService>(snapshot, service_options);
-    bool exists = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (catalog_.count(name) > 0) {
-        exists = true;
-      } else if (options_version_ == seen_version) {
-        catalog_.emplace(name, created);
-        if (wal != nullptr) wal_[name] = wal;
-        if (replayed_batches > 0) created->NoteReplay(replayed_batches);
-        return Status::OK();
-      } else {
-        service_options = options_.service;
-        seen_version = options_version_;
-      }
-    }
-    // The rejected service (an idle pool) winds down here, unlocked; on a
-    // version change the loop rebuilds with the fresh options.
-    created.reset();
-    if (exists) {
-      return Status::AlreadyExists("corpus already attached: " + name);
+  // The service (and its thread pool) is built outside the catalog lock;
+  // a racing attach of the same name wins, and this one's idle pool winds
+  // down unlocked.
+  auto created =
+      std::make_shared<service::QueryService>(snapshot, options_.service);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (catalog_.count(name) == 0) {
+      catalog_.emplace(name, created);
+      if (wal != nullptr) wal_[name] = wal;
+      if (replayed_batches > 0) created->NoteReplay(replayed_batches);
+      return Status::OK();
     }
   }
+  return Status::AlreadyExists("corpus already attached: " + name);
 }
 
 Status Database::OpenCorpus(const std::string& name, Corpus corpus) {
-  RelationOptions relation_options;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Fast-fail before the expensive snapshot build; Attach re-checks
@@ -152,11 +130,9 @@ Status Database::OpenCorpus(const std::string& name, Corpus corpus) {
     if (catalog_.count(name) > 0) {
       return Status::AlreadyExists("corpus already attached: " + name);
     }
-    relation_options = options_.relation;
   }
-  LPATH_ASSIGN_OR_RETURN(
-      SnapshotPtr snapshot,
-      CorpusSnapshot::Build(std::move(corpus), relation_options));
+  LPATH_ASSIGN_OR_RETURN(SnapshotPtr snapshot,
+                         CorpusSnapshot::Build(std::move(corpus)));
   return Attach(name, std::move(snapshot));
 }
 
@@ -203,8 +179,8 @@ Status Database::Swap(const std::string& name, SnapshotPtr snapshot) {
       return Status::NotFound("corpus not attached: " + name);
     }
     // Published under the catalog lock (a session build is a couple of
-    // small allocations), so a concurrent SetServiceOptions rebuild can
-    // never install a service that misses this snapshot. Queries in
+    // small allocations), so a Detach or a publish-if-current check of
+    // Reload, Ingest or Compact never interleaves with it. Queries in
     // flight are unaffected — each holds its own session reference.
     retired = it->second->UpdateSnapshot(std::move(snapshot));
   }
@@ -312,11 +288,7 @@ Status Database::Ingest(const std::string& name, Corpus trees) {
     }
     if (published) break;
   }
-  int32_t threshold = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    threshold = options_.compact_delta_trees;
-  }
+  const int32_t threshold = options_.compact_delta_trees;
   if (threshold > 0 && appended->delta_tree_count() >= threshold) {
     ScheduleCompaction(name);
   }
@@ -519,60 +491,6 @@ Status Database::Detach(const std::string& name) {
   // `victim` drops here, outside the lock: if this was the last reference
   // the pool joins now, without stalling the catalog.
   return Status::OK();
-}
-
-void Database::SetServiceOptions(const service::QueryServiceOptions& options) {
-  std::vector<std::string> names;
-  uint64_t my_version = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    options_.service = options;
-    options_version_ += 1;
-    my_version = options_version_;
-    names.reserve(catalog_.size());
-    for (const auto& [name, service] : catalog_) names.push_back(name);
-  }
-  // Old services are parked here and wind down (drain + pool join) after
-  // the last unlock, so slow in-flight queries never stall the catalog.
-  std::vector<std::shared_ptr<service::QueryService>> retired;
-  for (const std::string& name : names) {
-    SnapshotPtr snap;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = catalog_.find(name);
-      if (it == catalog_.end()) continue;  // detached meanwhile
-      snap = it->second->snapshot();
-    }
-    // Slow: spawns the replacement pool. Runs unlocked, so Swap/Query on
-    // every corpus proceed meanwhile.
-    auto rebuilt = std::make_shared<service::QueryService>(snap, options);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (options_version_ != my_version) {
-      // A later SetServiceOptions superseded this one mid-rebuild; it
-      // republishes every corpus with the newer options, so installing
-      // ours would leave this corpus permanently behind. Stop entirely.
-      retired.push_back(std::move(rebuilt));
-      break;
-    }
-    auto it = catalog_.find(name);
-    if (it == catalog_.end()) {
-      retired.push_back(std::move(rebuilt));  // detached while rebuilding
-      continue;
-    }
-    // A Swap may have published a newer snapshot while the pool was being
-    // built; re-publish it into the replacement before installing. Swap
-    // also holds mu_, so the entry cannot change under us again. The
-    // replaced session is the replacement's freshly built one — its
-    // snapshot is still referenced by `snap`, so dropping it here is cheap.
-    SnapshotPtr current = it->second->snapshot();
-    if (current != snap) (void)rebuilt->UpdateSnapshot(std::move(current));
-    retired.push_back(std::exchange(it->second, std::move(rebuilt)));
-  }
-}
-
-DatabaseOptions Database::options() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return options_;
 }
 
 bool Database::Has(const std::string& name) const {

@@ -7,18 +7,19 @@
 // optionally streaming to a sink (Submit).
 //
 // Concurrency model:
-//   - One mutex guards the catalog map shape and the options, taken only
-//     for name resolution, attach/detach bookkeeping and snapshot
-//     publication — never across query execution, pool construction, pool
-//     join, or relation rebuild.
+//   - DatabaseOptions are fixed at construction and read without a lock.
+//   - One mutex guards the catalog map shape, taken only for name
+//     resolution, attach/detach bookkeeping and snapshot publication —
+//     never across query execution, pool construction, pool join, or
+//     relation rebuild.
 //   - Swap(name, snapshot) publishes through the service's session pointer
 //     *while holding the catalog mutex* (a session build is a handful of
-//     small allocations), which serializes publication against
-//     SetServiceOptions' catalog replacement — a swap can never be
-//     silently reverted by a concurrent service rebuild. Readers never
-//     block on a swap: queries in flight hold the old snapshot alive
-//     through shared ownership, and no torn state exists — a query sees
-//     entirely the old or entirely the new snapshot.
+//     small allocations), which serializes publication against the
+//     publish-if-current checks of Reload, Ingest and Compact — a
+//     snapshot they built from a replaced predecessor can never silently
+//     revert a swap. Readers never block on a swap: queries in flight hold
+//     the old snapshot alive through shared ownership, and no torn state
+//     exists — a query sees entirely the old or entirely the new snapshot.
 
 #ifndef LPATHDB_DB_DATABASE_H_
 #define LPATHDB_DB_DATABASE_H_
@@ -47,12 +48,6 @@ namespace db {
 struct DatabaseOptions {
   /// Per-corpus serving options (threads, plan-cache size, sharding).
   service::QueryServiceOptions service;
-  /// Labeling scheme used when the database builds a corpus's *first*
-  /// snapshot (Open/OpenCorpus). Snapshots attached prebuilt keep their
-  /// own, and Reload always rebuilds under the current snapshot's own
-  /// options — to change a corpus's labeling, attach a rebuilt snapshot
-  /// via Swap.
-  RelationOptions relation;
   /// Live-corpus compaction threshold: when an Ingest leaves the corpus's
   /// snapshot chain with at least this many delta trees, a background
   /// compaction (merge delta into the base, republish) is scheduled. The
@@ -111,7 +106,9 @@ class Database {
   /// or null snapshot.
   Status Attach(const std::string& name, SnapshotPtr snapshot);
 
-  /// Builds a snapshot from `corpus` (consumed) and attaches it.
+  /// Builds a snapshot from `corpus` (consumed) under the default labeling
+  /// scheme and attaches it. A corpus labeled otherwise arrives prebuilt,
+  /// through Attach or an image.
   Status OpenCorpus(const std::string& name, Corpus corpus);
 
   /// Attaches the file at `path` as corpus `name`. Sniffs the format: a
@@ -166,10 +163,6 @@ class Database {
   /// unaffected (the service lives until its last shared reference drops).
   Status Detach(const std::string& name);
 
-  /// Rebuilds every corpus's service (fresh pools and plan caches, same
-  /// snapshots) under new serving options — the ":threads N" path.
-  void SetServiceOptions(const service::QueryServiceOptions& options);
-
   // --- Introspection --------------------------------------------------------
 
   bool Has(const std::string& name) const;
@@ -183,9 +176,6 @@ class Database {
   /// working (on its last published snapshot) even if the name is detached
   /// or swapped afterwards.
   std::shared_ptr<service::QueryService> service(const std::string& name) const;
-
-  /// A copy: options may be rewritten concurrently by SetServiceOptions.
-  DatabaseOptions options() const;
 
   // --- Routed query entry points -------------------------------------------
 
@@ -221,15 +211,10 @@ class Database {
   void ScheduleCompaction(const std::string& name);
   void CompactorLoop();
 
-  // Guards catalog_, options_ and options_version_, and serializes
-  // snapshot publication with catalog replacement; never held across
-  // queries or pool lifetimes.
+  const DatabaseOptions options_;
+  // Guards catalog_ and serializes snapshot publication with the
+  // publish-if-current checks; never held across queries or pool lifetimes.
   mutable std::mutex mu_;
-  DatabaseOptions options_;
-  /// Bumped by SetServiceOptions; Attach re-checks it before inserting a
-  /// service built unlocked, so a freshly attached corpus can never serve
-  /// on options that were replaced while its pool was being built.
-  uint64_t options_version_ = 0;
   std::unordered_map<std::string, std::shared_ptr<service::QueryService>>
       catalog_;
   /// Per-corpus ingest locks (see IngestMutexFor), guarded by mu_ and held

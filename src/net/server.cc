@@ -594,10 +594,8 @@ void NetServer::StartExecute(const std::shared_ptr<Conn>& conn,
     for (size_t off = 0; off < hits.size(); off += batch_rows) {
       std::span<const Hit> chunk =
           hits.subspan(off, std::min(batch_rows, hits.size() - off));
-      std::vector<uint8_t> payload = EncodeBatch(chunk);
-      std::vector<uint8_t> bytes;
-      bytes.reserve(kFrameHeaderBytes + payload.size());
-      AppendFrame(MsgType::kStreamBatch, request_id, payload, &bytes);
+      std::vector<uint8_t> bytes =
+          BuildFrame(MsgType::kStreamBatch, request_id, EncodeBatch(chunk));
       if (!conn->EnqueueData(std::move(bytes), bound, req->cancelled)) {
         return;  // connection closed or request cancelled: drop the rest
       }
@@ -616,10 +614,8 @@ void NetServer::StartExecute(const std::shared_ptr<Conn>& conn,
     end.code = WireCodeFromStatus(status);
     end.message = status.message();
     end.total_rows = rows;
-    std::vector<uint8_t> payload = EncodeEnd(end);
-    std::vector<uint8_t> bytes;
-    bytes.reserve(kFrameHeaderBytes + payload.size());
-    AppendFrame(MsgType::kStreamEnd, request_id, payload, &bytes);
+    std::vector<uint8_t> bytes =
+        BuildFrame(MsgType::kStreamEnd, request_id, EncodeEnd(end));
     {
       std::lock_guard<std::mutex> lock(conn->mu);
       conn->inflight.erase(request_id);

@@ -20,8 +20,6 @@ std::string_view OpText(CmpOp op) {
 
 class Generator {
  public:
-  explicit Generator(const SqlGenOptions& options) : options_(options) {}
-
   std::string Top(const ExecPlan& plan) {
     std::ostringstream os;
     EmitSelect(plan, /*depth=*/0, /*exists=*/false, os);
@@ -104,21 +102,20 @@ class Generator {
 
   void EmitSelect(const ExecPlan& plan, int depth, bool exists,
                   std::ostream& os) const {
-    const char* sep = options_.pretty && depth == 0 ? "\n  " : " ";
     if (exists) {
       os << "EXISTS (SELECT 1";
     } else {
       const std::string out = Alias(plan.output_var, depth);
       os << "SELECT DISTINCT " << out << ".tid, " << out << ".id";
     }
-    os << sep << "FROM ";
+    os << " FROM ";
     for (int v = 0; v < plan.num_vars; ++v) {
       if (v > 0) os << ", ";
-      os << options_.table << " AS " << Alias(v, depth);
+      os << "nodes AS " << Alias(v, depth);
     }
     bool first = true;
     auto begin_term = [&]() {
-      os << (first ? std::string(sep) + "WHERE " : std::string(" AND "));
+      os << (first ? " WHERE " : " AND ");
       first = false;
     };
     for (const Conjunct& c : plan.conjuncts) {
@@ -131,15 +128,10 @@ class Generator {
     }
     if (exists) os << ')';
   }
-
-  const SqlGenOptions& options_;
 };
 
 }  // namespace
 
-std::string GenerateSql(const ExecPlan& plan, const SqlGenOptions& options) {
-  Generator gen(options);
-  return gen.Top(plan);
-}
+std::string GenerateSql(const ExecPlan& plan) { return Generator().Top(plan); }
 
 }  // namespace lpath

@@ -19,13 +19,9 @@
 
 namespace lpath {
 
-struct SqlGenOptions {
-  std::string table = "nodes";
-  bool pretty = false;  ///< newline-separated conjuncts for readability
-};
-
-/// Renders a top-level plan as a SELECT DISTINCT statement.
-std::string GenerateSql(const ExecPlan& plan, const SqlGenOptions& options = {});
+/// Renders a top-level plan as a one-line SELECT DISTINCT statement over
+/// the `nodes` table.
+std::string GenerateSql(const ExecPlan& plan);
 
 }  // namespace lpath
 

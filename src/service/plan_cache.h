@@ -2,7 +2,7 @@
 // outcomes — the parse/compile/optimize-once, execute-many half of the
 // serving path. One level: each entry binds exactly one normalized text.
 //
-// An entry is either a shared prepared plan bundle or the error Status the
+// An entry is either a shared prepared plan or the error Status the
 // text produced (a *negative* entry). Both kinds share one LRU policy.
 //
 // Entries are handed out as shared_ptr<const CachedPlan> — one refcount
@@ -32,21 +32,14 @@ namespace service {
 /// quote-sensitive beyond that.
 std::string NormalizeQueryText(std::string_view text);
 
-/// One preparation outcome: a plan bundle, or (negative entry) the error
-/// Status that preparing the text produced. Positive entries carry the
-/// plan prepared against each relation source. Preparing per source is
-/// what keeps symbol resolution honest — a literal present only in
-/// delta-ingested trees is unknown to the base dictionary (and correctly
-/// empties the base plan) while resolving in the delta plan, and vice
-/// versa. Everything here lives and dies with the cache entry: LRU
-/// eviction and snapshot swaps (which rebuild the whole cache) drop it.
+/// One preparation outcome: a prepared plan, or (negative entry) the error
+/// Status that preparing the text produced. The plan resolves literals in
+/// the session snapshot's chain-wide dictionary, so it runs unchanged over
+/// the base and the delta relation. Everything here lives and dies with
+/// the cache entry: LRU eviction and snapshot swaps (which rebuild the
+/// whole cache) drop it.
 struct CachedPlan {
   std::shared_ptr<const sql::PreparedPlan> plan;  ///< null iff negative
-
-  /// Snapshot-chain second source (null when the session's snapshot has
-  /// no delta, or the entry is negative).
-  std::shared_ptr<const sql::PreparedPlan> delta_plan;
-
   Status error = Status::OK();  ///< !ok() iff negative
 
   bool negative() const { return plan == nullptr; }
@@ -77,7 +70,7 @@ class PlanCache {
 
   /// Inserts a freshly prepared `entry` for `key`. If a racing thread
   /// already published an entry for the same text, that entry wins; the
-  /// returned pointer is the bundle the caller should execute.
+  /// returned pointer is the entry the caller should execute.
   CachedPlanPtr Put(const std::string& key, CachedPlanPtr entry);
 
   /// Caches the error `key` produced (negative entry).

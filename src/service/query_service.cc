@@ -44,14 +44,6 @@ void ShiftTids(std::vector<Hit>& hits, int32_t offset) {
 
 }  // namespace
 
-/// See the declaration: one executable (source, plan) pair.
-struct QueryService::SourceRun {
-  const sql::PlanExecutor* executor;
-  const sql::PreparedPlan* plan;
-  const NodeRelation* relation;
-  int32_t tid_offset;  ///< added to every hit tid (0 for the base)
-};
-
 bool PendingQuery::ready() const {
   return future_.valid() &&
          future_.wait_for(std::chrono::seconds(0)) ==
@@ -63,6 +55,18 @@ Result<QueryResult> PendingQuery::Get() const {
     return Status::InvalidArgument("PendingQuery: empty handle");
   }
   return future_.get();
+}
+
+QueryService::Session::Session(SnapshotPtr snap,
+                               const QueryServiceOptions& options)
+    : snapshot(std::move(snap)), cache(options.plan_cache_capacity) {
+  sources.reserve(2);
+  sources.push_back(
+      Source{sql::PlanExecutor(snapshot->relation(), options.exec), 0});
+  if (const NodeRelation* delta = snapshot->delta_relation()) {
+    sources.push_back(Source{sql::PlanExecutor(*delta, options.exec),
+                             snapshot->base_tree_count()});
+  }
 }
 
 QueryService::QueryService(SnapshotPtr snapshot, QueryServiceOptions options)
@@ -105,19 +109,16 @@ Result<CachedPlan> QueryService::PrepareText(const Session& session,
   copts.scheme = relation.scheme();
   copts.unnest_predicates = options_.unnest_predicates;
   LPATH_ASSIGN_OR_RETURN(ExecPlan compiled, CompileLPath(path, copts));
-  LPATH_ASSIGN_OR_RETURN(std::unique_ptr<sql::PreparedPlan> prepared,
-                         sql::Prepare(compiled, relation, options_.exec));
+  // One plan for every source: the chain-wide dictionary is an overlay on
+  // the base's, so an id means the same string in base and delta rows. A
+  // literal only the delta knows resolves to an id the base lacks, and the
+  // base's run and value-index lookups return nothing for it.
+  LPATH_ASSIGN_OR_RETURN(
+      std::unique_ptr<sql::PreparedPlan> prepared,
+      sql::Prepare(compiled, relation, options_.exec,
+                   &session.snapshot->interner()));
   CachedPlan entry;
   entry.plan = std::move(prepared);
-  if (const NodeRelation* delta = session.snapshot->delta_relation()) {
-    // The chain's second source gets the same compiled plan prepared
-    // against its own relation: literals resolve in the delta dictionary
-    // (which may know strings the base has never seen, and vice versa),
-    // and the optimizer sees delta statistics.
-    LPATH_ASSIGN_OR_RETURN(std::unique_ptr<sql::PreparedPlan> dprep,
-                           sql::Prepare(compiled, *delta, options_.exec));
-    entry.delta_plan = std::move(dprep);
-  }
   return entry;
 }
 
@@ -155,42 +156,28 @@ Result<std::shared_ptr<const sql::PreparedPlan>> QueryService::GetPlan(
   return planned->plan;
 }
 
-int QueryService::CollectSources(const Session& session,
-                                 const CachedPlan& planned, SourceRun* out) {
-  int n = 0;
-  out[n++] = SourceRun{&session.executor, planned.plan.get(),
-                       &session.snapshot->relation(), /*tid_offset=*/0};
-  if (session.delta_executor.has_value() && planned.delta_plan != nullptr) {
-    out[n++] = SourceRun{&*session.delta_executor, planned.delta_plan.get(),
-                         session.snapshot->delta_relation(),
-                         session.snapshot->base_tree_count()};
-  }
-  return n;
-}
-
 Result<QueryResult> QueryService::RunMorsels(const Session& session,
                                              CachedPlanPtr planned,
                                              const RowSink* sink,
                                              const std::atomic<bool>* cancel) {
-  SourceRun sources[2];
-  const int nsources = CollectSources(session, *planned, sources);
+  const sql::PreparedPlan& plan = *planned->plan;
+  const int nsources = static_cast<int>(session.sources.size());
+  const uint64_t base_rows = session.snapshot->relation().row_count();
+  uint64_t chain_rows = 0;
+  for (const Session::Source& src : session.sources) {
+    chain_rows += src.executor.relation().row_count();
+  }
   // Adaptive fan-out: when the optimizer expects the root variable to
   // enumerate only a handful of rows, the per-morsel setup (task posts,
   // binary-searched run cuts, result merge) costs more than it parallelizes.
-  // On a chain the estimate is the sum over live (non-always-empty) sources.
-  // A plan whose output rows are not clamped by the root's tid range would
-  // need a DISTINCT merge across morsels, so it runs as one morsel instead.
-  uint64_t root_estimate = 0;
-  bool any_live = false;
-  bool disjoint = true;
-  for (int s = 0; s < nsources; ++s) {
-    if (sources[s].plan->always_empty) continue;
-    any_live = true;
-    root_estimate += sources[s].plan->root_cardinality;
-    disjoint = disjoint && sources[s].plan->OutputTiedToRoot();
-  }
+  // The estimate comes from base statistics, so on a chain it is scaled by
+  // chain rows / base rows. A plan whose output rows are not clamped by the
+  // root's tid range would need a DISTINCT merge across morsels, so it runs
+  // as one morsel instead.
+  const uint64_t root_estimate =
+      plan.root_cardinality * chain_rows / std::max<uint64_t>(1, base_rows);
   const int workers = pool_->size();
-  bool serial = !any_live || workers <= 1 || !disjoint;
+  bool serial = plan.always_empty || workers <= 1 || !plan.OutputTiedToRoot();
   if (!serial && options_.adaptive_serial_rows > 0 &&
       root_estimate < options_.adaptive_serial_rows) {
     serial = true;
@@ -200,8 +187,8 @@ Result<QueryResult> QueryService::RunMorsels(const Session& session,
   // the skew defence — a giant tree occupies one worker for one morsel
   // while the others drain the rest — and the minimum morsel size keeps
   // the per-morsel overhead amortized. On a chain, the budget is split
-  // across sources proportionally to their row mass (every live source
-  // gets at least one morsel), so a small delta costs one extra morsel
+  // across sources proportionally to their row mass (every source gets at
+  // least one morsel), so a small delta costs one extra morsel
   // instead of doubling the fan-out.
   struct Morsel {
     int source;
@@ -212,21 +199,12 @@ Result<QueryResult> QueryService::RunMorsels(const Session& session,
     const uint64_t min_rows =
         std::max<uint64_t>(1, options_.adaptive_serial_rows / kMorselsPerThread);
     const uint64_t budget = static_cast<uint64_t>(workers * kMorselsPerThread);
-    uint64_t total_rows = 0;
     for (int s = 0; s < nsources; ++s) {
-      if (!sources[s].plan->always_empty) {
-        total_rows += sources[s].relation->row_count();
-      }
-    }
-    for (int s = 0; s < nsources; ++s) {
-      if (sources[s].plan->always_empty) continue;
-      const uint64_t rows = sources[s].relation->row_count();
-      const int share =
-          total_rows == 0 ? 1
-                          : std::max<int>(1, static_cast<int>(
-                                                 budget * rows / total_rows));
-      for (const TidRange& r :
-           sources[s].relation->CarveTidRanges(share, min_rows)) {
+      const NodeRelation& relation = session.sources[s].executor.relation();
+      const int share = std::max<int>(
+          1, static_cast<int>(budget * relation.row_count() /
+                              std::max<uint64_t>(1, chain_rows)));
+      for (const TidRange& r : relation.CarveTidRanges(share, min_rows)) {
         morsels.push_back(Morsel{s, r});
       }
     }
@@ -249,20 +227,20 @@ Result<QueryResult> QueryService::RunMorsels(const Session& session,
   std::atomic<uint64_t> steals{0};
   std::mutex sink_mu;  // serializes sink calls
   // The item lambda owns the cache entry (the shared_ptr is copied into
-  // RunOnPool's shared state), keeping its plans alive for helpers
-  // scheduled after the query completes. The locals
-  // (`sources`, `morsels`, `results`, ...) are captured by reference: a
+  // RunOnPool's shared state), keeping its plan alive for helpers
+  // scheduled after the query completes. The locals and the session
+  // (`morsels`, `results`, ...) are captured by reference: a
   // late helper never claims an item, so it never dereferences them after
   // this frame returns.
-  auto run = [planned, &sources, &morsels, &results, &stats, &steals,
+  auto run = [planned, &session, &morsels, &results, &stats, &steals,
               &sink_mu, sink, cancel](int i, int worker) {
     // A cancelled query skips its remaining morsels (their result slots
     // keep the empty default); the terminal status is derived below.
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) return;
     const Morsel& m = morsels[i];
-    const SourceRun& src = sources[m.source];
-    results[i] = src.executor->ExecuteShard(*src.plan, m.range.tid_lo,
-                                            m.range.tid_hi, &stats[i]);
+    const Session::Source& src = session.sources[m.source];
+    results[i] = src.executor.ExecuteShard(*planned->plan, m.range.tid_lo,
+                                           m.range.tid_hi, &stats[i]);
     if (src.tid_offset != 0) {
       stats[i].delta_rows = stats[i].candidates;
       if (results[i].ok()) ShiftTids(results[i]->hits, src.tid_offset);

@@ -3,13 +3,15 @@
 // The paper's pitch is that LPath compiles to something an RDBMS evaluates
 // correctly and fast; this module supplies the "many clients" shape around
 // that claim. A service owns
-//   - a *session*: an immutable (snapshot, plan cache, executor) triple
-//     published through one atomic pointer. UpdateSnapshot() builds a fresh
+//   - a *session*: an immutable (snapshot, sources, plan cache) triple
+//     published through one atomic pointer. Its sources are one executor
+//     per relation of the snapshot chain (the base, plus the delta). UpdateSnapshot() builds a fresh
 //     session and swaps the pointer — a hot swap that never blocks readers:
 //     queries in flight keep the old session (and through it the old corpus
 //     and relation) alive via shared ownership, and new queries pick up the
 //     new one. Prepared plans resolve symbols against one snapshot's
-//     dictionary, so each session gets its own cache;
+//     chain-wide dictionary, so each session gets its own cache, and one
+//     plan serves every source;
 //   - an LRU prepared-plan cache keyed on normalized query text (see
 //     service/plan_cache.h) — so each distinct text is parsed, compiled and
 //     optimized once, and *negative* entries cache the error of a malformed
@@ -51,7 +53,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -215,53 +216,43 @@ class QueryService {
  private:
   /// Everything one query needs, bundled so a hot swap replaces it as a
   /// unit: plans in `cache` resolve symbols against exactly `snapshot`'s
-  /// dictionary, and `executor` shares ownership of the snapshot.
+  /// chain-wide dictionary, and the session owns the snapshot that pins
+  /// every source's relation.
   struct Session {
+    /// One relation of the chain. Hits from a source are shifted by
+    /// `tid_offset` into the chain tid space before they are streamed or
+    /// merged, so the sources' rows never collide and the delta's sort
+    /// after the base's.
+    struct Source {
+      sql::PlanExecutor executor;
+      int32_t tid_offset;  ///< added to every hit tid (0 for the base)
+    };
+
     SnapshotPtr snapshot;
-    sql::PlanExecutor executor;
-    /// Snapshot-chain second source: a borrowing executor over the delta
-    /// relation (the session owns the snapshot, which pins the borrow).
-    /// Engaged exactly when snapshot->has_delta().
-    std::optional<sql::PlanExecutor> delta_executor;
+    /// The base, then the delta when the snapshot is a chain.
+    std::vector<Source> sources;
     mutable PlanCache cache;
 
-    Session(SnapshotPtr snap, const QueryServiceOptions& options)
-        : snapshot(std::move(snap)),
-          executor(snapshot, options.exec),
-          cache(options.plan_cache_capacity) {
-      if (snapshot->has_delta()) {
-        delta_executor.emplace(*snapshot->delta_relation(), options.exec);
-      }
-    }
+    Session(SnapshotPtr snap, const QueryServiceOptions& options);
   };
   using SessionPtr = std::shared_ptr<const Session>;
 
-  /// One executable (source, plan) pair of a query: the base
-  /// relation, plus the delta relation when the session's snapshot is a
-  /// chain. Hits from a source are shifted by `tid_offset` into the chain
-  /// tid space before they are streamed or merged, so the sources' rows
-  /// never collide and the delta's sort after the base's.
-  struct SourceRun;
-
-  /// Plan lookup returning the shared cache entry (one prepared plan per
-  /// source); the entry is always positive — errors surface as the
-  /// Status. A miss compiles and prepares under its text's stripe of
-  /// prepare_mu_ and publishes via Put.
+  /// Plan lookup returning the shared cache entry; the entry is always
+  /// positive — errors surface as the Status. A miss compiles and prepares
+  /// under its text's stripe of prepare_mu_ and publishes via Put.
   Result<CachedPlanPtr> GetPlanIn(const Session& session,
                                   const std::string& query);
-  /// Parse + compile of normalized text, then sql::Prepare per source.
+  /// Parse + compile of normalized text, then one sql::Prepare: literals
+  /// resolve in the chain-wide dictionary, statistics come from the base.
   Result<CachedPlan> PrepareText(const Session& session,
                                  const std::string& normalized);
-  /// Fills `out` (room for 2) with the query's executable sources; returns
-  /// the count (1, or 2 for a chain).
-  static int CollectSources(const Session& session, const CachedPlan& planned,
-                            SourceRun* out);
-  /// The morsel runner: carves the query's sources into tid-range morsels
-  /// and runs them on the pool threads, the caller included. Serial
-  /// execution is its one-morsel case: each source runs whole on the
-  /// caller's thread — picked for a 1-thread pool, for a tiny root
-  /// estimate (adaptive_serial_rows), or for a plan whose output is not
-  /// tied to its root's tree (sql::PreparedPlan::OutputTiedToRoot).
+  /// The morsel runner: carves the session's sources into tid-range
+  /// morsels and runs the one plan over them on the pool threads, the
+  /// caller included. Serial execution is its one-morsel case: each
+  /// source runs whole on the caller's thread — picked for a 1-thread
+  /// pool, for a tiny root estimate (adaptive_serial_rows), or for a plan
+  /// whose output is not tied to its root's tree
+  /// (sql::PreparedPlan::OutputTiedToRoot).
   /// Morsel outputs are sorted and pairwise disjoint: with a `sink`, each
   /// goes to the sink as it finishes and is dropped, and the result is
   /// empty; without one, the result is their concatenation in (source,

@@ -582,13 +582,15 @@ Result<std::unique_ptr<PreparedPlan>> PrepareResolved(
 
 Result<std::unique_ptr<PreparedPlan>> Prepare(const ExecPlan& plan,
                                               const NodeRelation& rel,
-                                              const ExecOptions& options) {
+                                              const ExecOptions& options,
+                                              const Interner* dictionary) {
   g_prepare_calls.fetch_add(1, std::memory_order_relaxed);
   ExecPlan resolved = plan.Clone();
   NormalizeOrientation(&resolved);
   bool always_empty = false;
-  LPATH_RETURN_IF_ERROR(
-      ResolveLiterals(&resolved, rel.interner(), &always_empty));
+  LPATH_RETURN_IF_ERROR(ResolveLiterals(
+      &resolved, dictionary != nullptr ? *dictionary : rel.interner(),
+      &always_empty));
   return PrepareResolved(std::move(resolved), rel, options, always_empty,
                          /*correlated=*/false);
 }

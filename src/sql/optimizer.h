@@ -2,9 +2,10 @@
 //
 // Prepare() turns an ExecPlan into a PreparedPlan the executor can run:
 //   1. comparisons are oriented column-first and string literals resolved
-//      against the relation's dictionary (an unknown tag/word in a
-//      top-level equality short-circuits the plan to empty; inside OR/NOT
-//      filter trees it resolves to an unsatisfiable sentinel instead);
+//      against the relation's or the snapshot chain's dictionary (an
+//      unknown tag/word in a top-level equality short-circuits the plan to
+//      empty; inside OR/NOT filter trees it resolves to an unsatisfiable
+//      sentinel instead);
 //   2. a variable evaluation order is chosen — greedy by estimated
 //      cardinality (tag-run and value-index sizes, exactly the statistics
 //      the paper's §5.2 discussion turns on), or left-to-right for the
@@ -89,9 +90,9 @@ struct AccessPath {
 /// Stable name of an access kind ("run", "left-range", ...).
 std::string_view AccessKindName(AccessPath::Kind kind);
 
-/// A plan ready for execution against one NodeRelation. Owns a rewritten
-/// copy of the plan, so it must not outlive the relation (symbols) but is
-/// independent of the original ExecPlan.
+/// A plan ready for execution against any NodeRelation whose symbol ids
+/// its dictionary defines (see Prepare). Owns a rewritten copy of the
+/// plan, so it is independent of the original ExecPlan.
 struct PreparedPlan {
   ExecPlan plan;  // literals resolved to symbol ids (numbers)
 
@@ -139,10 +140,14 @@ struct PreparedPlan {
   }
 };
 
-/// Prepares `plan` for execution against `rel`.
-Result<std::unique_ptr<PreparedPlan>> Prepare(const ExecPlan& plan,
-                                              const NodeRelation& rel,
-                                              const ExecOptions& options);
+/// Prepares `plan` for execution against `rel`: statistics come from
+/// `rel`, literals resolve in `dictionary` (null: rel.interner()). A
+/// snapshot chain passes its chain-wide dictionary, an overlay whose ids
+/// mean the same string in every relation of the chain, so the one plan
+/// runs over each of them; an id a relation lacks enumerates nothing there.
+Result<std::unique_ptr<PreparedPlan>> Prepare(
+    const ExecPlan& plan, const NodeRelation& rel, const ExecOptions& options,
+    const Interner* dictionary = nullptr);
 
 /// One line per position of `pp` and, indented below, of its subplans:
 /// the variable, its access kind, its tag (by name when `names` is given,
@@ -152,8 +157,8 @@ std::string ExplainAccess(const PreparedPlan& pp,
                           const Interner* names = nullptr);
 
 /// Process-wide count of top-level Prepare() calls — a test witness for
-/// prepare dedup (N spellings of one structure must prepare once per
-/// relation source, not once per spelling).
+/// prepare dedup (one call per plan-cache miss, however many clients miss
+/// the same text at once and however many relations the snapshot chains).
 uint64_t PrepareCallCount();
 
 }  // namespace sql

@@ -20,9 +20,10 @@
 // string is copied), the base is shared untouched, and the result is
 // published like any other snapshot. Chain tid space: base trees keep
 // their tids, delta tree d is addressed as base tree_count() + d;
-// executors run each source with its own prepared plan and shift delta
-// hits into chain tids at the merge (queries never cross trees, so the
-// union over sources is exactly the rebuilt-corpus result). Compact()
+// executors run one prepared plan, resolved in the chain-wide interner(),
+// over each source and shift delta hits into chain tids at the merge
+// (queries never cross trees, so the union over sources is exactly the
+// rebuilt-corpus result). Compact()
 // folds the delta back into one relation by linear merge
 // (NodeRelation::Merge — no labeling, no sorting), rewriting the backing
 // image in place (tmp + rename) when the base is image-backed.

@@ -147,24 +147,6 @@ TEST(DatabaseTest, SubmitAndStreamRouteLikeQuery) {
   EXPECT_EQ(streamed, sync.value());
 }
 
-TEST(DatabaseTest, SetServiceOptionsKeepsSnapshotsAndAnswers) {
-  db::Database database;
-  ASSERT_TRUE(database.OpenCorpus("x", testing::RandomCorpus(500, 10)).ok());
-  const uint64_t id = database.snapshot("x")->id();
-  const std::string q = "//NP";
-  Result<QueryResult> before = database.Query("x", q);
-  ASSERT_TRUE(before.ok());
-
-  service::QueryServiceOptions opts = database.options().service;
-  opts.threads = 2;
-  database.SetServiceOptions(opts);
-  EXPECT_EQ(database.service("x")->threads(), 2);
-  EXPECT_EQ(database.snapshot("x")->id(), id);  // snapshot survived
-  Result<QueryResult> after = database.Query("x", q);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after.value(), before.value());
-}
-
 // The hot-swap satellite: N clients hammer Query() while the main thread
 // republishes alternating snapshots. Every result must match exactly the
 // old or the new snapshot's answer (no blend, no tear, no use-after-free —

@@ -25,6 +25,8 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +35,7 @@
 #include "db/database.h"
 #include "lpath/engines.h"
 #include "lpath/eval_nav.h"
+#include "sql/optimizer.h"
 #include "storage/image.h"
 #include "storage/relation.h"
 #include "storage/snapshot.h"
@@ -559,6 +562,69 @@ TEST(IngestDifferential, SerialTwoSourcePathMatchesRebuild) {
   const service::ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.sharded_queries, 0u);
   EXPECT_EQ(stats.exec.sources, 2u);
+}
+
+TEST(IngestDifferential, DeltaOnlyLiteralsMatchOracle) {
+  // One plan serves both sources, its literals resolved in the chain-wide
+  // dictionary. Novel3 and word3 exist only in the delta, so the base holds
+  // no row with their ids and must enumerate nothing for them; the
+  // unknown tag and word exist nowhere. Every answer must match the
+  // navigational oracle over the concatenated corpus, serial and fanned
+  // out, collected and streamed.
+  SnapshotPtr base = MustBuild(testing::RandomCorpus(331, 30));
+  SnapshotPtr chain =
+      MustAppend(MustAppend(base, NovelBatch(2)), NovelBatch(3));
+  ASSERT_EQ(base->corpus().interner().Lookup("Novel3"), kNoSymbol);
+  ASSERT_EQ(base->corpus().interner().Lookup("word3"), kNoSymbol);
+  Corpus combined;
+  combined.ResetInterner(base->corpus().interner().Clone());
+  combined.AppendFrom(base->corpus());
+  combined.AppendFrom(NovelBatch(2));
+  combined.AppendFrom(NovelBatch(3));
+  NavigationalEngine oracle(combined);
+  ASSERT_EQ(oracle.Run("//Novel3")->count(), 1u);
+
+  const std::vector<std::string> queries = {
+      "//Novel3",
+      "//NP[//Novel3]",
+      "//_[@lex='word3']",
+      "//NP[not(//Novel3)]",
+      "//NP[//Novel3 or //Novel2]",
+      "//Unseen",
+      "//NP[not(@lex='unseenword')]"};
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    service::QueryServiceOptions options;
+    options.threads = threads;
+    // The corpus is small: without this every query would run serially.
+    options.adaptive_serial_rows = 0;
+    service::QueryService service(chain, options);
+    const uint64_t prepares = sql::PrepareCallCount();
+    for (const std::string& q : queries) {
+      Result<QueryResult> want = oracle.Run(q);
+      ASSERT_TRUE(want.ok()) << q << ": " << want.status().ToString();
+      Result<QueryResult> got = service.Query(q);
+      ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+      EXPECT_EQ(got->hits, want->hits) << q;
+
+      QueryResult streamed;
+      std::mutex mu;
+      service::PendingQuery pending =
+          service.Submit(q, [&](std::span<const Hit> rows) {
+            std::lock_guard<std::mutex> lock(mu);
+            streamed.hits.insert(streamed.hits.end(), rows.begin(),
+                                 rows.end());
+          });
+      Result<QueryResult> drained = pending.Get();
+      ASSERT_TRUE(drained.ok()) << q << ": " << drained.status().ToString();
+      EXPECT_EQ(drained->count(), 0u) << q;
+      streamed.Normalize();
+      EXPECT_EQ(streamed.hits, want->hits) << q;
+    }
+    // One prepare per text, for base and delta together.
+    EXPECT_EQ(sql::PrepareCallCount() - prepares, queries.size());
+    EXPECT_EQ(service.Stats().exec.sources, 2u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Documentation consistency gate (CI: the "docs link-check" step).
 #
-# Five checks, all grep-based so the gate needs nothing beyond POSIX sh:
+# Six checks, all grep-based so the gate needs nothing beyond POSIX sh:
 #
 #   1. Every relative markdown link in README.md and docs/*.md must point
 #      at a file or directory that exists (anchors and external URLs are
@@ -28,6 +28,11 @@
 #   5. The ARCHITECTURE.md access-path table names every sql::AccessPath
 #      kind declared in src/sql/optimizer.h, and no kind that enum no
 #      longer declares. Same purpose as 3.
+#
+#   6. Every `:command` examples/lpath_shell.cpp dispatches (`input ==
+#      ":x"` or `StartsWith(input, ":x ")`) is named in the README's shell
+#      paragraph and in the shell's .help text, and the README names no
+#      `:command` the shell no longer handles. Same purpose as 3.
 #
 # Exits nonzero listing every violation. Run from the repository root.
 set -u
@@ -205,6 +210,43 @@ if [ -f "$path_header" ] && [ -f "$arch" ]; then
   for row in $rows; do
     if ! printf '%s\n' "$kinds" | grep -qx "$row"; then
       say "STALE: $arch names $row, which AccessPath::Kind does not declare"
+      fail=1
+    fi
+  done
+fi
+
+# --- 6. shell :commands match the README and .help ----------------------
+
+shell=examples/lpath_shell.cpp
+if [ -f "$shell" ] && [ -f README.md ]; then
+  cmds=$(grep -oE 'input == ":[a-z]+"|StartsWith\(input, ":[a-z]+ "\)' \
+           "$shell" | grep -oE ':[a-z]+' | sort -u)
+  # The .help text: the "  :name ..." lines of PrintHelp().
+  help=$(awk '/^void PrintHelp\(\)/,/^}/' "$shell" |
+         grep -oE '"  :[a-z]+' | sed 's/^"  //' | sort -u)
+  # The shell paragraph: from "`examples/lpath_shell` fronts" to the
+  # next blank line.
+  para=$(awk '/^`examples\/lpath_shell` fronts/ {on=1}
+              on && /^$/ {exit}
+              on' README.md | grep -oE '`:[a-z]+' | tr -d '`' | sort -u)
+  named=$(grep -oE '`:[a-z]+' README.md | tr -d '`' | sort -u)
+  if [ -z "$cmds" ] || [ -z "$help" ] || [ -z "$para" ]; then
+    say "MISSING: :commands in $shell, its .help text or the README shell paragraph"
+    fail=1
+  fi
+  for cmd in $cmds; do
+    if ! printf '%s\n' "$para" | grep -qx "$cmd"; then
+      say "UNDOCUMENTED: $shell handles $cmd but the README shell paragraph never names it"
+      fail=1
+    fi
+    if ! printf '%s\n' "$help" | grep -qx "$cmd"; then
+      say "UNDOCUMENTED: $shell handles $cmd but its .help text never names it"
+      fail=1
+    fi
+  done
+  for cmd in $named; do
+    if ! printf '%s\n' "$cmds" | grep -qx "$cmd"; then
+      say "STALE: README.md names $cmd, which $shell does not handle"
       fail=1
     fi
   done
