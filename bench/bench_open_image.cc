@@ -96,8 +96,9 @@ void BM_OpenImage(benchmark::State& st) {
 
 /// Same open with only the header checksum verified (ImageVerify::
 /// kHeaderOnly): skips the O(file-size) payload scan, leaving the
-/// column decode as the remaining open-time cost. The gap to
-/// BM_OpenImage is what the full-verify default buys its safety with.
+/// structural checks, the interner rebuild and the tag directory as the
+/// open-time cost. The gap to BM_OpenImage is what the full-verify
+/// default buys its safety with.
 void BM_OpenImageHeaderOnly(benchmark::State& st) {
   const ScaleFixture& fx = GetScale(static_cast<int>(st.range(0)));
   ImageOpenOptions options;

@@ -5,30 +5,28 @@
 // sorting at serve time.
 //
 //   ./examples/lpath_pack [--wsj N | --swb N | --skewed N | --corpus FILE.mrg]
-//                         [--scheme lpath|xpath] [--seed S]
-//                         [--encoding raw|auto] OUT.img
+//                         [--scheme lpath|xpath] [--seed S] OUT.img
 //   ./examples/lpath_pack --append IMG.img [--wsj N | --corpus FILE.mrg]
 //
 // Examples:
 //   lpath_pack --wsj 4000 wsj.img          # generated WSJ profile corpus
 //   lpath_pack --corpus wsj.mrg wsj.img    # bracketed treebank file
 //   lpath_pack --corpus wsj.mrg --scheme xpath wsj-xpath.img
-//   lpath_pack --wsj 4000 --encoding raw wsj-raw.img  # no column codecs
 //   lpath_pack --append wsj.img more.mrg   # offline delta merge into image
 //
-// `--encoding auto` (the default) stores each row column under its
-// cheapest codec and prints the per-column compression table.
+// Every section is stored verbatim, so the image is served straight out
+// of the mapping; the tool prints the image's size in bytes.
 //
 // `--append IMG` is the offline twin of the shell's :ingest + :compact: it
 // opens the existing image in O(file size), appends the input trees as a
 // delta (the mapped base is never relabeled or resorted), merges the delta
 // into a new image via the compaction path, and rewrites IMG crash-safely
-// (tmp + rename). Per-column compression is re-chosen for the merged
-// relation and the stats table is printed as for a fresh pack.
+// (tmp + rename).
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 
 #include "common/str_util.h"
@@ -45,26 +43,17 @@ int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--wsj N | --swb N | --skewed N | --corpus FILE.mrg]\n"
-      "          [--scheme lpath|xpath] [--seed S] [--encoding raw|auto] "
-      "OUT.img\n"
+      "          [--scheme lpath|xpath] [--seed S] OUT.img\n"
       "       %s --append IMG.img [--wsj N | --corpus FILE.mrg]\n",
       argv0, argv0);
   return 2;
 }
 
-void PrintSaveStats(const ImageSaveStats& save_stats) {
-  std::printf("  column     encoding   raw bytes      stored bytes\n");
-  for (const ImageSaveStats::Column& col : save_stats.columns) {
-    std::printf("  %-9s  %-8s  %12s  %12s  (%.1f%%)\n", col.name.c_str(),
-                ColumnEncodingName(col.encoding),
-                FormatWithCommas(static_cast<int64_t>(col.raw_bytes)).c_str(),
-                FormatWithCommas(static_cast<int64_t>(col.stored_bytes))
-                    .c_str(),
-                col.raw_bytes == 0
-                    ? 100.0
-                    : 100.0 * static_cast<double>(col.stored_bytes) /
-                          static_cast<double>(col.raw_bytes));
-  }
+/// The written image's size, as the last line of the pack/append report.
+std::string ImageBytes(const std::string& path) {
+  std::error_code ec;
+  const uintmax_t bytes = std::filesystem::file_size(path, ec);
+  return ec ? std::string("?") : FormatWithCommas(static_cast<int64_t>(bytes));
 }
 
 }  // namespace
@@ -77,7 +66,6 @@ int main(int argc, char** argv) {
   int sentences = 1000;
   uint64_t seed = 2006;
   RelationOptions options;
-  ImageSaveOptions save_options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if ((arg == "--wsj" || arg == "--swb" || arg == "--skewed") &&
@@ -90,15 +78,6 @@ int main(int argc, char** argv) {
       append_image = argv[++i];
     } else if (arg == "--seed" && i + 1 < argc) {
       seed = static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--encoding" && i + 1 < argc) {
-      const std::string encoding = argv[++i];
-      if (encoding == "raw") {
-        save_options.encoding = ImageEncoding::kRaw;
-      } else if (encoding == "auto") {
-        save_options.encoding = ImageEncoding::kAuto;
-      } else {
-        return Usage(argv[0]);
-      }
     } else if (arg == "--scheme" && i + 1 < argc) {
       const std::string scheme = argv[++i];
       if (scheme == "lpath") {
@@ -176,8 +155,7 @@ int main(int argc, char** argv) {
     }
     const double append_s = append_timer.ElapsedSeconds();
     Timer merge_timer;
-    ImageSaveStats save_stats;
-    Result<SnapshotPtr> compacted = (*chained)->Compact(&save_stats);
+    Result<SnapshotPtr> compacted = (*chained)->Compact();
     if (!compacted.ok()) {
       std::fprintf(stderr, "%s\n", compacted.status().ToString().c_str());
       return 1;
@@ -194,16 +172,7 @@ int main(int argc, char** argv) {
             static_cast<int64_t>((*compacted)->relation().row_count()))
             .c_str(),
         load_s * 1e3, open_s * 1e3, append_s * 1e3, merge_s * 1e3);
-    PrintSaveStats(save_stats);
-    std::printf(
-        "  image %s bytes (%s raw): %.1f%% of the all-raw size\n",
-        FormatWithCommas(static_cast<int64_t>(save_stats.file_bytes)).c_str(),
-        FormatWithCommas(static_cast<int64_t>(save_stats.raw_file_bytes))
-            .c_str(),
-        save_stats.raw_file_bytes == 0
-            ? 100.0
-            : 100.0 * static_cast<double>(save_stats.file_bytes) /
-                  static_cast<double>(save_stats.raw_file_bytes));
+    std::printf("  image %s bytes\n", ImageBytes(append_image).c_str());
     return 0;
   }
 
@@ -219,8 +188,7 @@ int main(int argc, char** argv) {
 
   // 3. Serialize.
   Timer save_timer;
-  ImageSaveStats save_stats;
-  Status s = (*snapshot)->Save(out_path, save_options, &save_stats);
+  Status s = (*snapshot)->Save(out_path);
   if (!s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
@@ -235,18 +203,10 @@ int main(int argc, char** argv) {
           static_cast<int64_t>((*snapshot)->relation().row_count()))
           .c_str(),
       out_path.c_str(), load_s * 1e3, build_s * 1e3, save_s * 1e3);
-  PrintSaveStats(save_stats);
   std::printf(
-      "  image %s bytes (%s raw): %.1f%% of the all-raw size\n"
+      "  image %s bytes\n"
       "  open it with lpath_shell ':load NAME %s' — no rebuild at serve "
       "time\n",
-      FormatWithCommas(static_cast<int64_t>(save_stats.file_bytes)).c_str(),
-      FormatWithCommas(static_cast<int64_t>(save_stats.raw_file_bytes))
-          .c_str(),
-      save_stats.raw_file_bytes == 0
-          ? 100.0
-          : 100.0 * static_cast<double>(save_stats.file_bytes) /
-                static_cast<double>(save_stats.raw_file_bytes),
-      out_path.c_str());
+      ImageBytes(out_path).c_str(), out_path.c_str());
   return 0;
 }

@@ -123,18 +123,30 @@ void PrintServiceStats(const std::string& name,
       static_cast<unsigned long long>(st.checkpoints));
 }
 
-/// Per-snapshot comparison engines for .sql/.plan/.engines: rebuilt lazily
-/// whenever the current corpus's snapshot changes (swap or :use).
+/// Per-snapshot comparison engines for .stats/.sql/.plan/.engines: rebuilt
+/// lazily whenever the current corpus's snapshot changes (swap, :use or
+/// :ingest).
 struct EngineView {
-  SnapshotPtr snap;
+  SnapshotPtr snap;  ///< the corpus's published snapshot
+  /// What the engines read: `snap` itself, or for a built chain its
+  /// in-memory Compact(), so base and delta trees are both in view. An
+  /// image-backed chain keeps `snap` — compacting it would rewrite the
+  /// image from a display path.
+  SnapshotPtr flat;
   std::unique_ptr<LPathEngine> lpath;
   std::unique_ptr<NavigationalEngine> nav;
 
   void Refresh(const SnapshotPtr& current) {
     if (snap != nullptr && current != nullptr && snap == current) return;
     snap = current;
-    lpath = std::make_unique<LPathEngine>(snap->relation());
-    nav = std::make_unique<NavigationalEngine>(snap->corpus());
+    flat = current;
+    if (current->has_delta() && !current->image_backed()) {
+      if (Result<SnapshotPtr> merged = current->Compact(); merged.ok()) {
+        flat = std::move(merged).value();
+      }
+    }
+    lpath = std::make_unique<LPathEngine>(flat->relation());
+    nav = std::make_unique<NavigationalEngine>(flat->corpus());
   }
 };
 
@@ -217,17 +229,21 @@ int main(int argc, char** argv) {
     }
     if (input == ".stats") {
       if (view.snap->image_backed()) {
+        const NodeRelation* delta = view.snap->delta_relation();
         std::printf("'%s' is image-backed (%s): %d trees, %zu relation "
-                    "rows, %s mapped bytes; bracketed text not stored\n",
+                    "rows (%zu in delta), %s mapped bytes; bracketed text "
+                    "not stored\n",
                     current.c_str(), view.snap->image_path().c_str(),
-                    view.snap->relation().tree_count(),
-                    view.snap->relation().row_count(),
+                    view.snap->tree_count(),
+                    view.snap->relation().row_count() +
+                        (delta != nullptr ? delta->row_count() : 0),
+                    delta != nullptr ? delta->row_count() : 0,
                     FormatWithCommas(static_cast<int64_t>(
                         view.snap->relation().MemoryBytes()))
                         .c_str());
         continue;
       }
-      CorpusStats stats = ComputeStats(view.snap->corpus());
+      CorpusStats stats = ComputeStats(view.flat->corpus());
       std::printf("trees %zu, nodes %zu, words %zu, unique tags %zu, "
                   "max depth %d, bracketed size %s bytes\n",
                   stats.tree_count, stats.node_count, stats.word_count,
@@ -437,8 +453,9 @@ int main(int argc, char** argv) {
       std::printf("%s\n", plan.ok() ? plan->DebugString().c_str()
                                     : plan.status().ToString().c_str());
       if (plan.ok() && view.snap != nullptr) {
-        // The access path each position runs on, over the base relation.
-        const NodeRelation& rel = view.snap->relation();
+        // The access path each position runs on, over the relation the
+        // engines read.
+        const NodeRelation& rel = view.flat->relation();
         Result<std::unique_ptr<sql::PreparedPlan>> pp =
             sql::Prepare(plan.value(), rel, {});
         std::printf("%s", pp.ok() ? sql::ExplainAccess(**pp, &rel.interner())

@@ -346,7 +346,7 @@ Status Database::CompactOnce(const std::string& name) {
   ImageSaveOptions save_options;
   if (wal != nullptr) save_options.wal_lsn = wal->last_lsn();
   LPATH_ASSIGN_OR_RETURN(SnapshotPtr compacted,
-                         current->Compact(nullptr, save_options));
+                         current->Compact(save_options));
   const bool image_backed = compacted->image_backed();
   // Clear the recorded error before the compacted snapshot becomes
   // visible: List() reads snapshots before health, so a reader that sees

@@ -1,12 +1,15 @@
-// The relational query engines of Section 5:
+// The relational query engine of Section 5, LPathEngine: LPath → SQL →
+// (mini) RDBMS. One class serves both labelings, following the scheme of
+// the relation it runs over:
 //
-//   LPathEngine      — the paper's system: LPath → SQL → (mini) RDBMS over
-//                      the Definition 4.1 labeling.
-//   XPathLabelEngine — the Figure 10 baseline: identical machinery over the
-//                      DeHaan-style tag-position labeling; supports only the
-//                      XPath-expressible fragment.
+//   LabelScheme::kLPath — the paper's system, over the Definition 4.1
+//                         labeling (name() "LPath").
+//   LabelScheme::kXPath — the Figure 10 baseline: identical machinery over
+//                         the DeHaan-style tag-position labeling; supports
+//                         only the XPath-expressible fragment (name()
+//                         "XPathLabel").
 //
-// Both run the full loop by default: compile to a plan, render SQL text,
+// It runs the full loop by default: compile to a plan, render SQL text,
 // parse the SQL back, optimize, execute. `Options::via_sql_text = false`
 // skips the text round-trip (the plans are identical; ablation-benchmarked).
 

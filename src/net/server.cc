@@ -22,6 +22,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// listen(2) backlog.
+constexpr int kListenBacklog = 128;
+/// Frames with a longer payload are rejected as malformed.
+constexpr uint32_t kMaxPayloadBytes = 16u << 20;
+/// Stop() grace period for draining in-flight queries and flushing
+/// outbound buffers before force-closing.
+constexpr std::chrono::milliseconds kShutdownGrace{5000};
+
 bool SetNonBlocking(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -152,7 +160,7 @@ Status NetServer::Start() {
   }
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
           0 ||
-      ::listen(listen_fd_, options_.backlog) != 0) {
+      ::listen(listen_fd_, kListenBacklog) != 0) {
     Status status =
         Status::IOError("bind/listen " + options_.host + ":" +
                         std::to_string(options_.port) + ": " +
@@ -200,8 +208,7 @@ void NetServer::LoopMain() {
       // what can be cancelled and give in-flight work the grace period to
       // stream its STREAM_ENDs and flush.
       draining = true;
-      shutdown_deadline =
-          Clock::now() + std::chrono::milliseconds(options_.shutdown_timeout_ms);
+      shutdown_deadline = Clock::now() + kShutdownGrace;
       if (listen_fd_ >= 0) {
         ::close(listen_fd_);
         listen_fd_ = -1;
@@ -383,7 +390,7 @@ bool NetServer::HandleReadable(const std::shared_ptr<Conn>& conn) {
     std::string error;
     FrameParse parse =
         ParseFrame({conn->rbuf.data() + pos, conn->rbuf.size() - pos},
-                   options_.max_payload_bytes, &frame, &consumed, &error);
+                   kMaxPayloadBytes, &frame, &consumed, &error);
     if (parse == FrameParse::kNeedMore) break;
     if (parse == FrameParse::kBad) {
       SendFatalError(conn, WireCode::kProtocolError, error);

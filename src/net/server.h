@@ -50,8 +50,6 @@ struct NetOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   uint16_t port = 0;
-  /// listen(2) backlog.
-  int backlog = 128;
   /// Admission control: connections over this limit are greeted with a
   /// connection-scoped ERROR (kResourceExhausted) and closed.
   int max_connections = 256;
@@ -59,8 +57,6 @@ struct NetOptions {
   /// refused with a request-scoped ERROR; the connection survives. Also
   /// advertised to the client in the HELLO reply.
   int max_inflight = 32;
-  /// Frames with a longer payload are rejected as malformed.
-  uint32_t max_payload_bytes = 16u << 20;
   /// Outbound STREAM_BATCH frames buffered per connection before the
   /// producing worker is suspended (the backpressure knob).
   size_t stream_queue_frames = 16;
@@ -72,9 +68,6 @@ struct NetOptions {
   int64_t idle_timeout_ms = 0;
   /// poll(2) tick, which bounds timeout detection latency.
   int64_t poll_interval_ms = 100;
-  /// Stop() grace period for draining in-flight queries and flushing
-  /// outbound buffers before force-closing.
-  int64_t shutdown_timeout_ms = 5000;
 };
 
 /// Monitoring counters, cumulative since Start().
@@ -110,7 +103,7 @@ class NetServer {
 
   /// Graceful shutdown: stops accepting, stops reading, cancels what can
   /// be cancelled, drains in-flight queries and outbound buffers for up to
-  /// shutdown_timeout_ms, then force-closes stragglers. Idempotent.
+  /// a fixed grace period (5 s), then force-closes stragglers. Idempotent.
   void Stop();
 
   NetStats stats() const;

@@ -122,16 +122,19 @@ constexpr SectionSpec kSectionSpecs[kSectionCount] = {
     {kSecInternerBlob, sizeof(char)},
 };
 
+/// Packed without padding, so the header checksum is a function of the
+/// field values alone. The version sits right after the magic in every
+/// format generation, so Open can refuse an older one before parsing more.
 struct ImageHeader {
   char magic[8];
   uint32_t version = 0;
   uint32_t endian = 0;
   uint32_t scheme = 0;
   uint32_t section_count = 0;
-  uint32_t tree_count = 0;
-  /// WAL checkpoint stamp (reserved and written as 0 before WAL support;
-  /// Open ignores it, ReadWalLsn surfaces it). See ImageSaveOptions.
-  uint32_t wal_lsn = 0;
+  uint64_t tree_count = 0;
+  /// WAL checkpoint stamp (Open ignores it, ReadWalLsn surfaces it). See
+  /// ImageSaveOptions.
+  uint64_t wal_lsn = 0;
   uint64_t row_count = 0;
   uint64_t element_count = 0;
   uint64_t symbol_count = 0;  ///< interner size, excluding reserved id 0
@@ -139,29 +142,20 @@ struct ImageHeader {
   uint64_t payload_checksum = 0;  ///< FNV-1a64 over [sizeof(header), file_size)
   uint64_t header_checksum = 0;   ///< FNV-1a64 over the header, this field = 0
 };
-static_assert(std::is_trivially_copyable_v<ImageHeader>);
+static_assert(std::is_trivially_copyable_v<ImageHeader> &&
+              sizeof(ImageHeader) == 88);
 
-/// Section table entry: where a section lives, its column encoding tag
-/// and the byte count of the payload as stored (== count * elem_size for
-/// raw sections).
+/// Section table entry: where a section lives; it spans count * elem_size
+/// bytes from `offset`.
 struct SectionEntry {
   uint32_t kind = 0;
   uint32_t elem_size = 0;
-  uint64_t offset = 0;       ///< absolute byte offset, kSectionAlign-aligned
-  uint64_t count = 0;        ///< logical element count (decoded)
-  uint32_t encoding = 0;     ///< ColumnEncoding
-  uint32_t reserved = 0;
-  uint64_t stored_bytes = 0; ///< payload bytes at `offset`
+  uint64_t offset = 0;  ///< absolute byte offset, kSectionAlign-aligned
+  uint64_t count = 0;   ///< element count
+  uint64_t bytes() const { return count * elem_size; }
 };
 static_assert(std::is_trivially_copyable_v<SectionEntry> &&
-              sizeof(SectionEntry) == 40);
-
-// The first kRelColEncodable sections are exactly the row columns
-// tid..value — the only sections that may be stored encoded.
-static_assert(kIdxValue + 1 == kRelColEncodable);
-
-constexpr const char* kColumnNames[kRelColEncodable] = {
-    "tid", "left", "right", "depth", "id", "pid", "name", "value"};
+              sizeof(SectionEntry) == 24);
 
 /// Incremental FNV-1a (64-bit): simple, dependency-free, and byte-order
 /// independent — adequate for catching truncation and bit corruption.
@@ -240,12 +234,9 @@ class MappedFile {
 };
 
 /// Backing of a relation opened from an image: the mapping plus the
-/// decode arena for columns the image stores encoded (empty for raw
-/// columns).
+/// per-tree tag directory, derived at open (never stored).
 struct MappedBacking {
   std::shared_ptr<MappedFile> file;
-  std::array<std::vector<uint32_t>, kRelColEncodable> decoded;
-  // The per-tree tag directory, derived at open (never stored).
   std::vector<uint32_t> tag_dir_offsets;
   std::vector<NodeRelation::TagSlice> tag_dir;
 };
@@ -306,15 +297,7 @@ bool LooksLikeImageFile(const std::string& path) {
 }
 
 Status ImageIO::Save(const NodeRelation& rel, const std::string& path,
-                     ImageSaveOptions options, ImageSaveStats* stats) {
-  // The WAL stamp lives in the header's 32-bit reserved slot; an LSN past
-  // that is ~4 billion ingested batches on one corpus — refuse loudly
-  // rather than stamp a truncated value and silently re-replay on open.
-  if (options.wal_lsn > UINT32_MAX) {
-    return Status::InvalidArgument("WAL checkpoint LSN " +
-                                   std::to_string(options.wal_lsn) +
-                                   " exceeds the image header's stamp field");
-  }
+                     ImageSaveOptions options) {
   const Interner& interner = rel.interner();
   const uint64_t symbol_count = interner.size();
 
@@ -329,97 +312,44 @@ Status ImageIO::Save(const NodeRelation& rel, const std::string& path,
     interner_offsets.push_back(blob.size());
   }
 
-  // Section payloads, positionally matched to kSectionSpecs. Raw by
-  // default; the pass below may swap a row column for its encoded bytes.
-  struct Section {
+  // Section payloads, positionally matched to kSectionSpecs.
+  const struct {
     const void* data;
-    uint64_t count;         ///< logical element count
-    uint64_t stored_bytes;  ///< bytes to write
-    uint32_t encoding;      ///< ColumnEncoding
+    uint64_t count;
+  } sections[kSectionCount] = {
+      {rel.tid_.data(), rel.tid_.size()},
+      {rel.left_.data(), rel.left_.size()},
+      {rel.right_.data(), rel.right_.size()},
+      {rel.depth_.data(), rel.depth_.size()},
+      {rel.id_.data(), rel.id_.size()},
+      {rel.pid_.data(), rel.pid_.size()},
+      {rel.name_.data(), rel.name_.size()},
+      {rel.value_.data(), rel.value_.size()},
+      {rel.kind_.data(), rel.kind_.size()},
+      {rel.runs_.data(), rel.runs_.size()},
+      {rel.by_right_.data(), rel.by_right_.size()},
+      {rel.by_pid_.data(), rel.by_pid_.size()},
+      {rel.value_index_.data(), rel.value_index_.size()},
+      {rel.value_offsets_.data(), rel.value_offsets_.size()},
+      {rel.tree_row_prefix_.data(), rel.tree_row_prefix_.size()},
+      {rel.tree_base_.data(), rel.tree_base_.size()},
+      {rel.elem_row_.data(), rel.elem_row_.size()},
+      {rel.attr_offsets_.data(), rel.attr_offsets_.size()},
+      {rel.attr_rows_.data(), rel.attr_rows_.size()},
+      {interner_offsets.data(), interner_offsets.size()},
+      {blob.data(), blob.size()},
   };
-  Section sections[kSectionCount];
-  {
-    const struct {
-      const void* data;
-      uint64_t count;
-    } raw[kSectionCount] = {
-        {rel.tid_.data(), rel.tid_.size()},
-        {rel.left_.data(), rel.left_.size()},
-        {rel.right_.data(), rel.right_.size()},
-        {rel.depth_.data(), rel.depth_.size()},
-        {rel.id_.data(), rel.id_.size()},
-        {rel.pid_.data(), rel.pid_.size()},
-        {rel.name_.data(), rel.name_.size()},
-        {rel.value_.data(), rel.value_.size()},
-        {rel.kind_.data(), rel.kind_.size()},
-        {rel.runs_.data(), rel.runs_.size()},
-        {rel.by_right_.data(), rel.by_right_.size()},
-        {rel.by_pid_.data(), rel.by_pid_.size()},
-        {rel.value_index_.data(), rel.value_index_.size()},
-        {rel.value_offsets_.data(), rel.value_offsets_.size()},
-        {rel.tree_row_prefix_.data(), rel.tree_row_prefix_.size()},
-        {rel.tree_base_.data(), rel.tree_base_.size()},
-        {rel.elem_row_.data(), rel.elem_row_.size()},
-        {rel.attr_offsets_.data(), rel.attr_offsets_.size()},
-        {rel.attr_rows_.data(), rel.attr_rows_.size()},
-        {interner_offsets.data(), interner_offsets.size()},
-        {blob.data(), blob.size()},
-    };
-    for (uint32_t i = 0; i < kSectionCount; ++i) {
-      sections[i] = Section{raw[i].data, raw[i].count,
-                            raw[i].count * kSectionSpecs[i].elem_size, 0};
-    }
-  }
-
-  // Pick the cheapest encoding per row column; buffers stay alive until
-  // the write below. A codec must beat the verbatim array strictly, so
-  // incompressible columns remain raw (and are served straight from the
-  // mapping on open).
-  std::vector<std::vector<uint8_t>> encoded_payloads;
-  if (options.encoding == ImageEncoding::kAuto) {
-    for (uint32_t i = 0; i < kRelColEncodable; ++i) {
-      const std::span<const uint32_t> values(
-          static_cast<const uint32_t*>(sections[i].data), sections[i].count);
-      const ColumnEncoding pick = ColumnCodec::PickEncoding(values);
-      if (pick == ColumnEncoding::kRaw) continue;
-      encoded_payloads.push_back(ColumnCodec::Encode(values, pick));
-      const std::vector<uint8_t>& buf = encoded_payloads.back();
-      sections[i].data = buf.data();
-      sections[i].stored_bytes = buf.size();
-      sections[i].encoding = static_cast<uint32_t>(pick);
-    }
-  }
 
   // Lay the sections out after the header + table, each 8-byte aligned.
-  // (raw_file_bytes re-runs the same layout with verbatim sizes, so the
-  // stats' baseline accounts for alignment and the table exactly.)
   SectionEntry table[kSectionCount];
   uint64_t offset = sizeof(ImageHeader) + sizeof(table);
-  uint64_t raw_file_bytes = offset;
   for (uint32_t i = 0; i < kSectionCount; ++i) {
     offset = AlignUp(offset);
-    table[i] =
-        SectionEntry{kSectionSpecs[i].kind,   kSectionSpecs[i].elem_size,
-                     offset,                  sections[i].count,
-                     sections[i].encoding,    0,
-                     sections[i].stored_bytes};
-    offset += sections[i].stored_bytes;
-    raw_file_bytes = AlignUp(raw_file_bytes) +
-                     sections[i].count * kSectionSpecs[i].elem_size;
+    table[i] = SectionEntry{kSectionSpecs[i].kind, kSectionSpecs[i].elem_size,
+                            offset, sections[i].count};
+    offset += table[i].bytes();
   }
   const uint64_t file_size = offset;
-
-  if (stats != nullptr) {
-    stats->columns.clear();
-    for (uint32_t i = 0; i < kRelColEncodable; ++i) {
-      stats->columns.push_back(ImageSaveStats::Column{
-          kColumnNames[i], static_cast<ColumnEncoding>(sections[i].encoding),
-          sections[i].count * kSectionSpecs[i].elem_size,
-          sections[i].stored_bytes});
-    }
-    stats->file_bytes = file_size;
-    stats->raw_file_bytes = raw_file_bytes;
-  }
 
   ImageHeader header;
   std::memcpy(header.magic, kImageMagic, sizeof(kImageMagic));
@@ -427,8 +357,8 @@ Status ImageIO::Save(const NodeRelation& rel, const std::string& path,
   header.endian = kEndianMarker;
   header.scheme = static_cast<uint32_t>(rel.scheme());
   header.section_count = kSectionCount;
-  header.tree_count = static_cast<uint32_t>(rel.tree_count());
-  header.wal_lsn = static_cast<uint32_t>(options.wal_lsn);
+  header.tree_count = static_cast<uint64_t>(rel.tree_count());
+  header.wal_lsn = options.wal_lsn;
   header.row_count = rel.row_count();
   header.element_count = rel.element_count();
   header.symbol_count = symbol_count;
@@ -461,7 +391,7 @@ Status ImageIO::Save(const NodeRelation& rel, const std::string& path,
   for (uint32_t i = 0; st.ok() && i < kSectionCount; ++i) {
     st = writer.PadToAlignment();
     if (st.ok()) {
-      st = writer.WritePayload(sections[i].data, sections[i].stored_bytes);
+      st = writer.WritePayload(sections[i].data, table[i].bytes());
     }
   }
   // Seal: fill in the checksums and rewrite the header in place.
@@ -506,7 +436,7 @@ Status ImageIO::Save(const NodeRelation& rel, const std::string& path,
 
 namespace {
 
-/// Typed view of a validated raw section.
+/// Typed view of a validated section.
 template <typename T>
 std::span<const T> SectionSpan(const MappedFile& file,
                                const SectionEntry& entry) {
@@ -516,6 +446,13 @@ std::span<const T> SectionSpan(const MappedFile& file,
 
 Status CorruptionAt(const std::string& path, const char* what) {
   return Status::Corruption("invalid relation image " + path + ": " + what);
+}
+
+Status UnsupportedVersion(const std::string& path, uint32_t version) {
+  return Status::NotSupported(
+      "relation image " + path + " has format version " +
+      std::to_string(version) + "; this build reads version " +
+      std::to_string(kImageFormatVersion));
 }
 
 /// Best-effort posix_madvise over the file range [offset, offset + len),
@@ -583,10 +520,7 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
     return CorruptionAt(path, "bad magic (not a relation image)");
   }
   if (header.version != kImageFormatVersion) {
-    return Status::NotSupported(
-        "relation image " + path + " has format version " +
-        std::to_string(header.version) + "; this build reads version " +
-        std::to_string(kImageFormatVersion));
+    return UnsupportedVersion(path, header.version);
   }
   if (header.endian != kEndianMarker) {
     return Status::NotSupported("relation image " + path +
@@ -641,19 +575,9 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
     if (e.offset % kSectionAlign != 0) {
       return CorruptionAt(path, "misaligned section");
     }
-    if (e.encoding != static_cast<uint32_t>(ColumnEncoding::kRaw)) {
-      if (i >= kRelColEncodable) {
-        return CorruptionAt(path, "encoded tag on a non-column section");
-      }
-      if (e.encoding != static_cast<uint32_t>(ColumnEncoding::kBitPack) &&
-          e.encoding != static_cast<uint32_t>(ColumnEncoding::kRle)) {
-        return CorruptionAt(path, "unknown column encoding tag");
-      }
-    } else if (e.stored_bytes != e.count * e.elem_size) {
-      return CorruptionAt(path, "raw section byte count mismatch");
-    }
+    // Checked by division first: a forged count must not overflow bytes().
     if (e.offset > file->size() ||
-        e.stored_bytes > file->size() - e.offset) {
+        e.count > (file->size() - e.offset) / e.elem_size) {
       return CorruptionAt(path, "section extends past the end of the file");
     }
   }
@@ -686,52 +610,15 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
     return CorruptionAt(path, "index larger than the row space");
   }
 
-  // --- Encoded columns: validate, then decode into the backing's arena -----
-  // Raw columns bind straight into the mapping; encoded ones are decoded
-  // once here so every span accessor (and the binary searches behind the
-  // run/range lookups) work identically over both.
-  // Mapping hints (see AdviseRange): the sections consumed eagerly right
-  // below — encoded column payloads (decoded into the arena) and the
-  // interner table (re-interned into the fresh corpus) — are prefetched;
-  // the sections served straight out of the mapping at query time get
-  // MADV_RANDOM after the one-time sanity scans further down, since their
-  // steady-state access is binary searches that readahead only pollutes
-  // the page cache for.
-  for (uint32_t i = 0; i < kRelColEncodable; ++i) {
-    if (table[i].encoding != static_cast<uint32_t>(ColumnEncoding::kRaw)) {
-      AdviseRange(*file, table[i].offset, table[i].stored_bytes,
-                  kAdviseWillNeed);
-    }
-  }
+  // Mapping hints (see AdviseRange): the interner table, re-interned into
+  // the fresh corpus right below, is prefetched; every other section is
+  // served straight out of the mapping at query time and gets MADV_RANDOM
+  // after the one-time sanity scans, since its steady-state access is
+  // binary searches that readahead only pollutes the page cache for.
   AdviseRange(*file, table[kIdxInternerOffsets].offset,
-              table[kIdxInternerOffsets].stored_bytes, kAdviseWillNeed);
+              table[kIdxInternerOffsets].bytes(), kAdviseWillNeed);
   AdviseRange(*file, table[kIdxInternerBlob].offset,
-              table[kIdxInternerBlob].stored_bytes, kAdviseWillNeed);
-
-  auto backing = std::make_shared<MappedBacking>();
-  backing->file = file;
-  std::array<std::span<const uint32_t>, kRelColEncodable> cols;
-  for (uint32_t i = 0; i < kRelColEncodable; ++i) {
-    const SectionEntry& e = table[i];
-    if (e.encoding == static_cast<uint32_t>(ColumnEncoding::kRaw)) {
-      cols[i] = SectionSpan<uint32_t>(*file, e);
-      continue;
-    }
-    const EncodedColumnView view{
-        static_cast<ColumnEncoding>(e.encoding), e.count,
-        std::span<const uint8_t>(file->data() + e.offset, e.stored_bytes)};
-    if (const Status status = ColumnCodec::Validate(view); !status.ok()) {
-      return CorruptionAt(path, status.message().c_str());
-    }
-    std::vector<uint32_t>& arena = backing->decoded[i];
-    arena.resize(e.count);
-    ColumnCodec::Decode(view, arena.data());
-    cols[i] = std::span<const uint32_t>(arena);
-  }
-  const auto col_i32 = [&cols](uint32_t i) {
-    return std::span<const int32_t>(
-        reinterpret_cast<const int32_t*>(cols[i].data()), cols[i].size());
-  };
+              table[kIdxInternerBlob].bytes(), kAdviseWillNeed);
 
   // --- Index sanity: keep every accessor in bounds over the mapping --------
   // Well-formed runs partition the rows; bounding their total keeps the
@@ -758,7 +645,8 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
   // range themselves, but a value outside [0, trees) can only come from a
   // forged file, so reject it here as corruption rather than serving
   // silently-empty per-tree lookups.
-  for (int32_t t : col_i32(kIdxTid)) {
+  const auto tid = SectionSpan<int32_t>(*file, table[kIdxTid]);
+  for (int32_t t : tid) {
     if (t < 0 || static_cast<uint64_t>(t) >= trees) {
       return CorruptionAt(path, "tid column out of range");
     }
@@ -793,15 +681,10 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
 
   // The sanity scans above were the last sequential pass; from here on the
   // mapped sections are hit by binary searches and point lookups, where
-  // readahead only evicts useful pages. Encoded columns are excluded: their
-  // payloads were decoded into the arena and are never read again.
+  // readahead only evicts useful pages.
   for (uint32_t i = 0; i < kSectionCount; ++i) {
     if (i == kIdxInternerOffsets || i == kIdxInternerBlob) continue;
-    if (i < kRelColEncodable &&
-        table[i].encoding != static_cast<uint32_t>(ColumnEncoding::kRaw)) {
-      continue;
-    }
-    AdviseRange(*file, table[i].offset, table[i].stored_bytes, kAdviseRandom);
+    AdviseRange(*file, table[i].offset, table[i].bytes(), kAdviseRandom);
   }
 
   // --- Bind the relation straight onto the mapping --------------------------
@@ -811,14 +694,14 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
   rel.tree_count_ = static_cast<int32_t>(trees);
   rel.element_count_ = static_cast<size_t>(elements);
   rel.mapped_ = true;
-  rel.tid_ = col_i32(kIdxTid);
-  rel.left_ = col_i32(kIdxLeft);
-  rel.right_ = col_i32(kIdxRight);
-  rel.depth_ = col_i32(kIdxDepth);
-  rel.id_ = col_i32(kIdxId);
-  rel.pid_ = col_i32(kIdxPid);
-  rel.name_ = cols[kIdxName];
-  rel.value_ = cols[kIdxValue];
+  rel.tid_ = tid;
+  rel.left_ = SectionSpan<int32_t>(*file, table[kIdxLeft]);
+  rel.right_ = SectionSpan<int32_t>(*file, table[kIdxRight]);
+  rel.depth_ = SectionSpan<int32_t>(*file, table[kIdxDepth]);
+  rel.id_ = SectionSpan<int32_t>(*file, table[kIdxId]);
+  rel.pid_ = SectionSpan<int32_t>(*file, table[kIdxPid]);
+  rel.name_ = SectionSpan<Symbol>(*file, table[kIdxName]);
+  rel.value_ = SectionSpan<Symbol>(*file, table[kIdxValue]);
   rel.kind_ = SectionSpan<uint8_t>(*file, table[kIdxKind]);
   rel.runs_ = runs;
   rel.by_right_ = SectionSpan<Row>(*file, table[kIdxByRight]);
@@ -832,6 +715,8 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
   rel.elem_row_ = SectionSpan<Row>(*file, table[kIdxElemRow]);
   rel.attr_offsets_ = SectionSpan<uint32_t>(*file, table[kIdxAttrOffsets]);
   rel.attr_rows_ = SectionSpan<Row>(*file, table[kIdxAttrRows]);
+  auto backing = std::make_shared<MappedBacking>();
+  backing->file = file;
   rel.BindTagDirectory(&backing->tag_dir_offsets, &backing->tag_dir);
   rel.backing_ = std::move(backing);
   return rel;
@@ -852,10 +737,13 @@ Result<uint64_t> ImageIO::ReadWalLsn(const std::string& path) {
   if (std::memcmp(header.magic, kImageMagic, sizeof(kImageMagic)) != 0) {
     return CorruptionAt(path, "bad magic (not a relation image)");
   }
+  if (header.version != kImageFormatVersion) {
+    return UnsupportedVersion(path, header.version);
+  }
   if (header.header_checksum != HeaderChecksum(header)) {
     return CorruptionAt(path, "header checksum mismatch");
   }
-  return static_cast<uint64_t>(header.wal_lsn);
+  return header.wal_lsn;
 }
 
 }  // namespace lpath

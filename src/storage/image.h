@@ -5,54 +5,49 @@
 // The point (and the paper's pitch) is that interval-labeled trees live in
 // the database rather than being re-derived per tool run: Save() is run
 // once, offline (lpath_pack, or :save in the shell), and Open() then maps
-// the file read-only and serves the columns straight out of the mapping —
-// no labeling, no sorting, O(file size) instead of O(label + sort). The
-// mapping is owned by the opened relation (and through it by its
-// CorpusSnapshot), so the existing hot-swap/Reload semantics and in-flight
-// readers work unchanged: the pages stay mapped until the last reader's
-// snapshot reference drops.
+// the file read-only and serves every section straight out of the mapping
+// — no labeling, no sorting, no decoding, O(file size) instead of
+// O(label + sort). The mapping is owned by the opened relation (and
+// through it by its CorpusSnapshot), so the existing hot-swap/Reload
+// semantics and in-flight readers work unchanged: the pages stay mapped
+// until the last reader's snapshot reference drops.
 //
 // Layout (all integers native-endian; a header marker rejects foreign
 // endianness — images are a deployment format, not an interchange format):
 //
 //   ImageHeader            magic, version, endian marker, label scheme,
-//                          row/tree/element/symbol counts, file size,
-//                          header + payload FNV-1a64 checksums
-//   section table          per section: {kind, elem_size, offset, count,
-//                          encoding tag, stored byte count}
-//   sections...            column arrays, each 8-byte aligned:
+//                          tree count, 64-bit WAL stamp, row/element/
+//                          symbol counts, file size, header + payload
+//                          FNV-1a64 checksums
+//   section table          per section: {kind, elem_size, offset, count};
+//                          a section is count * elem_size bytes
+//   sections...            verbatim arrays, each 8-byte aligned:
 //                          tid/left/right/depth/id/pid/name/value/kind,
 //                          run directory, by-right/by-pid permutations,
 //                          value index + offsets, per-tree row prefix sums,
 //                          tree base / element row / attribute CSR,
 //                          interner offsets + concatenated string blob
 //
-// Any of the eight 32-bit row columns (tid..value) may be stored under a
-// lightweight codec (storage/codec.h) instead of verbatim; Save measures
-// each candidate encoding and keeps the cheapest. Every other section —
-// kind byte, indexes, interner — is always raw. Only format v2 is read or
-// written; any other version, v1 included, fails Open with NotSupported.
+// Only format v3 is read or written; any other version, v1 and v2
+// included, fails Open with NotSupported.
 //
 // Corruption model: the payload checksum covers every byte after the
 // header (section table included); the header carries its own checksum.
 // Open() additionally bounds-checks every section against the file size
-// and validates the cross-section count invariants, index monotonicity,
-// and every encoded column's codec structure (ColumnCodec::Validate), so
-// a truncated, bit-flipped or wrong-version file yields a clean Status
+// and validates the cross-section count invariants and index monotonicity,
+// so a truncated, bit-flipped or wrong-version file yields a clean Status
 // error — never a crash — and a checksum-valid file cannot index the
 // mapping out of bounds. Opening with ImageVerify::kHeaderOnly skips only
 // the whole-payload checksum scan (the part that is O(file size) in cache
-// misses); every structural and codec check still runs.
+// misses); every structural check still runs.
 
 #ifndef LPATHDB_STORAGE_IMAGE_H_
 #define LPATHDB_STORAGE_IMAGE_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
-#include "storage/codec.h"
 #include "storage/relation.h"
 
 namespace lpath {
@@ -63,11 +58,7 @@ inline constexpr char kImageMagic[8] = {'L', 'P', 'D', 'B',
 
 /// Format generation; bumped on layout changes. Save() writes it and Open()
 /// reads only it.
-inline constexpr uint32_t kImageFormatVersion = 2;
-
-/// The row columns (tid..value) an image may store encoded; each Save()
-/// reports one ImageSaveStats::columns entry per column.
-inline constexpr size_t kRelColEncodable = 8;
+inline constexpr uint32_t kImageFormatVersion = 3;
 
 /// How much of an image Open() verifies before serving from it.
 enum class ImageVerify {
@@ -75,8 +66,8 @@ enum class ImageVerify {
   /// corruption anywhere in the file is caught at open.
   kFull,
   /// Skip only the payload checksum scan; header checksum, section bounds,
-  /// count invariants, index sanity and codec validation still run. Opt-in
-  /// for latency-sensitive cold opens of large trusted images, where the
+  /// count invariants and index sanity still run. Opt-in for
+  /// latency-sensitive cold opens of large trusted images, where the
   /// O(file size) checksum read would dominate.
   kHeaderOnly,
 };
@@ -85,38 +76,14 @@ struct ImageOpenOptions {
   ImageVerify verify = ImageVerify::kFull;
 };
 
-/// Column encoding policy for Save().
-enum class ImageEncoding {
-  /// Per column, measure the candidate codecs and store the cheapest
-  /// (raw included).
-  kAuto,
-  /// Store every column verbatim.
-  kRaw,
-};
-
 struct ImageSaveOptions {
-  ImageEncoding encoding = ImageEncoding::kAuto;
   /// WAL checkpoint stamp: the LSN of the last WAL record this image's
   /// relation already covers (see storage/wal.h and db::Database's
-  /// durable-ingest path). Stored in a previously-reserved header field —
-  /// no format bump; images written before the field (and images saved
-  /// without a WAL) read back as 0. Replay after open skips records at or
+  /// durable-ingest path), stored as a 64-bit header field. Images saved
+  /// without a WAL read back as 0. Replay after open skips records at or
   /// below it, which is what makes compact-then-crash-before-truncate
   /// exactly-once instead of at-least-once.
   uint64_t wal_lsn = 0;
-};
-
-/// What Save() wrote, for tooling (`lpath_pack` prints this table).
-struct ImageSaveStats {
-  struct Column {
-    std::string name;           ///< section name, e.g. "left"
-    ColumnEncoding encoding = ColumnEncoding::kRaw;
-    uint64_t raw_bytes = 0;     ///< verbatim array size
-    uint64_t stored_bytes = 0;  ///< bytes actually written
-  };
-  std::vector<Column> columns;   ///< the eight encodable row columns
-  uint64_t file_bytes = 0;       ///< total image size as written
-  uint64_t raw_file_bytes = 0;   ///< image size had every column been raw
 };
 
 /// Reads `path`'s first bytes and reports whether they carry the relation
@@ -130,20 +97,18 @@ class ImageIO {
  public:
   /// Writes `relation` (columns, indexes, prefix sums, interner) to `path`
   /// as one image. Writes to a unique sibling temp file and renames, so a
-  /// concurrent reader never sees a half-written image. With the default
-  /// options each row column gets its cheapest encoding;
-  /// `stats` (optional) receives the per-column size breakdown.
+  /// concurrent reader never sees a half-written image. Every section is
+  /// written verbatim.
   static Status Save(const NodeRelation& relation, const std::string& path,
-                     ImageSaveOptions options = {},
-                     ImageSaveStats* stats = nullptr);
+                     ImageSaveOptions options = {});
 
   /// Opens an image read-only via mmap. Validates the header, checksums
   /// and section bounds, rebuilds the interner into a fresh (tree-less)
-  /// corpus, and binds the relation's columns straight into the mapping —
-  /// columns the image stores encoded are decoded once into an owned
-  /// arena, next to the per-tree tag directory, which two linear passes
-  /// derive from the validated run directory and tid column. Performs no
-  /// labeling and no sorting: cost is O(file size).
+  /// corpus, and binds every section of the relation straight into the
+  /// mapping. The only owned state is the per-tree tag directory, which
+  /// two linear passes derive from the validated run directory and tid
+  /// column. Performs no labeling, no sorting and no decoding: cost is
+  /// O(file size).
   ///
   /// The returned relation's corpus carries the dictionary but no trees —
   /// everything the SQL executor needs, but not the bracketed text
@@ -154,8 +119,8 @@ class ImageIO {
 
   /// Reads just the header (validating magic + header checksum) and
   /// returns the image's checkpointed WAL LSN — 0 for images saved
-  /// without one, including every image written before the field existed.
-  /// O(1); used on the database's replay path before a corpus serves.
+  /// without one. NotSupported for any format version but the current
+  /// one. O(1); used on the database's replay path before a corpus serves.
   static Result<uint64_t> ReadWalLsn(const std::string& path);
 };
 

@@ -52,8 +52,8 @@ Result<SnapshotPtr> CorpusSnapshot::Open(const std::string& path,
   snapshot->image_path_ = path;
   // Surface the image's WAL stamp so the database replays only records the
   // image does not already cover. Best effort on purpose: the image just
-  // opened and validated above, so a read failure here means a pre-stamp
-  // (or concurrently republished) file — both read as 0, i.e. replay all.
+  // opened and validated above, so a read failure here means a
+  // concurrently republished file, read as 0, i.e. replay all.
   if (Result<uint64_t> lsn = ImageIO::ReadWalLsn(path); lsn.ok()) {
     snapshot->base_wal_lsn_ = lsn.value();
   }
@@ -74,16 +74,16 @@ std::shared_ptr<Corpus> CorpusWithDictionary(const Interner& interner) {
 
 }  // namespace
 
-Status CorpusSnapshot::Save(const std::string& path, ImageSaveOptions options,
-                            ImageSaveStats* stats) const {
-  if (!has_delta()) return ImageIO::Save(relation_, path, options, stats);
+Status CorpusSnapshot::Save(const std::string& path,
+                            ImageSaveOptions options) const {
+  if (!has_delta()) return ImageIO::Save(relation_, path, options);
   // The image format holds one relation; merge the chain first (linear, no
   // labeling) so the file covers every published tree.
   LPATH_ASSIGN_OR_RETURN(
       NodeRelation merged,
       NodeRelation::Merge(relation_, *delta_relation_,
                           CorpusWithDictionary(delta_corpus_->interner())));
-  return ImageIO::Save(merged, path, options, stats);
+  return ImageIO::Save(merged, path, options);
 }
 
 Result<SnapshotPtr> CorpusSnapshot::Rebuild() const {
@@ -156,7 +156,7 @@ SnapshotPtr CorpusSnapshot::Chain(std::shared_ptr<const Corpus> delta_corpus,
 }
 
 Result<SnapshotPtr> CorpusSnapshot::Compact(
-    ImageSaveStats* save_stats, ImageSaveOptions save_options) const {
+    ImageSaveOptions save_options) const {
   if (!has_delta()) {
     return Status::InvalidArgument("CorpusSnapshot::Compact: no delta");
   }
@@ -182,8 +182,7 @@ Result<SnapshotPtr> CorpusSnapshot::Compact(
     // Crash safety rides on ImageIO::Save's unique-tmp + fsync + rename:
     // a reader (or a crash) mid-compaction sees either the old image or
     // the new one, never a torn file.
-    LPATH_RETURN_IF_ERROR(
-        ImageIO::Save(mrel, image_path_, save_options, save_stats));
+    LPATH_RETURN_IF_ERROR(ImageIO::Save(mrel, image_path_, save_options));
     return Open(image_path_);
   }
   auto* snapshot = new CorpusSnapshot(std::move(merged), std::move(mrel),

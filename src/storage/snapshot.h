@@ -74,8 +74,7 @@ class CorpusSnapshot {
   /// Writes this snapshot's relation (and interner) as a persistent image.
   /// A chain is merged first (linear, no labeling), so the image always
   /// covers base + delta; opening it yields a delta-free snapshot.
-  Status Save(const std::string& path, ImageSaveOptions options = {},
-              ImageSaveStats* stats = nullptr) const;
+  Status Save(const std::string& path, ImageSaveOptions options = {}) const;
 
   /// A new snapshot over the same corpus with a relation freshly built
   /// under the snapshot's own options — the "rebuilt index" input to a hot
@@ -100,12 +99,11 @@ class CorpusSnapshot {
   /// sorting): the result is the relation a full rebuild over the
   /// concatenated corpora would produce. For an image-backed base the
   /// merged relation is written back to image_path() (crash-safe tmp +
-  /// rename + fsync) and re-opened; `save_stats`, when non-null, receives
-  /// the per-column compression breakdown of that write, and `save_options`
-  /// rides along to it (db::Database stamps the WAL checkpoint LSN there).
-  /// InvalidArgument when the chain has no delta.
-  Result<SnapshotPtr> Compact(ImageSaveStats* save_stats = nullptr,
-                              ImageSaveOptions save_options = {}) const;
+  /// rename + fsync) and re-opened, with `save_options` riding along to
+  /// that write (db::Database stamps the WAL checkpoint LSN there). A
+  /// built base is merged in memory and touches no file. InvalidArgument
+  /// when the chain has no delta.
+  Result<SnapshotPtr> Compact(ImageSaveOptions save_options = {}) const;
 
   /// True when trees have been appended since the base was built/opened.
   bool has_delta() const { return delta_relation_ != nullptr; }

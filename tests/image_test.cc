@@ -246,61 +246,6 @@ void WriteAll(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-// --- Column encodings ------------------------------------------------------
-
-/// True when Save stored at least one row column under a codec.
-bool AnyEncoded(const ImageSaveStats& stats) {
-  for (const ImageSaveStats::Column& col : stats.columns) {
-    if (col.encoding != ColumnEncoding::kRaw) return true;
-  }
-  return false;
-}
-
-TEST(ImageTest, V2EncodesColumnsAndShrinksTheFile) {
-  TempDir dir;
-  SnapshotPtr built = MustBuild(testing::RandomCorpus(14, 80, 40));
-  const std::string raw_path = dir.File("size.raw.img");
-  const std::string v2_path = dir.File("size.v2.img");
-  ImageSaveOptions raw_options;
-  raw_options.encoding = ImageEncoding::kRaw;
-  ASSERT_TRUE(built->Save(raw_path, raw_options).ok());
-  ImageSaveStats stats;
-  ASSERT_TRUE(built->Save(v2_path, {}, &stats).ok());
-
-  // The clustered relation always compresses: name is a few runs, the
-  // label columns bit-pack. Stats must agree with the files on disk.
-  EXPECT_LT(fs::file_size(v2_path), fs::file_size(raw_path));
-  EXPECT_EQ(stats.file_bytes, fs::file_size(v2_path));
-  // raw_file_bytes is "this file with every section verbatim", which is
-  // exactly the forced-raw image.
-  EXPECT_EQ(stats.raw_file_bytes, fs::file_size(raw_path));
-  EXPECT_GT(stats.raw_file_bytes, stats.file_bytes);
-  ASSERT_EQ(stats.columns.size(), kRelColEncodable);
-  for (const ImageSaveStats::Column& col : stats.columns) {
-    EXPECT_LE(col.stored_bytes,
-              col.encoding == ColumnEncoding::kRaw ? col.raw_bytes
-                                                   : col.raw_bytes - 1);
-  }
-  EXPECT_TRUE(AnyEncoded(stats));
-
-  SnapshotPtr mapped = MustOpen(v2_path);
-  ExpectSameRelation(built->relation(), mapped->relation());
-}
-
-TEST(ImageTest, ForcedRawV2MatchesAutoAnswers) {
-  TempDir dir;
-  SnapshotPtr built = MustBuild(testing::RandomCorpus(77, 30, 30));
-  const std::string raw_path = dir.File("forced.raw.img");
-  ImageSaveOptions raw_options;
-  raw_options.encoding = ImageEncoding::kRaw;
-  ImageSaveStats stats;
-  ASSERT_TRUE(built->Save(raw_path, raw_options, &stats).ok());
-  ASSERT_EQ(stats.columns.size(), kRelColEncodable);
-  EXPECT_FALSE(AnyEncoded(stats));
-  SnapshotPtr mapped = MustOpen(raw_path);
-  ExpectSameRelation(built->relation(), mapped->relation());
-}
-
 TEST(ImageTest, HeaderOnlyVerifyOpensValidImages) {
   TempDir dir;
   SnapshotPtr built = MustBuild(testing::RandomCorpus(50, 40, 36));
@@ -323,8 +268,8 @@ TEST(ImageTest, HeaderOnlyVerifyStillRejectsStructuralDamage) {
 
   ImageOpenOptions lazy;
   lazy.verify = ImageVerify::kHeaderOnly;
-  // Truncation breaks section bounds (and codec Validate) regardless of
-  // the skipped payload-checksum scan.
+  // Truncation breaks section bounds regardless of the skipped
+  // payload-checksum scan.
   const std::string cut_path = dir.File("lazy_cut.img");
   WriteAll(cut_path, std::vector<char>(bytes.begin(),
                                        bytes.begin() +
@@ -423,16 +368,20 @@ TEST_F(ImageCorruptionTest, WrongMagicAndVersionAreRejected) {
     // Header checksum no longer matches, or (with a recomputed checksum)
     // the version gate fires; either way the message is clean.
   }
-  {
-    // Format v1 (all-raw sections, a narrower section table) is not read.
-    // The version gate runs before the header checksum, so rewriting the
-    // version field alone reaches it.
+  // Formats v1 (all-raw, narrower section table) and v2 (codec-encoded
+  // columns, 32-bit WAL stamp) are not read. The version gate runs before
+  // the header checksum, so rewriting the version field alone reaches it.
+  for (const int old_version : {1, 2}) {
     std::vector<char> mutated = bytes_;
-    mutated[8] = 1;
+    mutated[8] = static_cast<char>(old_version);
     WriteAll(path, mutated);
     Result<SnapshotPtr> r = CorpusSnapshot::Open(path);
     ASSERT_FALSE(r.ok());
-    EXPECT_TRUE(r.status().IsNotSupported()) << r.status().ToString();
+    EXPECT_TRUE(r.status().IsNotSupported())
+        << "v" << old_version << ": " << r.status().ToString();
+    Result<uint64_t> lsn = ImageIO::ReadWalLsn(path);
+    ASSERT_FALSE(lsn.ok());
+    EXPECT_TRUE(lsn.status().IsNotSupported()) << lsn.status().ToString();
   }
 }
 
@@ -458,16 +407,12 @@ TEST_F(ImageCorruptionTest, RunWithNonContiguousTidsOpensInBoundsOrFails) {
   // either refuse the file with Corruption or serve lookups that stay
   // inside the relation (ASan checks the second case). HeaderOnly skips
   // the payload checksum the edit would otherwise trip.
-  const std::string raw_path = dir_.File("raw.img");
-  ImageSaveOptions raw;
-  raw.encoding = ImageEncoding::kRaw;
   const NodeRelation& built = snapshot_->relation();
-  ASSERT_TRUE(ImageIO::Save(built, raw_path, raw).ok());
-  std::vector<char> bytes = ReadAll(raw_path);
-  // The header is 80 bytes; the section table follows, 40 bytes an entry,
-  // the tid column first, its offset at byte 8 of the entry.
+  std::vector<char> bytes = bytes_;
+  // The v3 header is 88 bytes; the section table follows, 24 bytes an
+  // entry, the tid column first, its offset at byte 8 of the entry.
   uint64_t tid_offset = 0;
-  std::memcpy(&tid_offset, bytes.data() + 80 + 8, sizeof(tid_offset));
+  std::memcpy(&tid_offset, bytes.data() + 88 + 8, sizeof(tid_offset));
   int forged_runs = 0;
   for (Symbol s = 0; s < built.interner().end_id(); ++s) {
     const RowRange run = built.run(s);
@@ -512,18 +457,14 @@ TEST_F(ImageCorruptionTest, RunWithNonContiguousTidsOpensInBoundsOrFails) {
 // Clients hammer Query() and sinking Submit()s against a corpus whose snapshot
 // alternates between an in-memory build and freshly opened mmap images;
 // retiring a mapped snapshot munmaps it, so this exercises exactly the
-// "mapping must outlive every in-flight reader" contract. The image stores
-// codec-encoded columns, so concurrent queries also share the open-time
-// decode arena next to the raw mapped sections. Results must always equal
-// the (shared-corpus) expected answers.
+// "mapping must outlive every in-flight reader" contract. Results must
+// always equal the (shared-corpus) expected answers.
 TEST(ImageTest, MappedHotSwapHammerStaysConsistentAndSafe) {
   TempDir dir;
   Corpus corpus = testing::RandomCorpus(123, 40, 30);
   SnapshotPtr built = MustBuild(std::move(corpus));
   const std::string path = dir.File("hammer.img");
-  ImageSaveStats stats;
-  ASSERT_TRUE(built->Save(path, {}, &stats).ok());
-  ASSERT_TRUE(AnyEncoded(stats));
+  ASSERT_TRUE(built->Save(path).ok());
 
   db::Database database;
   ASSERT_TRUE(database.Attach("x", built).ok());

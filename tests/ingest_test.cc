@@ -87,15 +87,13 @@ SnapshotPtr MustAppend(const SnapshotPtr& snap, const Corpus& incoming) {
   return std::move(chained).value();
 }
 
-/// The three base flavours the chain must compose over identically.
-enum class BaseKind { kBuilt, kImageRaw, kImageEncoded };
+/// The two base flavours the chain must compose over identically.
+enum class BaseKind { kBuilt, kImage };
 
 SnapshotPtr MakeBase(BaseKind kind, Corpus corpus, const std::string& path) {
   SnapshotPtr built = MustBuild(std::move(corpus));
   if (kind == BaseKind::kBuilt) return built;
-  ImageSaveOptions save;
-  if (kind == BaseKind::kImageRaw) save.encoding = ImageEncoding::kRaw;
-  Status s = built->Save(path, save);
+  Status s = built->Save(path);
   EXPECT_TRUE(s.ok()) << s.ToString();
   return MustOpen(path);
 }
@@ -332,7 +330,7 @@ TEST(IngestCounters, ImageBackedBaseIsNeverRelabeled) {
 
 TEST(IngestLifetime, CompactReleasesThePreCompactionBase) {
   TempDir dir;
-  for (BaseKind kind : {BaseKind::kBuilt, BaseKind::kImageEncoded}) {
+  for (BaseKind kind : {BaseKind::kBuilt, BaseKind::kImage}) {
     std::weak_ptr<const Corpus> old_base;
     SnapshotPtr compacted;
     {
@@ -366,7 +364,7 @@ TEST(IngestLifetime, RebuildReLayersTheDeltaOntoTheReopenedBase) {
   SnapshotPtr rebuilt;
   QueryResult before;
   {
-    SnapshotPtr base = MakeBase(BaseKind::kImageRaw,
+    SnapshotPtr base = MakeBase(BaseKind::kImage,
                                 testing::RandomCorpus(141, 20),
                                 dir.File("base.img"));
     old_base = base->corpus_ptr();
@@ -500,8 +498,7 @@ TEST(IngestDifferential, AppendVsRebuild150Queries) {
   LPathEngine reference(rebuilt->relation());
 
   int checked = 0;
-  for (BaseKind kind :
-       {BaseKind::kBuilt, BaseKind::kImageRaw, BaseKind::kImageEncoded}) {
+  for (BaseKind kind : {BaseKind::kBuilt, BaseKind::kImage}) {
     SnapshotPtr base =
         MakeBase(kind, testing::RandomCorpus(kBaseSeed, kBaseTrees),
                  dir.File("base_" + std::to_string(static_cast<int>(kind)) +

@@ -636,7 +636,7 @@ TEST(ImageWalLsn, RoundTripsThroughSaveAndReadWalLsn) {
   EXPECT_EQ((*reopened)->base_wal_lsn(), 42u);
 }
 
-TEST(ImageWalLsn, DefaultsToZeroAndRejectsOverflow) {
+TEST(ImageWalLsn, DefaultsToZeroAndKeepsA64BitStamp) {
   TempDir dir;
   Result<SnapshotPtr> snap =
       CorpusSnapshot::Build(testing::RandomCorpus(12, 4));
@@ -647,11 +647,19 @@ TEST(ImageWalLsn, DefaultsToZeroAndRejectsOverflow) {
   ASSERT_TRUE(lsn.ok());
   EXPECT_EQ(*lsn, 0u);
 
+  // A log past 2^32 records must still checkpoint: the stamp is 64 bits
+  // wide and comes back unchanged.
   ImageSaveOptions options;
-  options.wal_lsn = (1ull << 32);  // past the header's stamp field
-  const Status st = (*snap)->Save(dir.File("overflow.img"), options);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  options.wal_lsn = (1ull << 32) + 5;
+  const std::string wide_path = dir.File("wide.img");
+  const Status st = (*snap)->Save(wide_path, options);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  const Result<uint64_t> wide = ImageIO::ReadWalLsn(wide_path);
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  EXPECT_EQ(*wide, (1ull << 32) + 5);
+  Result<SnapshotPtr> reopened = CorpusSnapshot::Open(wide_path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->base_wal_lsn(), (1ull << 32) + 5);
 }
 
 }  // namespace

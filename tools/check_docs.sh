@@ -1,7 +1,7 @@
 #!/bin/sh
 # Documentation consistency gate (CI: the "docs link-check" step).
 #
-# Six checks, all grep-based so the gate needs nothing beyond POSIX sh:
+# Seven checks, all grep-based so the gate needs nothing beyond POSIX sh:
 #
 #   1. Every relative markdown link in README.md and docs/*.md must point
 #      at a file or directory that exists (anchors and external URLs are
@@ -33,6 +33,12 @@
 #      ":x"` or `StartsWith(input, ":x ")`) is named in the README's shell
 #      paragraph and in the shell's .help text, and the README names no
 #      `:command` the shell no longer handles. Same purpose as 3.
+#
+#   7. The README's image section ("## Persistent relation images" up to
+#      the next "## " heading) names the current image format as
+#      "Format v<kImageFormatVersion>" (src/storage/image.h) and its
+#      section table as "<kSectionCount>-entry section table"
+#      (src/storage/image.cc). Catches format bumps that skip the README.
 #
 # Exits nonzero listing every violation. Run from the repository root.
 set -u
@@ -250,6 +256,33 @@ if [ -f "$shell" ] && [ -f README.md ]; then
       fail=1
     fi
   done
+fi
+
+# --- 7. README image section names the current format ------------------
+
+image_header=src/storage/image.h
+image_source=src/storage/image.cc
+if [ -f "$image_header" ] && [ -f "$image_source" ] && [ -f README.md ]; then
+  version=$(grep -o 'kImageFormatVersion = [0-9]*' "$image_header" |
+            awk '{print $3}')
+  sections=$(grep -o 'kSectionCount = [0-9]*' "$image_source" |
+             awk '{print $3}')
+  section=$(awk '/^## Persistent relation images/ {on=1; next}
+                 on && /^## / {exit}
+                 on' README.md)
+  if [ -z "$version" ] || [ -z "$sections" ] || [ -z "$section" ]; then
+    say "MISSING: kImageFormatVersion in $image_header, kSectionCount in $image_source or the README image section"
+    fail=1
+  else
+    if ! printf '%s\n' "$section" | grep -qE "Format v$version([^0-9]|\$)"; then
+      say "STALE: the README image section does not name Format v$version ($image_header)"
+      fail=1
+    fi
+    if ! printf '%s\n' "$section" | grep -q "$sections-entry section table"; then
+      say "STALE: the README image section does not name the $sections-entry section table ($image_source)"
+      fail=1
+    fi
+  fi
 fi
 
 if [ "$fail" -ne 0 ]; then
