@@ -9,12 +9,15 @@
 // bytes/second counter on Open rows makes the O(file size) claim directly
 // readable off the report.
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <utility>
 
 #include "bench_common.h"
@@ -32,6 +35,23 @@ struct ScaleFixture {
   std::string image_path;
   uint64_t image_bytes = 0;
 };
+
+/// The saved images live in a per-process directory, so concurrent runs
+/// never share a file, and the directory is removed when the binary exits.
+const std::filesystem::path& ImageDir() {
+  struct Dir {
+    std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("lpathdb_bench_open_" + std::to_string(::getpid()));
+    Dir() { std::filesystem::create_directories(path); }
+    ~Dir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  };
+  static const Dir dir;
+  return dir.path;
+}
 
 const ScaleFixture& GetScale(int sentences) {
   static auto* scales = new std::map<int, ScaleFixture>();
@@ -51,9 +71,7 @@ const ScaleFixture& GetScale(int sentences) {
     std::abort();
   }
   fx.image_path =
-      (std::filesystem::temp_directory_path() /
-       ("lpathdb_bench_open_" + std::to_string(sentences) + ".img"))
-          .string();
+      (ImageDir() / ("wsj_" + std::to_string(sentences) + ".img")).string();
   Status saved = (*snapshot)->Save(fx.image_path);
   if (!saved.ok()) {
     std::fprintf(stderr, "%s\n", saved.ToString().c_str());

@@ -62,78 +62,15 @@ Database::~Database() {
 }
 
 Status Database::Attach(const std::string& name, SnapshotPtr snapshot) {
-  if (name.empty()) {
-    return Status::InvalidArgument("Database::Attach: empty corpus name");
-  }
   if (snapshot == nullptr) {
     return Status::InvalidArgument("Database::Attach: null snapshot");
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Fast-fail before the log replay and the pool build; the insert below
-    // re-checks authoritatively for the racing case.
-    if (catalog_.count(name) > 0) {
-      return Status::AlreadyExists("corpus already attached: " + name);
-    }
-  }
-  // Durable mode: open the corpus's sidecar log and fold every record the
-  // snapshot does not already cover into the delta chain *before* the
-  // corpus serves — an acknowledged pre-crash Ingest is visible to the
-  // first post-crash query. All batches accumulate into one corpus and
-  // re-enter through a single Append, so recovery is O(total replayed),
-  // not O(batches * delta). A corrupt (non-torn) log is a clean error: the
-  // corpus refuses to attach rather than silently serve a lossy middle.
-  std::shared_ptr<Wal> wal;
-  uint64_t replayed_batches = 0;
-  if (!options_.wal_dir.empty()) {
-    LPATH_ASSIGN_OR_RETURN(wal, Wal::Open(WalDirFor(options_.wal_dir, name),
-                                          options_.wal));
-    // A checkpoint that emptied the log persists its position in the fresh
-    // segment header — but a crash between its unlinks and that rotation
-    // loses it. The image's stamp is the floor that closes the window:
-    // without it, new appends could reuse covered LSNs and be silently
-    // filtered on the next replay.
-    wal->EnsureNextLsnAbove(snapshot->base_wal_lsn());
-    Corpus pending;
-    LPATH_RETURN_IF_ERROR(
-        wal->Replay(snapshot->base_wal_lsn(),
-                    [&](uint64_t /*lsn*/, std::string_view payload) {
-                      ++replayed_batches;
-                      return ParseBracketText(payload, &pending);
-                    }));
-    if (!pending.empty()) {
-      LPATH_ASSIGN_OR_RETURN(snapshot, snapshot->Append(pending));
-    }
-  }
-  // The service (and its thread pool) is built outside the catalog lock;
-  // a racing attach of the same name wins, and this one's idle pool winds
-  // down unlocked.
-  auto created =
-      std::make_shared<service::QueryService>(snapshot, options_.service);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (catalog_.count(name) == 0) {
-      catalog_.emplace(name, created);
-      if (wal != nullptr) wal_[name] = wal;
-      if (replayed_batches > 0) created->NoteReplay(replayed_batches);
-      return Status::OK();
-    }
-  }
-  return Status::AlreadyExists("corpus already attached: " + name);
+  return AttachBuilt(name, [&]() -> Result<SnapshotPtr> { return snapshot; });
 }
 
 Status Database::OpenCorpus(const std::string& name, Corpus corpus) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Fast-fail before the expensive snapshot build; Attach re-checks
-    // authoritatively for the racing case.
-    if (catalog_.count(name) > 0) {
-      return Status::AlreadyExists("corpus already attached: " + name);
-    }
-  }
-  LPATH_ASSIGN_OR_RETURN(SnapshotPtr snapshot,
-                         CorpusSnapshot::Build(std::move(corpus)));
-  return Attach(name, std::move(snapshot));
+  return AttachBuilt(
+      name, [&] { return CorpusSnapshot::Build(std::move(corpus)); });
 }
 
 Status Database::Open(const std::string& name, const std::string& path) {
@@ -147,16 +84,63 @@ Status Database::Open(const std::string& name, const std::string& path) {
 }
 
 Status Database::OpenImage(const std::string& name, const std::string& path) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Fast-fail before mapping + checksumming; Attach re-checks
-    // authoritatively for the racing case.
-    if (catalog_.count(name) > 0) {
-      return Status::AlreadyExists("corpus already attached: " + name);
+  return AttachBuilt(name, [&] { return CorpusSnapshot::Open(path); });
+}
+
+Status Database::AttachBuilt(
+    const std::string& name,
+    const std::function<Result<SnapshotPtr>()>& build) {
+  if (name.empty()) {
+    return Status::InvalidArgument("Database::Attach: empty corpus name");
+  }
+  // Fast-fail before the snapshot build, the log replay and the pool
+  // build; the insert below re-checks authoritatively for the racing case.
+  if (Find(name) != nullptr) {
+    return Status::AlreadyExists("corpus already attached: " + name);
+  }
+  LPATH_ASSIGN_OR_RETURN(SnapshotPtr snapshot, build());
+  auto entry = std::make_shared<Entry>();
+  entry->name = name;
+  // Durable mode: open the corpus's sidecar log and fold every record the
+  // snapshot does not already cover into the delta chain *before* the
+  // corpus serves — an acknowledged pre-crash Ingest is visible to the
+  // first post-crash query. All batches accumulate into one corpus and
+  // re-enter through a single Append, so recovery is O(total replayed),
+  // not O(batches * delta). A corrupt (non-torn) log is a clean error: the
+  // corpus refuses to attach rather than silently serve a lossy middle.
+  uint64_t replayed_batches = 0;
+  if (!options_.wal_dir.empty()) {
+    LPATH_ASSIGN_OR_RETURN(entry->wal,
+                           Wal::Open(WalDirFor(options_.wal_dir, name),
+                                     options_.wal));
+    // A checkpoint that emptied the log persists its position in the fresh
+    // segment header — but a crash between its unlinks and that rotation
+    // loses it. The image's stamp is the floor that closes the window:
+    // without it, new appends could reuse covered LSNs and be silently
+    // filtered on the next replay.
+    entry->wal->EnsureNextLsnAbove(snapshot->base_wal_lsn());
+    Corpus pending;
+    LPATH_RETURN_IF_ERROR(entry->wal->Replay(
+        snapshot->base_wal_lsn(),
+        [&](uint64_t /*lsn*/, std::string_view payload) {
+          ++replayed_batches;
+          return ParseBracketText(payload, &pending);
+        }));
+    if (!pending.empty()) {
+      LPATH_ASSIGN_OR_RETURN(snapshot, snapshot->Append(pending));
     }
   }
-  LPATH_ASSIGN_OR_RETURN(SnapshotPtr snapshot, CorpusSnapshot::Open(path));
-  return Attach(name, std::move(snapshot));
+  // The service (and its thread pool) is built outside the catalog lock;
+  // a racing attach of the same name wins, and this one's idle pool winds
+  // down unlocked.
+  entry->service =
+      std::make_shared<service::QueryService>(snapshot, options_.service);
+  if (replayed_batches > 0) entry->service->NoteReplay(replayed_batches);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (catalog_.emplace(name, entry).second) return Status::OK();
+  }
+  return Status::AlreadyExists("corpus already attached: " + name);
 }
 
 Status Database::Save(const std::string& name, const std::string& path) const {
@@ -167,55 +151,53 @@ Status Database::Save(const std::string& name, const std::string& path) const {
   return snap->Save(path);
 }
 
+Result<bool> Database::Publish(const Entry& entry, const SnapshotPtr& expected,
+                               SnapshotPtr next) {
+  // Declared before the lock so the retired session (plan cache, possibly
+  // the last reference to the old chain) drops unlocked: the corpus and
+  // relation teardown must not stall routing.
+  std::shared_ptr<const void> retired;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = catalog_.find(entry.name);
+  if (it == catalog_.end() || it->second.get() != &entry) {
+    return Status::NotFound("corpus not attached: " + entry.name);
+  }
+  if (expected != nullptr && entry.service->snapshot() != expected) {
+    return false;
+  }
+  retired = entry.service->UpdateSnapshot(std::move(next));
+  return true;
+}
+
 Status Database::Swap(const std::string& name, SnapshotPtr snapshot) {
   if (snapshot == nullptr) {
     return Status::InvalidArgument("Database::Swap: null snapshot");
   }
-  std::shared_ptr<const void> retired;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = catalog_.find(name);
-    if (it == catalog_.end()) {
-      return Status::NotFound("corpus not attached: " + name);
-    }
-    // Published under the catalog lock (a session build is a couple of
-    // small allocations), so a Detach or a publish-if-current check of
-    // Reload, Ingest or Compact never interleaves with it. Queries in
-    // flight are unaffected — each holds its own session reference.
-    retired = it->second->UpdateSnapshot(std::move(snapshot));
+  const std::shared_ptr<Entry> entry = Find(name);
+  if (entry == nullptr) {
+    return Status::NotFound("corpus not attached: " + name);
   }
-  // `retired` drops here, unlocked: if it was the last reference to the
-  // old session, the corpus + relation teardown must not stall routing.
-  return Status::OK();
+  // Unconditional: a swap replaces whatever the corpus serves.
+  return Publish(*entry, nullptr, std::move(snapshot)).status();
 }
 
 Status Database::Reload(const std::string& name) {
   for (;;) {
-    SnapshotPtr current = snapshot(name);
-    if (current == nullptr) {
+    const std::shared_ptr<Entry> entry = Find(name);
+    if (entry == nullptr) {
       return Status::NotFound("corpus not attached: " + name);
     }
     // The expensive rebuild runs unlocked, under the snapshot's own
     // options: a corpus attached with a non-default labeling keeps it
     // across reloads.
+    const SnapshotPtr current = entry->service->snapshot();
     LPATH_ASSIGN_OR_RETURN(SnapshotPtr rebuilt, current->Rebuild());
-    std::shared_ptr<const void> retired;
-    bool published = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = catalog_.find(name);
-      if (it == catalog_.end()) {
-        return Status::NotFound("corpus not attached: " + name);
-      }
-      // Publish only if the snapshot we rebuilt from is still current; a
-      // Swap that landed during the (long) rebuild must not be silently
-      // rolled back by a rebuild of its predecessor. On conflict, loop
-      // and rebuild the newer snapshot instead.
-      if (it->second->snapshot() == current) {
-        retired = it->second->UpdateSnapshot(std::move(rebuilt));
-        published = true;
-      }
-    }
+    // Publish only if the snapshot we rebuilt from is still current; a
+    // Swap that landed during the (long) rebuild must not be silently
+    // rolled back by a rebuild of its predecessor. On conflict, loop and
+    // rebuild the newer snapshot instead.
+    LPATH_ASSIGN_OR_RETURN(const bool published,
+                           Publish(*entry, current, std::move(rebuilt)));
     if (published) return Status::OK();
   }
 }
@@ -224,20 +206,20 @@ Status Database::Ingest(const std::string& name, Corpus trees) {
   if (trees.empty()) {
     return Status::InvalidArgument("Database::Ingest: empty tree batch");
   }
-  std::shared_ptr<std::mutex> ingest_mu = IngestMutexFor(name);
-  if (ingest_mu == nullptr) {
+  const std::shared_ptr<Entry> entry = Find(name);
+  if (entry == nullptr) {
     return Status::NotFound("corpus not attached: " + name);
   }
   // One append to this corpus at a time: the read-append-publish sequence
   // below is not atomic on its own, and two concurrent appends reading the
   // same chain would each publish a chain missing the other's trees.
-  std::lock_guard<std::mutex> ingest_lock(*ingest_mu);
+  std::lock_guard<std::mutex> ingest_lock(entry->ingest_mu);
   // Durable mode: the batch commits to the log (write + fsync) *before*
   // anything publishes, so success means "on disk", and any WAL failure
   // means the client never saw the trees — no publish, clean error. The
   // payload is the batch's bracketed text, serialized once up front; the
   // publish retry loop below never re-appends to the log.
-  std::shared_ptr<Wal> wal = WalFor(name);
+  Wal* const wal = entry->wal.get();
   uint64_t lsn = 0;
   uint64_t payload_bytes = 0;
   if (wal != nullptr) {
@@ -254,126 +236,79 @@ Status Database::Ingest(const std::string& name, Corpus trees) {
     return status;
   };
   SnapshotPtr appended;
-  // Declared before the lock so the retired session (plan cache, possibly
-  // the last reference to the old chain) drops unlocked, as in Swap.
-  std::shared_ptr<const void> retired;
   for (;;) {
-    SnapshotPtr current = snapshot(name);
-    if (current == nullptr) {
-      return unpublished(Status::NotFound("corpus not attached: " + name));
-    }
+    const SnapshotPtr current = entry->service->snapshot();
     // O(batch): labels only the incoming trees, merges them onto the
     // delta, and shares the base relation untouched.
     Result<SnapshotPtr> appended_or = current->Append(trees);
     if (!appended_or.ok()) return unpublished(appended_or.status());
     appended = std::move(appended_or).value();
-    bool published = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = catalog_.find(name);
-      if (it == catalog_.end()) {
-        return unpublished(
-            Status::NotFound("corpus not attached: " + name));
-      }
-      // Publish only onto the chain we appended to: a Swap/Reload that
-      // landed meanwhile must not be silently rolled back. On conflict,
-      // re-append onto the newer snapshot (the ingest lock guarantees the
-      // conflict was not another ingest).
-      if (it->second->snapshot() == current) {
-        retired = it->second->UpdateSnapshot(appended);
-        it->second->NoteIngest();
-        if (wal != nullptr) it->second->NoteWalAppend(payload_bytes);
-        published = true;
-      }
-    }
-    if (published) break;
+    // Publish only onto the chain we appended to: a Swap/Reload that
+    // landed meanwhile must not be silently rolled back. On conflict,
+    // re-append onto the newer snapshot (the ingest lock guarantees the
+    // conflict was not another ingest).
+    Result<bool> published = Publish(*entry, current, appended);
+    if (!published.ok()) return unpublished(published.status());
+    if (*published) break;
   }
+  entry->service->NoteIngest();
+  if (wal != nullptr) entry->service->NoteWalAppend(payload_bytes);
   const int32_t threshold = options_.compact_delta_trees;
   if (threshold > 0 && appended->delta_tree_count() >= threshold) {
-    ScheduleCompaction(name);
+    ScheduleCompaction(entry);
   }
   return Status::OK();
 }
 
 Status Database::Compact(const std::string& name) {
-  return CompactInternal(name);
-}
-
-Status Database::CompactInternal(const std::string& name) {
-  const std::shared_ptr<service::QueryService> owner = Resolve(name);
-  const Status status = CompactOnce(name);
-  // Record the outcome for List()/monitoring — from both entry points, so
-  // a synchronous Compact() failure is just as visible as a background
-  // one. Failures accumulate; a clean compaction clears only the error
-  // text (the count keeps witnessing that something went wrong before).
-  // Nothing is recorded once the corpus compacted here is gone (NotFound,
-  // or detached while compacting): Detach purged its health, and writing
-  // would resurrect the entry and smear it onto a later attach under the
-  // same name. Detach drops the catalog entry before it takes compact_mu_
-  // to purge, so checking the catalog under compact_mu_ closes the race.
-  if (!status.IsNotFound()) {
-    std::lock_guard<std::mutex> lock(compact_mu_);
-    if (owner == nullptr || Resolve(name) != owner) return status;
-    CompactHealth& health = compact_health_[name];
-    if (status.ok()) {
-      health.last_error.clear();
-    } else {
-      health.failures += 1;
-      health.last_error = status.message();
-    }
-  }
-  return status;
-}
-
-Status Database::CompactOnce(const std::string& name) {
-  std::shared_ptr<std::mutex> ingest_mu = IngestMutexFor(name);
-  if (ingest_mu == nullptr) {
+  const std::shared_ptr<Entry> entry = Find(name);
+  if (entry == nullptr) {
     return Status::NotFound("corpus not attached: " + name);
   }
+  return CompactEntry(*entry);
+}
+
+Status Database::CompactEntry(Entry& entry) {
+  // Record every outcome for List()/monitoring — from both entry points,
+  // so a synchronous Compact() failure is just as visible as a background
+  // one. Failures accumulate; a clean compaction clears only the error
+  // text (the count keeps witnessing that something went wrong before).
+  // Health lives in the entry, so a compaction that outlives a Detach
+  // writes onto the detached entry, never onto a corpus re-attached under
+  // the same name.
+  const auto record = [&](const Status& status) {
+    std::lock_guard<std::mutex> lock(compact_mu_);
+    if (status.ok()) {
+      entry.last_compaction_error.clear();
+    } else {
+      entry.compaction_failures += 1;
+      entry.last_compaction_error = status.message();
+    }
+    return status;
+  };
   // Holding the ingest lock across the merge means no append can extend
   // the chain we are folding — so "publish if still current" below only
   // ever loses to an explicit Swap/Reload, in which case the compacted
   // snapshot is stale and dropping it is correct. It also freezes the WAL
   // position: every committed record is ≤ last_lsn() here, so the stamp
   // written into the image is exactly what the merged relation covers.
-  std::lock_guard<std::mutex> ingest_lock(*ingest_mu);
-  SnapshotPtr current = snapshot(name);
-  if (current == nullptr) {
-    return Status::NotFound("corpus not attached: " + name);
-  }
-  if (!current->has_delta()) return Status::OK();
-  std::shared_ptr<Wal> wal = WalFor(name);
+  std::lock_guard<std::mutex> ingest_lock(entry.ingest_mu);
+  const SnapshotPtr current = entry.service->snapshot();
+  if (!current->has_delta()) return record(Status::OK());
   ImageSaveOptions save_options;
-  if (wal != nullptr) save_options.wal_lsn = wal->last_lsn();
-  LPATH_ASSIGN_OR_RETURN(SnapshotPtr compacted,
-                         current->Compact(save_options));
-  const bool image_backed = compacted->image_backed();
+  if (entry.wal != nullptr) save_options.wal_lsn = entry.wal->last_lsn();
+  Result<SnapshotPtr> compacted = current->Compact(save_options);
+  if (!compacted.ok()) return record(compacted.status());
+  const bool image_backed = (*compacted)->image_backed();
   // Clear the recorded error before the compacted snapshot becomes
   // visible: List() reads snapshots before health, so a reader that sees
-  // the delta gone also sees the error gone (CompactInternal records the
-  // outcome only after this returns).
-  {
-    std::lock_guard<std::mutex> lock(compact_mu_);
-    if (auto it = compact_health_.find(name); it != compact_health_.end()) {
-      it->second.last_error.clear();
-    }
-  }
-  bool published = false;
-  std::shared_ptr<service::QueryService> service;
-  std::shared_ptr<const void> retired;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = catalog_.find(name);
-    if (it == catalog_.end()) {
-      return Status::NotFound("corpus not attached: " + name);
-    }
-    if (it->second->snapshot() == current) {
-      service = it->second;
-      retired = it->second->UpdateSnapshot(std::move(compacted));
-      it->second->NoteCompaction();
-      published = true;
-    }
-  }
+  // the delta gone also sees the error gone.
+  record(Status::OK());
+  LPATH_ASSIGN_OR_RETURN(
+      const bool published,
+      Publish(entry, current, std::move(compacted).value()));
+  if (!published) return Status::OK();
+  entry.service->NoteCompaction();
   // Checkpoint only after the compacted snapshot is both durable (the
   // rewritten image carries the stamp) and published: everything the log
   // held up to the stamp now lives in the image, so those segments can
@@ -381,24 +316,21 @@ Status Database::CompactOnce(const std::string& name) {
   // persistent, and recovery needs the full log over the original file. A
   // failed checkpoint is reported (and retried by the next compaction)
   // but loses nothing: replay filters by the image's stamp either way.
-  if (published && image_backed && wal != nullptr) {
-    LPATH_RETURN_IF_ERROR(wal->Checkpoint(save_options.wal_lsn));
-    service->NoteCheckpoint();
+  if (image_backed && entry.wal != nullptr) {
+    const Status checkpointed = entry.wal->Checkpoint(save_options.wal_lsn);
+    if (!checkpointed.ok()) return record(checkpointed);
+    entry.service->NoteCheckpoint();
   }
-  // `retired` (possibly the last reference to the pre-compaction chain)
-  // drops here, unlocked.
   return Status::OK();
 }
 
-void Database::ScheduleCompaction(const std::string& name) {
+void Database::ScheduleCompaction(const std::shared_ptr<Entry>& entry) {
   std::lock_guard<std::mutex> lock(compact_mu_);
   if (compact_stop_) return;
-  const bool queued =
-      std::any_of(compact_queue_.begin(), compact_queue_.end(),
-                  [&](const CompactTask& t) { return t.name == name; });
-  if (!queued) {
+  if (!entry->compact_queued) {
+    entry->compact_queued = true;
     compact_queue_.push_back(
-        CompactTask{name, 0, std::chrono::steady_clock::now()});
+        CompactTask{entry, 0, std::chrono::steady_clock::now()});
   }
   if (!compactor_.joinable()) {
     compactor_ = std::thread([this] { CompactorLoop(); });
@@ -424,44 +356,32 @@ void Database::CompactorLoop() {
       compact_cv_.wait_until(lock, next->ready);
       continue;
     }
-    CompactTask task = std::move(*next);
+    const CompactTask task = std::move(*next);
     compact_queue_.erase(next);
+    // Skip a detached corpus: its entry is gone, or is no longer the one
+    // attached under its name (mu_ under compact_mu_ is the allowed order).
+    // If Detach raced this task, the entry's last reference may drop under
+    // compact_mu_; its teardown joins an idle pool and takes no lock here.
+    const std::shared_ptr<Entry> entry = task.entry.lock();
+    if (entry == nullptr || Find(entry->name) != entry) continue;
+    entry->compact_queued = false;
     lock.unlock();
-    const Status status = CompactInternal(task.name);
+    const Status status = CompactEntry(*entry);
     lock.lock();
     // Transient failures retry with doubling backoff up to the attempt
-    // cap (already counted in compact_health_ by CompactInternal);
-    // NotFound means detached — nothing left to compact.
-    if (!status.ok() && !status.IsNotFound() && !compact_stop_ &&
+    // cap (each already counted in the entry's health).
+    if (!status.ok() && !compact_stop_ && !entry->compact_queued &&
         task.attempt + 1 < kMaxCompactAttempts) {
-      const bool queued = std::any_of(
-          compact_queue_.begin(), compact_queue_.end(),
-          [&](const CompactTask& t) { return t.name == task.name; });
-      if (!queued) {
-        compact_queue_.push_back(CompactTask{
-            std::move(task.name), task.attempt + 1,
-            std::chrono::steady_clock::now() + CompactBackoff(task.attempt)});
-      }
+      entry->compact_queued = true;
+      compact_queue_.push_back(CompactTask{
+          task.entry, task.attempt + 1,
+          std::chrono::steady_clock::now() + CompactBackoff(task.attempt)});
     }
   }
 }
 
-std::shared_ptr<std::mutex> Database::IngestMutexFor(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (catalog_.count(name) == 0) return nullptr;
-  std::shared_ptr<std::mutex>& slot = ingest_mu_[name];
-  if (slot == nullptr) slot = std::make_shared<std::mutex>();
-  return slot;
-}
-
-std::shared_ptr<Wal> Database::WalFor(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = wal_.find(name);
-  return it == wal_.end() ? nullptr : it->second;
-}
-
 Status Database::Detach(const std::string& name) {
-  std::shared_ptr<service::QueryService> victim;
+  std::shared_ptr<Entry> victim;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = catalog_.find(name);
@@ -470,32 +390,16 @@ Status Database::Detach(const std::string& name) {
     }
     victim = std::move(it->second);
     catalog_.erase(it);
-    // The lock entry goes too (an in-flight Ingest holding the shared_ptr
-    // keeps its mutex alive; it will fail NotFound at the publish step —
-    // and roll its WAL record back through its own shared handle).
-    ingest_mu_.erase(name);
-    wal_.erase(name);
-  }
-  {
-    // Purge the compactor's state for the name: a queued task would only
-    // churn to NotFound (or worse, compact an unrelated corpus attached
-    // later under the same name), and stale health must not smear onto
-    // that successor.
-    std::lock_guard<std::mutex> lock(compact_mu_);
-    compact_queue_.erase(
-        std::remove_if(compact_queue_.begin(), compact_queue_.end(),
-                       [&](const CompactTask& t) { return t.name == name; }),
-        compact_queue_.end());
-    compact_health_.erase(name);
   }
   // `victim` drops here, outside the lock: if this was the last reference
-  // the pool joins now, without stalling the catalog.
+  // the pool joins now, without stalling the catalog. An operation in
+  // flight keeps the entry (its ingest lock and WAL handle) alive and
+  // fails NotFound at its publish step.
   return Status::OK();
 }
 
 bool Database::Has(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return catalog_.count(name) > 0;
+  return Find(name) != nullptr;
 }
 
 std::vector<std::string> Database::CorpusNames() const {
@@ -503,47 +407,31 @@ std::vector<std::string> Database::CorpusNames() const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     names.reserve(catalog_.size());
-    for (const auto& [name, service] : catalog_) names.push_back(name);
+    for (const auto& [name, entry] : catalog_) names.push_back(name);
   }
   std::sort(names.begin(), names.end());
   return names;
 }
 
 std::vector<CorpusInfo> Database::List() const {
-  struct Row {
-    std::string name;
-    std::shared_ptr<service::QueryService> service;
-    std::shared_ptr<Wal> wal;
-    SnapshotPtr snap;
-  };
-  std::vector<Row> rows;
+  std::vector<std::shared_ptr<Entry>> entries;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    rows.reserve(catalog_.size());
-    for (const auto& [name, service] : catalog_) {
-      auto wal_it = wal_.find(name);
-      rows.push_back(Row{name, service,
-                         wal_it == wal_.end() ? nullptr : wal_it->second,
-                         nullptr});
-    }
+    entries.reserve(catalog_.size());
+    for (const auto& [name, entry] : catalog_) entries.push_back(entry);
   }
-  // Snapshots before health: CompactOnce clears the error before it
-  // publishes, so a listed delta-free snapshot never pairs with the error
-  // its compaction cleared.
-  for (Row& row : rows) row.snap = row.service->snapshot();
-  std::unordered_map<std::string, CompactHealth> health;
-  {
-    std::lock_guard<std::mutex> lock(compact_mu_);
-    health = compact_health_;
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const Row& a, const Row& b) { return a.name < b.name; });
+  std::sort(entries.begin(), entries.end(),
+            [](const std::shared_ptr<Entry>& a,
+               const std::shared_ptr<Entry>& b) { return a->name < b->name; });
   std::vector<CorpusInfo> out;
-  out.reserve(rows.size());
-  for (const Row& row : rows) {
-    const SnapshotPtr& snap = row.snap;
+  out.reserve(entries.size());
+  for (const std::shared_ptr<Entry>& entry : entries) {
+    // Snapshot before health: CompactEntry clears the error before it
+    // publishes, so a listed delta-free snapshot never pairs with the
+    // error its compaction cleared.
+    const SnapshotPtr snap = entry->service->snapshot();
     CorpusInfo info;
-    info.name = row.name;
+    info.name = entry->name;
     info.snapshot_id = snap->id();
     // Counted from the relations, not the corpus: an image-backed snapshot
     // serves mapped columns over a tree-less corpus. Chain-wide — the
@@ -555,16 +443,17 @@ std::vector<CorpusInfo> Database::List() const {
       info.relation_bytes += snap->delta_relation()->MemoryBytes();
     }
     info.delta_trees = static_cast<size_t>(snap->delta_tree_count());
-    info.threads = row.service->threads();
-    if (row.wal != nullptr) {
-      const WalStats wal_stats = row.wal->stats();
+    info.threads = entry->service->threads();
+    if (entry->wal != nullptr) {
+      const WalStats wal_stats = entry->wal->stats();
       info.wal = true;
       info.wal_last_lsn = wal_stats.last_lsn;
       info.wal_segments = wal_stats.segments;
     }
-    if (auto it = health.find(row.name); it != health.end()) {
-      info.compaction_failures = it->second.failures;
-      info.last_compaction_error = it->second.last_error;
+    {
+      std::lock_guard<std::mutex> lock(compact_mu_);
+      info.compaction_failures = entry->compaction_failures;
+      info.last_compaction_error = entry->last_compaction_error;
     }
     out.push_back(std::move(info));
   }
@@ -572,18 +461,19 @@ std::vector<CorpusInfo> Database::List() const {
 }
 
 SnapshotPtr Database::snapshot(const std::string& name) const {
-  std::shared_ptr<service::QueryService> service = Resolve(name);
+  std::shared_ptr<service::QueryService> service = this->service(name);
   return service == nullptr ? nullptr : service->snapshot();
 }
 
 std::shared_ptr<service::QueryService> Database::service(
     const std::string& name) const {
-  return Resolve(name);
+  const std::shared_ptr<Entry> entry = Find(name);
+  return entry == nullptr ? nullptr : entry->service;
 }
 
 Result<QueryResult> Database::Query(const std::string& name,
                                     const std::string& query) {
-  std::shared_ptr<service::QueryService> service = Resolve(name);
+  std::shared_ptr<service::QueryService> service = this->service(name);
   if (service == nullptr) {
     return Status::NotFound("corpus not attached: " + name);
   }
@@ -594,14 +484,14 @@ Result<service::PendingQuery> Database::Submit(const std::string& name,
                                                const std::string& query,
                                                service::RowSink sink,
                                                service::SubmitOptions opts) {
-  std::shared_ptr<service::QueryService> service = Resolve(name);
+  std::shared_ptr<service::QueryService> service = this->service(name);
   if (service == nullptr) {
     return Status::NotFound("corpus not attached: " + name);
   }
   return service->Submit(query, std::move(sink), std::move(opts));
 }
 
-std::shared_ptr<service::QueryService> Database::Resolve(
+std::shared_ptr<Database::Entry> Database::Find(
     const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = catalog_.find(name);

@@ -8,18 +8,25 @@
 //
 // Concurrency model:
 //   - DatabaseOptions are fixed at construction and read without a lock.
+//   - Everything the database keeps about one attached corpus lives in one
+//     shared entry: its service, its WAL handle, its ingest lock and its
+//     compaction health. An operation in flight holds its entry, so a
+//     concurrent Detach (which erases the catalog's one reference) never
+//     pulls state out from under it, and state written to a detached entry
+//     dies with it instead of reaching a corpus re-attached under the name.
 //   - One mutex guards the catalog map shape, taken only for name
 //     resolution, attach/detach bookkeeping and snapshot publication —
 //     never across query execution, pool construction, pool join, or
 //     relation rebuild.
-//   - Swap(name, snapshot) publishes through the service's session pointer
-//     *while holding the catalog mutex* (a session build is a handful of
-//     small allocations), which serializes publication against the
-//     publish-if-current checks of Reload, Ingest and Compact — a
-//     snapshot they built from a replaced predecessor can never silently
-//     revert a swap. Readers never block on a swap: queries in flight hold
-//     the old snapshot alive through shared ownership, and no torn state
-//     exists — a query sees entirely the old or entirely the new snapshot.
+//   - Every publication (Swap, Reload, Ingest, Compact) goes through one
+//     step that swaps the service's session pointer *while holding the
+//     catalog mutex* (a session build is a handful of small allocations),
+//     checking that the entry is still attached and, except for Swap, that
+//     it still serves the snapshot the new one was built from — a snapshot
+//     built from a replaced predecessor can never silently revert a swap.
+//     Readers never block on a publication: queries in flight hold the old
+//     snapshot alive through shared ownership, and no torn state exists —
+//     a query sees entirely the old or entirely the new snapshot.
 
 #ifndef LPATHDB_DB_DATABASE_H_
 #define LPATHDB_DB_DATABASE_H_
@@ -28,6 +35,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -194,60 +202,67 @@ class Database {
                                        service::SubmitOptions opts = {});
 
  private:
-  std::shared_ptr<service::QueryService> Resolve(const std::string& name) const;
-  /// The per-corpus ingest lock (created on first use), or null if `name`
-  /// is not attached. Serializes the read-append-publish sequence of
-  /// Ingest and Compact against each other, per corpus — never against
-  /// queries, and never across corpora.
-  std::shared_ptr<std::mutex> IngestMutexFor(const std::string& name);
-  /// The corpus's live WAL handle, or null (not attached / no wal_dir).
-  std::shared_ptr<Wal> WalFor(const std::string& name) const;
+  /// One attached corpus. `name`, `service` and `wal` are fixed at attach;
+  /// the compaction fields are guarded by compact_mu_.
+  struct Entry {
+    std::string name;
+    std::shared_ptr<service::QueryService> service;
+    std::unique_ptr<Wal> wal;  ///< null without DatabaseOptions::wal_dir
+    /// Serializes the read-append-publish sequence of Ingest and Compact
+    /// against each other — never against queries, and never across
+    /// corpora.
+    std::mutex ingest_mu;
+    uint64_t compaction_failures = 0;
+    std::string last_compaction_error;  ///< cleared by a clean compaction
+    bool compact_queued = false;        ///< a CompactTask names this entry
+  };
+
+  /// The entry attached under `name`, or null.
+  std::shared_ptr<Entry> Find(const std::string& name) const;
+  /// Attach's body for every attach path: fails fast on a taken name, then
+  /// builds the snapshot, replays the WAL onto it and inserts the entry.
+  Status AttachBuilt(const std::string& name,
+                     const std::function<Result<SnapshotPtr>()>& build);
+  /// The one publication step: under mu_, makes `next` the snapshot of
+  /// `entry` if the entry is still attached and (unless `expected` is
+  /// null) still serves `expected`. True when published, false on a
+  /// conflict (the caller's policy decides), NotFound once detached. The
+  /// retired session drops after mu_ is released.
+  Result<bool> Publish(const Entry& entry, const SnapshotPtr& expected,
+                       SnapshotPtr next);
   /// Compact's body; also the background compactor's per-item work. Every
-  /// outcome (either entry point) is recorded in the health map.
-  Status CompactInternal(const std::string& name);
-  Status CompactOnce(const std::string& name);
-  /// Enqueues `name` for the background compactor (deduplicated), lazily
+  /// outcome is recorded in the entry's compaction health.
+  Status CompactEntry(Entry& entry);
+  /// Enqueues `entry` for the background compactor (once), lazily
   /// starting the compactor thread on first use.
-  void ScheduleCompaction(const std::string& name);
+  void ScheduleCompaction(const std::shared_ptr<Entry>& entry);
   void CompactorLoop();
 
   const DatabaseOptions options_;
   // Guards catalog_ and serializes snapshot publication with the
   // publish-if-current checks; never held across queries or pool lifetimes.
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<service::QueryService>>
-      catalog_;
-  /// Per-corpus ingest locks (see IngestMutexFor), guarded by mu_ and held
-  /// as shared_ptr so a lock stays valid across a concurrent Detach.
-  std::unordered_map<std::string, std::shared_ptr<std::mutex>> ingest_mu_;
-  /// Live WAL handles (only with DatabaseOptions::wal_dir), guarded by mu_
-  /// for map shape; the Wal itself is internally synchronized and shared,
-  /// so an in-flight Ingest keeps its handle across a concurrent Detach.
-  std::unordered_map<std::string, std::shared_ptr<Wal>> wal_;
+  std::unordered_map<std::string, std::shared_ptr<Entry>> catalog_;
 
   /// One unit of background-compaction work. A failed attempt is re-queued
-  /// with doubling backoff up to kMaxCompactAttempts (except NotFound —
-  /// the corpus was detached); after that the delta simply stays live, the
-  /// failure stays visible in compact_health_, and a later Ingest
-  /// reschedules from attempt zero.
+  /// with doubling backoff up to kMaxCompactAttempts; after that the delta
+  /// simply stays live, the failure stays visible in the entry's health,
+  /// and a later Ingest reschedules from attempt zero. The queue does not
+  /// keep a detached corpus alive, and a task whose entry is no longer the
+  /// one attached under its name is skipped.
   struct CompactTask {
-    std::string name;
+    std::weak_ptr<Entry> entry;
     int attempt = 0;
     std::chrono::steady_clock::time_point ready;
   };
-  struct CompactHealth {
-    uint64_t failures = 0;
-    std::string last_error;  ///< cleared by the next clean compaction
-  };
 
-  /// Background compactor: one lazily-started thread draining a
-  /// deduplicated queue of compaction tasks; synchronous Compact() is the
-  /// caller-facing error path, compact_health_ the monitoring one. Lock
+  /// Background compactor: one lazily-started thread draining a queue of
+  /// compaction tasks, at most one per entry; synchronous Compact() is the
+  /// caller-facing error path, the entry's health the monitoring one. Lock
   /// order: mu_ may be taken while compact_mu_ is held, never the reverse.
   mutable std::mutex compact_mu_;
   std::condition_variable compact_cv_;
   std::deque<CompactTask> compact_queue_;
-  std::unordered_map<std::string, CompactHealth> compact_health_;
   bool compact_stop_ = false;
   std::thread compactor_;
 };

@@ -157,15 +157,18 @@ Status Client::SendCancel(uint32_t request_id) {
   return WriteAll(frame);
 }
 
-Status Client::ReadResponse(uint32_t request_id, std::vector<Hit>* rows) {
-  // Rows an earlier interleaved read buffered for this request come first,
-  // whether or not its end has arrived yet.
+Status Client::ReadResponse(uint32_t request_id, std::vector<Hit>* rows,
+                            const BatchSink& on_batch) {
+  const auto deliver = [&](std::span<const Hit> batch) {
+    if (rows != nullptr) rows->insert(rows->end(), batch.begin(), batch.end());
+    if (on_batch) on_batch(batch);
+  };
+  // Batches an earlier interleaved read buffered for this request come
+  // first, whether or not its end has arrived yet.
   if (auto it = pending_.find(request_id); it != pending_.end()) {
     BufferedResponse resp = std::move(it->second);
     pending_.erase(it);
-    if (rows != nullptr) {
-      rows->insert(rows->end(), resp.rows.begin(), resp.rows.end());
-    }
+    for (const std::vector<Hit>& batch : resp.batches) deliver(batch);
     if (resp.done) return resp.status;
   }
 
@@ -176,12 +179,9 @@ Status Client::ReadResponse(uint32_t request_id, std::vector<Hit>* rows) {
         LPATH_ASSIGN_OR_RETURN(std::vector<Hit> batch,
                                DecodeBatch(frame.payload));
         if (frame.request_id == request_id) {
-          if (rows != nullptr) {
-            rows->insert(rows->end(), batch.begin(), batch.end());
-          }
+          deliver(batch);
         } else {
-          BufferedResponse& other = pending_[frame.request_id];
-          other.rows.insert(other.rows.end(), batch.begin(), batch.end());
+          pending_[frame.request_id].batches.push_back(std::move(batch));
         }
         break;
       }
@@ -226,35 +226,10 @@ Result<QueryResult> Client::Query(const std::string& corpus,
   return result;
 }
 
-Status Client::QueryStream(
-    const std::string& corpus, const std::string& query,
-    const std::function<void(std::span<const Hit>)>& sink) {
+Status Client::QueryStream(const std::string& corpus,
+                           const std::string& query, const BatchSink& sink) {
   LPATH_ASSIGN_OR_RETURN(uint32_t id, SendExecute(corpus, query));
-  // Stream without buffering: every frame for this id goes to the sink.
-  while (true) {
-    LPATH_ASSIGN_OR_RETURN(Frame frame, ReadFrame());
-    if (frame.request_id != id) {
-      return Status::Corruption(
-          "interleaved response while streaming; use Pipeline for "
-          "multiplexed reads");
-    }
-    if (frame.type == MsgType::kStreamBatch) {
-      LPATH_ASSIGN_OR_RETURN(std::vector<Hit> batch,
-                             DecodeBatch(frame.payload));
-      sink(batch);
-      continue;
-    }
-    if (frame.type == MsgType::kStreamEnd) {
-      LPATH_ASSIGN_OR_RETURN(EndPayload end, DecodeEnd(frame.payload));
-      return StatusFromWire(end.code, end.message);
-    }
-    if (frame.type == MsgType::kError) {
-      LPATH_ASSIGN_OR_RETURN(ErrorPayload error, DecodeError(frame.payload));
-      return StatusFromWire(error.code, error.message);
-    }
-    return Status::Corruption("unexpected frame " +
-                              std::string(MsgTypeName(frame.type)));
-  }
+  return ReadResponse(id, nullptr, sink);
 }
 
 std::vector<Result<QueryResult>> Client::Pipeline(

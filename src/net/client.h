@@ -46,9 +46,12 @@ class Client {
   Result<QueryResult> Query(const std::string& corpus,
                             const std::string& query);
 
+  /// Receives one STREAM_BATCH's rows.
+  using BatchSink = std::function<void(std::span<const Hit>)>;
+
   /// EXECUTE, invoking `sink` per STREAM_BATCH as frames arrive.
   Status QueryStream(const std::string& corpus, const std::string& query,
-                     const std::function<void(std::span<const Hit>)>& sink);
+                     const BatchSink& sink);
 
   /// Pipelines all `queries` on this one connection (writes every EXECUTE
   /// up front, then reads the multiplexed responses) and returns results
@@ -75,12 +78,14 @@ class Client {
   /// Writes a CANCEL for `request_id` (fire-and-forget).
   Status SendCancel(uint32_t request_id);
 
-  /// One fully decoded response for `request_id`: rows streamed before its
-  /// STREAM_END (appended to `*rows` if non-null) and the terminal status.
-  /// Responses for *other* request ids encountered along the way are
-  /// buffered and served to their own ReadResponse call later — this is
-  /// what makes Pipeline() work.
-  Status ReadResponse(uint32_t request_id, std::vector<Hit>* rows);
+  /// One fully decoded response for `request_id`: each batch streamed
+  /// before its STREAM_END (appended to `*rows` if non-null, and handed to
+  /// `on_batch` if set) and the terminal status. Responses for *other*
+  /// request ids encountered along the way are buffered batch by batch and
+  /// served to their own ReadResponse call later — this is what makes
+  /// Pipeline() work. Every request-reading method goes through here.
+  Status ReadResponse(uint32_t request_id, std::vector<Hit>* rows,
+                      const BatchSink& on_batch = {});
 
  private:
   Status WriteAll(std::span<const uint8_t> bytes);
@@ -96,7 +101,7 @@ class Client {
 
   /// Fully terminated responses read while looking for a different id.
   struct BufferedResponse {
-    std::vector<Hit> rows;
+    std::vector<std::vector<Hit>> batches;
     Status status;
     bool done = false;
   };

@@ -146,12 +146,6 @@ class NodeRelation {
   /// Empty range for unknown symbols.
   RowRange run(Symbol name) const;
 
-  /// All element rows (kind = element) — NOT contiguous; use this range plus
-  /// the is_attr filter for wildcard scans.
-  RowRange all_rows() const {
-    return RowRange{0, static_cast<Row>(row_count())};
-  }
-
   /// Subrange of run(name) with tid == t, from the per-tree tag
   /// directory: a search over tree t's few (tag, slice) entries. Empty for
   /// unknown tags and tids outside [0, tree_count()).

@@ -11,12 +11,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "bench_util/suite.h"
 #include "gen/generator.h"
 #include "lpath/engines.h"
 #include "lpath/eval_nav.h"
 #include "lpath/parser.h"
+#include "plan/compile.h"
+#include "plan/sql_gen.h"
+#include "sql/optimizer.h"
+#include "sql/parser.h"
 #include "test_util.h"
 
 namespace lpath {
@@ -99,6 +108,104 @@ TEST(ResidualDifferentialTest, NonImpliedConjunctsMatchUnderBothJoinOrders) {
       }
     }
   }
+}
+
+/// Hostile inputs derived from the 23 suite queries: truncation at every
+/// offset, byte flips, token splices between queries, 200-deep nests of
+/// every bracket kind (closed and unclosed), and 1 MiB identifiers.
+std::vector<std::string> MutatedSuiteQueries() {
+  std::vector<std::string> suite;
+  for (const bench::BenchmarkQuery& q : bench::The23Queries()) {
+    suite.emplace_back(q.lpath);
+  }
+  std::vector<std::string> out;
+  for (const std::string& q : suite) {
+    for (size_t i = 0; i <= q.size(); ++i) out.push_back(q.substr(0, i));
+    for (size_t i = 0; i < q.size(); ++i) {
+      for (const int mask : {0x01, 0x02, 0x04, 0x10, 0x20, 0x40, 0x80}) {
+        std::string flipped = q;
+        flipped[i] = static_cast<char>(flipped[i] ^ mask);
+        out.push_back(std::move(flipped));
+      }
+    }
+  }
+  // A prefix of one query ending where a token starts, joined to the
+  // suffix of another starting at a token.
+  const auto token_starts = [](const std::string& q) {
+    std::vector<size_t> cuts;
+    for (size_t i = 0; i < q.size(); ++i) {
+      if (std::strchr("/[]{}=-", q[i]) != nullptr) cuts.push_back(i);
+    }
+    return cuts;
+  };
+  for (const std::string& a : suite) {
+    for (const std::string& b : suite) {
+      for (const size_t cut_a : token_starts(a)) {
+        for (const size_t cut_b : token_starts(b)) {
+          out.push_back(a.substr(0, cut_a) + b.substr(cut_b));
+        }
+      }
+    }
+  }
+  constexpr int kDepth = 200;
+  const auto repeat = [](const std::string& piece, int n) {
+    std::string r;
+    for (int i = 0; i < n; ++i) r += piece;
+    return r;
+  };
+  for (const auto& [open, close] :
+       {std::pair<std::string, std::string>{"[//NP", "]"},
+        {"{//NP", "}"},
+        {"[(//NP", ")]"},
+        {"[not(//NP", ")]"},
+        {"[//NP[", "]]"}}) {
+    out.push_back("//S" + repeat(open, kDepth) + repeat(close, kDepth));
+    out.push_back("//S" + repeat(open, kDepth));
+    out.push_back("//S" + repeat(close, kDepth));
+  }
+  out.push_back("//S[" + repeat("(", kDepth) + "//NP" + repeat(")", kDepth) +
+                "]");
+  out.push_back("//S[" + repeat("not(", kDepth) + "//NP" +
+                repeat(")", kDepth) + "]");
+  const std::string huge(size_t{1} << 20, 'N');
+  out.push_back("//" + huge);
+  out.push_back("//VP/" + huge + "->NP");
+  out.push_back("//_[@lex=" + huge + "]");
+  out.push_back("//_[@" + huge + "=saw]");
+  out.push_back("//'" + huge + "'");
+  return out;
+}
+
+// Every stage a query text meets before execution — parse, compile, SQL
+// generation, SQL re-parse and prepare — must return a value or a Status
+// on hostile input: no crash, no unbounded recursion, no hang. A query
+// that compiles must also survive the SQL round trip.
+TEST(FrontEndRobustnessTest, MutatedSuiteQueriesReturnAValueOrAStatus) {
+  Result<Corpus> corpus = gen::GenerateWsj(50, /*seed=*/3);
+  ASSERT_TRUE(corpus.ok());
+  Result<NodeRelation> rel = NodeRelation::Build(corpus.value());
+  ASSERT_TRUE(rel.ok());
+  int parsed_count = 0;
+  int prepared_count = 0;
+  for (const std::string& text : MutatedSuiteQueries()) {
+    const std::string shown = text.substr(0, 60);
+    Result<LocationPath> parsed = ParseLPath(text);
+    if (!parsed.ok()) {
+      EXPECT_FALSE(parsed.status().message().empty()) << shown;
+      continue;
+    }
+    ++parsed_count;
+    Result<ExecPlan> plan = CompileLPath(parsed.value());
+    if (!plan.ok()) continue;
+    Result<ExecPlan> reparsed = sql::ParseSql(GenerateSql(plan.value()));
+    ASSERT_TRUE(reparsed.ok()) << shown << ": " << reparsed.status();
+    Result<std::unique_ptr<sql::PreparedPlan>> prepared =
+        sql::Prepare(reparsed.value(), rel.value(), sql::ExecOptions{});
+    if (prepared.ok()) ++prepared_count;
+  }
+  // The mutations must reach the deeper stages, not just the parser.
+  EXPECT_GT(parsed_count, 1000);
+  EXPECT_GT(prepared_count, 1000);
 }
 
 }  // namespace

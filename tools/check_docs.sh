@@ -1,7 +1,7 @@
 #!/bin/sh
 # Documentation consistency gate (CI: the "docs link-check" step).
 #
-# Seven checks, all grep-based so the gate needs nothing beyond POSIX sh:
+# Eight checks, all grep-based so the gate needs nothing beyond POSIX sh:
 #
 #   1. Every relative markdown link in README.md and docs/*.md must point
 #      at a file or directory that exists (anchors and external URLs are
@@ -39,6 +39,10 @@
 #      "Format v<kImageFormatVersion>" (src/storage/image.h) and its
 #      section table as "<kSectionCount>-entry section table"
 #      (src/storage/image.cc). Catches format bumps that skip the README.
+#
+#   8. The OPERATIONS.md catalog table names every db::CorpusInfo field
+#      declared in src/db/database.h, and no field that struct no longer
+#      declares. Same purpose as 3.
 #
 # Exits nonzero listing every violation. Run from the repository root.
 set -u
@@ -283,6 +287,38 @@ if [ -f "$image_header" ] && [ -f "$image_source" ] && [ -f README.md ]; then
       fail=1
     fi
   fi
+fi
+
+# --- 8. OPERATIONS.md catalog table matches db::CorpusInfo -------------
+
+db_header=src/db/database.h
+if [ -f "$db_header" ] && [ -f "$ops" ]; then
+  # Fields: the "  <type> name = ...;" / "  <type> name;" members.
+  fields=$(awk '/^struct CorpusInfo \{/,/^};/' "$db_header" |
+           grep -oE '^  [A-Za-z0-9_:]+ [a-z_]+( =|;)' | awk '{print $2}' |
+           tr -d ';')
+  # First-column names of the table under the "### Catalog
+  # (`db::CorpusInfo`" heading, up to the next heading.
+  rows=$(awk '/^### Catalog \(`db::CorpusInfo`/ {on=1; next}
+              /^#/ {on=0}
+              on && /^\| `/ {print}' "$ops" |
+         cut -d'|' -f2 | grep -o '`[a-z_]*`' | tr -d '`' | sort -u)
+  if [ -z "$fields" ] || [ -z "$rows" ]; then
+    say "MISSING: CorpusInfo fields in $db_header or their table in $ops"
+    fail=1
+  fi
+  for field in $fields; do
+    if ! printf '%s\n' "$rows" | grep -qx "$field"; then
+      say "UNDOCUMENTED: CorpusInfo::$field has no row in the $ops catalog table"
+      fail=1
+    fi
+  done
+  for row in $rows; do
+    if ! printf '%s\n' "$fields" | grep -qx "$row"; then
+      say "STALE: $ops catalog table names $row, which CorpusInfo does not declare"
+      fail=1
+    fi
+  done
 fi
 
 if [ "$fail" -ne 0 ]; then
