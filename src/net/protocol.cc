@@ -8,14 +8,6 @@ namespace net {
 
 namespace {
 
-uint64_t Fnv1a64(std::span<const uint8_t> bytes, uint64_t hash = kFnvOffset) {
-  for (uint8_t b : bytes) {
-    hash ^= b;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
 void PutU32(uint32_t v, std::vector<uint8_t>* out) {
   out->push_back(static_cast<uint8_t>(v));
   out->push_back(static_cast<uint8_t>(v >> 8));
@@ -162,8 +154,8 @@ void AppendFrame(MsgType type, uint32_t request_id,
   out->push_back(0);  // reserved
   PutU32(request_id, out);
   PutU32(static_cast<uint32_t>(payload.size()), out);
-  uint64_t hash = Fnv1a64({out->data() + start, 16});
-  hash = Fnv1a64(payload, hash);
+  uint64_t hash = Fnv1a64(out->data() + start, 16);
+  hash = Fnv1a64(payload.data(), payload.size(), hash);
   PutU64(hash, out);
   out->insert(out->end(), payload.begin(), payload.end());
 }
@@ -208,8 +200,8 @@ FrameParse ParseFrame(std::span<const uint8_t> in, size_t max_payload,
     return FrameParse::kNeedMore;
   }
   std::span<const uint8_t> payload = in.subspan(kFrameHeaderBytes, payload_len);
-  uint64_t hash = Fnv1a64(in.first(16));
-  hash = Fnv1a64(payload, hash);
+  uint64_t hash = Fnv1a64(in.data(), 16);
+  hash = Fnv1a64(payload.data(), payload.size(), hash);
   if (hash != ReadU64(in.data() + 16)) {
     *error = "frame checksum mismatch";
     return FrameParse::kBad;

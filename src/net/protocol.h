@@ -22,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/status.h"
 #include "lpath/engine.h"
 
@@ -45,9 +46,9 @@ constexpr size_t kFrameHeaderBytes = 24;
 /// frames carry the client-chosen nonzero id.
 constexpr uint32_t kConnectionRequestId = 0;
 
-/// FNV-1a64 parameters, shared with the image/WAL formats.
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+/// FNV-1a64 parameters (common/fnv.h), shared with the image/WAL formats.
+constexpr uint64_t kFnvOffset = kFnv1a64Offset;
+constexpr uint64_t kFnvPrime = kFnv1a64Prime;
 
 // --- Message types (normative; see docs/PROTOCOL.md §3) -------------------
 

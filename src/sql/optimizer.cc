@@ -84,12 +84,12 @@ CmpOp MirrorOp(CmpOp op) {
 }
 
 /// Walks the plan's filter trees, applying `cmp_fn` to every comparison
-/// and `sub_fn` to every EXISTS subplan (one level; `sub_fn` recurses if
-/// it wants the whole nest). The single traversal the literal-resolution
-/// and orientation passes share.
+/// and `exists_fn` to every EXISTS node (one level; `exists_fn` recurses
+/// into e->sub if it wants the whole nest). The single traversal the
+/// literal-resolution, orientation and prepare passes share.
 Status ForEachFilterNode(ExecPlan* plan,
                          const std::function<Status(Conjunct*)>& cmp_fn,
-                         const std::function<Status(ExecPlan*)>& sub_fn) {
+                         const std::function<Status(BoolExpr*)>& exists_fn) {
   std::vector<BoolExpr*> stack;
   for (auto& f : plan->filters) stack.push_back(f.get());
   while (!stack.empty()) {
@@ -108,7 +108,7 @@ Status ForEachFilterNode(ExecPlan* plan,
         LPATH_RETURN_IF_ERROR(cmp_fn(&e->cmp));
         break;
       case BoolExpr::Kind::kExists:
-        LPATH_RETURN_IF_ERROR(sub_fn(e->sub.get()));
+        LPATH_RETURN_IF_ERROR(exists_fn(e));
         break;
     }
   }
@@ -156,8 +156,9 @@ Status ResolveLiterals(ExecPlan* plan, const Interner& interner,
   }
   return ForEachFilterNode(
       plan, [&resolve](Conjunct* c) { return resolve(c, nullptr); },
-      [&interner](ExecPlan* sub) {
-        return ResolveLiterals(sub, interner, /*always_empty=*/nullptr);
+      [&interner](BoolExpr* e) {
+        return ResolveLiterals(e->sub.get(), interner,
+                               /*always_empty=*/nullptr);
       });
 }
 
@@ -179,8 +180,8 @@ void NormalizeOrientation(ExecPlan* plan) {
         flip(c);
         return Status::OK();
       },
-      [](ExecPlan* sub) {
-        NormalizeOrientation(sub);
+      [](BoolExpr* e) {
+        NormalizeOrientation(e->sub.get());
         return Status::OK();
       });
 }
@@ -548,33 +549,17 @@ Result<std::unique_ptr<PreparedPlan>> PrepareResolved(
   }
 
   // Prepare subplans recursively.
-  std::vector<BoolExpr*> stack;
-  for (const auto& f : pp->plan.filters) stack.push_back(f.get());
-  while (!stack.empty()) {
-    BoolExpr* e = stack.back();
-    stack.pop_back();
-    switch (e->kind) {
-      case BoolExpr::Kind::kAnd:
-      case BoolExpr::Kind::kOr:
-        stack.push_back(e->lhs.get());
-        stack.push_back(e->rhs.get());
-        break;
-      case BoolExpr::Kind::kNot:
-        stack.push_back(e->lhs.get());
-        break;
-      case BoolExpr::Kind::kCmp:
-        break;
-      case BoolExpr::Kind::kExists: {
-        LPATH_ASSIGN_OR_RETURN(
-            std::unique_ptr<PreparedPlan> sub,
-            PrepareResolved(e->sub->Clone(), rel, options,
-                            /*always_empty=*/false, /*correlated=*/true));
-        e->sub_slot = static_cast<int>(pp->subs.size());
-        pp->subs.push_back(std::move(sub));
-        break;
-      }
-    }
-  }
+  const auto prepare_sub = [&](BoolExpr* e) -> Status {
+    LPATH_ASSIGN_OR_RETURN(
+        std::unique_ptr<PreparedPlan> sub,
+        PrepareResolved(e->sub->Clone(), rel, options,
+                        /*always_empty=*/false, /*correlated=*/true));
+    e->sub_slot = static_cast<int>(pp->subs.size());
+    pp->subs.push_back(std::move(sub));
+    return Status::OK();
+  };
+  LPATH_RETURN_IF_ERROR(ForEachFilterNode(
+      &pp->plan, [](Conjunct*) { return Status::OK(); }, prepare_sub));
   return pp;
 }
 

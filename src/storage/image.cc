@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fnv.h"
 #include "storage/io_hooks.h"
 #include "tree/corpus.h"
 
@@ -36,91 +37,44 @@ constexpr uint32_t kEndianMarker = 0x01020304u;
 /// sections read directly from the page-aligned mapping.
 constexpr uint64_t kSectionAlign = 8;
 
-/// One section per column/index array, in this fixed order.
-enum SectionKind : uint32_t {
-  kSecTid = 1,
-  kSecLeft,
-  kSecRight,
-  kSecDepth,
-  kSecId,
-  kSecPid,
-  kSecName,
-  kSecValue,
-  kSecKind,
-  kSecRuns,
-  kSecByRight,
-  kSecByPid,
-  kSecValueIndex,
-  kSecValueOffsets,
-  kSecTreeRowPrefix,
-  kSecTreeBase,
-  kSecElemRow,
-  kSecAttrOffsets,
-  kSecAttrRows,
-  kSecInternerOffsets,
-  kSecInternerBlob,
-};
+/// Sections, in order: the relation's stored arrays (StoredArrays in
+/// storage/relation.h, in its list order), then the interner's offsets and
+/// blob. A section's kind is its position + 1 and its element size is the
+/// sizeof of its element type; Save, Open and kSectionElemSize all walk
+/// ForEachSection, so the order is defined once.
 constexpr uint32_t kSectionCount = 21;
+constexpr uint32_t kInternerOffsetsSection = kSectionCount - 2;
+constexpr uint32_t kInternerBlobSection = kSectionCount - 1;
 
-/// The one place the section order and element widths are defined; Save
-/// emits sections in this order and Open validates against it, so the two
-/// cannot drift apart (the per-section *count* invariants are semantic and
-/// live in Open).
-struct SectionSpec {
-  uint32_t kind;
-  uint32_t elem_size;
-};
+/// Calls f(array) for every section's array, in section order.
+template <typename Arrays, typename Offsets, typename Blob, typename F>
+constexpr void ForEachSection(Arrays& arrays, Offsets& offsets, Blob& blob,
+                              F&& f) {
+  StoredArrays<ConstSpan>::ForEach(f, arrays);
+  f(offsets);
+  f(blob);
+}
 
-/// Positions within kSectionSpecs / the on-disk section table. Everything
-/// that addresses a section by position uses these names, so inserting or
-/// reordering sections is a compile-visible change, not a renumbering hunt.
-enum SectionIndex : uint32_t {
-  kIdxTid = 0,
-  kIdxLeft,
-  kIdxRight,
-  kIdxDepth,
-  kIdxId,
-  kIdxPid,
-  kIdxName,
-  kIdxValue,
-  kIdxKind,
-  kIdxRuns,
-  kIdxByRight,
-  kIdxByPid,
-  kIdxValueIndex,
-  kIdxValueOffsets,
-  kIdxTreeRowPrefix,
-  kIdxTreeBase,
-  kIdxElemRow,
-  kIdxAttrOffsets,
-  kIdxAttrRows,
-  kIdxInternerOffsets,
-  kIdxInternerBlob,
+/// The element size of every section, which Open checks the table
+/// against. One spare slot keeps a longer list a static_assert failure
+/// below rather than an out-of-bounds write.
+struct SectionElemSizes {
+  uint32_t size[kSectionCount + 1] = {};
+  uint32_t count = 0;
 };
-static_assert(kIdxInternerBlob + 1 == kSectionCount);
-constexpr SectionSpec kSectionSpecs[kSectionCount] = {
-    {kSecTid, sizeof(int32_t)},
-    {kSecLeft, sizeof(int32_t)},
-    {kSecRight, sizeof(int32_t)},
-    {kSecDepth, sizeof(int32_t)},
-    {kSecId, sizeof(int32_t)},
-    {kSecPid, sizeof(int32_t)},
-    {kSecName, sizeof(Symbol)},
-    {kSecValue, sizeof(Symbol)},
-    {kSecKind, sizeof(uint8_t)},
-    {kSecRuns, sizeof(RowRange)},
-    {kSecByRight, sizeof(Row)},
-    {kSecByPid, sizeof(Row)},
-    {kSecValueIndex, sizeof(Row)},
-    {kSecValueOffsets, sizeof(uint32_t)},
-    {kSecTreeRowPrefix, sizeof(uint64_t)},
-    {kSecTreeBase, sizeof(uint32_t)},
-    {kSecElemRow, sizeof(Row)},
-    {kSecAttrOffsets, sizeof(uint32_t)},
-    {kSecAttrRows, sizeof(Row)},
-    {kSecInternerOffsets, sizeof(uint64_t)},
-    {kSecInternerBlob, sizeof(char)},
-};
+constexpr SectionElemSizes kSectionElemSize = [] {
+  SectionElemSizes sizes;
+  StoredArrays<ConstSpan> arrays;
+  std::span<const uint64_t> offsets;
+  std::span<const char> blob;
+  ForEachSection(arrays, offsets, blob, [&sizes](const auto& array) {
+    sizes.size[sizes.count++] = static_cast<uint32_t>(sizeof(array[0]));
+  });
+  return sizes;
+}();
+static_assert(kSectionElemSize.count == kSectionCount,
+              "kSectionCount must match the stored arrays + 2 interner "
+              "sections");
 
 /// Packed without padding, so the header checksum is a function of the
 /// field values alone. The version sits right after the magic in every
@@ -156,23 +110,6 @@ struct SectionEntry {
 };
 static_assert(std::is_trivially_copyable_v<SectionEntry> &&
               sizeof(SectionEntry) == 24);
-
-/// Incremental FNV-1a (64-bit): simple, dependency-free, and byte-order
-/// independent — adequate for catching truncation and bit corruption.
-class Fnv64 {
- public:
-  void Update(const void* data, size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < n; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  uint64_t digest() const { return hash_; }
-
- private:
-  uint64_t hash_ = 0xcbf29ce484222325ull;
-};
 
 uint64_t AlignUp(uint64_t n) {
   return (n + kSectionAlign - 1) & ~(kSectionAlign - 1);
@@ -255,7 +192,7 @@ class ImageWriter {
 
   Status WritePayload(const void* data, size_t n) {
     LPATH_RETURN_IF_ERROR(WriteRaw(data, n));
-    fnv_.Update(data, n);
+    digest_ = Fnv1a64(data, n, digest_);
     offset_ += n;
     return Status::OK();
   }
@@ -267,19 +204,17 @@ class ImageWriter {
   }
 
   uint64_t offset() const { return offset_; }
-  uint64_t digest() const { return fnv_.digest(); }
+  uint64_t digest() const { return digest_; }
 
  private:
   int fd_;
-  Fnv64 fnv_;
+  uint64_t digest_ = kFnv1a64Offset;
   uint64_t offset_ = sizeof(ImageHeader);  ///< payload starts after header
 };
 
 uint64_t HeaderChecksum(ImageHeader header) {
   header.header_checksum = 0;
-  Fnv64 fnv;
-  fnv.Update(&header, sizeof(header));
-  return fnv.digest();
+  return Fnv1a64(&header, sizeof(header));
 }
 
 }  // namespace
@@ -312,43 +247,18 @@ Status ImageIO::Save(const NodeRelation& rel, const std::string& path,
     interner_offsets.push_back(blob.size());
   }
 
-  // Section payloads, positionally matched to kSectionSpecs.
-  const struct {
-    const void* data;
-    uint64_t count;
-  } sections[kSectionCount] = {
-      {rel.tid_.data(), rel.tid_.size()},
-      {rel.left_.data(), rel.left_.size()},
-      {rel.right_.data(), rel.right_.size()},
-      {rel.depth_.data(), rel.depth_.size()},
-      {rel.id_.data(), rel.id_.size()},
-      {rel.pid_.data(), rel.pid_.size()},
-      {rel.name_.data(), rel.name_.size()},
-      {rel.value_.data(), rel.value_.size()},
-      {rel.kind_.data(), rel.kind_.size()},
-      {rel.runs_.data(), rel.runs_.size()},
-      {rel.by_right_.data(), rel.by_right_.size()},
-      {rel.by_pid_.data(), rel.by_pid_.size()},
-      {rel.value_index_.data(), rel.value_index_.size()},
-      {rel.value_offsets_.data(), rel.value_offsets_.size()},
-      {rel.tree_row_prefix_.data(), rel.tree_row_prefix_.size()},
-      {rel.tree_base_.data(), rel.tree_base_.size()},
-      {rel.elem_row_.data(), rel.elem_row_.size()},
-      {rel.attr_offsets_.data(), rel.attr_offsets_.size()},
-      {rel.attr_rows_.data(), rel.attr_rows_.size()},
-      {interner_offsets.data(), interner_offsets.size()},
-      {blob.data(), blob.size()},
-  };
-
   // Lay the sections out after the header + table, each 8-byte aligned.
   SectionEntry table[kSectionCount];
+  const void* payload[kSectionCount];
+  uint32_t n = 0;
   uint64_t offset = sizeof(ImageHeader) + sizeof(table);
-  for (uint32_t i = 0; i < kSectionCount; ++i) {
+  ForEachSection(rel.arrays_, interner_offsets, blob, [&](const auto& array) {
+    const auto elem_size = static_cast<uint32_t>(sizeof(array[0]));
     offset = AlignUp(offset);
-    table[i] = SectionEntry{kSectionSpecs[i].kind, kSectionSpecs[i].elem_size,
-                            offset, sections[i].count};
-    offset += table[i].bytes();
-  }
+    table[n] = SectionEntry{n + 1, elem_size, offset, array.size()};
+    payload[n] = array.data();
+    offset += table[n++].bytes();
+  });
   const uint64_t file_size = offset;
 
   ImageHeader header;
@@ -391,7 +301,7 @@ Status ImageIO::Save(const NodeRelation& rel, const std::string& path,
   for (uint32_t i = 0; st.ok() && i < kSectionCount; ++i) {
     st = writer.PadToAlignment();
     if (st.ok()) {
-      st = writer.WritePayload(sections[i].data, table[i].bytes());
+      st = writer.WritePayload(payload[i], table[i].bytes());
     }
   }
   // Seal: fill in the checksums and rewrite the header in place.
@@ -436,14 +346,6 @@ Status ImageIO::Save(const NodeRelation& rel, const std::string& path,
 
 namespace {
 
-/// Typed view of a validated section.
-template <typename T>
-std::span<const T> SectionSpan(const MappedFile& file,
-                               const SectionEntry& entry) {
-  return std::span<const T>(
-      reinterpret_cast<const T*>(file.data() + entry.offset), entry.count);
-}
-
 Status CorruptionAt(const std::string& path, const char* what) {
   return Status::Corruption("invalid relation image " + path + ": " + what);
 }
@@ -484,24 +386,6 @@ constexpr int kAdviseRandom = POSIX_MADV_RANDOM;
 constexpr int kAdviseWillNeed = 0;
 constexpr int kAdviseRandom = 0;
 #endif
-
-/// offsets[0] == 0, non-decreasing, offsets.back() == total.
-template <typename T>
-bool IsPrefixArray(std::span<const T> offsets, uint64_t total) {
-  if (offsets.empty() || offsets.front() != 0) return false;
-  for (size_t i = 1; i < offsets.size(); ++i) {
-    if (offsets[i] < offsets[i - 1]) return false;
-  }
-  return offsets.back() == total;
-}
-
-/// Every entry indexes the row space.
-bool RowsInBounds(std::span<const Row> rows, uint64_t row_count) {
-  for (Row r : rows) {
-    if (r >= row_count) return false;
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -551,10 +435,9 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
     // kernel to start fetching them ahead of the read.
     AdviseRange(*file, sizeof(ImageHeader),
                 file->size() - sizeof(ImageHeader), kAdviseWillNeed);
-    Fnv64 fnv;
-    fnv.Update(file->data() + sizeof(ImageHeader),
-               file->size() - sizeof(ImageHeader));
-    if (fnv.digest() != header.payload_checksum) {
+    if (Fnv1a64(file->data() + sizeof(ImageHeader),
+                file->size() - sizeof(ImageHeader)) !=
+        header.payload_checksum) {
       return CorruptionAt(path, "payload checksum mismatch");
     }
   }
@@ -568,8 +451,7 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
 
   for (uint32_t i = 0; i < kSectionCount; ++i) {
     const SectionEntry& e = table[i];
-    if (e.kind != kSectionSpecs[i].kind ||
-        e.elem_size != kSectionSpecs[i].elem_size) {
+    if (e.kind != i + 1 || e.elem_size != kSectionElemSize.size[i]) {
       return CorruptionAt(path, "section table does not match the format");
     }
     if (e.offset % kSectionAlign != 0) {
@@ -582,91 +464,46 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
     }
   }
 
-  // --- Cross-section count invariants ---------------------------------------
-  const uint64_t rows = header.row_count;
-  const uint64_t elements = header.element_count;
-  const uint64_t symbols = header.symbol_count;
-  const uint64_t trees = header.tree_count;
-  uint64_t expected_count[kSectionCount];
-  for (uint32_t i = kIdxTid; i <= kIdxKind; ++i) expected_count[i] = rows;
-  expected_count[kIdxRuns] = symbols + 1;
-  expected_count[kIdxByRight] = rows;
-  expected_count[kIdxByPid] = rows;
-  expected_count[kIdxValueIndex] = table[kIdxValueIndex].count;  // capped below
-  expected_count[kIdxValueOffsets] = symbols + 2;
-  expected_count[kIdxTreeRowPrefix] = trees + 1;
-  expected_count[kIdxTreeBase] = trees + 1;
-  expected_count[kIdxElemRow] = elements;
-  expected_count[kIdxAttrOffsets] = elements + 1;
-  expected_count[kIdxAttrRows] = table[kIdxAttrRows].count;  // capped below
-  expected_count[kIdxInternerOffsets] = symbols + 1;
-  expected_count[kIdxInternerBlob] = table[kIdxInternerBlob].count;
-  for (uint32_t i = 0; i < kSectionCount; ++i) {
-    if (table[i].count != expected_count[i]) {
-      return CorruptionAt(path, "section sizes are inconsistent");
-    }
-  }
-  if (table[kIdxValueIndex].count > rows || table[kIdxAttrRows].count > rows) {
-    return CorruptionAt(path, "index larger than the row space");
-  }
+  // --- Bind every section straight onto the mapping -------------------------
+  NodeRelation rel;
+  rel.scheme_ = static_cast<LabelScheme>(header.scheme);
+  rel.tree_count_ = static_cast<int32_t>(header.tree_count);
+  rel.element_count_ = static_cast<size_t>(header.element_count);
+  rel.mapped_ = true;
+  std::span<const uint64_t> interner_offsets;
+  std::span<const char> blob;
+  uint32_t n = 0;
+  ForEachSection(rel.arrays_, interner_offsets, blob, [&](auto& span) {
+    using T = typename std::remove_reference_t<decltype(span)>::element_type;
+    span = {reinterpret_cast<T*>(file->data() + table[n].offset),
+            table[n].count};
+    ++n;
+  });
 
   // Mapping hints (see AdviseRange): the interner table, re-interned into
-  // the fresh corpus right below, is prefetched; every other section is
-  // served straight out of the mapping at query time and gets MADV_RANDOM
-  // after the one-time sanity scans, since its steady-state access is
-  // binary searches that readahead only pollutes the page cache for.
-  AdviseRange(*file, table[kIdxInternerOffsets].offset,
-              table[kIdxInternerOffsets].bytes(), kAdviseWillNeed);
-  AdviseRange(*file, table[kIdxInternerBlob].offset,
-              table[kIdxInternerBlob].bytes(), kAdviseWillNeed);
+  // the fresh corpus below, is prefetched; every other section is served
+  // straight out of the mapping at query time and gets MADV_RANDOM after
+  // the one-time sanity scans, since its steady-state access is binary
+  // searches that readahead only pollutes the page cache for.
+  for (const uint32_t i : {kInternerOffsetsSection, kInternerBlobSection}) {
+    AdviseRange(*file, table[i].offset, table[i].bytes(), kAdviseWillNeed);
+  }
 
-  // --- Index sanity: keep every accessor in bounds over the mapping --------
-  // Well-formed runs partition the rows; bounding their total keeps the
-  // tag directory derived from them within one entry per row.
-  const auto runs = SectionSpan<RowRange>(*file, table[kIdxRuns]);
-  uint64_t run_rows = 0;
-  for (const RowRange& r : runs) {
-    if (r.begin > r.end || r.end > rows) {
-      return CorruptionAt(path, "run directory out of bounds");
-    }
-    run_rows += r.end - r.begin;
+  // --- Cross-section counts and index sanity --------------------------------
+  // Every accessor must stay in bounds over the mapping; CheckMapped holds
+  // the relation's own invariants.
+  const uint64_t symbols = header.symbol_count;
+  if (interner_offsets.size() != symbols + 1) {
+    return CorruptionAt(path, "section sizes are inconsistent");
   }
-  if (run_rows > rows) {
-    return CorruptionAt(path, "run directory covers more rows than exist");
-  }
-  if (!RowsInBounds(SectionSpan<Row>(*file, table[kIdxByRight]), rows) ||
-      !RowsInBounds(SectionSpan<Row>(*file, table[kIdxByPid]), rows) ||
-      !RowsInBounds(SectionSpan<Row>(*file, table[kIdxValueIndex]), rows) ||
-      !RowsInBounds(SectionSpan<Row>(*file, table[kIdxElemRow]), rows) ||
-      !RowsInBounds(SectionSpan<Row>(*file, table[kIdxAttrRows]), rows)) {
-    return CorruptionAt(path, "row index out of bounds");
-  }
-  // The tid column feeds the per-tree accessors; those all guard the
-  // range themselves, but a value outside [0, trees) can only come from a
-  // forged file, so reject it here as corruption rather than serving
-  // silently-empty per-tree lookups.
-  const auto tid = SectionSpan<int32_t>(*file, table[kIdxTid]);
-  for (int32_t t : tid) {
-    if (t < 0 || static_cast<uint64_t>(t) >= trees) {
-      return CorruptionAt(path, "tid column out of range");
-    }
-  }
-  if (!IsPrefixArray(SectionSpan<uint32_t>(*file, table[kIdxValueOffsets]),
-                     table[kIdxValueIndex].count) ||
-      !IsPrefixArray(SectionSpan<uint64_t>(*file, table[kIdxTreeRowPrefix]),
-                     rows) ||
-      !IsPrefixArray(SectionSpan<uint32_t>(*file, table[kIdxTreeBase]),
-                     elements) ||
-      !IsPrefixArray(SectionSpan<uint32_t>(*file, table[kIdxAttrOffsets]),
-                     table[kIdxAttrRows].count)) {
-    return CorruptionAt(path, "offset table is not a prefix sum");
+  if (const char* what = rel.CheckMapped(header.row_count, symbols)) {
+    return CorruptionAt(path, what);
   }
 
   // --- Interner -------------------------------------------------------------
-  const auto interner_offsets =
-      SectionSpan<uint64_t>(*file, table[kIdxInternerOffsets]);
-  const auto blob = SectionSpan<char>(*file, table[kIdxInternerBlob]);
-  if (!IsPrefixArray(interner_offsets, blob.size())) {
+  if (interner_offsets.front() != 0 ||
+      !std::is_sorted(interner_offsets.begin(), interner_offsets.end()) ||
+      interner_offsets.back() != blob.size()) {
     return CorruptionAt(path, "interner offsets are not a prefix sum");
   }
   auto corpus = std::make_shared<Corpus>();
@@ -678,43 +515,15 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
       return CorruptionAt(path, "interner table has duplicate strings");
     }
   }
+  rel.corpus_ = std::move(corpus);
 
   // The sanity scans above were the last sequential pass; from here on the
   // mapped sections are hit by binary searches and point lookups, where
   // readahead only evicts useful pages.
-  for (uint32_t i = 0; i < kSectionCount; ++i) {
-    if (i == kIdxInternerOffsets || i == kIdxInternerBlob) continue;
+  for (uint32_t i = 0; i < kInternerOffsetsSection; ++i) {
     AdviseRange(*file, table[i].offset, table[i].bytes(), kAdviseRandom);
   }
 
-  // --- Bind the relation straight onto the mapping --------------------------
-  NodeRelation rel;
-  rel.scheme_ = static_cast<LabelScheme>(header.scheme);
-  rel.corpus_ = std::move(corpus);
-  rel.tree_count_ = static_cast<int32_t>(trees);
-  rel.element_count_ = static_cast<size_t>(elements);
-  rel.mapped_ = true;
-  rel.tid_ = tid;
-  rel.left_ = SectionSpan<int32_t>(*file, table[kIdxLeft]);
-  rel.right_ = SectionSpan<int32_t>(*file, table[kIdxRight]);
-  rel.depth_ = SectionSpan<int32_t>(*file, table[kIdxDepth]);
-  rel.id_ = SectionSpan<int32_t>(*file, table[kIdxId]);
-  rel.pid_ = SectionSpan<int32_t>(*file, table[kIdxPid]);
-  rel.name_ = SectionSpan<Symbol>(*file, table[kIdxName]);
-  rel.value_ = SectionSpan<Symbol>(*file, table[kIdxValue]);
-  rel.kind_ = SectionSpan<uint8_t>(*file, table[kIdxKind]);
-  rel.runs_ = runs;
-  rel.by_right_ = SectionSpan<Row>(*file, table[kIdxByRight]);
-  rel.by_pid_ = SectionSpan<Row>(*file, table[kIdxByPid]);
-  rel.value_index_ = SectionSpan<Row>(*file, table[kIdxValueIndex]);
-  rel.value_offsets_ =
-      SectionSpan<uint32_t>(*file, table[kIdxValueOffsets]);
-  rel.tree_row_prefix_ =
-      SectionSpan<uint64_t>(*file, table[kIdxTreeRowPrefix]);
-  rel.tree_base_ = SectionSpan<uint32_t>(*file, table[kIdxTreeBase]);
-  rel.elem_row_ = SectionSpan<Row>(*file, table[kIdxElemRow]);
-  rel.attr_offsets_ = SectionSpan<uint32_t>(*file, table[kIdxAttrOffsets]);
-  rel.attr_rows_ = SectionSpan<Row>(*file, table[kIdxAttrRows]);
   auto backing = std::make_shared<MappedBacking>();
   backing->file = file;
   rel.BindTagDirectory(&backing->tag_dir_offsets, &backing->tag_dir);

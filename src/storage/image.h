@@ -21,12 +21,14 @@
 //                          FNV-1a64 checksums
 //   section table          per section: {kind, elem_size, offset, count};
 //                          a section is count * elem_size bytes
-//   sections...            verbatim arrays, each 8-byte aligned:
-//                          tid/left/right/depth/id/pid/name/value/kind,
-//                          run directory, by-right/by-pid permutations,
-//                          value index + offsets, per-tree row prefix sums,
-//                          tree base / element row / attribute CSR,
-//                          interner offsets + concatenated string blob
+//   sections...            verbatim arrays, each 8-byte aligned: the
+//                          relation's stored arrays in StoredArrays order
+//                          (storage/relation.h) — tid/left/right/depth/id/
+//                          pid/name/value/kind, run directory, by-right/
+//                          by-pid permutations, value index + offsets,
+//                          per-tree row prefix sums, tree base / element
+//                          row / attribute CSR — then the interner offsets
+//                          + concatenated string blob
 //
 // Only format v3 is read or written; any other version, v1 and v2
 // included, fails Open with NotSupported.

@@ -19,24 +19,8 @@ struct Staged {
   uint8_t kind;
 };
 
-/// Owning storage of a relation built in memory. The relation's spans point
-/// into these vectors; the arena is held alive through the type-erased
-/// backing_ shared_ptr, so moving the relation never invalidates a span.
-struct ColumnArena {
-  std::vector<int32_t> tid, left, right, depth, id, pid;
-  std::vector<Symbol> name, value;
-  std::vector<uint8_t> kind;
-  std::vector<RowRange> runs;
-  std::vector<Row> by_right, by_pid, value_index;
-  std::vector<uint32_t> value_offsets;
-  std::vector<uint64_t> tree_row_prefix;
-  std::vector<uint32_t> tree_base;
-  std::vector<Row> elem_row;
-  std::vector<uint32_t> attr_offsets;
-  std::vector<Row> attr_rows;
-  std::vector<uint32_t> tag_dir_offsets;
-  std::vector<NodeRelation::TagSlice> tag_dir;
-};
+template <typename T>
+using OwnedArray = std::vector<T>;
 
 /// Counts every label+sort build (see NodeRelation::BuildCount).
 std::atomic<uint64_t> g_build_count{0};
@@ -45,6 +29,14 @@ std::atomic<uint64_t> g_build_count{0};
 std::atomic<uint64_t> g_labeled_tree_count{0};
 
 }  // namespace
+
+/// The relation's spans point into these vectors; the arena is held alive
+/// through the type-erased backing_ shared_ptr, so moving the relation
+/// never invalidates a span.
+struct NodeRelation::Arena : StoredArrays<OwnedArray> {
+  std::vector<uint32_t> tag_dir_offsets;
+  std::vector<TagSlice> tag_dir;
+};
 
 uint64_t NodeRelation::BuildCount() {
   return g_build_count.load(std::memory_order_relaxed);
@@ -74,8 +66,8 @@ Result<NodeRelation> NodeRelation::Build(std::shared_ptr<const Corpus> owned,
   rel.scheme_ = options.scheme;
   rel.corpus_ = std::move(owned);
   rel.tree_count_ = static_cast<int32_t>(corpus.size());
-  auto arena = std::make_shared<ColumnArena>();
-  ColumnArena& cols = *arena;
+  auto arena = std::make_shared<Arena>();
+  Arena& cols = *arena;
 
   // 1. Label every tree and stage rows.
   std::vector<Staged> staged;
@@ -145,7 +137,9 @@ Result<NodeRelation> NodeRelation::Build(std::shared_ptr<const Corpus> owned,
     r = e;
   }
 
-  // 5. Per-run permutations.
+  // 5. Per-run permutations, each a total order, so that Merge's
+  // concatenation reproduces them: a same-name unary chain shares (tid,
+  // right, left), and the row breaks that tie.
   cols.by_right.resize(n);
   cols.by_pid.resize(n);
   std::iota(cols.by_right.begin(), cols.by_right.end(), 0u);
@@ -157,7 +151,8 @@ Result<NodeRelation> NodeRelation::Build(std::shared_ptr<const Corpus> owned,
     std::sort(rb, re, [&cols](Row a, Row b) {
       if (cols.tid[a] != cols.tid[b]) return cols.tid[a] < cols.tid[b];
       if (cols.right[a] != cols.right[b]) return cols.right[a] < cols.right[b];
-      return cols.left[a] < cols.left[b];
+      if (cols.left[a] != cols.left[b]) return cols.left[a] < cols.left[b];
+      return a < b;
     });
     auto pb = cols.by_pid.begin() + run.begin;
     auto pe = cols.by_pid.begin() + run.end;
@@ -230,28 +225,7 @@ Result<NodeRelation> NodeRelation::Build(std::shared_ptr<const Corpus> owned,
     cols.tree_row_prefix[t] += cols.tree_row_prefix[t - 1];
   }
 
-  // 9. Bind the accessor spans to the arena and hand it over.
-  rel.tid_ = cols.tid;
-  rel.left_ = cols.left;
-  rel.right_ = cols.right;
-  rel.depth_ = cols.depth;
-  rel.id_ = cols.id;
-  rel.pid_ = cols.pid;
-  rel.name_ = cols.name;
-  rel.value_ = cols.value;
-  rel.kind_ = cols.kind;
-  rel.runs_ = cols.runs;
-  rel.by_right_ = cols.by_right;
-  rel.by_pid_ = cols.by_pid;
-  rel.value_index_ = cols.value_index;
-  rel.value_offsets_ = cols.value_offsets;
-  rel.tree_row_prefix_ = cols.tree_row_prefix;
-  rel.tree_base_ = cols.tree_base;
-  rel.elem_row_ = cols.elem_row;
-  rel.attr_offsets_ = cols.attr_offsets;
-  rel.attr_rows_ = cols.attr_rows;
-  rel.BindTagDirectory(&cols.tag_dir_offsets, &cols.tag_dir);
-  rel.backing_ = std::move(arena);
+  rel.BindArena(std::move(arena));
   return rel;
 }
 
@@ -266,7 +240,8 @@ Result<NodeRelation> NodeRelation::Merge(const NodeRelation& base,
         "NodeRelation::Merge: sources use different label schemes");
   }
   const Symbol name_end = owned->interner().end_id();
-  if (base.runs_.size() > name_end || delta.runs_.size() > name_end) {
+  if (base.arrays_.runs.size() > name_end ||
+      delta.arrays_.runs.size() > name_end) {
     return Status::InvalidArgument(
         "NodeRelation::Merge: merged dictionary misses source symbols");
   }
@@ -275,19 +250,26 @@ Result<NodeRelation> NodeRelation::Merge(const NodeRelation& base,
   rel.corpus_ = std::move(owned);
   rel.tree_count_ = base.tree_count_ + delta.tree_count_;
   rel.element_count_ = base.element_count_ + delta.element_count_;
-  auto arena = std::make_shared<ColumnArena>();
-  ColumnArena& cols = *arena;
+  auto arena = std::make_shared<Arena>();
+  Arena& cols = *arena;
 
-  const size_t nb = base.row_count();
-  const size_t nd = delta.row_count();
-  const size_t n = nb + nd;
-  const int32_t tid_off = base.tree_count_;
+  // The two sources in merged order, each with its row remap (source row
+  // -> merged row, filled by step 1 for the indexes below) and its tid
+  // offset: delta trees follow base trees in the merged tid space.
+  struct Source {
+    const NodeRelation& rel;
+    int32_t tid_off;
+    std::vector<Row> remap;
+  };
+  Source sources[] = {{base, 0, std::vector<Row>(base.row_count())},
+                      {delta, base.tree_count_,
+                       std::vector<Row>(delta.row_count())}};
+  const size_t n = base.row_count() + delta.row_count();
 
   // 1. Clustered columns: per-name run concatenation (base rows, then delta
   // rows with shifted tids). Every row belongs to exactly one run (name is
   // never kNoSymbol), and within a run the order (tid, left, right, ...) is
-  // preserved because shifted delta tids all exceed base tids. The remap
-  // arrays record each source row's merged position for the indexes below.
+  // preserved because shifted delta tids all exceed base tids.
   cols.tid.resize(n);
   cols.left.resize(n);
   cols.right.resize(n);
@@ -298,39 +280,26 @@ Result<NodeRelation> NodeRelation::Merge(const NodeRelation& base,
   cols.value.resize(n);
   cols.kind.resize(n);
   cols.runs.assign(name_end, RowRange{});
-  std::vector<Row> base_remap(nb);
-  std::vector<Row> delta_remap(nd);
   Row out = 0;
   for (Symbol s = 1; s < name_end; ++s) {
-    const RowRange br = base.run(s);
-    const RowRange dr = delta.run(s);
-    if (br.empty() && dr.empty()) continue;
     const Row begin = out;
-    for (Row r = br.begin; r < br.end; ++r, ++out) {
-      base_remap[r] = out;
-      cols.tid[out] = base.tid_[r];
-      cols.left[out] = base.left_[r];
-      cols.right[out] = base.right_[r];
-      cols.depth[out] = base.depth_[r];
-      cols.id[out] = base.id_[r];
-      cols.pid[out] = base.pid_[r];
-      cols.name[out] = base.name_[r];
-      cols.value[out] = base.value_[r];
-      cols.kind[out] = base.kind_[r];
+    for (Source& src : sources) {
+      const StoredArrays<ConstSpan>& in = src.rel.arrays_;
+      const RowRange run = src.rel.run(s);
+      for (Row r = run.begin; r < run.end; ++r, ++out) {
+        src.remap[r] = out;
+        cols.tid[out] = in.tid[r] + src.tid_off;
+        cols.left[out] = in.left[r];
+        cols.right[out] = in.right[r];
+        cols.depth[out] = in.depth[r];
+        cols.id[out] = in.id[r];
+        cols.pid[out] = in.pid[r];
+        cols.name[out] = in.name[r];
+        cols.value[out] = in.value[r];
+        cols.kind[out] = in.kind[r];
+      }
     }
-    for (Row r = dr.begin; r < dr.end; ++r, ++out) {
-      delta_remap[r] = out;
-      cols.tid[out] = delta.tid_[r] + tid_off;
-      cols.left[out] = delta.left_[r];
-      cols.right[out] = delta.right_[r];
-      cols.depth[out] = delta.depth_[r];
-      cols.id[out] = delta.id_[r];
-      cols.pid[out] = delta.pid_[r];
-      cols.name[out] = delta.name_[r];
-      cols.value[out] = delta.value_[r];
-      cols.kind[out] = delta.kind_[r];
-    }
-    cols.runs[s] = RowRange{begin, out};
+    if (out != begin) cols.runs[s] = RowRange{begin, out};
   }
   if (out != n) {
     return Status::Corruption(
@@ -338,114 +307,80 @@ Result<NodeRelation> NodeRelation::Merge(const NodeRelation& base,
   }
 
   // 2. Per-run permutations: remapped concatenation per run. The secondary
-  // orders ((tid, right, left) and (tid, pid, left)) lead with tid, so base
-  // entries precede all shifted delta entries within each run.
+  // orders ((tid, right, left, row) and (tid, pid, left)) lead with tid, so
+  // base entries precede all shifted delta entries within each run, and a
+  // source's remap keeps its rows' order, so each source's part stays
+  // sorted.
   cols.by_right.resize(n);
   cols.by_pid.resize(n);
   for (Symbol s = 1; s < name_end; ++s) {
-    const RowRange br = base.run(s);
-    const RowRange dr = delta.run(s);
     Row w = cols.runs[s].begin;
-    for (Row i = br.begin; i < br.end; ++i) {
-      cols.by_right[w++] = base_remap[base.by_right_[i]];
-    }
-    for (Row i = dr.begin; i < dr.end; ++i) {
-      cols.by_right[w++] = delta_remap[delta.by_right_[i]];
-    }
-    w = cols.runs[s].begin;
-    for (Row i = br.begin; i < br.end; ++i) {
-      cols.by_pid[w++] = base_remap[base.by_pid_[i]];
-    }
-    for (Row i = dr.begin; i < dr.end; ++i) {
-      cols.by_pid[w++] = delta_remap[delta.by_pid_[i]];
+    for (const Source& src : sources) {
+      const RowRange run = src.rel.run(s);
+      for (Row i = run.begin; i < run.end; ++i, ++w) {
+        cols.by_right[w] = src.remap[src.rel.arrays_.by_right[i]];
+        cols.by_pid[w] = src.remap[src.rel.arrays_.by_pid[i]];
+      }
     }
   }
 
   // 3. Value index: per-value remapped concatenation, same tid argument.
-  cols.value_index.reserve(base.value_index_.size() +
-                           delta.value_index_.size());
-  cols.value_offsets.resize(name_end + 1);
-  cols.value_offsets[0] = 0;
+  cols.value_index.reserve(base.arrays_.value_index.size() +
+                           delta.arrays_.value_index.size());
+  cols.value_offsets.reserve(name_end + 1);
+  cols.value_offsets.assign(1, 0);
   for (Symbol v = 0; v < name_end; ++v) {
-    for (Row r : base.ValueRange(v)) {
-      cols.value_index.push_back(base_remap[r]);
+    for (const Source& src : sources) {
+      for (Row r : src.rel.ValueRange(v)) {
+        cols.value_index.push_back(src.remap[r]);
+      }
     }
-    for (Row r : delta.ValueRange(v)) {
-      cols.value_index.push_back(delta_remap[r]);
-    }
-    cols.value_offsets[v + 1] = static_cast<uint32_t>(cols.value_index.size());
+    cols.value_offsets.push_back(
+        static_cast<uint32_t>(cols.value_index.size()));
   }
 
-  // 4. Per-tree prefix sums and the (tid, id) lookup tables: offset-shifted
-  // concatenation (delta trees follow base trees in the merged tid space).
-  cols.tree_row_prefix.resize(static_cast<size_t>(rel.tree_count_) + 1);
-  for (int32_t t = 0; t <= base.tree_count_; ++t) {
-    cols.tree_row_prefix[t] = base.tree_row_prefix_[t];
-  }
-  for (int32_t t = 1; t <= delta.tree_count_; ++t) {
-    cols.tree_row_prefix[tid_off + t] = nb + delta.tree_row_prefix_[t];
-  }
-  cols.tree_base.resize(static_cast<size_t>(rel.tree_count_) + 1);
-  const uint32_t elem_off = base.tree_base_.back();
-  for (int32_t t = 0; t <= base.tree_count_; ++t) {
-    cols.tree_base[t] = base.tree_base_[t];
-  }
-  for (int32_t t = 1; t <= delta.tree_count_; ++t) {
-    cols.tree_base[tid_off + t] = elem_off + delta.tree_base_[t];
-  }
-  cols.elem_row.resize(rel.element_count_);
-  for (size_t i = 0; i < base.elem_row_.size(); ++i) {
-    cols.elem_row[i] = base_remap[base.elem_row_[i]];
-  }
-  for (size_t i = 0; i < delta.elem_row_.size(); ++i) {
-    cols.elem_row[elem_off + i] = delta_remap[delta.elem_row_[i]];
-  }
-  cols.attr_offsets.resize(rel.element_count_ + 1);
-  const uint32_t attr_off = base.attr_offsets_.back();
-  for (size_t i = 0; i < base.attr_offsets_.size(); ++i) {
-    cols.attr_offsets[i] = base.attr_offsets_[i];
-  }
-  for (size_t i = 1; i < delta.attr_offsets_.size(); ++i) {
-    cols.attr_offsets[elem_off + i] = attr_off + delta.attr_offsets_[i];
-  }
-  cols.attr_rows.resize(base.attr_rows_.size() + delta.attr_rows_.size());
-  for (size_t i = 0; i < base.attr_rows_.size(); ++i) {
-    cols.attr_rows[i] = base_remap[base.attr_rows_[i]];
-  }
-  for (size_t i = 0; i < delta.attr_rows_.size(); ++i) {
-    cols.attr_rows[attr_off + i] = delta_remap[delta.attr_rows_[i]];
+  // 4. Per-tree prefix sums and the (tid, id) lookup tables: concatenation,
+  // each source's entries shifted by the totals of the sources before it
+  // (the last entry written so far).
+  cols.tree_row_prefix.assign(1, 0);
+  cols.tree_base.assign(1, 0);
+  cols.attr_offsets.assign(1, 0);
+  cols.elem_row.reserve(rel.element_count_);
+  cols.attr_rows.reserve(base.arrays_.attr_rows.size() +
+                         delta.arrays_.attr_rows.size());
+  for (const Source& src : sources) {
+    const StoredArrays<ConstSpan>& in = src.rel.arrays_;
+    const uint64_t row_off = cols.tree_row_prefix.back();
+    const uint32_t elem_off = cols.tree_base.back();
+    const uint32_t attr_off = cols.attr_offsets.back();
+    for (size_t t = 1; t < in.tree_row_prefix.size(); ++t) {
+      cols.tree_row_prefix.push_back(row_off + in.tree_row_prefix[t]);
+      cols.tree_base.push_back(elem_off + in.tree_base[t]);
+    }
+    for (Row r : in.elem_row) cols.elem_row.push_back(src.remap[r]);
+    for (size_t i = 1; i < in.attr_offsets.size(); ++i) {
+      cols.attr_offsets.push_back(attr_off + in.attr_offsets[i]);
+    }
+    for (Row r : in.attr_rows) cols.attr_rows.push_back(src.remap[r]);
   }
 
-  // 5. Bind spans, exactly as Build does.
-  rel.tid_ = cols.tid;
-  rel.left_ = cols.left;
-  rel.right_ = cols.right;
-  rel.depth_ = cols.depth;
-  rel.id_ = cols.id;
-  rel.pid_ = cols.pid;
-  rel.name_ = cols.name;
-  rel.value_ = cols.value;
-  rel.kind_ = cols.kind;
-  rel.runs_ = cols.runs;
-  rel.by_right_ = cols.by_right;
-  rel.by_pid_ = cols.by_pid;
-  rel.value_index_ = cols.value_index;
-  rel.value_offsets_ = cols.value_offsets;
-  rel.tree_row_prefix_ = cols.tree_row_prefix;
-  rel.tree_base_ = cols.tree_base;
-  rel.elem_row_ = cols.elem_row;
-  rel.attr_offsets_ = cols.attr_offsets;
-  rel.attr_rows_ = cols.attr_rows;
-  rel.BindTagDirectory(&cols.tag_dir_offsets, &cols.tag_dir);
-  rel.backing_ = std::move(arena);
+  rel.BindArena(std::move(arena));
   return rel;
+}
+
+void NodeRelation::BindArena(std::shared_ptr<Arena> arena) {
+  StoredArrays<ConstSpan>::ForEach(
+      [](auto& view, const auto& owned) { view = owned; }, arrays_, *arena);
+  BindTagDirectory(&arena->tag_dir_offsets, &arena->tag_dir);
+  backing_ = std::move(arena);
 }
 
 std::vector<TidRange> NodeRelation::CarveTidRanges(int target_ranges,
                                                    uint64_t min_rows) const {
   std::vector<TidRange> out;
   if (tree_count_ <= 0 || row_count() == 0) return out;
-  const uint64_t total = tree_row_prefix_.back();
+  const std::span<const uint64_t> prefix = arrays_.tree_row_prefix;
+  const uint64_t total = prefix.back();
   const uint64_t per_range =
       (total + static_cast<uint64_t>(std::max(1, target_ranges)) - 1) /
       static_cast<uint64_t>(std::max(1, target_ranges));
@@ -457,22 +392,19 @@ std::vector<TidRange> NodeRelation::CarveTidRanges(int target_ranges,
     // after the tree that crosses it, so a giant tree never splits (the
     // shard kernel is tid-range based) but never drags neighbours along
     // either once the target is met.
-    const uint64_t want = tree_row_prefix_[lo] + target;
-    auto it = std::lower_bound(tree_row_prefix_.begin() + lo + 1,
-                               tree_row_prefix_.end(), want);
-    int32_t hi =
-        static_cast<int32_t>(it - tree_row_prefix_.begin());
+    const uint64_t want = prefix[lo] + target;
+    auto it = std::lower_bound(prefix.begin() + lo + 1, prefix.end(), want);
+    int32_t hi = static_cast<int32_t>(it - prefix.begin());
     hi = std::min(hi, tree_count_);
-    out.push_back(
-        TidRange{lo, hi, tree_row_prefix_[hi] - tree_row_prefix_[lo]});
+    out.push_back(TidRange{lo, hi, prefix[hi] - prefix[lo]});
     lo = hi;
   }
   return out;
 }
 
 RowRange NodeRelation::run(Symbol name) const {
-  if (name == kNoSymbol || name >= runs_.size()) return RowRange{};
-  return runs_[name];
+  if (name == kNoSymbol || name >= arrays_.runs.size()) return RowRange{};
+  return arrays_.runs[name];
 }
 
 void NodeRelation::BindTagDirectory(std::vector<uint32_t>* offsets,
@@ -486,11 +418,11 @@ void NodeRelation::BindTagDirectory(std::vector<uint32_t>* offsets,
   // stretches average two rows, so a branch per stretch mispredicts).
   std::vector<uint32_t>& off = *offsets;
   off.assign(static_cast<size_t>(tree_count_) + 2, 0);
-  for (const RowRange run : runs_) {
+  for (const RowRange run : arrays_.runs) {
     int32_t prev = -1;
     for (Row r = run.begin; r < run.end; ++r) {
-      off[tid_[r] + 2] += tid_[r] != prev;
-      prev = tid_[r];
+      off[arrays_.tid[r] + 2] += arrays_.tid[r] != prev;
+      prev = arrays_.tid[r];
     }
   }
   for (size_t i = 2; i < off.size(); ++i) off[i] += off[i - 1];
@@ -498,12 +430,12 @@ void NodeRelation::BindTagDirectory(std::vector<uint32_t>* offsets,
   // off[t + 1], now tree t's first entry, is its cursor and ends at tree
   // t + 1's first entry, so the table needs no second array.
   entries->resize(off.back());
-  for (Symbol s = 0; s < runs_.size(); ++s) {
+  for (Symbol s = 0; s < arrays_.runs.size(); ++s) {
     int32_t prev = -1;
     TagSlice* entry = nullptr;
-    for (Row r = runs_[s].begin; r < runs_[s].end; ++r) {
-      if (tid_[r] != prev) {
-        prev = tid_[r];
+    for (Row r = arrays_.runs[s].begin; r < arrays_.runs[s].end; ++r) {
+      if (arrays_.tid[r] != prev) {
+        prev = arrays_.tid[r];
         entry = &(*entries)[off[prev + 1]++];
         *entry = TagSlice{s, RowRange{r, r}};
       }
@@ -530,13 +462,13 @@ RowRange NodeRelation::RunTidRange(Symbol name, int32_t tid_lo,
                                    int32_t tid_hi) const {
   const RowRange full = run(name);
   if (full.empty() || tid_lo >= tid_hi) return RowRange{full.begin, full.begin};
-  const auto tb = tid_.begin();
+  const auto tb = arrays_.tid.begin();
   auto lo = std::lower_bound(tb + full.begin, tb + full.end, tid_lo);
   auto hi = std::lower_bound(lo, tb + full.end, tid_hi);
   return RowRange{static_cast<Row>(lo - tb), static_cast<Row>(hi - tb)};
 }
 
-// run(name), by_right_ and by_pid_ all order a run by tid first, so one
+// run(name), by_right and by_pid all order a run by tid first, so one
 // tree's rows occupy the same positions [slice.begin, slice.end) in all
 // three, and a search inside the slice compares one column.
 
@@ -545,7 +477,7 @@ RowRange NodeRelation::LeftRangeIn(RowRange slice, int32_t left_lo,
   if (slice.empty() || left_lo >= left_hi) {
     return RowRange{slice.begin, slice.begin};
   }
-  const auto lb = left_.begin();
+  const auto lb = arrays_.left.begin();
   auto lo = std::lower_bound(lb + slice.begin, lb + slice.end, left_lo);
   auto hi = std::lower_bound(lo, lb + slice.end, left_hi);
   return RowRange{static_cast<Row>(lo - lb), static_cast<Row>(hi - lb)};
@@ -555,38 +487,42 @@ std::span<const Row> NodeRelation::RightRangeIn(RowRange slice,
                                                 int32_t right_lo,
                                                 int32_t right_hi) const {
   if (slice.empty() || right_lo >= right_hi) return {};
-  auto right_less = [this](Row r, int32_t v) { return right_[r] < v; };
-  auto first = by_right_.begin() + slice.begin;
-  auto last = by_right_.begin() + slice.end;
+  auto right_less = [this](Row r, int32_t v) { return arrays_.right[r] < v; };
+  const std::span<const Row> by_right = arrays_.by_right;
+  auto first = by_right.begin() + slice.begin;
+  auto last = by_right.begin() + slice.end;
   auto lo = std::lower_bound(first, last, right_lo, right_less);
   auto hi = std::lower_bound(lo, last, right_hi, right_less);
-  return std::span<const Row>(by_right_.data() + (lo - by_right_.begin()),
+  return std::span<const Row>(by_right.data() + (lo - by_right.begin()),
                               static_cast<size_t>(hi - lo));
 }
 
 std::span<const Row> NodeRelation::PidRangeIn(RowRange slice,
                                               int32_t p) const {
   if (slice.empty()) return {};
-  auto first = by_pid_.begin() + slice.begin;
-  auto last = by_pid_.begin() + slice.end;
+  const std::span<const Row> by_pid = arrays_.by_pid;
+  const std::span<const int32_t> pid = arrays_.pid;
+  auto first = by_pid.begin() + slice.begin;
+  auto last = by_pid.begin() + slice.end;
   auto lo = std::lower_bound(first, last, p,
-                             [this](Row r, int32_t v) { return pid_[r] < v; });
+                             [pid](Row r, int32_t v) { return pid[r] < v; });
   auto hi = std::upper_bound(lo, last, p,
-                             [this](int32_t v, Row r) { return v < pid_[r]; });
-  return std::span<const Row>(by_pid_.data() + (lo - by_pid_.begin()),
+                             [pid](int32_t v, Row r) { return v < pid[r]; });
+  return std::span<const Row>(by_pid.data() + (lo - by_pid.begin()),
                               static_cast<size_t>(hi - lo));
 }
 
 std::span<const Row> NodeRelation::ValueRange(Symbol v) const {
   // size_t arithmetic: v + 1 would wrap to 0 for the unsatisfiable
   // 0xffffffff sentinel the optimizer feeds unknown-literal lookups.
-  if (v == kNoSymbol || static_cast<size_t>(v) + 1 >= value_offsets_.size()) {
+  if (v == kNoSymbol ||
+      static_cast<size_t>(v) + 1 >= arrays_.value_offsets.size()) {
     return {};
   }
-  const uint32_t b = value_offsets_[v];
-  const uint32_t e = value_offsets_[v + 1];
+  const uint32_t b = arrays_.value_offsets[v];
+  const uint32_t e = arrays_.value_offsets[v + 1];
   if (b >= e) return {};
-  return std::span<const Row>(value_index_.data() + b, e - b);
+  return std::span<const Row>(arrays_.value_index.data() + b, e - b);
 }
 
 std::span<const Row> NodeRelation::ValueRangeForTree(Symbol v,
@@ -594,8 +530,9 @@ std::span<const Row> NodeRelation::ValueRangeForTree(Symbol v,
   std::span<const Row> all = ValueRange(v);
   if (all.empty()) return {};
   // Sorted by (value, tid, id): binary search the tid subrange.
-  auto less_tid = [this](Row r, int32_t key) { return tid_[r] < key; };
-  auto greater_tid = [this](int32_t key, Row r) { return key < tid_[r]; };
+  const std::span<const int32_t> tid = arrays_.tid;
+  auto less_tid = [tid](Row r, int32_t key) { return tid[r] < key; };
+  auto greater_tid = [tid](int32_t key, Row r) { return key < tid[r]; };
   auto lo = std::lower_bound(all.begin(), all.end(), t, less_tid);
   auto hi = std::upper_bound(lo, all.end(), t, greater_tid);
   if (lo == hi) return {};
@@ -604,10 +541,10 @@ std::span<const Row> NodeRelation::ValueRangeForTree(Symbol v,
 
 std::span<const Row> NodeRelation::ElementsOfTree(int32_t t) const {
   if (t < 0 || t >= tree_count_) return {};
-  const uint32_t b = tree_base_[t];
-  const uint32_t e = tree_base_[t + 1];
+  const uint32_t b = arrays_.tree_base[t];
+  const uint32_t e = arrays_.tree_base[t + 1];
   if (b >= e) return {};
-  return std::span<const Row>(elem_row_.data() + b, e - b);
+  return std::span<const Row>(arrays_.elem_row.data() + b, e - b);
 }
 
 std::span<const Row> NodeRelation::ElementsInLeftRange(int32_t t,
@@ -616,7 +553,7 @@ std::span<const Row> NodeRelation::ElementsInLeftRange(int32_t t,
   std::span<const Row> all = ElementsOfTree(t);
   if (all.empty() || left_lo >= left_hi) return {};
   // Pre-order rows have non-decreasing left.
-  auto less_left = [this](Row r, int32_t key) { return left_[r] < key; };
+  auto less_left = [this](Row r, int32_t key) { return arrays_.left[r] < key; };
   auto lo = std::lower_bound(all.begin(), all.end(), left_lo, less_left);
   auto hi = std::lower_bound(lo, all.end(), left_hi, less_left);
   if (lo == hi) return {};
@@ -625,38 +562,94 @@ std::span<const Row> NodeRelation::ElementsInLeftRange(int32_t t,
 
 Row NodeRelation::ElementRow(int32_t t, int32_t id) const {
   if (t < 0 || t >= tree_count_ || id <= 0) return kNoRow;
-  const uint32_t slot = tree_base_[t] + (id - 1);
-  if (slot >= tree_base_[t + 1]) return kNoRow;
-  return elem_row_[slot];
+  const uint32_t slot = arrays_.tree_base[t] + (id - 1);
+  if (slot >= arrays_.tree_base[t + 1]) return kNoRow;
+  return arrays_.elem_row[slot];
 }
 
 std::span<const Row> NodeRelation::AttrRows(int32_t t, int32_t id) const {
   if (t < 0 || t >= tree_count_ || id <= 0) return {};
-  const uint32_t slot = tree_base_[t] + (id - 1);
-  if (slot >= tree_base_[t + 1]) return {};
-  const uint32_t b = attr_offsets_[slot];
-  const uint32_t e = attr_offsets_[slot + 1];
+  const uint32_t slot = arrays_.tree_base[t] + (id - 1);
+  if (slot >= arrays_.tree_base[t + 1]) return {};
+  const uint32_t b = arrays_.attr_offsets[slot];
+  const uint32_t e = arrays_.attr_offsets[slot + 1];
   if (b >= e) return {};
-  return std::span<const Row>(attr_rows_.data() + b, e - b);
+  return std::span<const Row>(arrays_.attr_rows.data() + b, e - b);
 }
 
 size_t NodeRelation::MemoryBytes() const {
-  size_t bytes = 0;
-  bytes += (tid_.size() + left_.size() + right_.size() + depth_.size() +
-            id_.size() + pid_.size()) *
-           sizeof(int32_t);
-  bytes += (name_.size() + value_.size()) * sizeof(Symbol);
-  bytes += kind_.size();
-  bytes += runs_.size() * sizeof(RowRange);
-  bytes += (by_right_.size() + by_pid_.size() + value_index_.size() +
-            elem_row_.size() + attr_rows_.size()) *
-           sizeof(Row);
-  bytes += (value_offsets_.size() + tree_base_.size() + attr_offsets_.size()) *
-           sizeof(uint32_t);
-  bytes += tree_row_prefix_.size() * sizeof(uint64_t);
-  bytes += tag_dir_offsets_.size() * sizeof(uint32_t) +
-           tag_dir_.size() * sizeof(TagSlice);
+  size_t bytes = tag_dir_offsets_.size_bytes() + tag_dir_.size_bytes();
+  StoredArrays<ConstSpan>::ForEach(
+      [&bytes](const auto& array) { bytes += array.size_bytes(); }, arrays_);
   return bytes;
+}
+
+namespace {
+
+/// offsets[0] == 0, non-decreasing, offsets.back() == total.
+template <typename T>
+bool IsPrefixArray(std::span<const T> offsets, uint64_t total) {
+  return !offsets.empty() && offsets.front() == 0 &&
+         std::is_sorted(offsets.begin(), offsets.end()) &&
+         offsets.back() == total;
+}
+
+/// Every entry indexes the row space.
+bool RowsInBounds(std::span<const Row> rows, uint64_t row_count) {
+  return std::all_of(rows.begin(), rows.end(),
+                     [row_count](Row r) { return r < row_count; });
+}
+
+}  // namespace
+
+const char* NodeRelation::CheckMapped(uint64_t rows, uint64_t symbols) const {
+  const StoredArrays<ConstSpan>& a = arrays_;
+  const uint64_t trees = static_cast<uint64_t>(tree_count_);
+  const uint64_t elements = element_count_;
+  for (const size_t column :
+       {a.tid.size(), a.left.size(), a.right.size(), a.depth.size(),
+        a.id.size(), a.pid.size(), a.name.size(), a.value.size(),
+        a.kind.size(), a.by_right.size(), a.by_pid.size()}) {
+    if (column != rows) return "section sizes are inconsistent";
+  }
+  if (a.runs.size() != symbols + 1 || a.value_offsets.size() != symbols + 2 ||
+      a.tree_row_prefix.size() != trees + 1 ||
+      a.tree_base.size() != trees + 1 || a.elem_row.size() != elements ||
+      a.attr_offsets.size() != elements + 1) {
+    return "section sizes are inconsistent";
+  }
+  if (a.value_index.size() > rows || a.attr_rows.size() > rows) {
+    return "index larger than the row space";
+  }
+  // Well-formed runs partition the rows; bounding their total keeps the
+  // tag directory derived from them within one entry per row.
+  uint64_t run_rows = 0;
+  for (const RowRange& r : a.runs) {
+    if (r.begin > r.end || r.end > rows) return "run directory out of bounds";
+    run_rows += r.end - r.begin;
+  }
+  if (run_rows > rows) return "run directory covers more rows than exist";
+  if (!RowsInBounds(a.by_right, rows) || !RowsInBounds(a.by_pid, rows) ||
+      !RowsInBounds(a.value_index, rows) || !RowsInBounds(a.elem_row, rows) ||
+      !RowsInBounds(a.attr_rows, rows)) {
+    return "row index out of bounds";
+  }
+  // The tid column feeds the per-tree accessors; those all guard the
+  // range themselves, but a value outside [0, trees) can only come from a
+  // forged file, so reject it here as corruption rather than serving
+  // silently-empty per-tree lookups.
+  for (int32_t t : a.tid) {
+    if (t < 0 || static_cast<uint64_t>(t) >= trees) {
+      return "tid column out of range";
+    }
+  }
+  if (!IsPrefixArray(a.value_offsets, a.value_index.size()) ||
+      !IsPrefixArray(a.tree_row_prefix, rows) ||
+      !IsPrefixArray(a.tree_base, elements) ||
+      !IsPrefixArray(a.attr_offsets, a.attr_rows.size())) {
+    return "offset table is not a prefix sum";
+  }
+  return nullptr;
 }
 
 }  // namespace lpath

@@ -16,6 +16,12 @@
 //   - the global value index;
 //   - direct element lookup by (tid, id).
 //
+// The stored arrays (columns and indexes) are listed once, in StoredArrays
+// below. Build and Merge fill one as std::vectors and bind the relation's
+// spans to it; MemoryBytes sums over it; image Save and Open walk it, and
+// its order is the image section order (storage/image.cc). Adding,
+// dropping or retyping an array is an edit to that one list.
+//
 // The tag directory is derived, never stored: Build, Merge and image Open
 // each fill it with a counting pass and a fill pass over the run directory
 // and the tid column.
@@ -61,6 +67,75 @@ enum class RowKind : uint8_t { kElement = 0, kAttribute = 1 };
 /// Options for building a relation.
 struct RelationOptions {
   LabelScheme scheme = LabelScheme::kLPath;
+};
+
+/// Read-only borrowed array: the container of a relation's stored arrays.
+template <typename T>
+using ConstSpan = std::span<const T>;
+
+/// The relation's stored arrays, listed once. `Array<T>` is the container:
+/// std::vector for the arena Build and Merge fill, ConstSpan for the view
+/// a NodeRelation serves from its backing. The list order is the image
+/// section order (a section's kind is its position + 1); reordering it
+/// breaks every saved image.
+template <template <typename> class Array>
+struct StoredArrays {
+  // Columns, clustered by (name, tid, left, right, depth, id, pid).
+  Array<int32_t> tid, left, right, depth, id, pid;
+  Array<Symbol> name, value;
+  Array<uint8_t> kind;
+
+  // name symbol -> clustered run. Dense by symbol id.
+  Array<RowRange> runs;
+
+  // Per-run permutations, concatenated in run order (same offsets as rows):
+  // by (tid, right, left, row) and by (tid, pid, left).
+  Array<Row> by_right, by_pid;
+
+  // Global value index: attribute rows ordered by (value, tid, id), with a
+  // dense offset table per value symbol (size interner.end_id() + 1).
+  Array<Row> value_index;
+  Array<uint32_t> value_offsets;
+
+  // Per-tree row mass: tree_row_prefix[t] = rows with tid < t (size
+  // tree_count + 1). Feeds the morsel planner's balanced carving.
+  Array<uint64_t> tree_row_prefix;
+
+  // (tid, id) -> element row: per-tree base into elem_row (size
+  // tree_count + 1; elem_row holds one row per element).
+  Array<uint32_t> tree_base;
+  Array<Row> elem_row;
+
+  // (tid, id) -> attribute rows: CSR over elements (attr_offsets has size
+  // element_count + 1).
+  Array<uint32_t> attr_offsets;
+  Array<Row> attr_rows;
+
+  /// Calls f(s.x...) for every array x, in list order. Given one instance
+  /// it visits that instance's arrays; given several (of any containers)
+  /// it walks them in lockstep, which is how a view is bound to an arena.
+  template <typename F, typename... S>
+  static constexpr void ForEach(F&& f, S&... s) {
+    f(s.tid...);
+    f(s.left...);
+    f(s.right...);
+    f(s.depth...);
+    f(s.id...);
+    f(s.pid...);
+    f(s.name...);
+    f(s.value...);
+    f(s.kind...);
+    f(s.runs...);
+    f(s.by_right...);
+    f(s.by_pid...);
+    f(s.value_index...);
+    f(s.value_offsets...);
+    f(s.tree_row_prefix...);
+    f(s.tree_base...);
+    f(s.elem_row...);
+    f(s.attr_offsets...);
+    f(s.attr_rows...);
+  }
 };
 
 class ImageIO;
@@ -121,24 +196,25 @@ class NodeRelation {
   const std::shared_ptr<const Corpus>& corpus_ptr() const { return corpus_; }
   const Interner& interner() const { return corpus_->interner(); }
 
-  size_t row_count() const { return tid_.size(); }
+  size_t row_count() const { return arrays_.tid.size(); }
   int32_t tree_count() const { return tree_count_; }
 
   // --- Column access (clustered row order) -------------------------------
-  int32_t tid(Row r) const { return tid_[r]; }
-  int32_t left(Row r) const { return left_[r]; }
-  int32_t right(Row r) const { return right_[r]; }
-  int32_t depth(Row r) const { return depth_[r]; }
-  int32_t id(Row r) const { return id_[r]; }
-  int32_t pid(Row r) const { return pid_[r]; }
-  Symbol name(Row r) const { return name_[r]; }
-  Symbol value(Row r) const { return value_[r]; }
-  RowKind kind(Row r) const { return static_cast<RowKind>(kind_[r]); }
-  bool is_attr(Row r) const { return kind_[r] != 0; }
+  int32_t tid(Row r) const { return arrays_.tid[r]; }
+  int32_t left(Row r) const { return arrays_.left[r]; }
+  int32_t right(Row r) const { return arrays_.right[r]; }
+  int32_t depth(Row r) const { return arrays_.depth[r]; }
+  int32_t id(Row r) const { return arrays_.id[r]; }
+  int32_t pid(Row r) const { return arrays_.pid[r]; }
+  Symbol name(Row r) const { return arrays_.name[r]; }
+  Symbol value(Row r) const { return arrays_.value[r]; }
+  RowKind kind(Row r) const { return static_cast<RowKind>(arrays_.kind[r]); }
+  bool is_attr(Row r) const { return arrays_.kind[r] != 0; }
 
   /// The label tuple of a row.
   Label label(Row r) const {
-    return Label{left_[r], right_[r], depth_[r], id_[r], pid_[r]};
+    return Label{arrays_.left[r], arrays_.right[r], arrays_.depth[r],
+                 arrays_.id[r], arrays_.pid[r]};
   }
 
   // --- Clustered runs ------------------------------------------------------
@@ -206,11 +282,13 @@ class NodeRelation {
   // --- Per-tree row statistics (for the morsel planner) ---------------------
   /// Rows (elements + attributes) of tree t. O(1) via the prefix sums.
   uint64_t TreeRowCount(int32_t t) const {
-    return tree_row_prefix_[t + 1] - tree_row_prefix_[t];
+    return arrays_.tree_row_prefix[t + 1] - arrays_.tree_row_prefix[t];
   }
   /// Total rows of all trees with tid < t (prefix sum over the tid space);
   /// TreeRowsBefore(tree_count()) == row_count().
-  uint64_t TreeRowsBefore(int32_t t) const { return tree_row_prefix_[t]; }
+  uint64_t TreeRowsBefore(int32_t t) const {
+    return arrays_.tree_row_prefix[t];
+  }
 
   /// Carves the tid space into at most ~`target_ranges` contiguous slices
   /// of roughly equal *row mass* (not tree count): boundaries are binary
@@ -251,12 +329,28 @@ class NodeRelation {
 
   NodeRelation() = default;
 
-  /// Fills the per-tree tag directory from runs_ and tid_ (which must
+  /// Owning storage of a relation built in memory (relation.cc): the
+  /// stored arrays as vectors plus the derived tag directory.
+  struct Arena;
+
+  /// Binds every stored-array span to `arena`, derives the tag directory
+  /// into it and makes it the backing: the last step of Build and Merge.
+  void BindArena(std::shared_ptr<Arena> arena);
+
+  /// Fills the per-tree tag directory from runs and tid (which must
   /// already be bound, with every tid in [0, tree_count_)) into `offsets`
   /// and `entries`, and binds tag_dir_offsets_ / tag_dir_ to them. The
   /// vectors belong to the relation's backing.
   void BindTagDirectory(std::vector<uint32_t>* offsets,
                         std::vector<TagSlice>* entries);
+
+  /// Checks the invariants every accessor relies on to stay in bounds,
+  /// for arrays bound straight onto an untrusted image: array sizes
+  /// against `rows`, `symbols` (interner size), tree_count_ and
+  /// element_count_, row indexes and tids in range, runs inside the row
+  /// space and offset tables as prefix sums. Returns the first violation,
+  /// or nullptr.
+  const char* CheckMapped(uint64_t rows, uint64_t symbols) const;
 
   LabelScheme scheme_ = LabelScheme::kLPath;
   // Shared so the corpus (symbols, trees) outlives every reader; built
@@ -266,46 +360,18 @@ class NodeRelation {
   size_t element_count_ = 0;
   bool mapped_ = false;
 
-  // Owner of every span below: the build's column arena, or the read-only
-  // file mapping of a persistent image. Shared (not unique) so a moved
+  // Owner of every span below: the build's arena, or the read-only file
+  // mapping of a persistent image. Shared (not unique) so a moved
   // relation's spans stay valid — vector buffers and mappings never move.
   std::shared_ptr<const void> backing_;
 
-  // Columns, clustered by (name, tid, left, right, depth, id, pid).
-  std::span<const int32_t> tid_, left_, right_, depth_, id_, pid_;
-  std::span<const Symbol> name_, value_;
-  std::span<const uint8_t> kind_;
-
-  // name symbol -> clustered run. Dense by symbol id.
-  std::span<const RowRange> runs_;
+  StoredArrays<ConstSpan> arrays_;
 
   // Per-tree tag directory, CSR by tid: tree t's slices of the runs are
   // tag_dir_[tag_dir_offsets_[t] .. tag_dir_offsets_[t + 1]), sorted by
-  // tag. Derived from runs_ and tid_; not part of the image format.
+  // tag. Derived from runs and tid; not part of the image format.
   std::span<const uint32_t> tag_dir_offsets_;  // size = tree_count_ + 1
   std::span<const TagSlice> tag_dir_;
-
-  // Per-run permutations, concatenated in run order (same offsets as rows):
-  // by (tid, right, left) and by (tid, pid, left).
-  std::span<const Row> by_right_;
-  std::span<const Row> by_pid_;
-
-  // Global value index: attribute rows ordered by (value, tid, id), with a
-  // dense offset table per value symbol.
-  std::span<const Row> value_index_;
-  std::span<const uint32_t> value_offsets_;  // size = interner.end_id() + 1
-
-  // Per-tree row mass: tree_row_prefix_[t] = rows with tid < t (size
-  // tree_count_ + 1). Feeds the morsel planner's balanced carving.
-  std::span<const uint64_t> tree_row_prefix_;
-
-  // (tid, id) -> element row: per-tree base into elem_row_.
-  std::span<const uint32_t> tree_base_;  // size = tree_count_ + 1
-  std::span<const Row> elem_row_;        // size = total element count
-
-  // (tid, id) -> attribute rows: CSR over elements.
-  std::span<const uint32_t> attr_offsets_;  // size = element_count_ + 1
-  std::span<const Row> attr_rows_;
 };
 
 }  // namespace lpath

@@ -10,6 +10,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "common/fnv.h"
 #include "storage/io_hooks.h"
 
 namespace lpath {
@@ -50,18 +51,9 @@ constexpr uint32_t kWalRecordMagic = 0x4C575245u;  // "LWRE"
 
 uint64_t RecordChecksum(uint64_t lsn, uint32_t length,
                         std::string_view payload) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  const auto mix = [&hash](const void* data, size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < n; ++i) {
-      hash ^= p[i];
-      hash *= 0x100000001b3ull;
-    }
-  };
-  mix(&lsn, sizeof(lsn));
-  mix(&length, sizeof(length));
-  mix(payload.data(), payload.size());
-  return hash;
+  uint64_t hash = Fnv1a64(&lsn, sizeof(lsn));
+  hash = Fnv1a64(&length, sizeof(length), hash);
+  return Fnv1a64(payload.data(), payload.size(), hash);
 }
 
 std::string SegmentName(uint64_t seq) {

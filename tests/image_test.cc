@@ -20,6 +20,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -74,56 +75,6 @@ QueryResult MustRun(const NodeRelation& rel, const std::string& q) {
   return r.ok() ? std::move(r).value() : QueryResult{};
 }
 
-/// Asserts that two relations answer identically through the whole
-/// accessor surface — per-row columns, run directory, secondary orders,
-/// value index, row lookup and the morsel statistics.
-void ExpectSameRelation(const NodeRelation& a, const NodeRelation& b) {
-  ASSERT_EQ(a.row_count(), b.row_count());
-  ASSERT_EQ(a.tree_count(), b.tree_count());
-  ASSERT_EQ(a.element_count(), b.element_count());
-  ASSERT_EQ(a.scheme(), b.scheme());
-  ASSERT_EQ(a.interner().end_id(), b.interner().end_id());
-  for (Row r = 0; r < a.row_count(); ++r) {
-    ASSERT_EQ(a.tid(r), b.tid(r)) << r;
-    ASSERT_EQ(a.left(r), b.left(r)) << r;
-    ASSERT_EQ(a.right(r), b.right(r)) << r;
-    ASSERT_EQ(a.depth(r), b.depth(r)) << r;
-    ASSERT_EQ(a.id(r), b.id(r)) << r;
-    ASSERT_EQ(a.pid(r), b.pid(r)) << r;
-    ASSERT_EQ(a.name(r), b.name(r)) << r;
-    ASSERT_EQ(a.value(r), b.value(r)) << r;
-    ASSERT_EQ(a.kind(r), b.kind(r)) << r;
-  }
-  for (Symbol s = 0; s < a.interner().end_id(); ++s) {
-    ASSERT_EQ(a.run(s).begin, b.run(s).begin) << s;
-    ASSERT_EQ(a.run(s).end, b.run(s).end) << s;
-    const auto va = a.ValueRange(s);
-    const auto vb = b.ValueRange(s);
-    ASSERT_EQ(std::vector<Row>(va.begin(), va.end()),
-              std::vector<Row>(vb.begin(), vb.end()))
-        << s;
-  }
-  for (Symbol s = 1; s < a.interner().end_id(); ++s) {
-    ASSERT_EQ(a.interner().name(s), b.interner().name(s)) << s;
-  }
-  for (int32_t t = 0; t < a.tree_count(); ++t) {
-    ASSERT_EQ(a.TreeRowCount(t), b.TreeRowCount(t)) << t;
-    ASSERT_EQ(a.TreeRowsBefore(t), b.TreeRowsBefore(t)) << t;
-    const auto ea = a.ElementsOfTree(t);
-    const auto eb = b.ElementsOfTree(t);
-    ASSERT_EQ(std::vector<Row>(ea.begin(), ea.end()),
-              std::vector<Row>(eb.begin(), eb.end()))
-        << t;
-    for (int32_t id = 1; id <= static_cast<int32_t>(ea.size()); ++id) {
-      ASSERT_EQ(a.ElementRow(t, id), b.ElementRow(t, id));
-      const auto aa = a.AttrRows(t, id);
-      const auto ab = b.AttrRows(t, id);
-      ASSERT_EQ(std::vector<Row>(aa.begin(), aa.end()),
-                std::vector<Row>(ab.begin(), ab.end()));
-    }
-  }
-}
-
 TEST(ImageTest, RoundTripPreservesEveryColumnAndIndex) {
   TempDir dir;
   SnapshotPtr built = MustBuild(testing::RandomCorpus(42, 60, 40));
@@ -136,7 +87,7 @@ TEST(ImageTest, RoundTripPreservesEveryColumnAndIndex) {
   EXPECT_TRUE(mapped->relation().mapped());
   EXPECT_FALSE(built->relation().mapped());
   EXPECT_EQ(mapped->corpus().size(), 0u);  // dictionary only, no trees
-  ExpectSameRelation(built->relation(), mapped->relation());
+  testing::ExpectSameRelation(built->relation(), mapped->relation());
 }
 
 TEST(ImageTest, RoundTripAnswersFuzzQueriesIdentically) {
@@ -172,7 +123,7 @@ TEST(ImageTest, XPathSchemeSurvivesTheRoundTrip) {
   ASSERT_TRUE(built->Save(path).ok());
   SnapshotPtr mapped = MustOpen(path);
   EXPECT_EQ(mapped->relation().scheme(), LabelScheme::kXPath);
-  ExpectSameRelation(built->relation(), mapped->relation());
+  testing::ExpectSameRelation(built->relation(), mapped->relation());
 }
 
 TEST(ImageTest, OpenPerformsNoLabelingOrSorting) {
@@ -235,12 +186,6 @@ TEST(ImageTest, DatabaseOpenSniffsImagesAndSaveWritesThem) {
   EXPECT_FALSE(LooksLikeImageFile(dir.File("absent.img")));
 }
 
-std::vector<char> ReadAll(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::vector<char>((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-}
-
 void WriteAll(const std::string& path, const std::vector<char>& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -256,7 +201,7 @@ TEST(ImageTest, HeaderOnlyVerifyOpensValidImages) {
   lazy.verify = ImageVerify::kHeaderOnly;
   Result<SnapshotPtr> mapped = CorpusSnapshot::Open(path, lazy);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ExpectSameRelation(built->relation(), (*mapped)->relation());
+  testing::ExpectSameRelation(built->relation(), (*mapped)->relation());
 }
 
 TEST(ImageTest, HeaderOnlyVerifyStillRejectsStructuralDamage) {
@@ -264,7 +209,7 @@ TEST(ImageTest, HeaderOnlyVerifyStillRejectsStructuralDamage) {
   SnapshotPtr built = MustBuild(testing::RandomCorpus(51, 30, 30));
   const std::string path = dir.File("lazy_victim.img");
   ASSERT_TRUE(built->Save(path).ok());
-  std::vector<char> bytes = ReadAll(path);
+  std::vector<char> bytes = testing::ReadAll(path);
 
   ImageOpenOptions lazy;
   lazy.verify = ImageVerify::kHeaderOnly;
@@ -294,6 +239,119 @@ TEST(ImageTest, EmptyCorpusRoundTrips) {
   EXPECT_EQ(MustRun(mapped->relation(), "//NP").count(), 0u);
 }
 
+/// Appends the raw bytes of `v`, as Save lays out an array element.
+template <typename T>
+void PutRaw(std::vector<char>* out, T v) {
+  const char* p = reinterpret_cast<const char*>(&v);
+  out->insert(out->end(), p, p + sizeof(T));
+}
+
+TEST(ImageTest, SectionTableIsPinnedToFormatV3) {
+  // Save and Open derive the section order from one list, so a reordered
+  // list would still round-trip while breaking every image saved before
+  // it. This test writes the v3 table out by hand: each entry's (kind,
+  // element size), and each section's bytes rebuilt from the public
+  // accessors, which also tells apart sections of equal width.
+  TempDir dir;
+  SnapshotPtr built = MustBuild(testing::RandomCorpus(61, 25, 30));
+  const NodeRelation& rel = built->relation();
+  const std::string path = dir.File("pinned.img");
+  ASSERT_TRUE(built->Save(path).ok());
+  const std::vector<char> bytes = testing::ReadAll(path);
+
+  constexpr uint32_t kV3[21][2] = {
+      {1, 4},  {2, 4},  {3, 4},  {4, 4},  {5, 4},  {6, 4},  {7, 4},
+      {8, 4},  {9, 1},  {10, 8}, {11, 4}, {12, 4}, {13, 4}, {14, 4},
+      {15, 8}, {16, 4}, {17, 4}, {18, 4}, {19, 4}, {20, 8}, {21, 1}};
+  std::vector<char> want[21];
+  for (Row r = 0; r < rel.row_count(); ++r) {
+    PutRaw(&want[0], rel.tid(r));
+    PutRaw(&want[1], rel.left(r));
+    PutRaw(&want[2], rel.right(r));
+    PutRaw(&want[3], rel.depth(r));
+    PutRaw(&want[4], rel.id(r));
+    PutRaw(&want[5], rel.pid(r));
+    PutRaw(&want[6], rel.name(r));
+    PutRaw(&want[7], rel.value(r));
+    PutRaw(&want[8], static_cast<uint8_t>(rel.kind(r)));
+  }
+  const Symbol end_id = rel.interner().end_id();
+  uint32_t values = 0;
+  PutRaw(&want[13], values);
+  for (Symbol s = 0; s < end_id; ++s) {
+    PutRaw(&want[9], rel.run(s));
+    for (int32_t t = 0; t < rel.tree_count(); ++t) {
+      const RowRange slice = rel.RunForTree(s, t);
+      if (slice.empty()) continue;
+      for (Row r : rel.RightRangeIn(slice, INT32_MIN, INT32_MAX)) {
+        PutRaw(&want[10], r);
+      }
+      std::vector<int32_t> pids;
+      for (Row r = slice.begin; r < slice.end; ++r) pids.push_back(rel.pid(r));
+      std::sort(pids.begin(), pids.end());
+      pids.erase(std::unique(pids.begin(), pids.end()), pids.end());
+      for (int32_t p : pids) {
+        for (Row r : rel.PidRangeIn(slice, p)) PutRaw(&want[11], r);
+      }
+    }
+    for (Row r : rel.ValueRange(s)) PutRaw(&want[12], r);
+    values += static_cast<uint32_t>(rel.ValueRange(s).size());
+    PutRaw(&want[13], values);
+  }
+  uint32_t elements = 0;
+  uint32_t attrs = 0;
+  PutRaw(&want[17], attrs);
+  for (int32_t t = 0; t < rel.tree_count(); ++t) {
+    PutRaw(&want[14], rel.TreeRowsBefore(t));
+    PutRaw(&want[15], elements);
+    const auto tree = rel.ElementsOfTree(t);
+    elements += static_cast<uint32_t>(tree.size());
+    for (size_t i = 0; i < tree.size(); ++i) {
+      PutRaw(&want[16], tree[i]);
+      for (Row r : rel.AttrRows(t, static_cast<int32_t>(i) + 1)) {
+        PutRaw(&want[18], r);
+        ++attrs;
+      }
+      PutRaw(&want[17], attrs);
+    }
+  }
+  PutRaw(&want[14], rel.TreeRowsBefore(rel.tree_count()));
+  PutRaw(&want[15], elements);
+  uint64_t blob_size = 0;
+  PutRaw(&want[19], blob_size);
+  for (Symbol s = 1; s < end_id; ++s) {
+    const std::string_view name = rel.interner().name(s);
+    want[20].insert(want[20].end(), name.begin(), name.end());
+    blob_size += name.size();
+    PutRaw(&want[19], blob_size);
+  }
+
+  // The v3 header is 88 bytes, its section count at byte 20; the table
+  // follows, 24 bytes an entry: kind, element size, offset, count.
+  uint32_t section_count = 0;
+  std::memcpy(&section_count, bytes.data() + 20, sizeof(section_count));
+  ASSERT_EQ(section_count, 21u);
+  for (size_t i = 0; i < 21; ++i) {
+    const char* entry = bytes.data() + 88 + 24 * i;
+    uint32_t kind = 0;
+    uint32_t elem_size = 0;
+    uint64_t offset = 0;
+    uint64_t count = 0;
+    std::memcpy(&kind, entry, 4);
+    std::memcpy(&elem_size, entry + 4, 4);
+    std::memcpy(&offset, entry + 8, 8);
+    std::memcpy(&count, entry + 16, 8);
+    EXPECT_EQ(kind, kV3[i][0]) << "section " << i;
+    EXPECT_EQ(elem_size, kV3[i][1]) << "section " << i;
+    ASSERT_LE(offset + count * elem_size, bytes.size()) << "section " << i;
+    EXPECT_TRUE(std::equal(want[i].begin(), want[i].end(),
+                           bytes.begin() + static_cast<long>(offset),
+                           bytes.begin() +
+                               static_cast<long>(offset + count * elem_size)))
+        << "section " << i;
+  }
+}
+
 // --- Corruption resistance --------------------------------------------------
 
 class ImageCorruptionTest : public ::testing::Test {
@@ -302,7 +360,7 @@ class ImageCorruptionTest : public ::testing::Test {
     snapshot_ = MustBuild(testing::RandomCorpus(21, 30, 30));
     path_ = dir_.File("victim.img");
     ASSERT_TRUE(snapshot_->Save(path_).ok());
-    bytes_ = ReadAll(path_);
+    bytes_ = testing::ReadAll(path_);
     ASSERT_GT(bytes_.size(), 128u);
   }
 

@@ -98,41 +98,6 @@ SnapshotPtr MakeBase(BaseKind kind, Corpus corpus, const std::string& path) {
   return MustOpen(path);
 }
 
-/// Asserts two relations answer identically through the accessor surface
-/// the executor uses — the Merge-equals-Build invariant, column by column.
-void ExpectSameRelation(const NodeRelation& a, const NodeRelation& b) {
-  ASSERT_EQ(a.row_count(), b.row_count());
-  ASSERT_EQ(a.tree_count(), b.tree_count());
-  ASSERT_EQ(a.element_count(), b.element_count());
-  ASSERT_EQ(a.scheme(), b.scheme());
-  ASSERT_EQ(a.interner().end_id(), b.interner().end_id());
-  for (Row r = 0; r < a.row_count(); ++r) {
-    ASSERT_EQ(a.tid(r), b.tid(r)) << r;
-    ASSERT_EQ(a.left(r), b.left(r)) << r;
-    ASSERT_EQ(a.right(r), b.right(r)) << r;
-    ASSERT_EQ(a.depth(r), b.depth(r)) << r;
-    ASSERT_EQ(a.id(r), b.id(r)) << r;
-    ASSERT_EQ(a.pid(r), b.pid(r)) << r;
-    ASSERT_EQ(a.name(r), b.name(r)) << r;
-    ASSERT_EQ(a.value(r), b.value(r)) << r;
-    ASSERT_EQ(a.kind(r), b.kind(r)) << r;
-  }
-  for (Symbol s = 1; s < a.interner().end_id(); ++s) {
-    ASSERT_EQ(a.interner().name(s), b.interner().name(s)) << s;
-    ASSERT_EQ(a.run(s).begin, b.run(s).begin) << s;
-    ASSERT_EQ(a.run(s).end, b.run(s).end) << s;
-    const auto va = a.ValueRange(s);
-    const auto vb = b.ValueRange(s);
-    ASSERT_EQ(std::vector<Row>(va.begin(), va.end()),
-              std::vector<Row>(vb.begin(), vb.end()))
-        << s;
-  }
-  for (int32_t t = 0; t < a.tree_count(); ++t) {
-    ASSERT_EQ(a.TreeRowCount(t), b.TreeRowCount(t)) << t;
-    ASSERT_EQ(a.TreeRowsBefore(t), b.TreeRowsBefore(t)) << t;
-  }
-}
-
 /// `base_seed`'s corpus followed by `delta_seed`'s, in one interner — the
 /// rebuild-from-scratch reference the chain must match. The interner is
 /// seeded with a clone of the base corpus's (the same superset-dictionary
@@ -231,7 +196,7 @@ TEST(SnapshotChain, CompactEqualsRebuildBitForBit) {
   EXPECT_FALSE((*compacted)->has_delta());
 
   SnapshotPtr rebuilt = MustBuild(CombinedCorpus(21, 40, 22, 9));
-  ExpectSameRelation((*compacted)->relation(), rebuilt->relation());
+  testing::ExpectSameRelation((*compacted)->relation(), rebuilt->relation());
 }
 
 TEST(SnapshotChain, RebuildPreservesTheDelta) {
@@ -255,7 +220,13 @@ TEST(SnapshotChain, SaveOfChainWritesTheMergedRelation) {
   EXPECT_EQ(reopened->tree_count(), 26);
   EXPECT_FALSE(reopened->has_delta());
   SnapshotPtr rebuilt = MustBuild(CombinedCorpus(41, 20, 42, 6));
-  ExpectSameRelation(reopened->relation(), rebuilt->relation());
+  testing::ExpectSameRelation(reopened->relation(), rebuilt->relation());
+  // Merge equals Build down to the bytes, which also pins the per-run
+  // permutations the accessor comparison cannot reach one by one.
+  const std::string rebuilt_path = dir.File("rebuilt.img");
+  s = rebuilt->Save(rebuilt_path);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(testing::ReadAll(path) == testing::ReadAll(rebuilt_path));
 }
 
 // ---------------------------------------------------------------------------
@@ -442,13 +413,13 @@ TEST(IngestDifferential, LongChainOfNovelBatchesMatchesFullBuild) {
     combined.AppendFrom(batch);
     Result<NodeRelation> want_delta = NodeRelation::Build(delta_ref);
     ASSERT_TRUE(want_delta.ok());
-    ExpectSameRelation(*chain->delta_relation(), *want_delta);
+    testing::ExpectSameRelation(*chain->delta_relation(), *want_delta);
     ASSERT_FALSE(HasFatalFailure());
     Result<SnapshotPtr> compacted = chain->Compact();
     ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
     Result<NodeRelation> want_all = NodeRelation::Build(combined);
     ASSERT_TRUE(want_all.ok());
-    ExpectSameRelation((*compacted)->relation(), *want_all);
+    testing::ExpectSameRelation((*compacted)->relation(), *want_all);
     ASSERT_FALSE(HasFatalFailure());
   }
   ASSERT_EQ(chain->tree_count(), static_cast<int32_t>(combined.size()));
@@ -814,12 +785,7 @@ TEST(CompactionCrashSafety, TornImageRejectedAndOldMappingSurvives) {
 
   // A torn write *without* the rename — the crash the tmp file simulates —
   // is rejected at open with a clean Status, never served.
-  std::vector<char> bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
+  const std::vector<char> bytes = testing::ReadAll(path);
   ASSERT_GT(bytes.size(), 64u);
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);

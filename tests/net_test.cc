@@ -429,15 +429,22 @@ TEST_F(NetTest, MaxConnectionsRefusesTheSecondClient) {
 }
 
 TEST_F(NetTest, IdleConnectionsAreReaped) {
+  // The timeout must outlast the gap between the handshake and the first
+  // ping even on a loaded host, or the server reaps the connection first.
   net::NetOptions options;
-  options.idle_timeout_ms = 50;
+  options.idle_timeout_ms = 2000;
   options.poll_interval_ms = 10;
   StartServer(options);
   net::Client client = Connected();
   ASSERT_TRUE(client.Ping().ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  EXPECT_FALSE(client.Ping().ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server_->stats().idle_closes == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   EXPECT_EQ(server_->stats().idle_closes, 1u);
+  EXPECT_FALSE(client.Ping().ok());
 }
 
 TEST_F(NetTest, GracefulShutdownDrainsInFlightQueries) {

@@ -1,14 +1,21 @@
 // Shared test helpers: the running example of the paper (Figure 1's syntax
-// tree for "I saw the old man with a dog today") and a seeded random-tree
-// generator for property tests.
+// tree for "I saw the old man with a dog today"), a seeded random-tree
+// generator for property tests, a file reader, a relation comparison and a
+// random query generator.
 
 #ifndef LPATHDB_TESTS_TEST_UTIL_H_
 #define LPATHDB_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "storage/relation.h"
 #include "tree/corpus.h"
 #include "tree/tree.h"
 
@@ -111,6 +118,66 @@ inline Corpus RandomCorpus(uint64_t seed, int trees, int max_nodes = 40) {
     corpus.Add(RandomTree(&rng, corpus.mutable_interner(), max_nodes));
   }
   return corpus;
+}
+
+/// The bytes of the file at `path` (empty if it cannot be read).
+inline std::vector<char> ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+}
+
+/// Asserts that two relations answer identically through the whole
+/// accessor surface — per-row columns, run directory, value index, row
+/// lookup and the morsel statistics. The per-run permutations are not
+/// reachable one by one; comparing two relations' saved images byte for
+/// byte covers them.
+inline void ExpectSameRelation(const NodeRelation& a,
+                               const NodeRelation& b) {
+  ASSERT_EQ(a.row_count(), b.row_count());
+  ASSERT_EQ(a.tree_count(), b.tree_count());
+  ASSERT_EQ(a.element_count(), b.element_count());
+  ASSERT_EQ(a.scheme(), b.scheme());
+  ASSERT_EQ(a.interner().end_id(), b.interner().end_id());
+  for (Row r = 0; r < a.row_count(); ++r) {
+    ASSERT_EQ(a.tid(r), b.tid(r)) << r;
+    ASSERT_EQ(a.left(r), b.left(r)) << r;
+    ASSERT_EQ(a.right(r), b.right(r)) << r;
+    ASSERT_EQ(a.depth(r), b.depth(r)) << r;
+    ASSERT_EQ(a.id(r), b.id(r)) << r;
+    ASSERT_EQ(a.pid(r), b.pid(r)) << r;
+    ASSERT_EQ(a.name(r), b.name(r)) << r;
+    ASSERT_EQ(a.value(r), b.value(r)) << r;
+    ASSERT_EQ(a.kind(r), b.kind(r)) << r;
+  }
+  for (Symbol s = 0; s < a.interner().end_id(); ++s) {
+    ASSERT_EQ(a.run(s).begin, b.run(s).begin) << s;
+    ASSERT_EQ(a.run(s).end, b.run(s).end) << s;
+    const auto va = a.ValueRange(s);
+    const auto vb = b.ValueRange(s);
+    ASSERT_EQ(std::vector<Row>(va.begin(), va.end()),
+              std::vector<Row>(vb.begin(), vb.end()))
+        << s;
+  }
+  for (Symbol s = 1; s < a.interner().end_id(); ++s) {
+    ASSERT_EQ(a.interner().name(s), b.interner().name(s)) << s;
+  }
+  for (int32_t t = 0; t < a.tree_count(); ++t) {
+    ASSERT_EQ(a.TreeRowCount(t), b.TreeRowCount(t)) << t;
+    ASSERT_EQ(a.TreeRowsBefore(t), b.TreeRowsBefore(t)) << t;
+    const auto ea = a.ElementsOfTree(t);
+    const auto eb = b.ElementsOfTree(t);
+    ASSERT_EQ(std::vector<Row>(ea.begin(), ea.end()),
+              std::vector<Row>(eb.begin(), eb.end()))
+        << t;
+    for (int32_t id = 1; id <= static_cast<int32_t>(ea.size()); ++id) {
+      ASSERT_EQ(a.ElementRow(t, id), b.ElementRow(t, id));
+      const auto aa = a.AttrRows(t, id);
+      const auto ab = b.AttrRows(t, id);
+      ASSERT_EQ(std::vector<Row>(aa.begin(), aa.end()),
+                std::vector<Row>(ab.begin(), ab.end()));
+    }
+  }
 }
 
 /// Random LPath query generator over the test tag/word alphabet, plus
