@@ -1,6 +1,8 @@
 #include "bench_util/fixtures.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <mutex>
 
@@ -16,9 +18,11 @@ const char* DatasetName(Dataset d) {
 int BenchmarkSentences() {
   static const int kSentences = [] {
     const char* env = std::getenv("LPATHDB_SENTENCES");
-    if (env != nullptr) {
-      const int v = std::atoi(env);
-      if (v > 0) return v;
+    int v = 0;
+    if (env != nullptr &&
+        std::from_chars(env, env + std::strlen(env), v).ec == std::errc() &&
+        v > 0) {
+      return v;
     }
     return 4000;
   }();

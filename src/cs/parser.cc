@@ -1,6 +1,8 @@
 #include "cs/parser.h"
 
 #include <cctype>
+#include <charconv>
+#include <limits>
 #include <map>
 
 #include "common/str_util.h"
@@ -194,8 +196,15 @@ class Parser {
     node->cond.rel = it->second;
     if (node->cond.rel == CsRel::kIDomsNumber) {
       LPATH_ASSIGN_OR_RETURN(std::string num, ScanToken("ordinal"));
-      node->cond.n = std::atoi(num.c_str());
-      if (node->cond.n == 0) return Error("iDomsNumber needs a nonzero n");
+      // A negative n counts from the last child (the matcher negates it),
+      // so INT_MIN is refused too.
+      const char* end = num.data() + num.size();
+      const std::from_chars_result r =
+          std::from_chars(num.data(), end, node->cond.n);
+      if (r.ec != std::errc() || r.ptr != end || node->cond.n == 0 ||
+          node->cond.n == std::numeric_limits<int>::min()) {
+        return Error("iDomsNumber needs a nonzero integer n");
+      }
     }
     SkipWs();
     if (Peek() != ')') {

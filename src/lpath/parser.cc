@@ -1,6 +1,7 @@
 #include "lpath/parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <string>
 
 namespace lpath {
@@ -529,17 +530,17 @@ class Parser {
     if (EatCall("last")) {
       return std::make_unique<PredExpr>(PredExpr::Kind::kLast);
     }
-    if (IsDigit(Peek())) {
-      const size_t save = pos_;
+    // Disambiguate [3] from a path starting with tag "3..." — a digit run
+    // followed by identifier characters is a tag.
+    size_t digits_end = pos_;
+    while (digits_end < text_.size() && IsDigit(text_[digits_end])) {
+      ++digits_end;
+    }
+    if (digits_end > pos_ &&
+        (digits_end == text_.size() || !IsIdentChar(text_[digits_end]))) {
       auto node = std::make_unique<PredExpr>(PredExpr::Kind::kNumber);
       LPATH_ASSIGN_OR_RETURN(node->number, ParseNumber());
-      // Disambiguate [3] from a path starting with tag "3..." — a digit
-      // followed by identifier characters is a tag, so backtrack.
-      if (!AtEnd() && IsIdentChar(text_[pos_])) {
-        pos_ = save;
-      } else {
-        return node;
-      }
+      return node;
     }
     // A relative path, optionally compared with a literal.
     LPATH_ASSIGN_OR_RETURN(LocationPath p, ParsePath(/*top_level=*/false));
@@ -593,8 +594,13 @@ class Parser {
     size_t start = pos_;
     while (!AtEnd() && IsDigit(text_[pos_])) ++pos_;
     if (pos_ == start) return Error("expected number");
-    return static_cast<int64_t>(
-        std::stoll(std::string(text_.substr(start, pos_ - start))));
+    int64_t v = 0;
+    if (std::from_chars(text_.data() + start, text_.data() + pos_, v).ec !=
+        std::errc()) {
+      pos_ = start;
+      return Error("number out of range");
+    }
+    return v;
   }
 
   std::string_view text_;

@@ -1,7 +1,7 @@
 // ExecPlan: the conjunctive-query IR that both front ends lower to.
 //
 //   LPath AST ──compile──► ExecPlan ──sql_gen──► SQL text
-//                                                    │ sql::Parse + Lower
+//                                                    │ sql::ParseSql
 //                                                    ▼
 //                           ExecPlan ◄────────────────
 //
@@ -86,7 +86,9 @@ struct Operand {
   int outer_index() const { return var - kOuterVarBase; }
 };
 
-/// lhs op rhs. By construction the lhs is always a column reference.
+/// lhs op rhs. At least one side is a column reference. In a prepared plan
+/// (sql::Prepare) the lhs is a column: a literal-first comparison is
+/// mirrored there.
 struct Conjunct {
   Operand lhs;
   CmpOp op = CmpOp::kEq;

@@ -258,6 +258,9 @@ class Runner {
 
   /// Intersects the half-open range [*lo, *hi) with `col op rhs`.
   static void Narrow(CmpOp op, int64_t rhs, int64_t* lo, int64_t* hi) {
+    // Every int32 position compares with rhs as with this clamp, which
+    // leaves room for the rhs + 1 below.
+    rhs = std::clamp<int64_t>(rhs, int64_t{kMinInt} - 1, int64_t{kMaxInt} + 1);
     switch (op) {
       case CmpOp::kEq:
         *lo = std::max(*lo, rhs);

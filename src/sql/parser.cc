@@ -1,113 +1,185 @@
 #include "sql/parser.h"
 
+#include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <map>
 #include <optional>
-
-#include "common/str_util.h"
-#include "sql/lexer.h"
 
 namespace lpath {
 namespace sql {
 
 namespace {
 
-PlanCol* LookupColumn(const std::string& lower, PlanCol* storage) {
-  static const std::map<std::string, PlanCol> kCols = {
-      {"tid", PlanCol::kTid},     {"left", PlanCol::kLeft},
-      {"right", PlanCol::kRight}, {"depth", PlanCol::kDepth},
-      {"id", PlanCol::kId},       {"pid", PlanCol::kPid},
-      {"name", PlanCol::kName},   {"value", PlanCol::kValue},
-      {"kind", PlanCol::kKind},
-  };
-  auto it = kCols.find(lower);
-  if (it == kCols.end()) return nullptr;
-  *storage = it->second;
-  return storage;
+bool IsIdentStart(char c) {
+  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+}
+bool IsIdentChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
+bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
+
+bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](char x, char y) {
+           return std::tolower(static_cast<unsigned char>(x)) ==
+                  std::tolower(static_cast<unsigned char>(y));
+         });
 }
 
+/// Resolves a column name, case-insensitively, against PlanColName.
+std::optional<PlanCol> LookupColumn(std::string_view name) {
+  for (int c = 0; c <= static_cast<int>(PlanCol::kKind); ++c) {
+    if (EqualsIgnoreCase(name, PlanColName(static_cast<PlanCol>(c)))) {
+      return static_cast<PlanCol>(c);
+    }
+  }
+  return std::nullopt;
+}
+
+/// Recursive-descent parser over the statement text. The cursor always
+/// rests on the first byte of the next token (each token is consumed
+/// together with the whitespace after it), so an error's offset names the
+/// token the parser stopped at.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(std::string_view text) : text_(text) { Skip(0); }
 
   Result<ExecPlan> ParseStatement() {
     LPATH_ASSIGN_OR_RETURN(ExecPlan plan,
                            ParseSelect(/*outer=*/nullptr, /*exists=*/false));
-    if (!IsEnd()) return Error("unexpected trailing input");
+    if (pos_ != text_.size()) return Error("unexpected trailing input");
     return plan;
   }
 
  private:
-  using AliasMap = std::map<std::string, int>;
+  using AliasMap = std::map<std::string_view, int>;
 
-  const Token& Cur() const { return tokens_[idx_]; }
-  bool IsEnd() const { return Cur().kind == TokenKind::kEnd; }
-  void Advance() {
-    if (!IsEnd()) ++idx_;
+  char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
+  /// Consumes `n` bytes of the current token and the whitespace after it.
+  void Skip(size_t n) {
+    pos_ += n;
+    while (pos_ < text_.size() &&
+           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
+      ++pos_;
+    }
   }
   Status Error(const std::string& what) const {
     return Status::InvalidArgument("SQL parse error at offset " +
-                                   std::to_string(Cur().pos) + ": " + what);
+                                   std::to_string(pos_) + ": " + what);
   }
-  bool EatKeyword(std::string_view kw) {
-    if (Cur().kind != TokenKind::kIdent) return false;
-    if (AsciiToLower(Cur().text) != AsciiToLower(std::string(kw))) return false;
-    Advance();
-    return true;
-  }
-  bool PeekKeyword(std::string_view kw) const {
-    return Cur().kind == TokenKind::kIdent &&
-           AsciiToLower(Cur().text) == AsciiToLower(std::string(kw));
-  }
-  bool Eat(TokenKind k) {
-    if (Cur().kind != k) return false;
-    Advance();
+  bool Eat(char c) {
+    if (Peek() != c) return false;
+    Skip(1);
     return true;
   }
 
-  Result<std::string> ExpectIdent(const std::string& what) {
-    if (Cur().kind != TokenKind::kIdent) return Error("expected " + what);
-    std::string s = Cur().text;
-    Advance();
+  /// The identifier at the cursor, empty when none starts there.
+  std::string_view PeekIdent() const {
+    if (!IsIdentStart(Peek())) return {};
+    size_t end = pos_ + 1;
+    while (end < text_.size() && IsIdentChar(text_[end])) ++end;
+    return text_.substr(pos_, end - pos_);
+  }
+  /// Keywords are whole identifiers, matched case-insensitively.
+  bool PeekKeyword(std::string_view kw) const {
+    return EqualsIgnoreCase(PeekIdent(), kw);
+  }
+  bool EatKeyword(std::string_view kw) {
+    if (!PeekKeyword(kw)) return false;
+    Skip(kw.size());
+    return true;
+  }
+
+  Result<std::string_view> ExpectIdent(const char* what) {
+    const std::string_view s = PeekIdent();
+    if (s.empty()) return Error(std::string("expected ") + what);
+    Skip(s.size());
     return s;
+  }
+
+  /// Scans the unsigned decimal number at the cursor, which starts with a
+  /// digit.
+  Result<int64_t> ScanNumber() {
+    size_t end = pos_;
+    while (end < text_.size() && IsDigit(text_[end])) ++end;
+    int64_t v = 0;
+    if (std::from_chars(text_.data() + pos_, text_.data() + end, v).ec !=
+        std::errc()) {
+      return Error("number out of range");
+    }
+    Skip(end - pos_);
+    return v;
+  }
+
+  /// Scans the '...' string at the cursor; '' inside it stands for '.
+  Result<std::string> ScanString() {
+    std::string s;
+    for (size_t i = pos_ + 1; i < text_.size(); ++i) {
+      if (text_[i] != '\'') {
+        s.push_back(text_[i]);
+      } else if (i + 1 < text_.size() && text_[i + 1] == '\'') {
+        s.push_back('\'');
+        ++i;
+      } else {
+        Skip(i + 1 - pos_);
+        return s;
+      }
+    }
+    return Error("unterminated string");
+  }
+
+  /// Scans = != <> < <= > >=.
+  bool EatCmpOp(CmpOp* op) {
+    static constexpr std::pair<std::string_view, CmpOp> kOps[] = {
+        {"!=", CmpOp::kNe}, {"<>", CmpOp::kNe}, {"<=", CmpOp::kLe},
+        {">=", CmpOp::kGe}, {"=", CmpOp::kEq},  {"<", CmpOp::kLt},
+        {">", CmpOp::kGt},
+    };
+    for (const auto& [spelling, cmp] : kOps) {
+      if (text_.substr(pos_, spelling.size()) == spelling) {
+        *op = cmp;
+        Skip(spelling.size());
+        return true;
+      }
+    }
+    return false;
   }
 
   /// Parses "SELECT DISTINCT x.tid, x.id" or "SELECT 1" plus FROM/WHERE.
   Result<ExecPlan> ParseSelect(const AliasMap* outer, bool exists) {
     if (!EatKeyword("SELECT")) return Error("expected SELECT");
     ExecPlan plan;
-    std::string out_alias;
+    std::string_view out_alias;
     if (exists) {
-      if (Cur().kind != TokenKind::kNumber || Cur().number != 1) {
-        return Error("expected SELECT 1 in EXISTS subquery");
-      }
-      Advance();
+      constexpr char kSelectOne[] = "expected SELECT 1 in EXISTS subquery";
+      if (!IsDigit(Peek())) return Error(kSelectOne);
+      LPATH_ASSIGN_OR_RETURN(int64_t one, ScanNumber());
+      if (one != 1) return Error(kSelectOne);
     } else {
+      constexpr char kProjection[] = "projection must be a.tid, a.id";
       if (!EatKeyword("DISTINCT")) return Error("expected DISTINCT");
       LPATH_ASSIGN_OR_RETURN(out_alias, ExpectIdent("output alias"));
-      if (!Eat(TokenKind::kDot)) return Error("expected '.'");
-      LPATH_ASSIGN_OR_RETURN(std::string c1, ExpectIdent("column"));
-      if (AsciiToLower(c1) != "tid") return Error("projection must be tid, id");
-      if (!Eat(TokenKind::kComma)) return Error("expected ','");
-      LPATH_ASSIGN_OR_RETURN(std::string a2, ExpectIdent("output alias"));
-      if (a2 != out_alias) {
-        return Error("projection must use a single alias");
+      if (!Eat('.') || !EatKeyword("tid") || !Eat(',') ||
+          PeekIdent() != out_alias) {
+        return Error(kProjection);
       }
-      if (!Eat(TokenKind::kDot)) return Error("expected '.'");
-      LPATH_ASSIGN_OR_RETURN(std::string c2, ExpectIdent("column"));
-      if (AsciiToLower(c2) != "id") return Error("projection must be tid, id");
+      Skip(out_alias.size());
+      if (!Eat('.') || !EatKeyword("id")) return Error(kProjection);
     }
 
     if (!EatKeyword("FROM")) return Error("expected FROM");
     AliasMap aliases;
     for (;;) {
-      LPATH_ASSIGN_OR_RETURN(std::string table, ExpectIdent("table name"));
-      (void)table;  // single-relation dialect; the name is not interpreted
+      // Single-relation dialect: the table name is not interpreted.
+      LPATH_RETURN_IF_ERROR(ExpectIdent("table name").status());
       if (!EatKeyword("AS")) return Error("expected AS");
-      LPATH_ASSIGN_OR_RETURN(std::string alias, ExpectIdent("alias"));
-      if (aliases.count(alias)) return Error("duplicate alias " + alias);
+      LPATH_ASSIGN_OR_RETURN(std::string_view alias, ExpectIdent("alias"));
       const int var = static_cast<int>(aliases.size());
-      aliases[alias] = var;
-      if (!Eat(TokenKind::kComma)) break;
+      if (!aliases.emplace(alias, var).second) {
+        return Error("duplicate alias " + std::string(alias));
+      }
+      if (!Eat(',')) break;
     }
     plan.num_vars = static_cast<int>(aliases.size());
 
@@ -245,55 +317,37 @@ class Parser {
   Result<std::unique_ptr<BoolExpr>> ParsePrimary(const AliasMap& aliases,
                                                  const AliasMap* outer) {
     if (EatKeyword("NOT")) {
-      if (!Eat(TokenKind::kLParen)) return Error("expected '(' after NOT");
+      if (!Eat('(')) return Error("expected '(' after NOT");
       LPATH_ASSIGN_OR_RETURN(std::unique_ptr<BoolExpr> inner,
                              ParseOr(aliases, outer));
-      if (!Eat(TokenKind::kRParen)) return Error("expected ')'");
+      if (!Eat(')')) return Error("expected ')'");
       auto node = std::make_unique<BoolExpr>(BoolExpr::Kind::kNot);
       node->lhs = std::move(inner);
       return node;
     }
     if (EatKeyword("EXISTS")) {
-      if (!Eat(TokenKind::kLParen)) return Error("expected '(' after EXISTS");
+      if (!Eat('(')) return Error("expected '(' after EXISTS");
       LPATH_ASSIGN_OR_RETURN(ExecPlan sub,
                              ParseSelect(&aliases, /*exists=*/true));
-      if (!Eat(TokenKind::kRParen)) return Error("expected ')'");
+      if (!Eat(')')) return Error("expected ')'");
       auto node = std::make_unique<BoolExpr>(BoolExpr::Kind::kExists);
       node->sub = std::make_unique<ExecPlan>(std::move(sub));
       return node;
     }
-    if (Eat(TokenKind::kLParen)) {
+    if (Eat('(')) {
       LPATH_ASSIGN_OR_RETURN(std::unique_ptr<BoolExpr> inner,
                              ParseOr(aliases, outer));
-      if (!Eat(TokenKind::kRParen)) return Error("expected ')'");
+      if (!Eat(')')) return Error("expected ')'");
       return inner;
     }
     // Comparison.
     LPATH_ASSIGN_OR_RETURN(Operand lhs, ParseOperand(aliases, outer));
     CmpOp op;
-    switch (Cur().kind) {
-      case TokenKind::kEq: op = CmpOp::kEq; break;
-      case TokenKind::kNe: op = CmpOp::kNe; break;
-      case TokenKind::kLt: op = CmpOp::kLt; break;
-      case TokenKind::kLe: op = CmpOp::kLe; break;
-      case TokenKind::kGt: op = CmpOp::kGt; break;
-      case TokenKind::kGe: op = CmpOp::kGe; break;
-      default: return Error("expected comparison operator");
-    }
-    Advance();
+    if (!EatCmpOp(&op)) return Error("expected comparison operator");
     LPATH_ASSIGN_OR_RETURN(Operand rhs, ParseOperand(aliases, outer));
-
-    // Normalize: the executor requires a column on the left.
-    if (lhs.is_literal()) {
-      if (rhs.is_literal()) return Error("literal-only comparison");
-      std::swap(lhs, rhs);
-      switch (op) {
-        case CmpOp::kLt: op = CmpOp::kGt; break;
-        case CmpOp::kLe: op = CmpOp::kGe; break;
-        case CmpOp::kGt: op = CmpOp::kLt; break;
-        case CmpOp::kGe: op = CmpOp::kLe; break;
-        default: break;
-      }
+    // A literal-first comparison is oriented column-first by sql::Prepare.
+    if (lhs.is_literal() && rhs.is_literal()) {
+      return Error("literal-only comparison");
     }
     auto node = std::make_unique<BoolExpr>(BoolExpr::Kind::kCmp);
     node->cmp = Conjunct{std::move(lhs), op, std::move(rhs)};
@@ -301,36 +355,32 @@ class Parser {
   }
 
   Result<Operand> ParseOperand(const AliasMap& aliases, const AliasMap* outer) {
-    if (Cur().kind == TokenKind::kNumber) {
-      Operand op = Operand::Number(Cur().number);
-      Advance();
-      return op;
+    if (IsDigit(Peek())) {
+      LPATH_ASSIGN_OR_RETURN(int64_t num, ScanNumber());
+      return Operand::Number(num);
     }
-    if (Cur().kind == TokenKind::kString) {
-      Operand op = Operand::String(Cur().text);
-      Advance();
-      return op;
+    if (Peek() == '\'') {
+      LPATH_ASSIGN_OR_RETURN(std::string str, ScanString());
+      return Operand::String(std::move(str));
     }
-    LPATH_ASSIGN_OR_RETURN(std::string alias, ExpectIdent("alias"));
-    if (!Eat(TokenKind::kDot)) return Error("expected '.' after alias");
-    LPATH_ASSIGN_OR_RETURN(std::string col, ExpectIdent("column"));
-    PlanCol pc;
-    if (LookupColumn(AsciiToLower(col), &pc) == nullptr) {
-      return Error("unknown column " + col);
-    }
+    LPATH_ASSIGN_OR_RETURN(std::string_view alias, ExpectIdent("alias"));
+    if (!Eat('.')) return Error("expected '.' after alias");
+    LPATH_ASSIGN_OR_RETURN(std::string_view col, ExpectIdent("column"));
+    const std::optional<PlanCol> pc = LookupColumn(col);
+    if (!pc.has_value()) return Error("unknown column " + std::string(col));
     auto it = aliases.find(alias);
-    if (it != aliases.end()) return Operand::Column(it->second, pc);
+    if (it != aliases.end()) return Operand::Column(it->second, *pc);
     if (outer != nullptr) {
       auto oit = outer->find(alias);
       if (oit != outer->end()) {
-        return Operand::Column(Operand::kOuterVarBase + oit->second, pc);
+        return Operand::Column(Operand::kOuterVarBase + oit->second, *pc);
       }
     }
-    return Error("unknown alias " + alias);
+    return Error("unknown alias " + std::string(alias));
   }
 
-  std::vector<Token> tokens_;
-  size_t idx_ = 0;
+  std::string_view text_;
+  size_t pos_ = 0;
   int nesting_ = 0;  ///< live ParseUnary calls
   int links_ = 0;    ///< chain links built into trees so far (CountLink)
 };
@@ -338,9 +388,7 @@ class Parser {
 }  // namespace
 
 Result<ExecPlan> ParseSql(std::string_view text) {
-  LPATH_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  Parser parser(std::move(tokens));
-  return parser.ParseStatement();
+  return Parser(text).ParseStatement();
 }
 
 }  // namespace sql

@@ -9,6 +9,16 @@
 // subqueries whose conditions may reference enclosing aliases (correlation,
 // resolved lexically; at most one level up, which is all the generator
 // produces).
+//
+// The parser reads the text in one pass, without a token list. Its lexical
+// forms: identifiers [A-Za-z_][A-Za-z0-9_]* (keywords and column names
+// match case-insensitively, aliases exactly), unsigned decimal numbers up
+// to INT64_MAX, '...' strings with '' standing for a quote, the operators
+// = != <> < <= > >=, and . , ( ). Whitespace separates tokens. Any other
+// character, an unterminated string or a number past INT64_MAX is an
+// InvalidArgument error naming its byte offset, like every parse error.
+// A literal-first comparison (3 < a.depth) is kept as written;
+// sql::Prepare orients it column-first.
 
 #ifndef LPATHDB_SQL_PARSER_H_
 #define LPATHDB_SQL_PARSER_H_

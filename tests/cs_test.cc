@@ -50,6 +50,12 @@ TEST(CsParserTest, Errors) {
   EXPECT_FALSE(ParseCsQuery("(NP iDoms)").ok());
   EXPECT_FALSE(ParseCsQuery("(NP iDoms VP").ok());
   EXPECT_FALSE(ParseCsQuery("(NP iDomsNumber x VP)").ok());
+  // An ordinal past int, or one whose negation is, is InvalidArgument.
+  for (const char* q :
+       {"(NP iDomsNumber 99999999999 VP)", "(NP iDomsNumber -2147483648 VP)",
+        "(NP iDomsNumber 2x VP)"}) {
+    EXPECT_TRUE(ParseCsQuery(q).status().IsInvalidArgument()) << q;
+  }
 }
 
 class CsFigure1Test : public ::testing::Test {

@@ -110,8 +110,22 @@ TEST(ResidualDifferentialTest, NonImpliedConjunctsMatchUnderBothJoinOrders) {
   }
 }
 
+/// Appends every prefix of `text` and its single-bit flips at every offset.
+void AppendTruncationsAndFlips(const std::string& text,
+                               std::vector<std::string>* out) {
+  for (size_t i = 0; i <= text.size(); ++i) out->push_back(text.substr(0, i));
+  for (size_t i = 0; i < text.size(); ++i) {
+    for (const int mask : {0x01, 0x02, 0x04, 0x10, 0x20, 0x40, 0x80}) {
+      std::string flipped = text;
+      flipped[i] = static_cast<char>(flipped[i] ^ mask);
+      out->push_back(std::move(flipped));
+    }
+  }
+}
+
 /// Hostile inputs derived from the 23 suite queries: truncation at every
-/// offset, byte flips, token splices between queries, 200-deep nests of
+/// offset, byte flips, positional predicates of 19 to 40 digits (around
+/// and past INT64_MAX), token splices between queries, 200-deep nests of
 /// every bracket kind (closed and unclosed), and 1 MiB identifiers.
 std::vector<std::string> MutatedSuiteQueries() {
   std::vector<std::string> suite;
@@ -120,13 +134,12 @@ std::vector<std::string> MutatedSuiteQueries() {
   }
   std::vector<std::string> out;
   for (const std::string& q : suite) {
-    for (size_t i = 0; i <= q.size(); ++i) out.push_back(q.substr(0, i));
-    for (size_t i = 0; i < q.size(); ++i) {
-      for (const int mask : {0x01, 0x02, 0x04, 0x10, 0x20, 0x40, 0x80}) {
-        std::string flipped = q;
-        flipped[i] = static_cast<char>(flipped[i] ^ mask);
-        out.push_back(std::move(flipped));
-      }
+    AppendTruncationsAndFlips(q, &out);
+    for (const std::string& digits :
+         {std::string("9223372036854775807"),
+          std::string("9223372036854775808"), std::string(20, '9'),
+          std::string(40, '9')}) {
+      out.push_back(q + "[" + digits + "]");
     }
   }
   // A prefix of one query ending where a token starts, joined to the
@@ -206,6 +219,28 @@ TEST(FrontEndRobustnessTest, MutatedSuiteQueriesReturnAValueOrAStatus) {
   // The mutations must reach the deeper stages, not just the parser.
   EXPECT_GT(parsed_count, 1000);
   EXPECT_GT(prepared_count, 1000);
+
+  // The SQL parser meets the same truncations and flips of the suite's
+  // generated SQL.
+  std::vector<std::string> sql_texts;
+  for (const bench::BenchmarkQuery& q : bench::The23Queries()) {
+    Result<LocationPath> parsed = ParseLPath(q.lpath);
+    ASSERT_TRUE(parsed.ok()) << q.lpath;
+    Result<ExecPlan> plan = CompileLPath(parsed.value());
+    ASSERT_TRUE(plan.ok()) << q.lpath;
+    AppendTruncationsAndFlips(GenerateSql(plan.value()), &sql_texts);
+  }
+  int sql_parsed_count = 0;
+  for (const std::string& text : sql_texts) {
+    Result<ExecPlan> reparsed = sql::ParseSql(text);
+    if (reparsed.ok()) {
+      ++sql_parsed_count;
+    } else {
+      EXPECT_TRUE(reparsed.status().IsInvalidArgument())
+          << text << ": " << reparsed.status();
+    }
+  }
+  EXPECT_GT(sql_parsed_count, 1000);
 }
 
 }  // namespace

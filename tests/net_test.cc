@@ -287,6 +287,24 @@ TEST_F(NetTest, DeeplyNestedQueryIsRefusedAndTheServerKeepsServing) {
   EXPECT_EQ(fresh_result.value(), after.value());
 }
 
+TEST_F(NetTest, OutOfRangeNumberIsRefusedAndTheServerKeepsServing) {
+  StartServer();
+  // Past INT64_MAX. Its number scan used to throw: on PREPARE that aborted
+  // the server, and an EXECUTE never got its STREAM_END.
+  const std::string huge = "//NP[99999999999999999999]";
+  net::Client client = Connected();
+  Status prepared = client.Prepare("wsj", huge);
+  EXPECT_TRUE(prepared.IsInvalidArgument()) << prepared.ToString();
+  auto refused = client.Query("wsj", huge);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsInvalidArgument())
+      << refused.status().ToString();
+
+  auto after = client.Query("wsj", "//VP[//NP]");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_GT(after->count(), 0u);
+}
+
 TEST_F(NetTest, CancelIsBestEffortAndLeavesTheConnectionUsable) {
   StartServer();
   net::Client client = Connected();

@@ -335,6 +335,18 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseLPath("//_[@lex=]").ok());    // missing literal
   EXPECT_FALSE(ParseLPath("//VP extra").ok());    // trailing garbage
   EXPECT_FALSE(ParseLPath("//'unterminated").ok());
+  // Numbers past INT64_MAX are InvalidArgument, not an exception.
+  for (const char* q :
+       {"//NP[9223372036854775808]", "//NP[position()=9223372036854775808]",
+        "//NP[1234567890123456789012345678901234567890]"}) {
+    Result<LocationPath> r = ParseLPath(q);
+    ASSERT_FALSE(r.ok()) << q;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+  }
+  EXPECT_TRUE(ParseLPath("//NP[9223372036854775807]").ok());
+  // A digit run that begins a tag is no number, whatever its length.
+  EXPECT_TRUE(
+      ParseLPath("//NP[1234567890123456789012345678901234567890X]").ok());
 }
 
 /// `//S` followed by `depth` nested `[//NP` predicates, closed when `close`.

@@ -1,5 +1,6 @@
-// Unit tests for the SQL subset: lexer, parser, optimizer and executor on
-// hand-written SQL (the "RDBMS client" path).
+// Unit tests for the SQL subset: the parser (lexical forms, grammar,
+// nesting limit), the optimizer's orientation of literal-first comparisons
+// and the executor, on hand-written SQL (the "RDBMS client" path).
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,6 @@
 #include "lpath/engines.h"
 #include "lpath/eval_nav.h"
 #include "lpath/parser.h"
-#include "sql/lexer.h"
 #include "sql/optimizer.h"
 #include "sql/parser.h"
 #include "test_util.h"
@@ -16,38 +16,42 @@
 namespace lpath {
 namespace {
 
-using sql::Token;
-using sql::TokenKind;
-using sql::Tokenize;
+constexpr char kSelectA[] = "SELECT DISTINCT a.tid, a.id FROM nodes AS a ";
 
-TEST(SqlLexerTest, BasicTokens) {
-  Result<std::vector<Token>> r =
-      Tokenize("SELECT a0.tid, 'it''s' != 42 (<=) <>");
-  ASSERT_TRUE(r.ok());
-  const std::vector<Token>& t = r.value();
-  ASSERT_EQ(t.size(), 13u);  // incl. kEnd
-  EXPECT_EQ(t[0].kind, TokenKind::kIdent);
-  EXPECT_EQ(t[0].text, "SELECT");
-  EXPECT_EQ(t[1].text, "a0");
-  EXPECT_EQ(t[2].kind, TokenKind::kDot);
-  EXPECT_EQ(t[3].text, "tid");
-  EXPECT_EQ(t[4].kind, TokenKind::kComma);
-  EXPECT_EQ(t[5].kind, TokenKind::kString);
-  EXPECT_EQ(t[5].text, "it's");
-  EXPECT_EQ(t[6].kind, TokenKind::kNe);
-  EXPECT_EQ(t[7].kind, TokenKind::kNumber);
-  EXPECT_EQ(t[7].number, 42);
-  EXPECT_EQ(t[8].kind, TokenKind::kLParen);
-  EXPECT_EQ(t[9].kind, TokenKind::kLe);
-  EXPECT_EQ(t[10].kind, TokenKind::kRParen);
-  EXPECT_EQ(t[11].kind, TokenKind::kNe);
-  EXPECT_EQ(t[12].kind, TokenKind::kEnd);
+TEST(SqlParserTest, LexicalForms) {
+  // '' inside a string is one quote, <> is !=, and a number may be as
+  // large as INT64_MAX.
+  Result<ExecPlan> p = sql::ParseSql(
+      std::string(kSelectA) +
+      "WHERE a.value = 'it''s' AND a.id <> 42 AND (a.left <= 7) AND "
+      "a.right != 1 AND a.depth < 2 AND a.depth > 0 AND a.pid >= 0 AND "
+      "a.tid = 9223372036854775807");
+  ASSERT_TRUE(p.ok()) << p.status();
+  ASSERT_EQ(p->conjuncts.size(), 8u);
+  const CmpOp want_ops[] = {CmpOp::kEq, CmpOp::kNe, CmpOp::kLe, CmpOp::kNe,
+                            CmpOp::kLt, CmpOp::kGt, CmpOp::kGe, CmpOp::kEq};
+  for (size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(p->conjuncts[i].op, want_ops[i]) << i;
+  }
+  EXPECT_EQ(p->conjuncts[0].rhs.str, "it's");
+  EXPECT_EQ(p->conjuncts[1].rhs.num, 42);
+  EXPECT_EQ(p->conjuncts[7].rhs.num, INT64_MAX);
 }
 
-TEST(SqlLexerTest, Errors) {
-  EXPECT_FALSE(Tokenize("'unterminated").ok());
-  EXPECT_FALSE(Tokenize("a ! b").ok());
-  EXPECT_FALSE(Tokenize("a # b").ok());
+TEST(SqlParserTest, LexicalErrors) {
+  // A lone '!', a character outside the language, an unterminated string
+  // and a number past INT64_MAX are InvalidArgument errors naming an
+  // offset.
+  for (const char* where :
+       {"WHERE a.id ! 1", "WHERE a.id # 1", "WHERE a.name = 'NP",
+        "WHERE a.id = 1 #", "WHERE a.id = 9223372036854775808",
+        "WHERE a.id = 1234567890123456789012345678901234567890"}) {
+    Result<ExecPlan> r = sql::ParseSql(std::string(kSelectA) + where);
+    ASSERT_FALSE(r.ok()) << where;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+    EXPECT_NE(r.status().ToString().find("offset"), std::string::npos)
+        << r.status();
+  }
 }
 
 TEST(SqlParserTest, MinimalSelect) {
@@ -67,12 +71,20 @@ TEST(SqlParserTest, KeywordsAreCaseInsensitive) {
 }
 
 TEST(SqlParserTest, LiteralOnLeftIsNormalized) {
-  Result<ExecPlan> p = sql::ParseSql(
-      "SELECT DISTINCT a.tid, a.id FROM nodes AS a WHERE 3 < a.depth");
-  ASSERT_TRUE(p.ok());
-  ASSERT_EQ(p->conjuncts.size(), 1u);
-  const Conjunct& c = p->conjuncts[0];
+  // The parser keeps the spelling; sql::Prepare orients it column-first.
+  Result<ExecPlan> p =
+      sql::ParseSql(std::string(kSelectA) + "WHERE 3 < a.depth");
+  ASSERT_TRUE(p.ok()) << p.status();
+  const Corpus corpus = testing::BuildFigure1Corpus();
+  Result<NodeRelation> rel = NodeRelation::Build(corpus);
+  ASSERT_TRUE(rel.ok()) << rel.status();
+  Result<std::unique_ptr<sql::PreparedPlan>> pp =
+      sql::Prepare(p.value(), rel.value(), {});
+  ASSERT_TRUE(pp.ok()) << pp.status();
+  ASSERT_EQ(pp.value()->plan.conjuncts.size(), 1u);
+  const Conjunct& c = pp.value()->plan.conjuncts[0];
   EXPECT_FALSE(c.lhs.is_literal());
+  EXPECT_EQ(c.lhs.col, PlanCol::kDepth);
   EXPECT_EQ(c.op, CmpOp::kGt);
   EXPECT_EQ(c.rhs.num, 3);
 }
@@ -308,6 +320,28 @@ TEST_F(SqlExecTest, StringInequalityRejected) {
              "SELECT DISTINCT a.tid, a.id FROM nodes AS a WHERE "
              "a.name < 'NP'");
   EXPECT_TRUE(r.status().IsNotSupported());
+}
+
+TEST_F(SqlExecTest, RangeBoundsAtInt64MaxDoNotOverflow) {
+  // The executor turns left/right bounds into half-open int32 ranges; a
+  // bound at INT64_MAX lies above every position without overflowing.
+  const std::string nps =
+      std::string(kSelectA) + "WHERE a.tid = 0 AND a.name = 'NP'";
+  const size_t all = Count(nps);
+  EXPECT_GT(all, 0u);
+  struct Case {
+    const char* op;
+    bool matches_all;
+  };
+  for (const char* col : {"left", "right"}) {
+    for (const Case& c : {Case{"<=", true}, Case{"<", true}, Case{"!=", true},
+                          Case{"=", false}, Case{">", false},
+                          Case{">=", false}}) {
+      const std::string q =
+          nps + " AND a." + col + " " + c.op + " 9223372036854775807";
+      EXPECT_EQ(Count(q), c.matches_all ? all : 0u) << q;
+    }
+  }
 }
 
 TEST_F(SqlExecTest, JoinOrderModesAgree) {
