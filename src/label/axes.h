@@ -7,11 +7,19 @@
 //   - the "XPath labeling" of DeHaan et al. [11] (start/end *tag positions*),
 //     which the paper compares against in Figure 10 and which cannot decide
 //     the immediate axes.
+//
+// Both tables are one constexpr array in axes.cc, one row per Axis: the
+// axis's name, its abbreviation, its or-self base, its immediate flag and
+// its label comparisons under each scheme. Everything else reads that row:
+// the functions below, the LPath parser (names and abbreviations), the
+// printer, and the plan compiler (plan/axis_map.h emits the comparisons as
+// conjuncts, in the row's order).
 
 #ifndef LPATHDB_LABEL_AXES_H_
 #define LPATHDB_LABEL_AXES_H_
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 namespace lpath {
@@ -27,6 +35,12 @@ struct Label {
   int32_t pid = 0;  ///< Parent id; 0 for the root.
 
   bool operator==(const Label&) const = default;
+};
+
+/// Which labeling scheme a relation was built with.
+enum class LabelScheme {
+  kLPath,  ///< Definition 4.1 (leaf intervals). Supports every LPath axis.
+  kXPath,  ///< DeHaan-style tag positions. XPath axes only (Figure 10).
 };
 
 /// All LPath axes (Table 1), including the or-self closures.
@@ -53,17 +67,43 @@ enum class Axis : uint8_t {
   kAttribute,
 };
 
+/// Number of axes: every value in [0, kAxisCount) is an Axis.
+inline constexpr int kAxisCount = static_cast<int>(Axis::kAttribute) + 1;
+
+/// Comparison operators: the axis table's, LPath predicates' and the plan
+/// IR's.
+enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
+
+/// `lhs op rhs`.
+constexpr bool EvalCmp(int64_t lhs, CmpOp op, int64_t rhs) {
+  switch (op) {
+    case CmpOp::kEq: return lhs == rhs;
+    case CmpOp::kNe: return lhs != rhs;
+    case CmpOp::kLt: return lhs < rhs;
+    case CmpOp::kLe: return lhs <= rhs;
+    case CmpOp::kGt: return lhs > rhs;
+    case CmpOp::kGe: return lhs >= rhs;
+  }
+  return false;
+}
+
+/// The Label fields the axis comparisons read.
+enum class LabelField : uint8_t { kLeft, kRight, kDepth, kId, kPid };
+
+/// One comparison of Table 2: `cand.<cand> op ctx.<ctx>`, where `ctx` is
+/// the context node and `cand` the candidate on its axis.
+struct LabelCmp {
+  LabelField cand;
+  CmpOp op;
+  LabelField ctx;
+};
+
 /// Full axis name, e.g. "immediate-following-sibling".
 std::string_view AxisName(Axis axis);
 
 /// LPath abbreviation from Table 1 ("->", "==>", "\\", ...); empty for axes
 /// with no abbreviation (or-self variants).
 std::string_view AxisAbbreviation(Axis axis);
-
-/// The inverse axis: child<->parent, immediate-following<->immediate-
-/// preceding, etc. self and attribute are their own inverses (attribute's
-/// inverse is only used internally by the executor).
-Axis InverseAxis(Axis axis);
 
 /// True for self / *-or-self axes.
 bool AxisIncludesSelf(Axis axis);
@@ -75,8 +115,14 @@ Axis AxisBase(Axis axis);
 /// the LPath labeling scheme supports (Lemma 3.1 / Section 4).
 bool IsImmediateAxis(Axis axis);
 
-/// True for following/preceding-sibling family (needs pid equality).
-bool IsSiblingAxis(Axis axis);
+/// Whether the XPath labeling scheme can decide `axis`.
+bool XPathLabelingSupports(Axis axis);
+
+/// The comparisons that decide `axis` under `scheme`, all of which must
+/// hold. Empty for an or-self axis other than self (it is `cand.id =
+/// ctx.id` OR its AxisBase) and for an immediate axis under the XPath
+/// labeling.
+std::span<const LabelCmp> AxisComparisons(LabelScheme scheme, Axis axis);
 
 /// Table 2 — decides whether `cand` is on `axis` of `ctx` under the LPath
 /// labeling (Definition 4.1). Both labels must come from the same tree.
@@ -88,9 +134,6 @@ bool LPathAxisMatches(Axis axis, const Label& ctx, const Label& cand);
 /// the immediate-* axes (they are not decidable in that scheme; callers
 /// should reject such queries up front via XPathLabelingSupports()).
 bool XPathAxisMatches(Axis axis, const Label& ctx, const Label& cand);
-
-/// Whether the XPath labeling scheme can decide `axis`.
-bool XPathLabelingSupports(Axis axis);
 
 }  // namespace lpath
 

@@ -2,12 +2,6 @@
 
 namespace lpath {
 
-bool AxisMatches(LabelScheme scheme, Axis axis, const Label& ctx,
-                 const Label& cand) {
-  return scheme == LabelScheme::kLPath ? LPathAxisMatches(axis, ctx, cand)
-                                       : XPathAxisMatches(axis, ctx, cand);
-}
-
 void ComputeLPathLabels(const Tree& tree, std::vector<Label>* labels) {
   const NodeId n = static_cast<NodeId>(tree.size());
   labels->assign(n, Label{});

@@ -20,16 +20,6 @@
 
 namespace lpath {
 
-/// Which labeling scheme a relation was built with.
-enum class LabelScheme {
-  kLPath,  ///< Definition 4.1 (leaf intervals). Supports every LPath axis.
-  kXPath,  ///< DeHaan-style tag positions. XPath axes only (Figure 10).
-};
-
-/// Dispatches to the right Table 2 predicate for `scheme`.
-bool AxisMatches(LabelScheme scheme, Axis axis, const Label& ctx,
-                 const Label& cand);
-
 /// Fills labels[i] for every node i of `tree` (labels is resized).
 void ComputeLPathLabels(const Tree& tree, std::vector<Label>* labels);
 

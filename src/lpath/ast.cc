@@ -33,54 +33,23 @@ bool IsPlainTag(const std::string& s) {
   return true;
 }
 
+// Figure 4's `/name::` spelling; the first step of a relative path needs
+// no '/'.
+void AppendAxisName(Axis axis, bool first_of_relative, std::string* out) {
+  if (!first_of_relative) out->push_back('/');
+  out->append(AxisName(axis));
+  out->append("::");
+}
+
+// Table 1's abbreviation, or the name where it gives none. A relative
+// path's leading child step prints bare.
 void AppendAxis(const Step& step, bool first_of_relative, std::string* out) {
-  switch (step.axis) {
-    case Axis::kChild:
-      if (!first_of_relative) out->push_back('/');
-      return;
-    case Axis::kDescendant:
-      out->append("//");
-      return;
-    case Axis::kParent:
-      out->push_back('\\');
-      return;
-    case Axis::kAncestor:
-      out->append("\\\\");
-      return;
-    case Axis::kSelf:
-      out->push_back('.');
-      return;
-    case Axis::kAttribute:
-      out->push_back('@');
-      return;
-    case Axis::kImmediateFollowing:
-      out->append("->");
-      return;
-    case Axis::kFollowing:
-      out->append("-->");
-      return;
-    case Axis::kImmediatePreceding:
-      out->append("<-");
-      return;
-    case Axis::kPreceding:
-      out->append("<--");
-      return;
-    case Axis::kImmediateFollowingSibling:
-      out->append("=>");
-      return;
-    case Axis::kFollowingSibling:
-      out->append("==>");
-      return;
-    case Axis::kImmediatePrecedingSibling:
-      out->append("<=");
-      return;
-    case Axis::kPrecedingSibling:
-      out->append("<==");
-      return;
-    default:
-      out->append(AxisName(step.axis));
-      out->append("::");
-      return;
+  if (step.axis == Axis::kChild && first_of_relative) return;
+  const std::string_view abbreviation = AxisAbbreviation(step.axis);
+  if (abbreviation.empty()) {
+    AppendAxisName(step.axis, first_of_relative, out);
+  } else {
+    out->append(abbreviation);
   }
 }
 
@@ -94,9 +63,10 @@ void AppendPath(const LocationPath& path, std::string* out) {
     const Step& step = path.steps[i];
     const bool first_of_relative =
         i == 0 && !path.absolute && path.leading_scopes == 0;
-    // An absolute path's first step prints as '/' or '//' like any other.
-    if (i == 0 && path.absolute) {
-      out->append(step.axis == Axis::kChild ? "/" : "//");
+    // An absolute path starts with '/', '//' or '/name::', as it parses.
+    if (i == 0 && path.absolute && step.axis != Axis::kChild &&
+        step.axis != Axis::kDescendant) {
+      AppendAxisName(step.axis, /*first_of_relative=*/false, out);
     } else if (i == 0 && path.leading_scopes > 0 &&
                step.axis == Axis::kChild) {
       out->push_back('/');

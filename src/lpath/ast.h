@@ -57,9 +57,6 @@ struct LocationPath {
   std::vector<Step> steps;
 };
 
-/// Comparison operators usable in predicates.
-enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
-
 /// Predicate expression tree.
 ///
 /// Kinds:

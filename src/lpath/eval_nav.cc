@@ -255,11 +255,11 @@ class TreeEval {
           label(cand).right != ScopeLabel(origin.scope).right) {
         continue;
       }
-      if (origin.scope != kNoNode && !is_attr_axis) {
-        if (!LPathAxisMatches(Axis::kDescendantOrSelf, label(origin.scope),
-                              label(cand))) {
-          continue;
-        }
+      // Scope containment from the tree itself: the oracle reads nothing
+      // of the axis table the compiler emits from.
+      if (origin.scope != kNoNode && !is_attr_axis &&
+          cand != origin.scope && !tree_.IsAncestor(origin.scope, cand)) {
+        continue;
       }
       kept.push_back(cand);
     }

@@ -89,43 +89,27 @@ class Parser {
   }
 
   // --- Axes -------------------------------------------------------------------
-  /// Tries to parse an axis at the current position. Returns true and sets
-  /// `axis` on success; leaves pos_ unchanged on failure. `first_relative`
-  /// permits a bare node test (implicit child axis).
+  /// Tries an axis abbreviation of Table 1 at the current position, taking
+  /// the longest that matches ("-->" over "->"). Returns true and sets
+  /// `axis` on success; leaves pos_ unchanged on failure. Self's '.' is
+  /// ParseStep's, since a lone '.' is a whole step.
   bool TryParseAxisSymbol(Axis* axis) {
-    // Longest-match order matters within each family.
-    struct Entry {
-      std::string_view tok;
-      Axis axis;
-    };
-    static constexpr Entry kEntries[] = {
-        {"//", Axis::kDescendant},
-        {"/", Axis::kChild},
-        {"\\\\", Axis::kAncestor},
-        {"\\", Axis::kParent},
-        {"-->", Axis::kFollowing},
-        {"->", Axis::kImmediateFollowing},
-        {"<--", Axis::kPreceding},
-        {"<==", Axis::kPrecedingSibling},
-        {"<=", Axis::kImmediatePrecedingSibling},
-        {"<-", Axis::kImmediatePreceding},
-        {"==>", Axis::kFollowingSibling},
-        {"=>", Axis::kImmediateFollowingSibling},
-        {"@", Axis::kAttribute},
-    };
-    for (const Entry& e : kEntries) {
-      if (text_.substr(pos_, e.tok.size()) == e.tok) {
-        pos_ += e.tok.size();
-        *axis = e.axis;
-        return true;
+    size_t longest = 0;
+    for (int a = 0; a < kAxisCount; ++a) {
+      const std::string_view abbreviation =
+          AxisAbbreviation(static_cast<Axis>(a));
+      if (abbreviation.size() > longest && abbreviation != "." &&
+          text_.substr(pos_, abbreviation.size()) == abbreviation) {
+        longest = abbreviation.size();
+        *axis = static_cast<Axis>(a);
       }
     }
-    return false;
+    pos_ += longest;
+    return longest > 0;
   }
 
-  /// Tries "axisname::"; restores position on failure.
+  /// Tries "axisname::"; leaves pos_ unchanged on failure.
   bool TryParseAxisName(Axis* axis) {
-    size_t save = pos_;
     size_t p = pos_;
     while (p < text_.size() &&
            (std::isalpha(static_cast<unsigned char>(text_[p])) ||
@@ -133,37 +117,14 @@ class Parser {
       ++p;
     }
     if (p == pos_ || text_.substr(p, 2) != "::") return false;
-    std::string_view name = text_.substr(pos_, p - pos_);
-    static constexpr std::pair<std::string_view, Axis> kNames[] = {
-        {"child", Axis::kChild},
-        {"descendant", Axis::kDescendant},
-        {"descendant-or-self", Axis::kDescendantOrSelf},
-        {"parent", Axis::kParent},
-        {"ancestor", Axis::kAncestor},
-        {"ancestor-or-self", Axis::kAncestorOrSelf},
-        {"self", Axis::kSelf},
-        {"attribute", Axis::kAttribute},
-        {"following", Axis::kFollowing},
-        {"following-or-self", Axis::kFollowingOrSelf},
-        {"immediate-following", Axis::kImmediateFollowing},
-        {"preceding", Axis::kPreceding},
-        {"preceding-or-self", Axis::kPrecedingOrSelf},
-        {"immediate-preceding", Axis::kImmediatePreceding},
-        {"following-sibling", Axis::kFollowingSibling},
-        {"following-sibling-or-self", Axis::kFollowingSiblingOrSelf},
-        {"immediate-following-sibling", Axis::kImmediateFollowingSibling},
-        {"preceding-sibling", Axis::kPrecedingSibling},
-        {"preceding-sibling-or-self", Axis::kPrecedingSiblingOrSelf},
-        {"immediate-preceding-sibling", Axis::kImmediatePrecedingSibling},
-    };
-    for (const auto& [n, a] : kNames) {
-      if (name == n) {
+    const std::string_view name = text_.substr(pos_, p - pos_);
+    for (int a = 0; a < kAxisCount; ++a) {
+      if (AxisName(static_cast<Axis>(a)) == name) {
         pos_ = p + 2;
-        *axis = a;
+        *axis = static_cast<Axis>(a);
         return true;
       }
     }
-    pos_ = save;
     return false;
   }
 

@@ -4,21 +4,19 @@ namespace lpath {
 
 namespace {
 
-Conjunct Cmp(int var_a, PlanCol col_a, CmpOp op, int var_b, PlanCol col_b) {
-  Conjunct c;
-  c.lhs = Operand::Column(var_a, col_a);
-  c.op = op;
-  c.rhs = Operand::Column(var_b, col_b);
-  return c;
+// Node-relation column per LabelField, in LabelField order.
+constexpr PlanCol kColumnOf[] = {PlanCol::kLeft, PlanCol::kRight,
+                                 PlanCol::kDepth, PlanCol::kId, PlanCol::kPid};
+
+PlanCol ColumnOf(LabelField field) {
+  return kColumnOf[static_cast<int>(field)];
 }
 
 }  // namespace
 
-bool AxisNeedsDisjunction(Axis axis) { return AxisIncludesSelf(axis); }
-
 Status AppendAxisConjuncts(LabelScheme scheme, Axis axis, int from, int to,
                            std::vector<Conjunct>* out) {
-  if (AxisNeedsDisjunction(axis) && axis != Axis::kSelf) {
+  if (AxisBase(axis) != axis) {
     return Status::Internal("or-self axes require AxisFilter");
   }
   if (scheme == LabelScheme::kXPath && !XPathLabelingSupports(axis)) {
@@ -26,77 +24,11 @@ Status AppendAxisConjuncts(LabelScheme scheme, Axis axis, int from, int to,
         std::string("the XPath labeling scheme cannot evaluate the ") +
         std::string(AxisName(axis)) + " axis (Lemma 3.1)");
   }
-  const bool xp = scheme == LabelScheme::kXPath;
-  switch (axis) {
-    case Axis::kSelf:
-      out->push_back(Cmp(to, PlanCol::kId, CmpOp::kEq, from, PlanCol::kId));
-      return Status::OK();
-    case Axis::kChild:
-      out->push_back(Cmp(to, PlanCol::kPid, CmpOp::kEq, from, PlanCol::kId));
-      return Status::OK();
-    case Axis::kParent:
-      out->push_back(Cmp(to, PlanCol::kId, CmpOp::kEq, from, PlanCol::kPid));
-      return Status::OK();
-    case Axis::kDescendant:
-      if (xp) {
-        out->push_back(Cmp(to, PlanCol::kLeft, CmpOp::kGt, from, PlanCol::kLeft));
-        out->push_back(Cmp(to, PlanCol::kRight, CmpOp::kLt, from, PlanCol::kRight));
-      } else {
-        out->push_back(Cmp(to, PlanCol::kLeft, CmpOp::kGe, from, PlanCol::kLeft));
-        out->push_back(Cmp(to, PlanCol::kRight, CmpOp::kLe, from, PlanCol::kRight));
-        out->push_back(Cmp(to, PlanCol::kDepth, CmpOp::kGt, from, PlanCol::kDepth));
-      }
-      return Status::OK();
-    case Axis::kAncestor:
-      if (xp) {
-        out->push_back(Cmp(to, PlanCol::kLeft, CmpOp::kLt, from, PlanCol::kLeft));
-        out->push_back(Cmp(to, PlanCol::kRight, CmpOp::kGt, from, PlanCol::kRight));
-      } else {
-        out->push_back(Cmp(to, PlanCol::kLeft, CmpOp::kLe, from, PlanCol::kLeft));
-        out->push_back(Cmp(to, PlanCol::kRight, CmpOp::kGe, from, PlanCol::kRight));
-        out->push_back(Cmp(to, PlanCol::kDepth, CmpOp::kLt, from, PlanCol::kDepth));
-      }
-      return Status::OK();
-    case Axis::kFollowing:
-      out->push_back(Cmp(to, PlanCol::kLeft, xp ? CmpOp::kGt : CmpOp::kGe,
-                         from, PlanCol::kRight));
-      return Status::OK();
-    case Axis::kImmediateFollowing:
-      out->push_back(Cmp(to, PlanCol::kLeft, CmpOp::kEq, from, PlanCol::kRight));
-      return Status::OK();
-    case Axis::kPreceding:
-      out->push_back(Cmp(to, PlanCol::kRight, xp ? CmpOp::kLt : CmpOp::kLe,
-                         from, PlanCol::kLeft));
-      return Status::OK();
-    case Axis::kImmediatePreceding:
-      out->push_back(Cmp(to, PlanCol::kRight, CmpOp::kEq, from, PlanCol::kLeft));
-      return Status::OK();
-    case Axis::kFollowingSibling:
-      out->push_back(Cmp(to, PlanCol::kPid, CmpOp::kEq, from, PlanCol::kPid));
-      out->push_back(Cmp(to, PlanCol::kLeft, xp ? CmpOp::kGt : CmpOp::kGe,
-                         from, PlanCol::kRight));
-      return Status::OK();
-    case Axis::kImmediateFollowingSibling:
-      out->push_back(Cmp(to, PlanCol::kPid, CmpOp::kEq, from, PlanCol::kPid));
-      out->push_back(Cmp(to, PlanCol::kLeft, CmpOp::kEq, from, PlanCol::kRight));
-      return Status::OK();
-    case Axis::kPrecedingSibling:
-      out->push_back(Cmp(to, PlanCol::kPid, CmpOp::kEq, from, PlanCol::kPid));
-      out->push_back(Cmp(to, PlanCol::kRight, xp ? CmpOp::kLt : CmpOp::kLe,
-                         from, PlanCol::kLeft));
-      return Status::OK();
-    case Axis::kImmediatePrecedingSibling:
-      out->push_back(Cmp(to, PlanCol::kPid, CmpOp::kEq, from, PlanCol::kPid));
-      out->push_back(Cmp(to, PlanCol::kRight, CmpOp::kEq, from, PlanCol::kLeft));
-      return Status::OK();
-    case Axis::kAttribute:
-      // Attribute rows carry their element's label and id (Definition 4.1
-      // rule 8); kind/name constraints are added by the compiler.
-      out->push_back(Cmp(to, PlanCol::kId, CmpOp::kEq, from, PlanCol::kId));
-      return Status::OK();
-    default:
-      return Status::Internal("unexpected axis in AppendAxisConjuncts");
+  for (const LabelCmp& c : AxisComparisons(scheme, axis)) {
+    out->push_back(Conjunct{Operand::Column(to, ColumnOf(c.cand)), c.op,
+                            Operand::Column(from, ColumnOf(c.ctx))});
   }
+  return Status::OK();
 }
 
 Result<std::unique_ptr<BoolExpr>> AxisFilter(LabelScheme scheme, Axis axis,

@@ -1,7 +1,8 @@
-// Axis → conjunct mapping (Table 2 of the paper), shared by the LPath→plan
-// compiler and (in string form) by the SQL generator. Given an edge
-// "candidate var `to` is on `axis` of context var `from`", returns the label
-// comparisons that decide it under the chosen labeling scheme.
+// Axis → conjunct mapping (Table 2 of the paper) for the LPath → plan
+// compiler. Given an edge "candidate var `to` is on `axis` of context var
+// `from`", emits the label comparisons of the axis table (label/axes.h) that
+// decide it under the chosen labeling scheme, one conjunct per comparison
+// in the table's order.
 
 #ifndef LPATHDB_PLAN_AXIS_MAP_H_
 #define LPATHDB_PLAN_AXIS_MAP_H_
@@ -23,9 +24,6 @@ namespace lpath {
 /// Section 4: tag positions cannot decide adjacency).
 Status AppendAxisConjuncts(LabelScheme scheme, Axis axis, int from, int to,
                            std::vector<Conjunct>* out);
-
-/// True if the axis needs a disjunction (the or-self axes).
-bool AxisNeedsDisjunction(Axis axis);
 
 /// Builds the disjunctive filter for an or-self axis:
 /// (base-axis conjuncts) OR (to.id = from.id).

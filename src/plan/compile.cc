@@ -183,7 +183,7 @@ class Compiler {
   }
 
   Status AddAxis(Axis axis, int from, int to, ExecPlan* plan) {
-    if (AxisNeedsDisjunction(axis) && axis != Axis::kSelf) {
+    if (AxisBase(axis) != axis) {
       LPATH_ASSIGN_OR_RETURN(std::unique_ptr<BoolExpr> filter,
                              AxisFilter(options_.scheme, axis, from, to));
       plan->filters.push_back(std::move(filter));

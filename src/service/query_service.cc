@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <exception>
 #include <functional>
 #include <limits>
+#include <new>
 #include <utility>
 
 #include "common/timer.h"
@@ -32,6 +34,23 @@ double Percentile(const std::vector<double>& sorted, double q) {
   const size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
+}
+
+/// The Status for the exception being handled. Library code reports errors
+/// through Status, but an allocation, a caller's sink or a caller's hook
+/// may still throw; a query turns that into its result instead of letting
+/// it escape a pool thread.
+Status CurrentExceptionStatus() {
+  try {
+    throw;
+  } catch (const std::bad_alloc&) {
+    return Status::ResourceExhausted("out of memory while running the query");
+  } catch (const std::exception& e) {
+    return Status::Internal(std::string("exception while running the query: ") +
+                            e.what());
+  } catch (...) {
+    return Status::Internal("unknown exception while running the query");
+  }
 }
 
 /// Rebases a source's hits into the chain tid space. Must happen before the
@@ -237,23 +256,30 @@ Result<QueryResult> QueryService::RunMorsels(const Session& session,
     // A cancelled query skips its remaining morsels (their result slots
     // keep the empty default); the terminal status is derived below.
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) return;
-    const Morsel& m = morsels[i];
-    const Session::Source& src = session.sources[m.source];
-    results[i] = src.executor.ExecuteShard(*planned->plan, m.range.tid_lo,
-                                           m.range.tid_hi, &stats[i]);
-    if (src.tid_offset != 0) {
-      stats[i].delta_rows = stats[i].candidates;
-      if (results[i].ok()) ShiftTids(results[i]->hits, src.tid_offset);
-    }
     if (worker > 0) steals.fetch_add(1, std::memory_order_relaxed);
-    // Tid-disjoint morsels, sources rebased into disjoint tid ranges: the
-    // sorted output goes to the sink as it is, and the sink keeps it.
-    if (sink != nullptr && results[i].ok()) {
-      if (!results[i]->hits.empty()) {
-        std::lock_guard<std::mutex> lock(sink_mu);
-        (*sink)(std::span<const Hit>(results[i]->hits));
+    // A throw (an allocation, the sink) becomes this morsel's error: it
+    // must not escape a pool worker, nor unwind this frame while helpers
+    // still run morsels over its locals.
+    try {
+      const Morsel& m = morsels[i];
+      const Session::Source& src = session.sources[m.source];
+      results[i] = src.executor.ExecuteShard(*planned->plan, m.range.tid_lo,
+                                             m.range.tid_hi, &stats[i]);
+      if (src.tid_offset != 0) {
+        stats[i].delta_rows = stats[i].candidates;
+        if (results[i].ok()) ShiftTids(results[i]->hits, src.tid_offset);
       }
-      results[i]->hits = {};
+      // Tid-disjoint morsels, sources rebased into disjoint tid ranges: the
+      // sorted output goes to the sink as it is, and the sink keeps it.
+      if (sink != nullptr && results[i].ok()) {
+        if (!results[i]->hits.empty()) {
+          std::lock_guard<std::mutex> lock(sink_mu);
+          (*sink)(std::span<const Hit>(results[i]->hits));
+        }
+        results[i]->hits = {};
+      }
+    } catch (...) {
+      results[i] = CurrentExceptionStatus();
     }
   };
   if (serial) {
@@ -335,8 +361,13 @@ Result<QueryResult> QueryService::QueryOnce(const std::string& query,
   // same snapshot even if a swap lands mid-query.
   SessionPtr session = CurrentSession();
   Result<QueryResult> r = [&]() -> Result<QueryResult> {
-    LPATH_ASSIGN_OR_RETURN(CachedPlanPtr planned, GetPlanIn(*session, query));
-    return RunMorsels(*session, std::move(planned), sink, cancel);
+    try {
+      LPATH_ASSIGN_OR_RETURN(CachedPlanPtr planned,
+                             GetPlanIn(*session, query));
+      return RunMorsels(*session, std::move(planned), sink, cancel);
+    } catch (...) {
+      return CurrentExceptionStatus();
+    }
   }();
   RecordQuery(timer.ElapsedSeconds(), !r.ok());
   return r;

@@ -114,7 +114,10 @@ struct ServiceStats {
 /// Batches of result rows, one per non-empty morsel, delivered as morsels
 /// complete. Each batch is internally sorted; batches are disjoint and
 /// their union is the query's DISTINCT result. Invocations are serialized (never
-/// concurrent), but may come from pool threads.
+/// concurrent), but may come from pool threads. A sink that throws fails
+/// the query: the exception becomes its Status (std::bad_alloc
+/// ResourceExhausted, anything else Internal), and other morsels' batches
+/// may still arrive.
 using RowSink = std::function<void(std::span<const Hit>)>;
 
 /// Streaming-submission hooks for a front end with its own transport (see

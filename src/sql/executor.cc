@@ -101,24 +101,12 @@ class Runner {
     return true;
   }
 
-  static bool Compare(int64_t a, CmpOp op, int64_t b) {
-    switch (op) {
-      case CmpOp::kEq: return a == b;
-      case CmpOp::kNe: return a != b;
-      case CmpOp::kLt: return a < b;
-      case CmpOp::kLe: return a <= b;
-      case CmpOp::kGt: return a > b;
-      case CmpOp::kGe: return a >= b;
-    }
-    return false;
-  }
-
   bool EvalConjunct(const Frame& f, const Conjunct& c) const {
     int64_t a, b;
     if (!OperandValue(f, c.lhs, &a) || !OperandValue(f, c.rhs, &b)) {
       return false;  // unbound operand: cannot hold
     }
-    return Compare(a, c.op, b);
+    return EvalCmp(a, c.op, b);
   }
 
   bool EvalBool(Frame& f, const BoolExpr& e) {

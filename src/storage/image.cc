@@ -86,8 +86,7 @@ struct ImageHeader {
   uint32_t scheme = 0;
   uint32_t section_count = 0;
   uint64_t tree_count = 0;
-  /// WAL checkpoint stamp (Open ignores it, ReadWalLsn surfaces it). See
-  /// ImageSaveOptions.
+  /// WAL checkpoint stamp, handed back by Open. See ImageSaveOptions.
   uint64_t wal_lsn = 0;
   uint64_t row_count = 0;
   uint64_t element_count = 0;
@@ -390,7 +389,8 @@ constexpr int kAdviseRandom = 0;
 }  // namespace
 
 Result<NodeRelation> ImageIO::Open(const std::string& path,
-                                   ImageOpenOptions options) {
+                                   ImageOpenOptions options,
+                                   uint64_t* wal_lsn) {
   LPATH_ASSIGN_OR_RETURN(std::shared_ptr<MappedFile> file,
                          MappedFile::Map(path));
 
@@ -528,31 +528,8 @@ Result<NodeRelation> ImageIO::Open(const std::string& path,
   backing->file = file;
   rel.BindTagDirectory(&backing->tag_dir_offsets, &backing->tag_dir);
   rel.backing_ = std::move(backing);
+  if (wal_lsn != nullptr) *wal_lsn = header.wal_lsn;
   return rel;
-}
-
-Result<uint64_t> ImageIO::ReadWalLsn(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
-  ImageHeader header;
-  const size_t got = std::fread(&header, 1, sizeof(header), f);
-  std::fclose(f);
-  if (got != sizeof(header)) {
-    return CorruptionAt(path, "file shorter than the image header");
-  }
-  if (std::memcmp(header.magic, kImageMagic, sizeof(kImageMagic)) != 0) {
-    return CorruptionAt(path, "bad magic (not a relation image)");
-  }
-  if (header.version != kImageFormatVersion) {
-    return UnsupportedVersion(path, header.version);
-  }
-  if (header.header_checksum != HeaderChecksum(header)) {
-    return CorruptionAt(path, "header checksum mismatch");
-  }
-  return header.wal_lsn;
 }
 
 }  // namespace lpath

@@ -116,14 +116,13 @@ class ImageIO {
   /// everything the SQL executor needs, but not the bracketed text
   /// (engines that walk trees, e.g. the navigational baseline, need a
   /// corpus-built snapshot instead).
+  ///
+  /// When `wal_lsn` is non-null, a successful Open stores the image's
+  /// checkpointed WAL LSN there (0 for images saved without one), read
+  /// from the same validated header as the relation.
   static Result<NodeRelation> Open(const std::string& path,
-                                   ImageOpenOptions options = {});
-
-  /// Reads just the header (validating magic + header checksum) and
-  /// returns the image's checkpointed WAL LSN — 0 for images saved
-  /// without one. NotSupported for any format version but the current
-  /// one. O(1); used on the database's replay path before a corpus serves.
-  static Result<uint64_t> ReadWalLsn(const std::string& path);
+                                   ImageOpenOptions options = {},
+                                   uint64_t* wal_lsn = nullptr);
 };
 
 }  // namespace lpath

@@ -41,7 +41,11 @@ Result<SnapshotPtr> CorpusSnapshot::Build(std::shared_ptr<const Corpus> corpus,
 
 Result<SnapshotPtr> CorpusSnapshot::Open(const std::string& path,
                                          ImageOpenOptions options) {
-  LPATH_ASSIGN_OR_RETURN(NodeRelation relation, ImageIO::Open(path, options));
+  // The image's WAL stamp comes from the header Open validated, so the
+  // database replays only records this relation does not already cover.
+  uint64_t wal_lsn = 0;
+  LPATH_ASSIGN_OR_RETURN(NodeRelation relation,
+                         ImageIO::Open(path, options, &wal_lsn));
   RelationOptions rel_options;
   rel_options.scheme = relation.scheme();
   // Copied out first: evaluation order must not move the relation away
@@ -50,13 +54,7 @@ Result<SnapshotPtr> CorpusSnapshot::Open(const std::string& path,
   auto* snapshot =
       new CorpusSnapshot(std::move(corpus), std::move(relation), rel_options);
   snapshot->image_path_ = path;
-  // Surface the image's WAL stamp so the database replays only records the
-  // image does not already cover. Best effort on purpose: the image just
-  // opened and validated above, so a read failure here means a
-  // concurrently republished file, read as 0, i.e. replay all.
-  if (Result<uint64_t> lsn = ImageIO::ReadWalLsn(path); lsn.ok()) {
-    snapshot->base_wal_lsn_ = lsn.value();
-  }
+  snapshot->base_wal_lsn_ = wal_lsn;
   return SnapshotPtr(snapshot);
 }
 

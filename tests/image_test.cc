@@ -437,9 +437,6 @@ TEST_F(ImageCorruptionTest, WrongMagicAndVersionAreRejected) {
     ASSERT_FALSE(r.ok());
     EXPECT_TRUE(r.status().IsNotSupported())
         << "v" << old_version << ": " << r.status().ToString();
-    Result<uint64_t> lsn = ImageIO::ReadWalLsn(path);
-    ASSERT_FALSE(lsn.ok());
-    EXPECT_TRUE(lsn.status().IsNotSupported()) << lsn.status().ToString();
   }
 }
 

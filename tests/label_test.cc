@@ -18,6 +18,7 @@ namespace {
 
 using testing::BuildFigure1Tree;
 using testing::RandomTree;
+using testing::StructuralMatches;
 
 class Figure1LabelTest : public ::testing::Test {
  protected:
@@ -109,13 +110,6 @@ TEST_F(Figure1LabelTest, SiblingAdjacency) {
   EXPECT_TRUE(LPathAxisMatches(Axis::kFollowingSibling, labels_[1], n_today));
 }
 
-TEST(AxisTest, InverseIsInvolution) {
-  for (int a = 0; a <= static_cast<int>(Axis::kAttribute); ++a) {
-    Axis axis = static_cast<Axis>(a);
-    EXPECT_EQ(InverseAxis(InverseAxis(axis)), axis) << AxisName(axis);
-  }
-}
-
 TEST(AxisTest, NamesAndAbbreviations) {
   EXPECT_EQ(AxisName(Axis::kImmediateFollowing), "immediate-following");
   EXPECT_EQ(AxisAbbreviation(Axis::kImmediateFollowing), "->");
@@ -135,8 +129,6 @@ TEST(AxisTest, OrSelfClassification) {
   EXPECT_EQ(AxisBase(Axis::kChild), Axis::kChild);
   EXPECT_TRUE(IsImmediateAxis(Axis::kImmediatePreceding));
   EXPECT_FALSE(IsImmediateAxis(Axis::kPreceding));
-  EXPECT_TRUE(IsSiblingAxis(Axis::kImmediateFollowingSibling));
-  EXPECT_FALSE(IsSiblingAxis(Axis::kFollowing));
 }
 
 TEST(XPathLabelingTest, SupportsExactlyNonImmediateAxes) {
@@ -170,70 +162,6 @@ TEST(XPathLabelingTest, TagPositionsOnFigure1) {
 // ---------------------------------------------------------------------------
 
 class AxisPropertyTest : public ::testing::TestWithParam<uint64_t> {};
-
-// Structural ground truth for each axis, computed directly from the tree.
-bool StructuralMatches(const Tree& t, const std::vector<Label>& labels,
-                       Axis axis, NodeId x, NodeId y) {
-  switch (axis) {
-    case Axis::kSelf:
-      return x == y;
-    case Axis::kChild:
-      return t.parent(y) == x;
-    case Axis::kParent:
-      return t.parent(x) == y;
-    case Axis::kDescendant:
-      return t.IsAncestor(x, y);
-    case Axis::kDescendantOrSelf:
-      return x == y || t.IsAncestor(x, y);
-    case Axis::kAncestor:
-      return t.IsAncestor(y, x);
-    case Axis::kAncestorOrSelf:
-      return x == y || t.IsAncestor(y, x);
-    case Axis::kFollowing:
-      return labels[y].left >= labels[x].right;
-    case Axis::kImmediateFollowing: {
-      // Definition 3.1: y follows x with no z strictly between.
-      if (labels[y].left < labels[x].right) return false;
-      for (NodeId z = 0; z < static_cast<NodeId>(t.size()); ++z) {
-        if (labels[z].left >= labels[x].right &&
-            labels[y].left >= labels[z].right) {
-          return false;
-        }
-      }
-      return true;
-    }
-    case Axis::kPreceding:
-      return labels[y].right <= labels[x].left;
-    case Axis::kImmediatePreceding: {
-      if (labels[y].right > labels[x].left) return false;
-      for (NodeId z = 0; z < static_cast<NodeId>(t.size()); ++z) {
-        if (labels[z].right <= labels[x].left &&
-            labels[y].right <= labels[z].left) {
-          return false;
-        }
-      }
-      return true;
-    }
-    case Axis::kFollowingSibling: {
-      for (NodeId s = t.next_sibling(x); s != kNoNode; s = t.next_sibling(s)) {
-        if (s == y) return true;
-      }
-      return false;
-    }
-    case Axis::kImmediateFollowingSibling:
-      return t.next_sibling(x) == y;
-    case Axis::kPrecedingSibling: {
-      for (NodeId s = t.prev_sibling(x); s != kNoNode; s = t.prev_sibling(s)) {
-        if (s == y) return true;
-      }
-      return false;
-    }
-    case Axis::kImmediatePrecedingSibling:
-      return t.prev_sibling(x) == y;
-    default:
-      return false;
-  }
-}
 
 TEST_P(AxisPropertyTest, LabelPredicatesAgreeWithStructure) {
   Rng rng(GetParam());

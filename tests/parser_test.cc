@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "lpath/ast.h"
 
@@ -84,6 +85,54 @@ TEST(ParserTest, FullAxisNames) {
   p = MustParse("//V/ancestor-or-self::_");
   EXPECT_EQ(p.steps[1].axis, Axis::kAncestorOrSelf);
   EXPECT_TRUE(p.steps[1].test.is_wildcard());
+
+  // Every axis: its name:: spelling and its abbreviation parse to it, and
+  // the printed form parses back to the same path, as a later step and as
+  // an absolute start. Self's '.' has its own tests (a lone '.' is a whole
+  // step).
+  for (int a = 0; a < kAxisCount; ++a) {
+    const Axis axis = static_cast<Axis>(a);
+    const std::string name(AxisName(axis));
+    for (const std::string& named :
+         {"//V/" + name + "::NP", "/" + name + "::NP"}) {
+      p = MustParse(named);
+      ASSERT_FALSE(p.steps.empty()) << named;
+      EXPECT_EQ(p.steps.back().axis, axis) << named;
+      const std::string printed = ToString(p);
+      LocationPath reparsed = MustParse(printed);
+      ASSERT_EQ(reparsed.steps.size(), p.steps.size()) << printed;
+      EXPECT_EQ(reparsed.steps.back().axis, axis) << printed;
+      EXPECT_EQ(ToString(reparsed), printed) << named;
+    }
+
+    const std::string abbreviation(AxisAbbreviation(axis));
+    if (abbreviation.empty() || abbreviation == ".") continue;
+    p = MustParse("//V" + abbreviation + "NP");
+    ASSERT_EQ(p.steps.size(), 2u) << abbreviation;
+    EXPECT_EQ(p.steps[1].axis, axis) << abbreviation;
+  }
+
+  // Abbreviations that prefix one another: the longest match wins.
+  const std::pair<const char*, Axis> kPrefixPairs[] = {
+      {"-->", Axis::kFollowing},
+      {"->", Axis::kImmediateFollowing},
+      {"<--", Axis::kPreceding},
+      {"<-", Axis::kImmediatePreceding},
+      {"<==", Axis::kPrecedingSibling},
+      {"<=", Axis::kImmediatePrecedingSibling},
+      {"==>", Axis::kFollowingSibling},
+      {"=>", Axis::kImmediateFollowingSibling},
+      {"\\\\", Axis::kAncestor},
+      {"\\", Axis::kParent},
+      {"//", Axis::kDescendant},
+      {"/", Axis::kChild},
+  };
+  for (const auto& [symbol, axis] : kPrefixPairs) {
+    const std::string q = std::string("//V") + symbol + "NP";
+    p = MustParse(q);
+    ASSERT_EQ(p.steps.size(), 2u) << q;
+    EXPECT_EQ(p.steps[1].axis, axis) << q;
+  }
 }
 
 TEST(ParserTest, WildcardAndQuoting) {

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include "label/labeler.h"
 #include "lpath/parser.h"
 #include "plan/axis_map.h"
 #include "plan/sql_gen.h"
 #include "sql/parser.h"
+#include "test_util.h"
 
 namespace lpath {
 namespace {
@@ -280,7 +282,7 @@ TEST(AxisMapTest, EveryLPathAxisMapsOrFilters) {
   for (int a = 0; a <= static_cast<int>(Axis::kAttribute); ++a) {
     Axis axis = static_cast<Axis>(a);
     std::vector<Conjunct> out;
-    if (AxisNeedsDisjunction(axis) && axis != Axis::kSelf) {
+    if (AxisIncludesSelf(axis) && axis != Axis::kSelf) {
       Result<std::unique_ptr<BoolExpr>> f =
           AxisFilter(LabelScheme::kLPath, axis, 0, 1);
       EXPECT_TRUE(f.ok()) << AxisName(axis);
@@ -289,6 +291,112 @@ TEST(AxisMapTest, EveryLPathAxisMapsOrFilters) {
           AppendAxisConjuncts(LabelScheme::kLPath, axis, 0, 1, &out).ok())
           << AxisName(axis);
       EXPECT_FALSE(out.empty()) << AxisName(axis);
+    }
+  }
+}
+
+// A label column of the node relation.
+int64_t LabelColumn(const Label& label, PlanCol col) {
+  switch (col) {
+    case PlanCol::kLeft: return label.left;
+    case PlanCol::kRight: return label.right;
+    case PlanCol::kDepth: return label.depth;
+    case PlanCol::kId: return label.id;
+    case PlanCol::kPid: return label.pid;
+    default:
+      ADD_FAILURE() << "not a label column: " << PlanColName(col);
+      return 0;
+  }
+}
+
+// Evaluates a comparison over var 0 = `ctx` and var 1 = `cand`.
+bool Holds(const Conjunct& c, const Label& ctx, const Label& cand) {
+  auto value = [&](const Operand& o) {
+    EXPECT_TRUE(o.var == 0 || o.var == 1) << "var " << o.var;
+    return LabelColumn(o.var == 0 ? ctx : cand, o.col);
+  };
+  const int64_t a = value(c.lhs);
+  const int64_t b = value(c.rhs);
+  switch (c.op) {
+    case CmpOp::kEq: return a == b;
+    case CmpOp::kNe: return a != b;
+    case CmpOp::kLt: return a < b;
+    case CmpOp::kLe: return a <= b;
+    case CmpOp::kGt: return a > b;
+    case CmpOp::kGe: return a >= b;
+  }
+  return false;
+}
+
+bool Holds(const BoolExpr& e, const Label& ctx, const Label& cand) {
+  switch (e.kind) {
+    case BoolExpr::Kind::kAnd:
+      return Holds(*e.lhs, ctx, cand) && Holds(*e.rhs, ctx, cand);
+    case BoolExpr::Kind::kOr:
+      return Holds(*e.lhs, ctx, cand) || Holds(*e.rhs, ctx, cand);
+    case BoolExpr::Kind::kCmp:
+      return Holds(e.cmp, ctx, cand);
+    default:
+      ADD_FAILURE() << "unexpected filter node in an axis filter";
+      return false;
+  }
+}
+
+// What the compiler emits for "var 1 is on `axis` of var 0", evaluated over
+// the labels of every node pair of random trees, must be the tree's own
+// answer: under the LPath labeling for every axis, under the XPath labeling
+// for every axis but the four immediate ones, which it refuses.
+TEST(AxisTableTest, EmittedConjunctsAgreeWithStructure) {
+  Rng rng(2029);
+  Interner in;
+  for (int iter = 0; iter < 20; ++iter) {
+    const Tree t = testing::RandomTree(&rng, &in, 30);
+    std::vector<Label> lpath_labels, xpath_labels;
+    ComputeLPathLabels(t, &lpath_labels);
+    ComputeXPathLabels(t, &xpath_labels);
+    const NodeId n = static_cast<NodeId>(t.size());
+    for (int a = 0; a < kAxisCount; ++a) {
+      const Axis axis = static_cast<Axis>(a);
+      const bool immediate = axis == Axis::kImmediateFollowing ||
+                             axis == Axis::kImmediatePreceding ||
+                             axis == Axis::kImmediateFollowingSibling ||
+                             axis == Axis::kImmediatePrecedingSibling;
+      for (const LabelScheme scheme : {LabelScheme::kLPath,
+                                       LabelScheme::kXPath}) {
+        const bool xpath = scheme == LabelScheme::kXPath;
+        std::unique_ptr<BoolExpr> filter;
+        std::vector<Conjunct> conjuncts;
+        Status st;
+        if (AxisIncludesSelf(axis) && axis != Axis::kSelf) {
+          Result<std::unique_ptr<BoolExpr>> f = AxisFilter(scheme, axis, 0, 1);
+          st = f.status();
+          if (f.ok()) filter = std::move(f).value();
+        } else {
+          st = AppendAxisConjuncts(scheme, axis, 0, 1, &conjuncts);
+        }
+        if (xpath && immediate) {
+          EXPECT_TRUE(st.IsNotSupported()) << AxisName(axis) << ": " << st;
+          continue;
+        }
+        ASSERT_TRUE(st.ok()) << AxisName(axis) << ": " << st;
+        const std::vector<Label>& labels = xpath ? xpath_labels : lpath_labels;
+        for (NodeId x = 0; x < n; ++x) {
+          for (NodeId y = 0; y < n; ++y) {
+            bool emitted = true;
+            if (filter) {
+              emitted = Holds(*filter, labels[x], labels[y]);
+            } else {
+              for (const Conjunct& c : conjuncts) {
+                emitted = emitted && Holds(c, labels[x], labels[y]);
+              }
+            }
+            ASSERT_EQ(emitted,
+                      testing::StructuralMatches(t, lpath_labels, axis, x, y))
+                << AxisName(axis) << (xpath ? " (XPath labels)" : "")
+                << " x=" << x << " y=" << y;
+          }
+        }
+      }
     }
   }
 }

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -189,6 +190,49 @@ TEST_F(ServiceStreamTest, HandlesOutliveTheService) {
   Result<QueryResult> got = pending.Get();
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value(), expected.value());
+}
+
+TEST_F(ServiceStreamTest, ThrowingSinkEndsTheQueryWithAStatus) {
+  // Serial on one thread, then fanned out on four: the throw becomes the
+  // query's Status, `done` fires once with it, the handle resolves to it,
+  // and the service keeps serving.
+  for (const int threads : {1, 4}) {
+    service::QueryServiceOptions opts;
+    opts.threads = threads;
+    opts.adaptive_serial_rows = 0;
+    auto service = MakeService(opts);
+    int batches = 0;
+    int done_calls = 0;
+    Status done_status;
+    service::SubmitOptions submit;
+    submit.done = [&](const Status& st) {
+      done_status = st;
+      ++done_calls;
+    };
+    Result<QueryResult> r =
+        service
+            ->Submit(
+                "//NP//_",
+                [&batches](std::span<const Hit>) {
+                  if (batches++ == 0) throw std::runtime_error("sink failed");
+                },
+                submit)
+            .Get();
+    ASSERT_FALSE(r.ok()) << threads << " threads";
+    EXPECT_TRUE(r.status().IsInternal()) << r.status();
+    EXPECT_NE(r.status().message().find("sink failed"), std::string::npos)
+        << r.status();
+    EXPECT_EQ(done_calls, 1) << threads << " threads";
+    EXPECT_EQ(done_status, r.status());
+    EXPECT_GE(batches, 1);
+
+    const service::ServiceStats stats = service->Stats();
+    EXPECT_EQ(stats.sharded_queries, threads > 1 ? 1u : 0u);
+    EXPECT_EQ(stats.errors, 1u);
+    Result<QueryResult> after = service->Query("//NP//_");
+    ASSERT_TRUE(after.ok()) << after.status();
+    EXPECT_EQ(after.value(), serial_->Run("//NP//_").value());
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Shared test helpers: the running example of the paper (Figure 1's syntax
 // tree for "I saw the old man with a dog today"), a seeded random-tree
-// generator for property tests, a file reader, a relation comparison and a
-// random query generator.
+// generator and a structural axis oracle for property tests, a file reader,
+// a relation comparison and a random query generator.
 
 #ifndef LPATHDB_TESTS_TEST_UTIL_H_
 #define LPATHDB_TESTS_TEST_UTIL_H_
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "label/axes.h"
 #include "storage/relation.h"
 #include "tree/corpus.h"
 #include "tree/tree.h"
@@ -118,6 +119,85 @@ inline Corpus RandomCorpus(uint64_t seed, int trees, int max_nodes = 40) {
     corpus.Add(RandomTree(&rng, corpus.mutable_interner(), max_nodes));
   }
   return corpus;
+}
+
+/// Structural ground truth for `y` being on `axis` of `x`, computed from
+/// the tree itself, and for the document-order axes from the leaf order
+/// (the Definition 4.1 intervals in `labels`). Shares no code with the axis
+/// table. Attribute rows carry their element's label, so over element
+/// nodes the attribute axis relates a node to itself.
+inline bool StructuralMatches(const Tree& t, const std::vector<Label>& labels,
+                              Axis axis, NodeId x, NodeId y) {
+  switch (axis) {
+    case Axis::kSelf:
+      return x == y;
+    case Axis::kChild:
+      return t.parent(y) == x;
+    case Axis::kParent:
+      return t.parent(x) == y;
+    case Axis::kDescendant:
+      return t.IsAncestor(x, y);
+    case Axis::kDescendantOrSelf:
+      return x == y || t.IsAncestor(x, y);
+    case Axis::kAncestor:
+      return t.IsAncestor(y, x);
+    case Axis::kAncestorOrSelf:
+      return x == y || t.IsAncestor(y, x);
+    case Axis::kFollowing:
+      return labels[y].left >= labels[x].right;
+    case Axis::kImmediateFollowing: {
+      // Definition 3.1: y follows x with no z strictly between.
+      if (labels[y].left < labels[x].right) return false;
+      for (NodeId z = 0; z < static_cast<NodeId>(t.size()); ++z) {
+        if (labels[z].left >= labels[x].right &&
+            labels[y].left >= labels[z].right) {
+          return false;
+        }
+      }
+      return true;
+    }
+    case Axis::kPreceding:
+      return labels[y].right <= labels[x].left;
+    case Axis::kImmediatePreceding: {
+      if (labels[y].right > labels[x].left) return false;
+      for (NodeId z = 0; z < static_cast<NodeId>(t.size()); ++z) {
+        if (labels[z].right <= labels[x].left &&
+            labels[y].right <= labels[z].left) {
+          return false;
+        }
+      }
+      return true;
+    }
+    case Axis::kFollowingSibling: {
+      for (NodeId s = t.next_sibling(x); s != kNoNode; s = t.next_sibling(s)) {
+        if (s == y) return true;
+      }
+      return false;
+    }
+    case Axis::kImmediateFollowingSibling:
+      return t.next_sibling(x) == y;
+    case Axis::kPrecedingSibling: {
+      for (NodeId s = t.prev_sibling(x); s != kNoNode; s = t.prev_sibling(s)) {
+        if (s == y) return true;
+      }
+      return false;
+    }
+    case Axis::kImmediatePrecedingSibling:
+      return t.prev_sibling(x) == y;
+    case Axis::kFollowingOrSelf:
+      return x == y || labels[y].left >= labels[x].right;
+    case Axis::kPrecedingOrSelf:
+      return x == y || labels[y].right <= labels[x].left;
+    case Axis::kFollowingSiblingOrSelf:
+      return x == y ||
+             StructuralMatches(t, labels, Axis::kFollowingSibling, x, y);
+    case Axis::kPrecedingSiblingOrSelf:
+      return x == y ||
+             StructuralMatches(t, labels, Axis::kPrecedingSibling, x, y);
+    case Axis::kAttribute:
+      return x == y;
+  }
+  return false;
 }
 
 /// The bytes of the file at `path` (empty if it cannot be read).
