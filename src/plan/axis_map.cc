@@ -14,8 +14,8 @@ PlanCol ColumnOf(LabelField field) {
 
 }  // namespace
 
-Status AppendAxisConjuncts(LabelScheme scheme, Axis axis, int from, int to,
-                           std::vector<Conjunct>* out) {
+Status AppendAxisConjuncts(LabelScheme scheme, Axis axis, const Operand& from,
+                           int to, std::vector<Conjunct>* out) {
   if (AxisBase(axis) != axis) {
     return Status::Internal("or-self axes require AxisFilter");
   }
@@ -26,13 +26,13 @@ Status AppendAxisConjuncts(LabelScheme scheme, Axis axis, int from, int to,
   }
   for (const LabelCmp& c : AxisComparisons(scheme, axis)) {
     out->push_back(Conjunct{Operand::Column(to, ColumnOf(c.cand)), c.op,
-                            Operand::Column(from, ColumnOf(c.ctx))});
+                            from.WithCol(ColumnOf(c.ctx))});
   }
   return Status::OK();
 }
 
 Result<std::unique_ptr<BoolExpr>> AxisFilter(LabelScheme scheme, Axis axis,
-                                             int from, int to) {
+                                             const Operand& from, int to) {
   std::vector<Conjunct> base;
   LPATH_RETURN_IF_ERROR(
       AppendAxisConjuncts(scheme, AxisBase(axis), from, to, &base));
@@ -53,7 +53,7 @@ Result<std::unique_ptr<BoolExpr>> AxisFilter(LabelScheme scheme, Axis axis,
   }
   auto self = std::make_unique<BoolExpr>(BoolExpr::Kind::kCmp);
   self->cmp = Conjunct{Operand::Column(to, PlanCol::kId), CmpOp::kEq,
-                       Operand::Column(from, PlanCol::kId)};
+                       from.WithCol(PlanCol::kId)};
   auto out = std::make_unique<BoolExpr>(BoolExpr::Kind::kOr);
   out->lhs = std::move(conj);
   out->rhs = std::move(self);

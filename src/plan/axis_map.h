@@ -1,8 +1,9 @@
 // Axis → conjunct mapping (Table 2 of the paper) for the LPath → plan
-// compiler. Given an edge "candidate var `to` is on `axis` of context var
-// `from`", emits the label comparisons of the axis table (label/axes.h) that
-// decide it under the chosen labeling scheme, one conjunct per comparison
-// in the table's order.
+// compiler. Given an edge "candidate var `to` is on `axis` of the context
+// variable `from` references" (a variable of the same plan or, marked
+// outer, of the parent plan; its column is unused), emits the label
+// comparisons of the axis table (label/axes.h) that decide it under the
+// chosen labeling scheme, one conjunct per comparison in the table's order.
 
 #ifndef LPATHDB_PLAN_AXIS_MAP_H_
 #define LPATHDB_PLAN_AXIS_MAP_H_
@@ -22,13 +23,13 @@ namespace lpath {
 /// disjunctive BoolExpr via AxisFilter below — this function rejects them.
 /// The XPath labeling scheme rejects the immediate-* axes (Lemma 3.1 /
 /// Section 4: tag positions cannot decide adjacency).
-Status AppendAxisConjuncts(LabelScheme scheme, Axis axis, int from, int to,
-                           std::vector<Conjunct>* out);
+Status AppendAxisConjuncts(LabelScheme scheme, Axis axis, const Operand& from,
+                           int to, std::vector<Conjunct>* out);
 
 /// Builds the disjunctive filter for an or-self axis:
 /// (base-axis conjuncts) OR (to.id = from.id).
 Result<std::unique_ptr<BoolExpr>> AxisFilter(LabelScheme scheme, Axis axis,
-                                             int from, int to);
+                                             const Operand& from, int to);
 
 }  // namespace lpath
 

@@ -34,7 +34,7 @@ class Compiler {
     ExecPlan plan;
     LPATH_ASSIGN_OR_RETURN(
         int last_var,
-        AppendPath(query, /*anchor=*/-1, &plan));
+        AppendPath(query, /*anchor=*/Operand(), &plan));
     plan.output_var = last_var;
     return plan;
   }
@@ -45,25 +45,31 @@ class Compiler {
   static Conjunct VarLit(int var, PlanCol col, CmpOp op, Operand lit) {
     return Conjunct{Operand::Column(var, col), op, std::move(lit)};
   }
-  static Conjunct VarVar(int a, PlanCol ca, CmpOp op, int b, PlanCol cb) {
-    return Conjunct{Operand::Column(a, ca), op, Operand::Column(b, cb)};
+  /// Variable `a`'s column `ca` compared with column `cb` of the variable
+  /// `b` references (Operand::Column or Operand::Outer).
+  static Conjunct VarVar(int a, PlanCol ca, CmpOp op, const Operand& b,
+                         PlanCol cb) {
+    return Conjunct{Operand::Column(a, ca), op, b.WithCol(cb)};
   }
 
   /// Appends the steps of `path` to `plan`, allocating fresh variables.
-  /// `anchor` is the context variable the first step's axis relates to:
-  ///   -1                      — top-level absolute path;
-  ///   v >= 0                  — a variable of this plan (unnested paths);
-  ///   kOuterVarBase + v       — a parent-plan variable (EXISTS subplans).
+  /// `anchor` references the context variable the first step's axis
+  /// relates to (its column is unused):
+  ///   a literal (Operand())   — none: a top-level absolute path;
+  ///   Operand::Column(v, ..)  — a variable of this plan (unnested paths);
+  ///   Operand::Outer(v, ..)   — the parent plan's variable v (EXISTS
+  ///                             subplans), marked outer, never renumbered.
   /// Returns the variable of the final step.
-  Result<int> AppendPath(const LocationPath& path, int anchor,
+  Result<int> AppendPath(const LocationPath& path, const Operand& anchor,
                          ExecPlan* plan) {
-    const bool absolute = anchor < 0;
+    const bool absolute = anchor.is_literal();
 
-    // Innermost open scope; leading '{' scopes to the anchor.
-    int scope_var = -1;
-    if (!absolute && path.leading_scopes > 0) scope_var = anchor;
+    // Innermost open scope (a literal while none is open); leading '{'
+    // scopes to the anchor.
+    Operand scope;
+    if (!absolute && path.leading_scopes > 0) scope = anchor;
 
-    int prev_var = anchor;
+    Operand prev = anchor;
     int last_var = -1;
     for (size_t i = 0; i < path.steps.size(); ++i) {
       const Step& step = path.steps[i];
@@ -86,8 +92,8 @@ class Compiler {
         }
       } else {
         plan->conjuncts.push_back(
-            VarVar(var, PlanCol::kTid, CmpOp::kEq, prev_var, PlanCol::kTid));
-        LPATH_RETURN_IF_ERROR(AddAxis(step.axis, prev_var, var, plan));
+            VarVar(var, PlanCol::kTid, CmpOp::kEq, prev, PlanCol::kTid));
+        LPATH_RETURN_IF_ERROR(AddAxis(step.axis, prev, var, plan));
       }
 
       // --- node test --------------------------------------------------------
@@ -102,18 +108,17 @@ class Compiler {
       }
 
       // --- scope containment -------------------------------------------------
-      if (scope_var >= 0 && !is_attr) {
+      if (!scope.is_literal() && !is_attr) {
         plan->conjuncts.push_back(
-            VarVar(var, PlanCol::kLeft, CmpOp::kGe, scope_var,
-                   PlanCol::kLeft));
-        plan->conjuncts.push_back(VarVar(var, PlanCol::kRight, CmpOp::kLe,
-                                         scope_var, PlanCol::kRight));
+            VarVar(var, PlanCol::kLeft, CmpOp::kGe, scope, PlanCol::kLeft));
+        plan->conjuncts.push_back(
+            VarVar(var, PlanCol::kRight, CmpOp::kLe, scope, PlanCol::kRight));
         if (options_.scheme == LabelScheme::kLPath) {
           // Depth resolves unary chains (a same-interval ancestor of the
           // scope node must not pass). Tag positions nest strictly, so the
           // XPath scheme needs no depth column.
           plan->conjuncts.push_back(VarVar(var, PlanCol::kDepth, CmpOp::kGe,
-                                           scope_var, PlanCol::kDepth));
+                                           scope, PlanCol::kDepth));
         }
       }
 
@@ -123,9 +128,10 @@ class Compiler {
           return Status::NotSupported(
               "edge alignment requires the LPath labeling scheme");
         }
-        int target = scope_var;
-        if (target < 0) {
-          LPATH_ASSIGN_OR_RETURN(target, EnsureRootVar(plan, var));
+        Operand target = scope;
+        if (target.is_literal()) {
+          LPATH_ASSIGN_OR_RETURN(const int root, EnsureRootVar(plan, var));
+          target = Operand::Column(root, PlanCol::kTid);
         }
         if (step.left_align) {
           plan->conjuncts.push_back(
@@ -149,8 +155,8 @@ class Compiler {
       }
 
       // --- scope opening ------------------------------------------------------------
-      if (step.opens_scopes > 0) scope_var = var;
-      prev_var = var;
+      prev = Operand::Column(var, PlanCol::kTid);
+      if (step.opens_scopes > 0) scope = prev;
       last_var = var;
     }
     return last_var;
@@ -159,18 +165,18 @@ class Compiler {
   /// Unnests a positive predicate into `plan` as extra join variables
   /// anchored at `context_var` (a semi-join; sound under DISTINCT output).
   Status Unnest(const PredExpr& e, int context_var, ExecPlan* plan) {
+    const Operand context = Operand::Column(context_var, PlanCol::kTid);
     switch (e.kind) {
       case PredExpr::Kind::kAnd:
         LPATH_RETURN_IF_ERROR(Unnest(*e.lhs, context_var, plan));
         return Unnest(*e.rhs, context_var, plan);
       case PredExpr::Kind::kPath: {
-        LPATH_ASSIGN_OR_RETURN(int last, AppendPath(e.path, context_var, plan));
+        LPATH_ASSIGN_OR_RETURN(int last, AppendPath(e.path, context, plan));
         (void)last;  // existence only; the variable's bindings are the join
         return Status::OK();
       }
       case PredExpr::Kind::kCompare: {
-        LPATH_ASSIGN_OR_RETURN(int attr_var,
-                               AppendPath(e.path, context_var, plan));
+        LPATH_ASSIGN_OR_RETURN(int attr_var, AppendPath(e.path, context, plan));
         plan->conjuncts.push_back(VarLit(
             attr_var, PlanCol::kValue,
             e.cmp == CmpOp::kEq ? CmpOp::kEq : CmpOp::kNe,
@@ -182,7 +188,7 @@ class Compiler {
     }
   }
 
-  Status AddAxis(Axis axis, int from, int to, ExecPlan* plan) {
+  Status AddAxis(Axis axis, const Operand& from, int to, ExecPlan* plan) {
     if (AxisBase(axis) != axis) {
       LPATH_ASSIGN_OR_RETURN(std::unique_ptr<BoolExpr> filter,
                              AxisFilter(options_.scheme, axis, from, to));
@@ -199,8 +205,9 @@ class Compiler {
   Result<int> EnsureRootVar(ExecPlan* plan, int tid_link) {
     if (root_var_ >= 0) return root_var_;
     root_var_ = plan->num_vars++;
-    plan->conjuncts.push_back(VarVar(root_var_, PlanCol::kTid, CmpOp::kEq,
-                                     tid_link, PlanCol::kTid));
+    const Operand link = Operand::Column(tid_link, PlanCol::kTid);
+    plan->conjuncts.push_back(
+        VarVar(root_var_, PlanCol::kTid, CmpOp::kEq, link, PlanCol::kTid));
     plan->conjuncts.push_back(
         VarLit(root_var_, PlanCol::kPid, CmpOp::kEq, Operand::Number(0)));
     plan->conjuncts.push_back(
@@ -255,10 +262,9 @@ class Compiler {
     }
     Compiler sub_compiler(options_);
     ExecPlan sub;
-    LPATH_ASSIGN_OR_RETURN(
-        int attr_var,
-        sub_compiler.AppendPath(path, Operand::kOuterVarBase + context_var,
-                                &sub));
+    const Operand context = Operand::Outer(context_var, PlanCol::kTid);
+    LPATH_ASSIGN_OR_RETURN(int attr_var,
+                           sub_compiler.AppendPath(path, context, &sub));
     if (compare != nullptr) {
       // The parser guarantees the final step is an attribute step.
       sub.conjuncts.push_back(VarLit(

@@ -41,7 +41,7 @@ void AppendOperand(const Operand& o, std::ostream& os) {
       os << o.num;
     }
   } else if (o.is_outer()) {
-    os << "outer" << o.outer_index() << '.' << PlanColName(o.col);
+    os << "outer" << o.var << '.' << PlanColName(o.col);
   } else {
     os << 'v' << o.var << '.' << PlanColName(o.col);
   }

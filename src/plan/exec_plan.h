@@ -49,14 +49,16 @@ enum class PlanCol : uint8_t {
 /// SQL column name ("left", "pid", ...).
 std::string_view PlanColName(PlanCol col);
 
-/// One side of a comparison: a variable's column, or a literal.
-/// `var` >= 0 refers to the enclosing plan's variables; kOuterVarBase + k
-/// refers to variable k of the *parent* plan (correlated subqueries).
+/// One side of a comparison: a variable's column, or a literal. A column
+/// names variable `var` of the enclosing plan (Column) or, an outer
+/// reference, variable `var` of the *parent* plan (Outer; correlated
+/// subqueries). The `outer` marker, not the number, tells the two apart,
+/// so a plan may have any number of variables.
 struct Operand {
   static constexpr int kLiteral = -1;
-  static constexpr int kOuterVarBase = 1000;
 
   int var = kLiteral;
+  bool outer = false;  ///< `var` indexes the parent plan's variables
   PlanCol col = PlanCol::kTid;
   // Literal payload (var == kLiteral): either a number (kind/depth/position
   // columns) or a string (name/value columns).
@@ -68,6 +70,11 @@ struct Operand {
     Operand op;
     op.var = var;
     op.col = col;
+    return op;
+  }
+  static Operand Outer(int var, PlanCol col) {
+    Operand op = Column(var, col);
+    op.outer = true;
     return op;
   }
   static Operand Number(int64_t v) {
@@ -82,8 +89,13 @@ struct Operand {
     return op;
   }
   bool is_literal() const { return var == kLiteral; }
-  bool is_outer() const { return var >= kOuterVarBase; }
-  int outer_index() const { return var - kOuterVarBase; }
+  bool is_outer() const { return outer; }
+  /// The same reference (or literal) with column `c`.
+  Operand WithCol(PlanCol c) const {
+    Operand op = *this;
+    op.col = c;
+    return op;
+  }
 };
 
 /// lhs op rhs. At least one side is a column reference. In a prepared plan
@@ -107,9 +119,10 @@ struct BoolExpr {
   Kind kind;
   std::unique_ptr<BoolExpr> lhs, rhs;  // kAnd/kOr (both), kNot (lhs)
   Conjunct cmp;                        // kCmp
-  std::unique_ptr<ExecPlan> sub;       // kExists
+  std::unique_ptr<ExecPlan> sub;       // kExists (moved out once prepared)
   /// kExists inside a sql::PreparedPlan's plan: the index of the node's
-  /// prepared subplan in PreparedPlan::subs. -1 elsewhere (Clone resets).
+  /// prepared subplan in PreparedPlan::subs, its only link to it (`sub`
+  /// is null there). -1 elsewhere (Clone resets).
   int sub_slot = -1;
 
   explicit BoolExpr(Kind k) : kind(k) {}

@@ -33,17 +33,15 @@ class Generator {
   std::string Alias(int var, int depth) const {
     // Built with += rather than operator+ on two temporaries: gcc 12's
     // -Wrestrict misfires on the latter at -O2 (GCC PR 105651).
-    const bool outer = var >= Operand::kOuterVarBase;
-    const int d = outer ? depth - 1 : depth;
     std::string alias;
-    if (d < 26) {
-      alias += static_cast<char>('a' + d);
+    if (depth < 26) {
+      alias += static_cast<char>('a' + depth);
     } else {
       alias += 'd';
-      alias += std::to_string(d);
+      alias += std::to_string(depth);
       alias += '_';
     }
-    alias += std::to_string(outer ? var - Operand::kOuterVarBase : var);
+    alias += std::to_string(var);
     return alias;
   }
 
@@ -61,7 +59,9 @@ class Generator {
       }
       return;
     }
-    os << Alias(o.var, depth) << '.' << PlanColName(o.col);
+    // An outer reference names a variable of the enclosing query.
+    os << Alias(o.var, o.is_outer() ? depth - 1 : depth) << '.'
+       << PlanColName(o.col);
   }
 
   void EmitConjunct(const Conjunct& c, int depth, std::ostream& os) const {

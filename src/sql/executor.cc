@@ -89,13 +89,9 @@ class Runner {
       *out = o.num;
       return true;
     }
-    Row r;
-    if (o.is_outer()) {
-      if (f.parent == nullptr) return false;
-      r = f.parent->bound[o.outer_index()];
-    } else {
-      r = f.bound[o.var];
-    }
+    const Frame* frame = o.is_outer() ? f.parent : &f;
+    if (frame == nullptr) return false;
+    const Row r = frame->bound[o.var];
     if (r == kNoRow) return false;
     *out = ColValue(r, o.col);
     return true;

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <limits>
-#include <set>
 #include <sstream>
 
 namespace lpath {
@@ -15,62 +13,6 @@ namespace {
 std::atomic<uint64_t> g_prepare_calls{0};
 
 bool IsLocal(const Operand& o) { return !o.is_literal() && !o.is_outer(); }
-
-/// Collects this plan's local variables referenced by an expression,
-/// including the correlation (outer) references made by nested subplans.
-void CollectVars(const Conjunct& c, std::set<int>* vars) {
-  if (IsLocal(c.lhs)) vars->insert(c.lhs.var);
-  if (IsLocal(c.rhs)) vars->insert(c.rhs.var);
-}
-
-void CollectVars(const BoolExpr& e, std::set<int>* vars) {
-  switch (e.kind) {
-    case BoolExpr::Kind::kAnd:
-    case BoolExpr::Kind::kOr:
-      CollectVars(*e.lhs, vars);
-      CollectVars(*e.rhs, vars);
-      return;
-    case BoolExpr::Kind::kNot:
-      CollectVars(*e.lhs, vars);
-      return;
-    case BoolExpr::Kind::kCmp:
-      CollectVars(e.cmp, vars);
-      return;
-    case BoolExpr::Kind::kExists:
-      break;
-  }
-  // The outer references inside the subplan are *our* local variables.
-  auto visit_op = [&](const Operand& o) {
-    if (o.is_outer()) vars->insert(o.outer_index());
-  };
-  for (const Conjunct& c : e.sub->conjuncts) {
-    visit_op(c.lhs);
-    visit_op(c.rhs);
-  }
-  std::vector<const BoolExpr*> stack;
-  for (const auto& f : e.sub->filters) stack.push_back(f.get());
-  while (!stack.empty()) {
-    const BoolExpr* n = stack.back();
-    stack.pop_back();
-    switch (n->kind) {
-      case BoolExpr::Kind::kAnd:
-      case BoolExpr::Kind::kOr:
-        stack.push_back(n->lhs.get());
-        stack.push_back(n->rhs.get());
-        break;
-      case BoolExpr::Kind::kNot:
-        stack.push_back(n->lhs.get());
-        break;
-      case BoolExpr::Kind::kCmp:
-        visit_op(n->cmp.lhs);
-        visit_op(n->cmp.rhs);
-        break;
-      case BoolExpr::Kind::kExists:
-        // A nested subplan's outer refs point at the subplan, not at us.
-        break;
-    }
-  }
-}
 
 /// Mirror of a comparison operator, for swapping a conjunct's sides.
 CmpOp MirrorOp(CmpOp op) {
@@ -83,107 +25,43 @@ CmpOp MirrorOp(CmpOp op) {
   }
 }
 
-/// Walks the plan's filter trees, applying `cmp_fn` to every comparison
-/// and `exists_fn` to every EXISTS node (one level; `exists_fn` recurses
-/// into e->sub if it wants the whole nest). The single traversal the
-/// literal-resolution, orientation and prepare passes share.
-Status ForEachFilterNode(ExecPlan* plan,
-                         const std::function<Status(Conjunct*)>& cmp_fn,
-                         const std::function<Status(BoolExpr*)>& exists_fn) {
-  std::vector<BoolExpr*> stack;
-  for (auto& f : plan->filters) stack.push_back(f.get());
-  while (!stack.empty()) {
-    BoolExpr* e = stack.back();
-    stack.pop_back();
-    switch (e->kind) {
-      case BoolExpr::Kind::kAnd:
-      case BoolExpr::Kind::kOr:
-        stack.push_back(e->lhs.get());
-        stack.push_back(e->rhs.get());
-        break;
-      case BoolExpr::Kind::kNot:
-        stack.push_back(e->lhs.get());
-        break;
-      case BoolExpr::Kind::kCmp:
-        LPATH_RETURN_IF_ERROR(cmp_fn(&e->cmp));
-        break;
-      case BoolExpr::Kind::kExists:
-        LPATH_RETURN_IF_ERROR(exists_fn(e));
-        break;
-    }
-  }
-  return Status::OK();
-}
-
-/// Rewrites string literals to dictionary symbol ids in place; validates
-/// that string comparisons use only = / !=. An unknown symbol in an
-/// equality empties the plan only when the equality is a top-level
-/// conjunct (an AND leg that can never hold) and `always_empty` is
-/// non-null. Inside OR/NOT filter trees — and throughout EXISTS subplans,
-/// which pass a null flag — the comparison is rewritten to an
-/// unsatisfiable sentinel and evaluation decides: `x = 'unknown' OR
-/// <other>` must still consider <other>, and an impossible EXISTS simply
-/// enumerates nothing.
-Status ResolveLiterals(ExecPlan* plan, const Interner& interner,
-                       bool* always_empty) {
-  // `empty_flag` is the enclosing plan's always_empty for top-level
-  // conjuncts and null for comparisons inside filter trees.
-  auto resolve = [&interner](Conjunct* c, bool* empty_flag) -> Status {
-    for (Operand* o : {&c->lhs, &c->rhs}) {
-      if (!o->is_literal() || !o->is_string) continue;
-      if (c->op != CmpOp::kEq && c->op != CmpOp::kNe) {
-        return Status::NotSupported(
-            "string literals support only = and != comparisons");
-      }
-      const Symbol sym = interner.Lookup(o->str);
-      if (sym == kNoSymbol) {
-        if (c->op == CmpOp::kEq && empty_flag != nullptr) *empty_flag = true;
-        // -1 compares equal to no column (symbols are non-negative), so an
-        // unknown = is always false and an unknown != always true — the
-        // same answers a known-but-absent word would give. (kNoSymbol
-        // itself would falsely match the value column of element rows,
-        // which store kNoSymbol for "no value".)
-        o->num = -1;
-      } else {
-        o->num = static_cast<int64_t>(sym);
-      }
-      o->is_string = false;  // now a resolved symbol id
-    }
-    return Status::OK();
-  };
-  for (Conjunct& c : plan->conjuncts) {
-    LPATH_RETURN_IF_ERROR(resolve(&c, always_empty));
-  }
-  return ForEachFilterNode(
-      plan, [&resolve](Conjunct* c) { return resolve(c, nullptr); },
-      [&interner](BoolExpr* e) {
-        return ResolveLiterals(e->sub.get(), interner,
-                               /*always_empty=*/nullptr);
-      });
-}
-
-/// Puts the column reference on the lhs of literal-first comparisons
-/// (`'VB' = a.name`), mirroring the operator. The fact harvesters and the
-/// access-path derivation inspect only var-on-lhs conjuncts, so without
-/// this a literal-first spelling silently degrades to a full scan. The SQL
-/// parser normalizes as it parses; plans built programmatically may not be.
-void NormalizeOrientation(ExecPlan* plan) {
-  auto flip = [](Conjunct* c) {
-    if (!c->lhs.is_literal() || c->rhs.is_literal()) return;
+/// Normalizes one comparison, a top-level conjunct or a filter's leaf. A
+/// literal-first spelling (`'VB' = a.name`) is flipped column-first,
+/// mirroring the operator: the fact harvest and the access-path choice
+/// inspect only var-on-lhs conjuncts, so without this it would silently
+/// degrade to a full scan. String literals resolve to symbol ids in
+/// `dictionary`, and support only = and !=. An unknown word in an equality
+/// sets `*always_empty` when the flag is given — only for the top-level
+/// conjuncts of the top-level plan, AND legs that can never hold. Inside
+/// OR/NOT trees and subplans the word becomes an unsatisfiable sentinel
+/// and evaluation decides: `x = 'unknown' OR <other>` must still consider
+/// <other>, and an impossible EXISTS simply enumerates nothing.
+Status Normalize(Conjunct* c, const Interner& dictionary, bool* always_empty) {
+  if (c->lhs.is_literal() && !c->rhs.is_literal()) {
     std::swap(c->lhs, c->rhs);
     c->op = MirrorOp(c->op);
-  };
-  for (Conjunct& c : plan->conjuncts) flip(&c);
-  (void)ForEachFilterNode(
-      plan,
-      [&flip](Conjunct* c) {
-        flip(c);
-        return Status::OK();
-      },
-      [](BoolExpr* e) {
-        NormalizeOrientation(e->sub.get());
-        return Status::OK();
-      });
+  }
+  for (Operand* o : {&c->lhs, &c->rhs}) {
+    if (!o->is_literal() || !o->is_string) continue;
+    if (c->op != CmpOp::kEq && c->op != CmpOp::kNe) {
+      return Status::NotSupported(
+          "string literals support only = and != comparisons");
+    }
+    const Symbol sym = dictionary.Lookup(o->str);
+    if (sym == kNoSymbol) {
+      if (c->op == CmpOp::kEq && always_empty != nullptr) *always_empty = true;
+      // -1 compares equal to no column (symbols are non-negative), so an
+      // unknown = is always false and an unknown != always true — the
+      // same answers a known-but-absent word would give. (kNoSymbol
+      // itself would falsely match the value column of element rows,
+      // which store kNoSymbol for "no value".)
+      o->num = -1;
+    } else {
+      o->num = static_cast<int64_t>(sym);
+    }
+    o->is_string = false;  // now a resolved symbol id
+  }
+  return Status::OK();
 }
 
 /// Static per-variable access facts harvested from literal conjuncts.
@@ -196,28 +74,41 @@ struct VarFacts {
   bool has_pid0 = false;  // pid = 0 (root)
 };
 
-std::vector<VarFacts> HarvestFacts(const ExecPlan& plan) {
+/// The conjuncts that name each local variable: variable -> indices into
+/// the plan's conjuncts, in plan order. Built once per plan level, so the
+/// fact harvest and every cost estimate read one variable's list instead
+/// of scanning the whole plan.
+using ConjunctIndex = std::vector<std::vector<int>>;
+
+std::vector<VarFacts> HarvestFacts(const ExecPlan& plan,
+                                   const ConjunctIndex& uses) {
   std::vector<VarFacts> facts(plan.num_vars);
-  for (const Conjunct& c : plan.conjuncts) {
-    if (!IsLocal(c.lhs) || !c.rhs.is_literal() || c.op != CmpOp::kEq) continue;
-    VarFacts& f = facts[c.lhs.var];
-    switch (c.lhs.col) {
-      case PlanCol::kName:
-        f.name = static_cast<Symbol>(c.rhs.num);
-        f.has_name = true;
-        break;
-      case PlanCol::kValue:
-        f.value = static_cast<Symbol>(c.rhs.num);
-        f.has_value = true;
-        break;
-      case PlanCol::kKind:
-        f.kind = static_cast<int>(c.rhs.num);
-        break;
-      case PlanCol::kPid:
-        if (c.rhs.num == 0) f.has_pid0 = true;
-        break;
-      default:
-        break;
+  for (int v = 0; v < plan.num_vars; ++v) {
+    VarFacts& f = facts[v];
+    for (int i : uses[v]) {
+      const Conjunct& c = plan.conjuncts[i];
+      if (!IsLocal(c.lhs) || c.lhs.var != v || !c.rhs.is_literal() ||
+          c.op != CmpOp::kEq) {
+        continue;
+      }
+      switch (c.lhs.col) {
+        case PlanCol::kName:
+          f.name = static_cast<Symbol>(c.rhs.num);
+          f.has_name = true;
+          break;
+        case PlanCol::kValue:
+          f.value = static_cast<Symbol>(c.rhs.num);
+          f.has_value = true;
+          break;
+        case PlanCol::kKind:
+          f.kind = static_cast<int>(c.rhs.num);
+          break;
+        case PlanCol::kPid:
+          if (c.rhs.num == 0) f.has_pid0 = true;
+          break;
+        default:
+          break;
+      }
     }
   }
   return facts;
@@ -242,9 +133,10 @@ double BaseCardinality(const VarFacts& f, const NodeRelation& rel) {
 
 /// Estimated rows produced when binding `v` given the `bound` set (join
 /// links give discounts). All heuristic — the point is the *ranking*.
-double EstimateCost(const ExecPlan& plan, const std::vector<VarFacts>& facts,
-                    const NodeRelation& rel, int v,
-                    const std::vector<bool>& bound, bool anything_bound) {
+double EstimateCost(const ExecPlan& plan, const ConjunctIndex& uses,
+                    const std::vector<VarFacts>& facts, const NodeRelation& rel,
+                    int v, const std::vector<bool>& bound,
+                    bool anything_bound) {
   const VarFacts& f = facts[v];
   const double trees = std::max<double>(1.0, rel.tree_count());
   const double base = BaseCardinality(f, rel);
@@ -254,18 +146,11 @@ double EstimateCost(const ExecPlan& plan, const std::vector<VarFacts>& facts,
   // Join-link discount: the best access path available through a conjunct
   // against an already-bound variable (or an outer reference, always bound).
   double best = base / trees;  // per-tree scan via the tid link
-  for (const Conjunct& c : plan.conjuncts) {
-    const Operand* mine = nullptr;
-    const Operand* other = nullptr;
-    if (IsLocal(c.lhs) && c.lhs.var == v) {
-      mine = &c.lhs;
-      other = &c.rhs;
-    } else if (IsLocal(c.rhs) && c.rhs.var == v) {
-      mine = &c.rhs;
-      other = &c.lhs;
-    } else {
-      continue;
-    }
+  for (int i : uses[v]) {
+    const Conjunct& c = plan.conjuncts[i];
+    const bool lhs_mine = IsLocal(c.lhs) && c.lhs.var == v;
+    const Operand* mine = lhs_mine ? &c.lhs : &c.rhs;
+    const Operand* other = lhs_mine ? &c.rhs : &c.lhs;
     const bool other_ready =
         other->is_literal() || other->is_outer() ||
         (IsLocal(*other) && bound[other->var]);
@@ -294,7 +179,7 @@ double EstimateCost(const ExecPlan& plan, const std::vector<VarFacts>& facts,
   return best;
 }
 
-std::vector<int> ChooseOrder(const ExecPlan& plan,
+std::vector<int> ChooseOrder(const ExecPlan& plan, const ConjunctIndex& uses,
                              const std::vector<VarFacts>& facts,
                              const NodeRelation& rel,
                              ExecOptions::JoinOrder mode) {
@@ -311,7 +196,8 @@ std::vector<int> ChooseOrder(const ExecPlan& plan,
     double best_cost = std::numeric_limits<double>::infinity();
     for (int v = 0; v < n; ++v) {
       if (bound[v]) continue;
-      const double cost = EstimateCost(plan, facts, rel, v, bound, step > 0);
+      const double cost =
+          EstimateCost(plan, uses, facts, rel, v, bound, step > 0);
       if (cost < best_cost) {
         best_cost = cost;
         best_var = v;
@@ -321,15 +207,6 @@ std::vector<int> ChooseOrder(const ExecPlan& plan,
     order.push_back(best_var);
   }
   return order;
-}
-
-/// Position at which a conjunct becomes checkable: the max position of its
-/// local variables (0 if it references none).
-int ReadyPos(const Conjunct& c, const std::vector<int>& pos_of) {
-  int pos = 0;
-  if (IsLocal(c.lhs)) pos = std::max(pos, pos_of[c.lhs.var]);
-  if (IsLocal(c.rhs)) pos = std::max(pos, pos_of[c.rhs.var]);
-  return pos;
 }
 
 /// Orients a conjunct so its lhs is the variable bound at `pos` (when that
@@ -469,97 +346,136 @@ AccessPath ChooseAccess(const PreparedPlan& pp, int pos,
   return a;
 }
 
-Result<std::unique_ptr<PreparedPlan>> PrepareResolved(
+/// Prepares one plan level and, through its EXISTS nodes, the levels below
+/// it. A subplan (`correlated`) appends to `outer_vars` the parent
+/// variables its outer references name, which is where the parent places
+/// its filter.
+Result<std::unique_ptr<PreparedPlan>> PrepareLevel(
     ExecPlan plan, const NodeRelation& rel, const ExecOptions& options,
-    bool always_empty, bool correlated) {
+    const Interner& dictionary, bool correlated, std::vector<int>* outer_vars) {
   auto pp = std::make_unique<PreparedPlan>();
-  pp->always_empty = always_empty;
   pp->plan = std::move(plan);
-  const ExecPlan& p = pp->plan;
+  ExecPlan& p = pp->plan;
+  const int n = p.num_vars;
 
-  const std::vector<VarFacts> facts = HarvestFacts(p);
-  pp->order = ChooseOrder(p, facts, rel, options.join_order);
+  // Each top-level conjunct, once: normalized, indexed under the local
+  // variables it names, and its tid link recorded — a local tid equality
+  // joins two tid classes (union-find), an outer one gives the class a
+  // tree to read.
+  ConjunctIndex uses(n);
+  std::vector<int> parent(n);
+  for (int v = 0; v < n; ++v) parent[v] = v;
+  const auto find = [&](int v) {
+    while (parent[v] != v) v = parent[v] = parent[parent[v]];
+    return v;
+  };
+  std::vector<std::pair<int, const Operand*>> outer_tids;  // in plan order
+  bool* const always_empty = correlated ? nullptr : &pp->always_empty;
+  for (int i = 0; i < static_cast<int>(p.conjuncts.size()); ++i) {
+    Conjunct& c = p.conjuncts[i];
+    LPATH_RETURN_IF_ERROR(Normalize(&c, dictionary, always_empty));
+    const bool lhs_local = IsLocal(c.lhs);
+    const bool rhs_local = IsLocal(c.rhs);
+    if (lhs_local) uses[c.lhs.var].push_back(i);
+    if (rhs_local && !(lhs_local && c.lhs.var == c.rhs.var)) {
+      uses[c.rhs.var].push_back(i);
+    }
+    if (c.op != CmpOp::kEq || c.lhs.col != PlanCol::kTid ||
+        c.rhs.col != PlanCol::kTid) {
+      continue;
+    }
+    if (lhs_local && rhs_local) {
+      parent[find(c.lhs.var)] = find(c.rhs.var);
+    } else if (lhs_local && c.rhs.is_outer()) {
+      outer_tids.emplace_back(c.lhs.var, &c.rhs);
+    } else if (rhs_local && c.lhs.is_outer()) {
+      outer_tids.emplace_back(c.rhs.var, &c.lhs);
+    }
+  }
+  pp->tid_class.resize(n);
+  for (int v = 0; v < n; ++v) pp->tid_class[v] = find(v);
+  // Per tid class: the last outer reference whose tid the class equals.
+  std::vector<const Operand*> class_outer(n, nullptr);
+  for (const auto& [v, outer] : outer_tids) {
+    class_outer[pp->tid_class[v]] = outer;
+  }
+
+  // The variable order, and each variable's position in it.
+  const std::vector<VarFacts> facts = HarvestFacts(p, uses);
+  pp->order = ChooseOrder(p, uses, facts, rel, options.join_order);
   pp->root_cardinality =
       pp->order.empty()
           ? 0
           : static_cast<size_t>(BaseCardinality(facts[pp->order[0]], rel));
-  std::vector<int> pos_of(p.num_vars, 0);  // variable -> position
+  std::vector<int> pos_of(n, 0);  // variable -> position
   for (int pos = 0; pos < static_cast<int>(pp->order.size()); ++pos) {
     pos_of[pp->order[pos]] = pos;
   }
-  pp->output_pos = p.num_vars > 0 ? pos_of[p.output_var] : 0;
+  pp->output_pos = n > 0 ? pos_of[p.output_var] : 0;
+
+  // Raises *pos to a local operand's position; hands an outer operand's
+  // variable up to the parent.
+  const auto read = [&](const Operand& o, int* pos) {
+    if (o.is_outer()) {
+      if (outer_vars != nullptr) outer_vars->push_back(o.var);
+    } else if (!o.is_literal()) {
+      *pos = std::max(*pos, pos_of[o.var]);
+    }
+  };
 
   // Conjuncts checkable once position p is bound, oriented so lhs.var is
   // that position's variable whenever a local variable is involved; the
   // access paths split each position's set into bounds and residual.
-  std::vector<std::vector<Conjunct>> pos_conjuncts(std::max(1, p.num_vars));
+  std::vector<std::vector<Conjunct>> pos_conjuncts(std::max(1, n));
   for (const Conjunct& c : p.conjuncts) {
-    const int pos = ReadyPos(c, pos_of);
+    int pos = 0;
+    read(c.lhs, &pos);
+    read(c.rhs, &pos);
     pos_conjuncts[pos].push_back(
         Orient(c, pp->order.empty() ? -1 : pp->order[pos]));
   }
-  // tid equivalence classes (union-find over tid = tid conjuncts).
-  {
-    std::vector<int> parent(p.num_vars);
-    for (int v = 0; v < p.num_vars; ++v) parent[v] = v;
-    std::function<int(int)> find = [&](int v) {
-      while (parent[v] != v) v = parent[v] = parent[parent[v]];
-      return v;
-    };
-    for (const Conjunct& c : p.conjuncts) {
-      if (c.op != CmpOp::kEq) continue;
-      if (c.lhs.col != PlanCol::kTid || c.rhs.col != PlanCol::kTid) continue;
-      if (IsLocal(c.lhs) && IsLocal(c.rhs)) {
-        parent[find(c.lhs.var)] = find(c.rhs.var);
-      }
+
+  // Each filter tree, walked once: its comparisons normalized, *pos raised
+  // to the latest position it reads, and its EXISTS subplans moved out of
+  // their nodes and prepared, left to right, into `subs`.
+  const auto walk = [&](const auto& self, BoolExpr* e, int* pos) -> Status {
+    switch (e->kind) {
+      case BoolExpr::Kind::kAnd:
+      case BoolExpr::Kind::kOr:
+        LPATH_RETURN_IF_ERROR(self(self, e->lhs.get(), pos));
+        return self(self, e->rhs.get(), pos);
+      case BoolExpr::Kind::kNot:
+        return self(self, e->lhs.get(), pos);
+      case BoolExpr::Kind::kCmp:
+        LPATH_RETURN_IF_ERROR(Normalize(&e->cmp, dictionary, nullptr));
+        read(e->cmp.lhs, pos);
+        read(e->cmp.rhs, pos);
+        return Status::OK();
+      case BoolExpr::Kind::kExists:
+        break;
     }
-    pp->tid_class.resize(p.num_vars);
-    for (int v = 0; v < p.num_vars; ++v) pp->tid_class[v] = find(v);
+    std::vector<int> named;  // this level's variables the subplan reads
+    const std::unique_ptr<ExecPlan> sub = std::move(e->sub);
+    LPATH_ASSIGN_OR_RETURN(
+        std::unique_ptr<PreparedPlan> prepared,
+        PrepareLevel(std::move(*sub), rel, options, dictionary,
+                     /*correlated=*/true, &named));
+    for (int v : named) *pos = std::max(*pos, pos_of[v]);
+    e->sub_slot = static_cast<int>(pp->subs.size());
+    pp->subs.push_back(std::move(prepared));
+    return Status::OK();
+  };
+  pp->filters_at.resize(std::max(1, n));
+  for (const auto& f : p.filters) {
+    int pos = 0;
+    LPATH_RETURN_IF_ERROR(walk(walk, f.get(), &pos));
+    pp->filters_at[pos].push_back(f.get());
   }
-  // Per tid class: the last outer reference whose tid the class equals.
-  std::vector<const Operand*> class_outer(p.num_vars, nullptr);
-  for (const Conjunct& c : p.conjuncts) {
-    if (c.op != CmpOp::kEq) continue;
-    if (c.lhs.col != PlanCol::kTid || c.rhs.col != PlanCol::kTid) continue;
-    const Operand* local = nullptr;
-    const Operand* outer = nullptr;
-    if (IsLocal(c.lhs) && c.rhs.is_outer()) {
-      local = &c.lhs;
-      outer = &c.rhs;
-    } else if (IsLocal(c.rhs) && c.lhs.is_outer()) {
-      local = &c.rhs;
-      outer = &c.lhs;
-    } else {
-      continue;
-    }
-    class_outer[pp->tid_class[local->var]] = outer;
-  }
+
   for (int pos = 0; pos < static_cast<int>(pp->order.size()); ++pos) {
     pp->access.push_back(ChooseAccess(*pp, pos, pos_of, pos_conjuncts[pos],
                                       correlated, class_outer));
   }
-
-  pp->filters_at.resize(std::max(1, p.num_vars));
-  for (const auto& f : p.filters) {
-    std::set<int> vars;
-    CollectVars(*f, &vars);
-    int pos = 0;
-    for (int v : vars) pos = std::max(pos, pos_of[v]);
-    pp->filters_at[pos].push_back(f.get());
-  }
-
-  // Prepare subplans recursively.
-  const auto prepare_sub = [&](BoolExpr* e) -> Status {
-    LPATH_ASSIGN_OR_RETURN(
-        std::unique_ptr<PreparedPlan> sub,
-        PrepareResolved(e->sub->Clone(), rel, options,
-                        /*always_empty=*/false, /*correlated=*/true));
-    e->sub_slot = static_cast<int>(pp->subs.size());
-    pp->subs.push_back(std::move(sub));
-    return Status::OK();
-  };
-  LPATH_RETURN_IF_ERROR(ForEachFilterNode(
-      &pp->plan, [](Conjunct*) { return Status::OK(); }, prepare_sub));
   return pp;
 }
 
@@ -570,14 +486,9 @@ Result<std::unique_ptr<PreparedPlan>> Prepare(const ExecPlan& plan,
                                               const ExecOptions& options,
                                               const Interner* dictionary) {
   g_prepare_calls.fetch_add(1, std::memory_order_relaxed);
-  ExecPlan resolved = plan.Clone();
-  NormalizeOrientation(&resolved);
-  bool always_empty = false;
-  LPATH_RETURN_IF_ERROR(ResolveLiterals(
-      &resolved, dictionary != nullptr ? *dictionary : rel.interner(),
-      &always_empty));
-  return PrepareResolved(std::move(resolved), rel, options, always_empty,
-                         /*correlated=*/false);
+  return PrepareLevel(plan.Clone(), rel, options,
+                      dictionary != nullptr ? *dictionary : rel.interner(),
+                      /*correlated=*/false, /*outer_vars=*/nullptr);
 }
 
 std::string_view AccessKindName(AccessPath::Kind kind) {

@@ -1,23 +1,29 @@
 // Plan preparation: the statistics-driven join-order optimizer.
 //
-// Prepare() turns an ExecPlan into a PreparedPlan the executor can run:
-//   1. comparisons are oriented column-first and string literals resolved
-//      against the relation's or the snapshot chain's dictionary (an
-//      unknown tag/word in a top-level equality short-circuits the plan to
-//      empty; inside OR/NOT filter trees it resolves to an unsatisfiable
-//      sentinel instead);
-//   2. a variable evaluation order is chosen — greedy by estimated
-//      cardinality (tag-run and value-index sizes, exactly the statistics
-//      the paper's §5.2 discussion turns on), or left-to-right for the
-//      ablation benchmark;
-//   3. conjuncts are oriented (later-bound variable on the left) and
-//      scheduled at the position where they first become checkable;
-//   4. each position's access path is chosen once (an AccessPath): the
+// Prepare() turns an ExecPlan into a PreparedPlan the executor can run. It
+// copies the plan once and prepares it level by level, in one pass per
+// level (an EXISTS subplan is a level of its own):
+//   1. each top-level conjunct is normalized once: oriented column-first
+//      and its string literals resolved against the relation's or the
+//      snapshot chain's dictionary (an unknown tag/word in a top-level
+//      equality of the top-level plan short-circuits the plan to empty;
+//      elsewhere it resolves to an unsatisfiable sentinel instead);
+//   2. each variable gets, once, the list of the conjuncts that name it;
+//   3. a variable evaluation order is chosen from those lists — greedy by
+//      estimated cardinality (tag-run and value-index sizes, exactly the
+//      statistics the paper's §5.2 discussion turns on), or left-to-right
+//      for the ablation benchmark — and each conjunct is oriented
+//      (later-bound variable on the left) and scheduled at the position
+//      where it first becomes checkable;
+//   4. each filter tree is walked once: its comparisons are normalized,
+//      its EXISTS subplans are moved out and prepared recursively, each
+//      reporting the variables of this level it reads, and the filter is
+//      scheduled where the last variable it reads is bound;
+//   5. each position's access path is chosen once (an AccessPath): the
 //      variables bound before it are fixed by the order, so which index
 //      serves it is a static choice. The path keeps the conjuncts it
 //      searches by (`bounds`) apart from the ones it leaves for the
-//      executor to check per candidate (`residual`);
-//   5. EXISTS subplans are prepared recursively.
+//      executor to check per candidate (`residual`).
 
 #ifndef LPATHDB_SQL_OPTIMIZER_H_
 #define LPATHDB_SQL_OPTIMIZER_H_
@@ -94,7 +100,10 @@ std::string_view AccessKindName(AccessPath::Kind kind);
 /// its dictionary defines (see Prepare). Owns a rewritten copy of the
 /// plan, so it is independent of the original ExecPlan.
 struct PreparedPlan {
-  ExecPlan plan;  // literals resolved to symbol ids (numbers)
+  /// Literals resolved to symbol ids (numbers). Its EXISTS nodes hold no
+  /// subplan: each `sub` was moved into `subs`, which the node reaches
+  /// only through its `sub_slot`.
+  ExecPlan plan;
 
   std::vector<int> order;  ///< position -> variable
   int output_pos = 0;
@@ -107,8 +116,9 @@ struct PreparedPlan {
   /// Filters evaluable once position p is bound.
   std::vector<std::vector<const BoolExpr*>> filters_at;
 
-  /// Prepared subplans, one per kExists node of the filters; each node's
-  /// BoolExpr::sub_slot indexes its entry.
+  /// Prepared subplans, one per kExists node of the filters, in the
+  /// left-to-right order of those nodes; each node's BoolExpr::sub_slot
+  /// indexes its entry.
   std::vector<std::unique_ptr<PreparedPlan>> subs;
 
   /// True if some conjunct can never hold (e.g. name = unknown tag).

@@ -373,7 +373,7 @@ class Parser {
     if (outer != nullptr) {
       auto oit = outer->find(alias);
       if (oit != outer->end()) {
-        return Operand::Column(Operand::kOuterVarBase + oit->second, *pc);
+        return Operand::Outer(oit->second, *pc);
       }
     }
     return Error("unknown alias " + std::string(alias));

@@ -170,25 +170,9 @@ TEST_P(AxisPropertyTest, LabelPredicatesAgreeWithStructure) {
     Tree t = RandomTree(&rng, &in, 30);
     std::vector<Label> labels;
     ComputeLPathLabels(t, &labels);
-    const Axis axes[] = {
-        Axis::kSelf,
-        Axis::kChild,
-        Axis::kParent,
-        Axis::kDescendant,
-        Axis::kDescendantOrSelf,
-        Axis::kAncestor,
-        Axis::kAncestorOrSelf,
-        Axis::kFollowing,
-        Axis::kImmediateFollowing,
-        Axis::kPreceding,
-        Axis::kImmediatePreceding,
-        Axis::kFollowingSibling,
-        Axis::kImmediateFollowingSibling,
-        Axis::kPrecedingSibling,
-        Axis::kImmediatePrecedingSibling,
-    };
     const NodeId n = static_cast<NodeId>(t.size());
-    for (Axis axis : axes) {
+    for (int a = 0; a < kAxisCount; ++a) {
+      const Axis axis = static_cast<Axis>(a);
       for (NodeId x = 0; x < n; ++x) {
         for (NodeId y = 0; y < n; ++y) {
           EXPECT_EQ(LPathAxisMatches(axis, labels[x], labels[y]),
@@ -208,15 +192,10 @@ TEST_P(AxisPropertyTest, XPathLabelingAgreesOnSharedAxes) {
     std::vector<Label> lpath_labels, xpath_labels;
     ComputeLPathLabels(t, &lpath_labels);
     ComputeXPathLabels(t, &xpath_labels);
-    const Axis axes[] = {
-        Axis::kSelf,          Axis::kChild,
-        Axis::kParent,        Axis::kDescendant,
-        Axis::kAncestor,      Axis::kFollowing,
-        Axis::kPreceding,     Axis::kFollowingSibling,
-        Axis::kPrecedingSibling,
-    };
     const NodeId n = static_cast<NodeId>(t.size());
-    for (Axis axis : axes) {
+    for (int a = 0; a < kAxisCount; ++a) {
+      const Axis axis = static_cast<Axis>(a);
+      if (!XPathLabelingSupports(axis)) continue;
       for (NodeId x = 0; x < n; ++x) {
         for (NodeId y = 0; y < n; ++y) {
           EXPECT_EQ(XPathAxisMatches(axis, xpath_labels[x], xpath_labels[y]),

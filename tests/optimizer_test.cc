@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench_util/suite.h"
 #include "gen/generator.h"
 #include "lpath/engines.h"
 #include "sql/parser.h"
@@ -179,6 +180,25 @@ TEST_F(OptimizerTest, OrientationPutsLaterVarOnLhs) {
   EXPECT_EQ(a1.tid.var, pp->order[0]);
 }
 
+TEST_F(OptimizerTest, SubplansAreMovedIntoSlotsLeftToRight) {
+  auto pp = Prepare(
+      "SELECT DISTINCT a.tid, a.id FROM nodes AS a WHERE a.name = 'VP' AND "
+      "EXISTS (SELECT 1 FROM nodes AS b0 WHERE b0.tid = a.tid) AND "
+      "NOT (EXISTS (SELECT 1 FROM nodes AS b0, nodes AS b1 WHERE "
+      "b0.tid = a.tid AND b1.tid = b0.tid))");
+  ASSERT_EQ(pp->plan.filters.size(), 2u);
+  const BoolExpr& first = *pp->plan.filters[0];
+  const BoolExpr& second = *pp->plan.filters[1]->lhs;
+  ASSERT_EQ(first.kind, BoolExpr::Kind::kExists);
+  ASSERT_EQ(second.kind, BoolExpr::Kind::kExists);
+  EXPECT_EQ(first.sub_slot, 0);
+  EXPECT_EQ(second.sub_slot, 1);
+  EXPECT_EQ(first.sub, nullptr);  // moved into subs, reached by its slot
+  ASSERT_EQ(pp->subs.size(), 2u);
+  EXPECT_EQ(pp->subs[0]->plan.num_vars, 1);
+  EXPECT_EQ(pp->subs[1]->plan.num_vars, 2);
+}
+
 TEST_F(OptimizerTest, StringComparisonWithOrderingRejected) {
   Result<ExecPlan> plan = sql::ParseSql(
       "SELECT DISTINCT a.tid, a.id FROM nodes AS a WHERE a.name < 'NP'");
@@ -188,6 +208,135 @@ TEST_F(OptimizerTest, StringComparisonWithOrderingRejected) {
       sql::Prepare(plan.value(), *rel_, opts);
   EXPECT_TRUE(pp.status().IsNotSupported());
 }
+
+/// ExplainAccess of each suite query over AccessPathTest's corpus, under
+/// the default greedy order with unnesting on, each block headed by the
+/// query's id and text. A change to the optimizer's cost model or access
+/// rules shows here as a diff of this text.
+constexpr char kSuiteAccessPaths[] =
+    "Q1 //S[//_[@lex=saw]]\n"
+    "v2 value-index tag=@lex bounds=1 residual=[v2.name = 5]\n"
+    "v1 id-lookup tag=* bounds=1 residual=[v1.kind = 0]\n"
+    "v0 left-range tag=S bounds=1 residual=[v0.right >= v1.right, "
+    "v0.depth < v1.depth]\n"
+    "\n"
+    "Q2 //VB->NP\n"
+    "v0 run tag=VB bounds=0 residual=[]\n"
+    "v1 left-range tag=NP bounds=1 residual=[]\n"
+    "\n"
+    "Q3 //VP/VB-->NN\n"
+    "v1 run tag=VB bounds=0 residual=[]\n"
+    "v0 id-lookup tag=VP bounds=1 residual=[v0.name = 6]\n"
+    "v2 left-range tag=NN bounds=1 residual=[]\n"
+    "\n"
+    "Q4 //VP{/VB-->NN}\n"
+    "v1 run tag=VB bounds=0 residual=[]\n"
+    "v0 id-lookup tag=VP bounds=1 residual=[v0.name = 6, v0.left <= v1.left, "
+    "v0.right >= v1.right, v0.depth <= v1.depth]\n"
+    "v2 left-range tag=NN bounds=2 residual=[v2.right <= v0.right, "
+    "v2.depth >= v0.depth]\n"
+    "\n"
+    "Q5 //VP{/NP$}\n"
+    "v0 run tag=VP bounds=0 residual=[]\n"
+    "v1 pid-in-run tag=NP bounds=1 residual=[v1.left >= v0.left, "
+    "v1.right <= v0.right, v1.depth >= v0.depth, v1.right = v0.right]\n"
+    "\n"
+    "Q6 //VP{//NP$}\n"
+    "v0 run tag=VP bounds=0 residual=[]\n"
+    "v1 left-range tag=NP bounds=2 residual=[v1.right <= v0.right, "
+    "v1.depth > v0.depth, v1.right <= v0.right, v1.depth >= v0.depth, "
+    "v1.right = v0.right]\n"
+    "\n"
+    "Q7 //VP[{//^VB->NP->PP$}]\n"
+    "v1 run tag=VB bounds=0 residual=[]\n"
+    "v0 left-range tag=VP bounds=3 residual=[v0.right >= v1.right, "
+    "v0.depth < v1.depth, v0.right >= v1.right, v0.depth <= v1.depth]\n"
+    "v3 left-range tag=PP bounds=1 residual=[v3.right <= v0.right, "
+    "v3.depth >= v0.depth, v3.right = v0.right]\n"
+    "v2 left-range tag=NP bounds=2 residual=[v2.tid = v1.tid, "
+    "v2.right <= v0.right, v2.depth >= v0.depth, v2.right = v3.left]\n"
+    "\n"
+    "Q8 //S[//NP/ADJP]\n"
+    "v2 run tag=ADJP bounds=0 residual=[]\n"
+    "v1 id-lookup tag=NP bounds=1 residual=[v1.name = 11]\n"
+    "v0 left-range tag=S bounds=1 residual=[v0.right >= v1.right, "
+    "v0.depth < v1.depth]\n"
+    "\n"
+    "Q9 //NP[not(//JJ)]\n"
+    "v0 run tag=NP bounds=0 residual=[]\n"
+    "exists\n"
+    "  v0 left-range tag=JJ bounds=1 residual=[v0.right <= outer0.right, "
+    "v0.depth > outer0.depth]\n"
+    "\n"
+    "Q10 //NP[->PP[//IN[@lex=of]]=>VP]\n"
+    "v3 value-index tag=@lex bounds=1 residual=[v3.name = 5]\n"
+    "v2 id-lookup tag=IN bounds=1 residual=[v2.name = 37]\n"
+    "v1 left-range tag=PP bounds=1 residual=[v1.right >= v2.right, "
+    "v1.depth < v2.depth]\n"
+    "v4 pid-in-run tag=VP bounds=1 residual=[v4.left = v1.right]\n"
+    "v0 right-range tag=NP bounds=1 residual=[]\n"
+    "\n"
+    "Q11 //S[{//_[@lex=what]->_[@lex=building]}]\n"
+    "v2 value-index tag=@lex bounds=1 residual=[v2.name = 5]\n"
+    "v4 value-index tag=@lex bounds=1 residual=[v4.name = 5]\n"
+    "v1 id-lookup tag=* bounds=1 residual=[v1.kind = 0]\n"
+    "v0 left-range tag=S bounds=2 residual=[v0.right >= v1.right, "
+    "v0.depth < v1.depth, v0.right >= v1.right, v0.depth <= v1.depth]\n"
+    "v3 id-lookup tag=* bounds=1 residual=[v3.tid = v1.tid, "
+    "v3.left = v1.right, v3.kind = 0, v3.left >= v0.left, "
+    "v3.right <= v0.right, v3.depth >= v0.depth]\n"
+    "\n"
+    "Q12 //_[@lex=rapprochement]\n"
+    "v1 value-index tag=@lex bounds=1 residual=[v1.name = 5]\n"
+    "v0 id-lookup tag=* bounds=1 residual=[v0.kind = 0]\n"
+    "\n"
+    "Q13 //_[@lex=1929]\n"
+    "v1 value-index tag=@lex bounds=1 residual=[v1.name = 5]\n"
+    "v0 id-lookup tag=* bounds=1 residual=[v0.kind = 0]\n"
+    "\n"
+    "Q14 //ADVP-LOC-CLR\n"
+    "v0 run tag=ADVP-LOC-CLR bounds=0 residual=[]\n"
+    "\n"
+    "Q15 //WHPP\n"
+    "v0 run tag=WHPP bounds=0 residual=[]\n"
+    "\n"
+    "Q16 //RRC/PP-TMP\n"
+    "v0 run tag=4294967295 bounds=0 residual=[v0.name = -1]\n"
+    "v1 pid-in-run tag=4294967295 bounds=1 residual=[v1.name = -1]\n"
+    "\n"
+    "Q17 //UCP-PRD/ADJP-PRD\n"
+    "v0 run tag=4294967295 bounds=0 residual=[v0.name = -1]\n"
+    "v1 pid-in-run tag=ADJP-PRD bounds=1 residual=[]\n"
+    "\n"
+    "Q18 //NP/NP/NP/NP/NP\n"
+    "v0 run tag=NP bounds=0 residual=[]\n"
+    "v1 pid-in-run tag=NP bounds=1 residual=[]\n"
+    "v2 pid-in-run tag=NP bounds=1 residual=[]\n"
+    "v3 pid-in-run tag=NP bounds=1 residual=[]\n"
+    "v4 pid-in-run tag=NP bounds=1 residual=[]\n"
+    "\n"
+    "Q19 //VP/VP/VP\n"
+    "v0 run tag=VP bounds=0 residual=[]\n"
+    "v1 pid-in-run tag=VP bounds=1 residual=[]\n"
+    "v2 pid-in-run tag=VP bounds=1 residual=[]\n"
+    "\n"
+    "Q20 //PP=>SBAR\n"
+    "v1 run tag=SBAR bounds=0 residual=[]\n"
+    "v0 pid-in-run tag=PP bounds=1 residual=[v0.right = v1.left]\n"
+    "\n"
+    "Q21 //ADVP=>ADJP\n"
+    "v0 run tag=ADVP bounds=0 residual=[]\n"
+    "v1 pid-in-run tag=ADJP bounds=1 residual=[v1.left = v0.right]\n"
+    "\n"
+    "Q22 //NP=>NP=>NP\n"
+    "v0 run tag=NP bounds=0 residual=[]\n"
+    "v1 pid-in-run tag=NP bounds=1 residual=[v1.left = v0.right]\n"
+    "v2 pid-in-run tag=NP bounds=1 residual=[v2.left = v1.right]\n"
+    "\n"
+    "Q23 //VP=>VP\n"
+    "v0 run tag=VP bounds=0 residual=[]\n"
+    "v1 pid-in-run tag=VP bounds=1 residual=[v1.left = v0.right]\n"
+    "\n";
 
 /// Access paths the optimizer picks for the paper's queries over a
 /// generated WSJ corpus, compiled from LPath as the engine compiles them.
@@ -313,6 +462,21 @@ TEST_F(AccessPathTest, TidFromTheClassLeavesEveryTidConjunctResidual) {
   const sql::AccessPath& c = (*pp)->access[2];
   EXPECT_EQ(c.tid_source, TidSource::kConjunct);
   EXPECT_TRUE(HasCol(c.residual, PlanCol::kTid));  // the unused tid link
+}
+
+TEST_F(AccessPathTest, SuiteAccessPathsArePinned) {
+  std::string got;
+  for (const bench::BenchmarkQuery& q : bench::The23Queries()) {
+    auto pp = Prepare(q.lpath);
+    got += 'Q';
+    got += std::to_string(q.id);
+    got += ' ';
+    got += q.lpath;
+    got += '\n';
+    got += sql::ExplainAccess(*pp, &rel_->interner());
+    got += '\n';
+  }
+  EXPECT_EQ(got, kSuiteAccessPaths);
 }
 
 }  // namespace

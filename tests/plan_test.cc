@@ -279,16 +279,17 @@ TEST(SqlRoundTripTest, The23QuerySuite) {
 }
 
 TEST(AxisMapTest, EveryLPathAxisMapsOrFilters) {
+  const Operand context = Operand::Column(0, PlanCol::kTid);
   for (int a = 0; a <= static_cast<int>(Axis::kAttribute); ++a) {
     Axis axis = static_cast<Axis>(a);
     std::vector<Conjunct> out;
     if (AxisIncludesSelf(axis) && axis != Axis::kSelf) {
       Result<std::unique_ptr<BoolExpr>> f =
-          AxisFilter(LabelScheme::kLPath, axis, 0, 1);
+          AxisFilter(LabelScheme::kLPath, axis, context, 1);
       EXPECT_TRUE(f.ok()) << AxisName(axis);
     } else {
       EXPECT_TRUE(
-          AppendAxisConjuncts(LabelScheme::kLPath, axis, 0, 1, &out).ok())
+          AppendAxisConjuncts(LabelScheme::kLPath, axis, context, 1, &out).ok())
           << AxisName(axis);
       EXPECT_FALSE(out.empty()) << AxisName(axis);
     }
@@ -349,6 +350,7 @@ bool Holds(const BoolExpr& e, const Label& ctx, const Label& cand) {
 TEST(AxisTableTest, EmittedConjunctsAgreeWithStructure) {
   Rng rng(2029);
   Interner in;
+  const Operand context = Operand::Column(0, PlanCol::kTid);
   for (int iter = 0; iter < 20; ++iter) {
     const Tree t = testing::RandomTree(&rng, &in, 30);
     std::vector<Label> lpath_labels, xpath_labels;
@@ -368,11 +370,12 @@ TEST(AxisTableTest, EmittedConjunctsAgreeWithStructure) {
         std::vector<Conjunct> conjuncts;
         Status st;
         if (AxisIncludesSelf(axis) && axis != Axis::kSelf) {
-          Result<std::unique_ptr<BoolExpr>> f = AxisFilter(scheme, axis, 0, 1);
+          Result<std::unique_ptr<BoolExpr>> f =
+              AxisFilter(scheme, axis, context, 1);
           st = f.status();
           if (f.ok()) filter = std::move(f).value();
         } else {
-          st = AppendAxisConjuncts(scheme, axis, 0, 1, &conjuncts);
+          st = AppendAxisConjuncts(scheme, axis, context, 1, &conjuncts);
         }
         if (xpath && immediate) {
           EXPECT_TRUE(st.IsNotSupported()) << AxisName(axis) << ": " << st;

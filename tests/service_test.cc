@@ -236,6 +236,29 @@ TEST_F(QueryServiceTest, AgreesWithSerialEngineOnFuzzQueries) {
   }
 }
 
+TEST_F(QueryServiceTest, FlatPathPastAThousandStepsMatchesTheOracle) {
+  // 1,201 variables. An outer reference carries a marker rather than a
+  // number past the local variables, so variable 1000 stays local through
+  // the compiler, the SQL text and its parser.
+  std::string q = "//S";
+  for (int i = 0; i < 1200; ++i) q += "/self::S";
+  NavigationalEngine nav(snap_->corpus());
+  Result<QueryResult> want = nav.Run(q);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_GT(want->count(), 0u);
+  Result<QueryResult> served = MakeService()->Query(q);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(served.value(), want.value());
+  for (const bool via_sql_text : {true, false}) {
+    LPathEngine::Options options;
+    options.via_sql_text = via_sql_text;
+    Result<QueryResult> got = LPathEngine(snap_->relation(), options).Run(q);
+    ASSERT_TRUE(got.ok()) << "via_sql_text " << via_sql_text << ": "
+                          << got.status();
+    EXPECT_EQ(got.value(), want.value()) << "via_sql_text " << via_sql_text;
+  }
+}
+
 TEST_F(QueryServiceTest, BatchMatchesIndividualQueries) {
   // 60 queries in flight at once: each handle resolves to the navigational
   // oracle's answer, whatever the pool interleaving.
