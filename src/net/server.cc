@@ -73,10 +73,12 @@ struct ReqState {
 };
 
 /// One frame queued for writing. `data` marks STREAM_BATCH frames — the
-/// only kind counted against the backpressure bound.
+/// only kind counted against the backpressure bound — and `rows` is the
+/// number of result rows such a frame carries.
 struct OutFrame {
   std::vector<uint8_t> bytes;
   bool data = false;
+  uint64_t rows = 0;
 };
 
 struct NetServer::Conn {
@@ -103,7 +105,7 @@ struct NetServer::Conn {
   /// Pool-thread side of the queue: blocks while the data-frame bound is
   /// hit, drops everything once the connection is closed or the request
   /// cancelled. Returns false when the frame was dropped.
-  bool EnqueueData(std::vector<uint8_t> frame, size_t bound,
+  bool EnqueueData(std::vector<uint8_t> frame, uint64_t rows, size_t bound,
                    const std::atomic<bool>& cancelled) {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] {
@@ -111,7 +113,7 @@ struct NetServer::Conn {
              data_frames < bound;
     });
     if (closed || cancelled.load(std::memory_order_relaxed)) return false;
-    outq.push_back(OutFrame{std::move(frame), /*data=*/true});
+    outq.push_back(OutFrame{std::move(frame), /*data=*/true, rows});
     ++data_frames;
     return true;
   }
@@ -603,7 +605,8 @@ void NetServer::StartExecute(const std::shared_ptr<Conn>& conn,
           hits.subspan(off, std::min(batch_rows, hits.size() - off));
       std::vector<uint8_t> bytes =
           BuildFrame(MsgType::kStreamBatch, request_id, EncodeBatch(chunk));
-      if (!conn->EnqueueData(std::move(bytes), bound, req->cancelled)) {
+      if (!conn->EnqueueData(std::move(bytes), chunk.size(), bound,
+                             req->cancelled)) {
         return;  // connection closed or request cancelled: drop the rest
       }
       req->rows.fetch_add(chunk.size(), std::memory_order_relaxed);
@@ -654,6 +657,7 @@ bool NetServer::FlushWrites(const std::shared_ptr<Conn>& conn) {
       std::lock_guard<std::mutex> lock(conn->mu);
       bool woke_producer = false;
       size_t popped = 0;
+      uint64_t rows = 0;
       while (!conn->outq.empty() && conn->wbuf.size() < 256 * 1024) {
         OutFrame& front = conn->outq.front();
         conn->wbuf.insert(conn->wbuf.end(), front.bytes.begin(),
@@ -662,12 +666,14 @@ bool NetServer::FlushWrites(const std::shared_ptr<Conn>& conn) {
           --conn->data_frames;
           woke_producer = true;
         }
+        rows += front.rows;
         conn->outq.pop_front();
         ++popped;
       }
       if (popped != 0) {
         std::lock_guard<std::mutex> slock(stats_mu_);
         stats_.frames_out += popped;
+        stats_.rows_streamed += rows;
       }
       if (woke_producer) conn->cv.notify_all();
       if (conn->wbuf.empty()) return true;

@@ -81,7 +81,7 @@ struct NetStats {
   uint64_t executes = 0;           ///< EXECUTE requests admitted
   uint64_t prepares = 0;           ///< PREPARE requests served
   uint64_t cancels = 0;            ///< CANCEL frames honored
-  uint64_t rows_streamed = 0;      ///< result rows sent in STREAM_BATCH
+  uint64_t rows_streamed = 0;      ///< rows of STREAM_BATCH frames out
   uint64_t idle_closes = 0;        ///< connections closed by idle timeout
 };
 

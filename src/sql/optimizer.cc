@@ -1,8 +1,12 @@
 #include "sql/optimizer.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <limits>
+#include <numeric>
+#include <optional>
+#include <span>
 #include <sstream>
 
 namespace lpath {
@@ -66,19 +70,26 @@ Status Normalize(Conjunct* c, const Interner& dictionary, bool* always_empty) {
 
 /// Static per-variable access facts harvested from literal conjuncts.
 struct VarFacts {
-  Symbol name = kNoSymbol;
-  bool has_name = false;
-  Symbol value = kNoSymbol;
-  bool has_value = false;
-  int kind = -1;
+  std::optional<Symbol> name, value;
   bool has_pid0 = false;  // pid = 0 (root)
 };
 
-/// The conjuncts that name each local variable: variable -> indices into
-/// the plan's conjuncts, in plan order. Built once per plan level, so the
-/// fact harvest and every cost estimate read one variable's list instead
-/// of scanning the whole plan.
-using ConjunctIndex = std::vector<std::vector<int>>;
+/// The conjuncts that name each local variable, in plan order, as one CSR
+/// built once per plan level: v's indices into the plan's conjuncts are
+/// conjuncts[offsets[v] .. offsets[v + 1]), so the fact harvest and every
+/// cost estimate read one variable's span instead of scanning the plan.
+struct ConjunctIndex {
+  std::vector<int> offsets, conjuncts;
+  std::span<const int> operator[](int v) const {
+    return {conjuncts.data() + offsets[v], conjuncts.data() + offsets[v + 1]};
+  }
+};
+
+/// The local variables conjunct `c` names, each once (-1: none).
+std::array<int, 2> LocalVars(const Conjunct& c) {
+  const int l = IsLocal(c.lhs) ? c.lhs.var : -1;
+  return {l, IsLocal(c.rhs) && c.rhs.var != l ? c.rhs.var : -1};
+}
 
 std::vector<VarFacts> HarvestFacts(const ExecPlan& plan,
                                    const ConjunctIndex& uses) {
@@ -92,22 +103,10 @@ std::vector<VarFacts> HarvestFacts(const ExecPlan& plan,
         continue;
       }
       switch (c.lhs.col) {
-        case PlanCol::kName:
-          f.name = static_cast<Symbol>(c.rhs.num);
-          f.has_name = true;
-          break;
-        case PlanCol::kValue:
-          f.value = static_cast<Symbol>(c.rhs.num);
-          f.has_value = true;
-          break;
-        case PlanCol::kKind:
-          f.kind = static_cast<int>(c.rhs.num);
-          break;
-        case PlanCol::kPid:
-          if (c.rhs.num == 0) f.has_pid0 = true;
-          break;
-        default:
-          break;
+        case PlanCol::kName: f.name = static_cast<Symbol>(c.rhs.num); break;
+        case PlanCol::kValue: f.value = static_cast<Symbol>(c.rhs.num); break;
+        case PlanCol::kPid: f.has_pid0 |= c.rhs.num == 0; break;
+        default: break;
       }
     }
   }
@@ -120,10 +119,10 @@ std::vector<VarFacts> HarvestFacts(const ExecPlan& plan,
 double BaseCardinality(const VarFacts& f, const NodeRelation& rel) {
   const double trees = std::max<double>(1.0, rel.tree_count());
   double base;
-  if (f.has_value) {
-    base = std::max<double>(1.0, rel.ValueCardinality(f.value));
-  } else if (f.has_name) {
-    base = std::max<double>(1.0, rel.NameCardinality(f.name));
+  if (f.value) {
+    base = std::max<double>(1.0, rel.ValueCardinality(*f.value));
+  } else if (f.name) {
+    base = std::max<double>(1.0, rel.NameCardinality(*f.name));
   } else {
     base = std::max<double>(1.0, rel.row_count());
   }
@@ -157,22 +156,15 @@ double EstimateCost(const ExecPlan& plan, const ConjunctIndex& uses,
     if (!other_ready) continue;
     double est = base;
     switch (mine->col) {
-      case PlanCol::kId:
-        if (c.op == CmpOp::kEq) est = 1.0;
-        break;
-      case PlanCol::kPid:
-        if (c.op == CmpOp::kEq) est = 4.0;
-        break;
+      case PlanCol::kId: if (c.op == CmpOp::kEq) est = 1.0; break;
+      case PlanCol::kPid: if (c.op == CmpOp::kEq) est = 4.0; break;
       case PlanCol::kLeft:
       case PlanCol::kRight:
-        if (c.op == CmpOp::kEq) {
-          est = 3.0;  // immediate axes: a handful of nodes share an edge
-        } else {
-          est = std::max(1.0, base / trees / 2.0);  // range scan
-        }
+        // Equality: an immediate axis, where a handful of nodes share an
+        // edge. Otherwise a range scan.
+        est = c.op == CmpOp::kEq ? 3.0 : std::max(1.0, base / trees / 2.0);
         break;
-      default:
-        continue;
+      default: continue;
     }
     best = std::min(best, est);
   }
@@ -211,14 +203,12 @@ std::vector<int> ChooseOrder(const ExecPlan& plan, const ConjunctIndex& uses,
 
 /// Orients a conjunct so its lhs is the variable bound at `pos` (when that
 /// variable participates), which is what the access-path derivation scans.
-Conjunct Orient(const Conjunct& c, int var_at_pos) {
-  if (IsLocal(c.lhs) && c.lhs.var == var_at_pos) return c;
-  if (IsLocal(c.rhs) && c.rhs.var == var_at_pos) {
-    Conjunct m;
-    m.lhs = c.rhs;
-    m.rhs = c.lhs;
-    m.op = MirrorOp(c.op);
-    return m;
+Conjunct Orient(Conjunct c, int var_at_pos) {
+  // r is -1 when the lhs names the same variable, so a conjunct whose lhs
+  // already is var_at_pos stays as it is.
+  if (const int r = LocalVars(c)[1]; r >= 0 && r == var_at_pos) {
+    std::swap(c.lhs, c.rhs);
+    c.op = MirrorOp(c.op);
   }
   return c;
 }
@@ -358,11 +348,11 @@ Result<std::unique_ptr<PreparedPlan>> PrepareLevel(
   ExecPlan& p = pp->plan;
   const int n = p.num_vars;
 
-  // Each top-level conjunct, once: normalized, indexed under the local
-  // variables it names, and its tid link recorded — a local tid equality
-  // joins two tid classes (union-find), an outer one gives the class a
-  // tree to read.
-  ConjunctIndex uses(n);
+  // Each top-level conjunct, once: normalized, counted under the local
+  // variables it names (uses.offsets[v + 2]; the fill pass below builds
+  // the CSR), and its tid link recorded — a local tid equality joins two
+  // tid classes (union-find), an outer one gives the class a tree to read.
+  ConjunctIndex uses{std::vector<int>(n + 2, 0), {}};
   std::vector<int> parent(n);
   for (int v = 0; v < n; ++v) parent[v] = v;
   const auto find = [&](int v) {
@@ -374,24 +364,31 @@ Result<std::unique_ptr<PreparedPlan>> PrepareLevel(
   for (int i = 0; i < static_cast<int>(p.conjuncts.size()); ++i) {
     Conjunct& c = p.conjuncts[i];
     LPATH_RETURN_IF_ERROR(Normalize(&c, dictionary, always_empty));
-    const bool lhs_local = IsLocal(c.lhs);
-    const bool rhs_local = IsLocal(c.rhs);
-    if (lhs_local) uses[c.lhs.var].push_back(i);
-    if (rhs_local && !(lhs_local && c.lhs.var == c.rhs.var)) {
-      uses[c.rhs.var].push_back(i);
-    }
+    const auto [l, r] = LocalVars(c);
+    for (const int v : {l, r}) uses.offsets[v + 2] += v >= 0;
     if (c.op != CmpOp::kEq || c.lhs.col != PlanCol::kTid ||
         c.rhs.col != PlanCol::kTid) {
       continue;
     }
-    if (lhs_local && rhs_local) {
-      parent[find(c.lhs.var)] = find(c.rhs.var);
-    } else if (lhs_local && c.rhs.is_outer()) {
-      outer_tids.emplace_back(c.lhs.var, &c.rhs);
-    } else if (rhs_local && c.lhs.is_outer()) {
-      outer_tids.emplace_back(c.rhs.var, &c.lhs);
+    if (l >= 0 && r >= 0) {
+      parent[find(l)] = find(r);
+    } else if (l >= 0 && c.rhs.is_outer()) {
+      outer_tids.emplace_back(l, &c.rhs);
+    } else if (r >= 0 && c.lhs.is_outer()) {
+      outer_tids.emplace_back(r, &c.lhs);
     }
   }
+  // After the prefix sum uses.offsets[v + 1] is v's first entry: its fill
+  // cursor, which stops at v + 1's first entry.
+  std::partial_sum(uses.offsets.begin(), uses.offsets.end(),
+                   uses.offsets.begin());
+  uses.conjuncts.resize(uses.offsets.back());
+  for (int i = 0; i < static_cast<int>(p.conjuncts.size()); ++i) {
+    for (const int v : LocalVars(p.conjuncts[i])) {
+      if (v >= 0) uses.conjuncts[uses.offsets[v + 1]++] = i;
+    }
+  }
+  uses.offsets.pop_back();
   pp->tid_class.resize(n);
   for (int v = 0; v < n; ++v) pp->tid_class[v] = find(v);
   // Per tid class: the last outer reference whose tid the class equals.

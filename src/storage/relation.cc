@@ -4,19 +4,22 @@
 #include <atomic>
 #include <memory>
 #include <numeric>
+#include <span>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 namespace lpath {
 
 namespace {
 
-/// Staging record used before the clustered sort.
-struct Staged {
-  Symbol name;
-  int32_t tid;
+/// One row of a (name, tree) slice, gathered while the slice is sorted
+/// into the clustered order. `pos` is the row's staging order.
+struct SliceRow {
   Label label;
   Symbol value;
   uint8_t kind;
+  Row pos;
 };
 
 template <typename T>
@@ -69,41 +72,46 @@ Result<NodeRelation> NodeRelation::Build(std::shared_ptr<const Corpus> owned,
   auto arena = std::make_shared<Arena>();
   Arena& cols = *arena;
 
-  // 1. Label every tree and stage rows.
-  std::vector<Staged> staged;
-  {
-    size_t estimated = 0;
-    for (TreeId tid = 0; tid < rel.tree_count_; ++tid) {
-      estimated += corpus.tree(tid).size() * 2;  // nodes + ~1 attr each
-    }
-    staged.reserve(estimated);
-  }
-  std::vector<Label> labels;
+  // 1. Count, without labeling: each name's rows (elements and
+  // attributes) into runs[name].end, each value's attribute rows into
+  // value_offsets[value + 2], and each tree's elements and rows into the
+  // per-tree tables, which the prefix sums below complete.
+  const Symbol name_end = corpus.interner().end_id();
+  cols.runs.assign(name_end, RowRange{});
+  cols.value_offsets.assign(name_end + 2, 0);
+  cols.tree_base.assign(rel.tree_count_ + 1, 0);
+  cols.tree_row_prefix.assign(rel.tree_count_ + 1, 0);
   for (TreeId tid = 0; tid < rel.tree_count_; ++tid) {
     const Tree& tree = corpus.tree(tid);
-    ComputeLabels(options.scheme, tree, &labels);
+    uint64_t rows = tree.size();
     for (NodeId i = 0; i < static_cast<NodeId>(tree.size()); ++i) {
-      staged.push_back(Staged{tree.name(i), tid, labels[i], kNoSymbol, 0});
-      for (int a = 0; a < tree.attr_count(i); ++a) {
-        const Attr& attr = tree.attrs(i)[a];
-        staged.push_back(Staged{attr.name, tid, labels[i], attr.value, 1});
+      cols.runs[tree.name(i)].end += 1;
+      for (const Attr& attr : std::span(tree.attrs(i), tree.attr_count(i))) {
+        cols.runs[attr.name].end += 1;
+        cols.value_offsets[attr.value + 2] += attr.value != kNoSymbol;
       }
-      rel.element_count_ += 1;
+      rows += tree.attr_count(i);
     }
+    cols.tree_base[tid + 1] =
+        cols.tree_base[tid] + static_cast<uint32_t>(tree.size());
+    cols.tree_row_prefix[tid + 1] = cols.tree_row_prefix[tid] + rows;
   }
+  rel.element_count_ = cols.tree_base.back();
+  const size_t n = cols.tree_row_prefix.back();
 
-  // 2. Clustered sort: (name, tid, left, right, depth, id, pid).
-  std::sort(staged.begin(), staged.end(), [](const Staged& a, const Staged& b) {
-    if (a.name != b.name) return a.name < b.name;
-    if (a.tid != b.tid) return a.tid < b.tid;
-    if (a.label.left != b.label.left) return a.label.left < b.label.left;
-    if (a.label.right != b.label.right) return a.label.right < b.label.right;
-    if (a.label.depth != b.label.depth) return a.label.depth < b.label.depth;
-    return a.label.id < b.label.id;
-  });
-
-  // 3. Materialize columns.
-  const size_t n = staged.size();
+  // 2. Clustered order (name, tid, left, right, depth, id), first by a
+  // stable counting sort on name: each run starts after the runs of the
+  // smaller names, and runs[name].end is its fill cursor (an absent name
+  // keeps RowRange{}). Every tree is labeled once and its rows, in
+  // staging order (pre-order, each element followed by its attributes),
+  // are scattered straight into the columns, so each run fills in tid
+  // order and each (name, tree) slice in staging order.
+  Row run_begin = 0;
+  for (RowRange& run : cols.runs) {
+    const Row count = run.end;
+    run = count == 0 ? RowRange{} : RowRange{run_begin, run_begin};
+    run_begin += count;
+  }
   cols.tid.resize(n);
   cols.left.resize(n);
   cols.right.resize(n);
@@ -113,102 +121,125 @@ Result<NodeRelation> NodeRelation::Build(std::shared_ptr<const Corpus> owned,
   cols.name.resize(n);
   cols.value.resize(n);
   cols.kind.resize(n);
-  for (size_t r = 0; r < n; ++r) {
-    const Staged& s = staged[r];
-    cols.tid[r] = s.tid;
-    cols.left[r] = s.label.left;
-    cols.right[r] = s.label.right;
-    cols.depth[r] = s.label.depth;
-    cols.id[r] = s.label.id;
-    cols.pid[r] = s.label.pid;
-    cols.name[r] = s.name;
-    cols.value[r] = s.value;
-    cols.kind[r] = s.kind;
+  const auto place = [&cols](Symbol name, int32_t tid, const Label& label,
+                             Symbol value, uint8_t kind) {
+    const Row r = cols.runs[name].end++;
+    cols.tid[r] = tid;
+    cols.left[r] = label.left;
+    cols.right[r] = label.right;
+    cols.depth[r] = label.depth;
+    cols.id[r] = label.id;
+    cols.pid[r] = label.pid;
+    cols.name[r] = name;
+    cols.value[r] = value;
+    cols.kind[r] = kind;
+  };
+  std::vector<Label> labels;
+  for (TreeId tid = 0; tid < rel.tree_count_; ++tid) {
+    const Tree& tree = corpus.tree(tid);
+    ComputeLabels(options.scheme, tree, &labels);
+    for (NodeId i = 0; i < static_cast<NodeId>(tree.size()); ++i) {
+      place(tree.name(i), tid, labels[i], kNoSymbol, 0);
+      for (const Attr& attr : std::span(tree.attrs(i), tree.attr_count(i))) {
+        place(attr.name, tid, labels[i], attr.value, 1);
+      }
+    }
   }
 
-  // 4. Run directory, dense by name symbol.
-  const Symbol name_end = corpus.interner().end_id();
-  cols.runs.assign(name_end, RowRange{});
-  for (Row r = 0; r < n;) {
-    Row e = r;
-    const Symbol nm = cols.name[r];
-    while (e < n && cols.name[e] == nm) ++e;
-    cols.runs[nm] = RowRange{r, e};
-    r = e;
-  }
-
-  // 5. Per-run permutations, each a total order, so that Merge's
-  // concatenation reproduces them: a same-name unary chain shares (tid,
-  // right, left), and the row breaks that tie.
+  // 3. Within each (name, tree) slice — about two rows on average — the
+  // rest of the clustered order, (left, right, depth, id, staging order),
+  // then the slice's part of the per-run permutations: its rows by
+  // (right, left, row) and by (pid, left, row). Every run leads with tid,
+  // so the slices are the runs' whole extent and sorting them orders the
+  // runs. Every order ends in a unique key, so each is total and Merge's
+  // concatenation reproduces it: a same-name unary chain shares (tid,
+  // right, left), and two same-named attributes of one element share all
+  // but the row.
   cols.by_right.resize(n);
   cols.by_pid.resize(n);
-  std::iota(cols.by_right.begin(), cols.by_right.end(), 0u);
-  std::iota(cols.by_pid.begin(), cols.by_pid.end(), 0u);
+  const auto clustered_key = [&cols](Row r) {
+    return std::tie(cols.left[r], cols.right[r], cols.depth[r], cols.id[r]);
+  };
+  std::vector<SliceRow> slice;
   for (const RowRange& run : cols.runs) {
-    if (run.empty()) continue;
-    auto rb = cols.by_right.begin() + run.begin;
-    auto re = cols.by_right.begin() + run.end;
-    std::sort(rb, re, [&cols](Row a, Row b) {
-      if (cols.tid[a] != cols.tid[b]) return cols.tid[a] < cols.tid[b];
-      if (cols.right[a] != cols.right[b]) return cols.right[a] < cols.right[b];
-      if (cols.left[a] != cols.left[b]) return cols.left[a] < cols.left[b];
-      return a < b;
-    });
-    auto pb = cols.by_pid.begin() + run.begin;
-    auto pe = cols.by_pid.begin() + run.end;
-    std::sort(pb, pe, [&cols](Row a, Row b) {
-      if (cols.tid[a] != cols.tid[b]) return cols.tid[a] < cols.tid[b];
-      if (cols.pid[a] != cols.pid[b]) return cols.pid[a] < cols.pid[b];
-      return cols.left[a] < cols.left[b];
-    });
+    for (Row b = run.begin, e; b < run.end; b = e) {
+      for (e = b + 1; e < run.end && cols.tid[e] == cols.tid[b]; ++e) {
+      }
+      if (e - b == 1) {
+        cols.by_right[b] = cols.by_pid[b] = b;
+        continue;
+      }
+      // Staging order already is the clustered order unless some row's
+      // key is below its predecessor's (an ancestor staged before a
+      // descendant that shares its left).
+      Row r = b + 1;
+      while (r < e && !(clustered_key(r) < clustered_key(r - 1))) ++r;
+      if (r < e) {
+        slice.clear();
+        for (r = b; r < e; ++r) {
+          slice.push_back(SliceRow{Label{cols.left[r], cols.right[r],
+                                         cols.depth[r], cols.id[r],
+                                         cols.pid[r]},
+                                   cols.value[r], cols.kind[r], r});
+        }
+        std::sort(slice.begin(), slice.end(),
+                  [](const SliceRow& x, const SliceRow& y) {
+                    return std::tie(x.label.left, x.label.right,
+                                    x.label.depth, x.label.id, x.pos) <
+                           std::tie(y.label.left, y.label.right,
+                                    y.label.depth, y.label.id, y.pos);
+                  });
+        for (r = b; r < e; ++r) {
+          const SliceRow& s = slice[r - b];
+          cols.left[r] = s.label.left;
+          cols.right[r] = s.label.right;
+          cols.depth[r] = s.label.depth;
+          cols.id[r] = s.label.id;
+          cols.pid[r] = s.label.pid;
+          cols.value[r] = s.value;
+          cols.kind[r] = s.kind;
+        }
+      }
+      const auto rb = cols.by_right.begin();
+      std::iota(rb + b, rb + e, b);
+      std::sort(rb + b, rb + e, [&cols](Row x, Row y) {
+        return std::tie(cols.right[x], cols.left[x], x) <
+               std::tie(cols.right[y], cols.left[y], y);
+      });
+      const auto pb = cols.by_pid.begin();
+      std::iota(pb + b, pb + e, b);
+      std::sort(pb + b, pb + e, [&cols](Row x, Row y) {
+        return std::tie(cols.pid[x], cols.left[x], x) <
+               std::tie(cols.pid[y], cols.left[y], y);
+      });
+    }
   }
 
-  // 6. Value index over attribute rows: (value, tid, id).
-  for (Row r = 0; r < n; ++r) {
-    if (cols.value[r] != kNoSymbol) cols.value_index.push_back(r);
-  }
-  std::sort(cols.value_index.begin(), cols.value_index.end(),
-            [&cols](Row a, Row b) {
-              if (cols.value[a] != cols.value[b])
-                return cols.value[a] < cols.value[b];
-              if (cols.tid[a] != cols.tid[b]) return cols.tid[a] < cols.tid[b];
-              return cols.id[a] < cols.id[b];
-            });
-  cols.value_offsets.assign(name_end + 1, 0);
-  for (Row idx : cols.value_index) cols.value_offsets[cols.value[idx] + 1] += 1;
-  for (size_t v = 1; v < cols.value_offsets.size(); ++v) {
-    cols.value_offsets[v] += cols.value_offsets[v - 1];
-  }
-
-  // 7. (tid, id) -> element row, and the attribute CSR.
-  cols.tree_base.assign(rel.tree_count_ + 1, 0);
-  for (TreeId t = 0; t < rel.tree_count_; ++t) {
-    cols.tree_base[t + 1] =
-        cols.tree_base[t] + static_cast<uint32_t>(corpus.tree(t).size());
-  }
+  // 4. (tid, id) -> element row, and the attribute CSR, by a counting
+  // sort: slot s's attributes are counted into attr_offsets[s + 2], so
+  // after the prefix sum attr_offsets[s + 1] is s's first entry. It serves
+  // as s's fill cursor and ends at s + 1's first entry, so the table needs
+  // no second cursor array; the spare last entry is dropped. The fill
+  // pass runs in row order, which each element's attribute rows keep.
+  const auto slot = [&cols](Row r) -> uint32_t {
+    return cols.tree_base[cols.tid[r]] + (cols.id[r] - 1);
+  };
   cols.elem_row.assign(rel.element_count_, kNoRow);
-  cols.attr_offsets.assign(rel.element_count_ + 1, 0);
+  cols.attr_offsets.assign(rel.element_count_ + 2, 0);
   for (Row r = 0; r < n; ++r) {
-    const uint32_t slot = cols.tree_base[cols.tid[r]] + (cols.id[r] - 1);
     if (cols.kind[r] == 0) {
-      cols.elem_row[slot] = r;
+      cols.elem_row[slot(r)] = r;
     } else {
-      cols.attr_offsets[slot + 1] += 1;
+      cols.attr_offsets[slot(r) + 2] += 1;
     }
   }
-  for (size_t i = 1; i < cols.attr_offsets.size(); ++i) {
-    cols.attr_offsets[i] += cols.attr_offsets[i - 1];
-  }
+  std::partial_sum(cols.attr_offsets.begin(), cols.attr_offsets.end(),
+                   cols.attr_offsets.begin());
   cols.attr_rows.resize(cols.attr_offsets.back());
-  {
-    std::vector<uint32_t> cursor(cols.attr_offsets.begin(),
-                                 cols.attr_offsets.end() - 1);
-    for (Row r = 0; r < n; ++r) {
-      if (cols.kind[r] == 0) continue;
-      const uint32_t slot = cols.tree_base[cols.tid[r]] + (cols.id[r] - 1);
-      cols.attr_rows[cursor[slot]++] = r;
-    }
+  for (Row r = 0; r < n; ++r) {
+    if (cols.kind[r] != 0) cols.attr_rows[cols.attr_offsets[slot(r) + 1]++] = r;
   }
+  cols.attr_offsets.pop_back();
 
   // Every element slot must have been filled.
   for (Row r : cols.elem_row) {
@@ -217,13 +248,18 @@ Result<NodeRelation> NodeRelation::Build(std::shared_ptr<const Corpus> owned,
     }
   }
 
-  // 8. Per-tree row mass prefix sums (morsel planner statistics). Counted
-  // from the columns rather than the corpus so attribute rows are included.
-  cols.tree_row_prefix.assign(rel.tree_count_ + 1, 0);
-  for (Row r = 0; r < n; ++r) cols.tree_row_prefix[cols.tid[r] + 1] += 1;
-  for (size_t t = 1; t < cols.tree_row_prefix.size(); ++t) {
-    cols.tree_row_prefix[t] += cols.tree_row_prefix[t - 1];
+  // 5. Value index, (value, tid, id, row): a counting sort of the
+  // attribute rows by value (counted in step 1, shifted as in step 4),
+  // visiting them in the attribute CSR's (tid, id, row) order. Attributes
+  // without a value stay out of the index.
+  std::partial_sum(cols.value_offsets.begin(), cols.value_offsets.end(),
+                   cols.value_offsets.begin());
+  cols.value_index.resize(cols.value_offsets.back());
+  for (Row r : cols.attr_rows) {
+    if (cols.value[r] == kNoSymbol) continue;
+    cols.value_index[cols.value_offsets[cols.value[r] + 1]++] = r;
   }
+  cols.value_offsets.pop_back();
 
   rel.BindArena(std::move(arena));
   return rel;
@@ -307,10 +343,10 @@ Result<NodeRelation> NodeRelation::Merge(const NodeRelation& base,
   }
 
   // 2. Per-run permutations: remapped concatenation per run. The secondary
-  // orders ((tid, right, left, row) and (tid, pid, left)) lead with tid, so
-  // base entries precede all shifted delta entries within each run, and a
-  // source's remap keeps its rows' order, so each source's part stays
-  // sorted.
+  // orders ((tid, right, left, row) and (tid, pid, left, row)) lead with
+  // tid, so base entries precede all shifted delta entries within each
+  // run, and a source's remap keeps its rows' order, so each source's part
+  // stays sorted.
   cols.by_right.resize(n);
   cols.by_pid.resize(n);
   for (Symbol s = 1; s < name_end; ++s) {

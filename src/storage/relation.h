@@ -25,6 +25,24 @@
 // The tag directory is derived, never stored: Build, Merge and image Open
 // each fill it with a counting pass and a fill pass over the run directory
 // and the tid column.
+//
+// Build is linear in the rows, apart from sorts inside one (tag, tree)
+// slice of a run (about two rows on average):
+//   - clustered order: a stable counting sort by name over the dense
+//     symbol ids. Trees are labeled once, in tid order, and their rows
+//     scattered straight into the columns, so each run fills in tid order
+//     and each slice in staging order (pre-order, an element before its
+//     attributes). Each slice is then sorted by (left, right, depth, id,
+//     staging order).
+//   - by_right and by_pid: each slice's rows sorted by (right, left, row)
+//     and by (pid, left, row); every run leads with tid, so the slices
+//     are the runs.
+//   - value index: a counting sort by value of the attribute rows,
+//     visited in (tid, id, row) order through the attribute CSR; rows
+//     whose value is kNoSymbol stay out.
+// Every order ends in a unique key (staging order or row), so each is
+// total, and Merge's concatenation reproduces what Build would produce
+// over the concatenated corpora, down to the bytes.
 
 #ifndef LPATHDB_STORAGE_RELATION_H_
 #define LPATHDB_STORAGE_RELATION_H_
@@ -80,7 +98,8 @@ using ConstSpan = std::span<const T>;
 /// breaks every saved image.
 template <template <typename> class Array>
 struct StoredArrays {
-  // Columns, clustered by (name, tid, left, right, depth, id, pid).
+  // Columns, clustered by (name, tid, left, right, depth, id), ties (two
+  // same-named attributes of one element) in staging order.
   Array<int32_t> tid, left, right, depth, id, pid;
   Array<Symbol> name, value;
   Array<uint8_t> kind;
@@ -89,11 +108,11 @@ struct StoredArrays {
   Array<RowRange> runs;
 
   // Per-run permutations, concatenated in run order (same offsets as rows):
-  // by (tid, right, left, row) and by (tid, pid, left).
+  // by (tid, right, left, row) and by (tid, pid, left, row).
   Array<Row> by_right, by_pid;
 
-  // Global value index: attribute rows ordered by (value, tid, id), with a
-  // dense offset table per value symbol (size interner.end_id() + 1).
+  // Global value index: attribute rows ordered by (value, tid, id, row),
+  // with a dense offset table per value symbol (size interner.end_id() + 1).
   Array<Row> value_index;
   Array<uint32_t> value_offsets;
 

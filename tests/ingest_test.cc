@@ -98,20 +98,25 @@ SnapshotPtr MakeBase(BaseKind kind, Corpus corpus, const std::string& path) {
   return MustOpen(path);
 }
 
-/// `base_seed`'s corpus followed by `delta_seed`'s, in one interner — the
-/// rebuild-from-scratch reference the chain must match. The interner is
-/// seeded with a clone of the base corpus's (the same superset-dictionary
-/// construction Append uses), so symbol ids — and through them the name-run
-/// order of the built relation — line up with the chain's merged relation
-/// and bit-identity can be asserted, not just result equality.
-Corpus CombinedCorpus(uint64_t base_seed, int base_trees, uint64_t delta_seed,
-                      int delta_trees) {
-  Corpus base = testing::RandomCorpus(base_seed, base_trees);
+/// `base` followed by `delta`, in one interner — the rebuild-from-scratch
+/// reference the chain must match. The interner is seeded with a clone of
+/// the base corpus's (the same superset-dictionary construction Append
+/// uses), so symbol ids — and through them the name-run order of the built
+/// relation — line up with the chain's merged relation and bit-identity
+/// can be asserted, not just result equality.
+Corpus CombinedCorpus(const Corpus& base, const Corpus& delta) {
   Corpus combined;
   combined.ResetInterner(base.interner().Clone());
   combined.AppendFrom(base);
-  combined.AppendFrom(testing::RandomCorpus(delta_seed, delta_trees));
+  combined.AppendFrom(delta);
   return combined;
+}
+
+/// CombinedCorpus of `base_seed`'s and `delta_seed`'s random corpora.
+Corpus CombinedCorpus(uint64_t base_seed, int base_trees, uint64_t delta_seed,
+                      int delta_trees) {
+  return CombinedCorpus(testing::RandomCorpus(base_seed, base_trees),
+                        testing::RandomCorpus(delta_seed, delta_trees));
 }
 
 /// Batch `i` of the long-chain tests: a few random trees plus one tree
@@ -223,6 +228,26 @@ TEST(SnapshotChain, SaveOfChainWritesTheMergedRelation) {
   testing::ExpectSameRelation(reopened->relation(), rebuilt->relation());
   // Merge equals Build down to the bytes, which also pins the per-run
   // permutations the accessor comparison cannot reach one by one.
+  const std::string rebuilt_path = dir.File("rebuilt.img");
+  s = rebuilt->Save(rebuilt_path);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(testing::ReadAll(path) == testing::ReadAll(rebuilt_path));
+}
+
+// The same byte identity over trees that tie the sort keys (same-name
+// unary chains, same-named attributes of one element with equal and with
+// different values): Merge concatenates the orders Build produces, which
+// holds only because every one of them ends in a unique key.
+TEST(SnapshotChain, SaveOfTieChainWritesTheRebuiltImage) {
+  TempDir dir;
+  SnapshotPtr base = MustBuild(testing::TieCorpus(7));
+  SnapshotPtr chain = MustAppend(base, testing::TieCorpus(5, /*variant=*/7));
+  const std::string path = dir.File("chain.img");
+  Status s = chain->Save(path);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  SnapshotPtr rebuilt = MustBuild(CombinedCorpus(
+      testing::TieCorpus(7), testing::TieCorpus(5, /*variant=*/7)));
+  testing::ExpectSameRelation(MustOpen(path)->relation(), rebuilt->relation());
   const std::string rebuilt_path = dir.File("rebuilt.img");
   s = rebuilt->Save(rebuilt_path);
   ASSERT_TRUE(s.ok()) << s.ToString();

@@ -508,5 +508,27 @@ TEST_F(NetTest, TinyStreamQueueBackpressuresWithoutCorruption) {
   EXPECT_EQ(got.hits, direct->hits);
 }
 
+// rows_streamed counts the rows of every STREAM_BATCH frame handed to a
+// socket: after queries with known answers, one of them split across
+// frames by a small batch_rows, it equals the rows the client received.
+TEST_F(NetTest, RowsStreamedCountsEveryRowSent) {
+  net::NetOptions options;
+  options.batch_rows = 7;
+  StartServer(options);
+  net::Client client = Connected();
+  uint64_t received = 0;
+  for (const char* q : {"//_", "//VP[//NN]", "//NP", "//NoSuchTag"}) {
+    auto result = client.Query("wsj", q);
+    Result<QueryResult> direct = db_->Query("wsj", q);
+    ASSERT_TRUE(result.ok() && direct.ok()) << q;
+    received += result->hits.size();
+    QueryResult got = std::move(*result);
+    got.Normalize();
+    EXPECT_EQ(got.hits, direct->hits) << q;
+  }
+  ASSERT_GT(received, 500u);  // "//_" alone spans many 7-row frames
+  EXPECT_EQ(server_->stats().rows_streamed, received);
+}
+
 }  // namespace
 }  // namespace lpath

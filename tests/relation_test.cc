@@ -8,9 +8,11 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "gen/generator.h"
@@ -319,6 +321,165 @@ TEST(RelationSliceTest, SliceSearchesMatchRunFilterOnMergedRelation) {
   ASSERT_FALSE((*merged)->has_delta());
   EXPECT_EQ((*merged)->relation().tree_count(), 65);
   CheckSliceSearches((*merged)->relation(), /*seed=*/2);
+}
+
+/// Recomputes every stored array of `corpus`'s relation from the total
+/// orders relation.h documents, with plain comparison sorts over one
+/// staged row per element and attribute and every tie broken explicitly,
+/// and compares the result with Build's through the accessor surface:
+///   - columns: (name, tid, left, right, depth, id, staging order);
+///   - run directory: each name's first and past-last row, {} if absent;
+///   - by_right and by_pid: each (name, tree) slice's rows by
+///     (right, left, row) and by (pid, left, row);
+///   - value index: valued attribute rows by (value, tid, id, row);
+///   - (tid, id) lookups, the attribute CSR in row order, and the
+///     per-tree row prefix sums.
+void ExpectBuildMatchesDefinitions(const Corpus& corpus, LabelScheme scheme) {
+  RelationOptions options;
+  options.scheme = scheme;
+  Result<NodeRelation> built = NodeRelation::Build(corpus, options);
+  ASSERT_TRUE(built.ok()) << built.status();
+  const NodeRelation& rel = *built;
+
+  struct Staged {
+    Symbol name;
+    int32_t tid;
+    Label label;
+    Symbol value;
+    RowKind kind;
+    size_t staged;
+  };
+  std::vector<Staged> rows;
+  std::vector<Label> labels;
+  for (TreeId tid = 0; tid < static_cast<TreeId>(corpus.size()); ++tid) {
+    const Tree& tree = corpus.tree(tid);
+    ComputeLabels(scheme, tree, &labels);
+    for (NodeId i = 0; i < static_cast<NodeId>(tree.size()); ++i) {
+      rows.push_back(Staged{tree.name(i), tid, labels[i], kNoSymbol,
+                            RowKind::kElement, rows.size()});
+      for (int a = 0; a < tree.attr_count(i); ++a) {
+        const Attr& attr = tree.attrs(i)[a];
+        rows.push_back(Staged{attr.name, tid, labels[i], attr.value,
+                              RowKind::kAttribute, rows.size()});
+      }
+    }
+  }
+  const auto key = [](const Staged& s) {
+    return std::tie(s.name, s.tid, s.label.left, s.label.right,
+                    s.label.depth, s.label.id, s.staged);
+  };
+  std::sort(rows.begin(), rows.end(),
+            [&](const Staged& a, const Staged& b) { return key(a) < key(b); });
+
+  ASSERT_EQ(rel.row_count(), rows.size());
+  for (Row r = 0; r < rows.size(); ++r) {
+    const Staged& s = rows[r];
+    ASSERT_EQ(rel.name(r), s.name) << r;
+    ASSERT_EQ(rel.tid(r), s.tid) << r;
+    ASSERT_EQ(rel.label(r), s.label) << r;
+    ASSERT_EQ(rel.value(r), s.value) << r;
+    ASSERT_EQ(rel.kind(r), s.kind) << r;
+  }
+
+  const Symbol end = corpus.interner().end_id();
+  const auto by = [&](auto rank) {
+    return [&rows, rank](Row a, Row b) {
+      return std::tuple_cat(rank(rows[a]), std::tie(a)) <
+             std::tuple_cat(rank(rows[b]), std::tie(b));
+    };
+  };
+  for (Symbol s = 0; s < end; ++s) {
+    std::vector<Row> run;
+    for (Row r = 0; r < rows.size(); ++r) {
+      if (rows[r].name == s) run.push_back(r);
+    }
+    const RowRange got = rel.run(s);
+    ASSERT_EQ(got.begin, run.empty() ? 0 : run.front()) << s;
+    ASSERT_EQ(got.end, run.empty() ? 0 : run.back() + 1) << s;
+    for (size_t b = 0, e; b < run.size(); b = e) {
+      const int32_t tid = rows[run[b]].tid;
+      for (e = b + 1; e < run.size() && rows[run[e]].tid == tid; ++e) {
+      }
+      const RowRange slice = rel.RunForTree(s, tid);
+      ASSERT_EQ(slice.begin, run[b]);
+      ASSERT_EQ(slice.end, run[e - 1] + 1);
+      std::vector<Row> want(run.begin() + b, run.begin() + e);
+      std::sort(want.begin(), want.end(), by([](const Staged& x) {
+                  return std::tie(x.label.right, x.label.left);
+                }));
+      const std::span<const Row> right =
+          rel.RightRangeIn(slice, std::numeric_limits<int32_t>::min(),
+                           std::numeric_limits<int32_t>::max());
+      ASSERT_EQ(std::vector<Row>(right.begin(), right.end()), want);
+      std::sort(want.begin(), want.end(), by([](const Staged& x) {
+                  return std::tie(x.label.pid, x.label.left);
+                }));
+      // Each pid's span, one after the other, covers the slice.
+      std::vector<Row> got_pid;
+      const Row* next = nullptr;
+      for (size_t i = 0; i < want.size();) {
+        const std::span<const Row> part =
+            rel.PidRangeIn(slice, rows[want[i]].label.pid);
+        ASSERT_FALSE(part.empty());
+        if (next == nullptr) next = part.data();
+        ASSERT_EQ(part.data(), next);
+        next = part.data() + part.size();
+        got_pid.insert(got_pid.end(), part.begin(), part.end());
+        i += part.size();
+      }
+      ASSERT_EQ(got_pid, want);
+    }
+
+    std::vector<Row> valued;
+    for (Row r = 0; r < rows.size(); ++r) {
+      if (s != kNoSymbol && rows[r].value == s) valued.push_back(r);
+    }
+    std::sort(valued.begin(), valued.end(), by([](const Staged& x) {
+                return std::tie(x.tid, x.label.id);
+              }));
+    const std::span<const Row> index = rel.ValueRange(s);
+    ASSERT_EQ(std::vector<Row>(index.begin(), index.end()), valued) << s;
+  }
+
+  uint64_t before = 0;
+  for (TreeId tid = 0; tid < static_cast<TreeId>(corpus.size()); ++tid) {
+    ASSERT_EQ(rel.TreeRowsBefore(tid), before);
+    const int32_t size = static_cast<int32_t>(corpus.tree(tid).size());
+    ASSERT_EQ(rel.ElementsOfTree(tid).size(), static_cast<size_t>(size));
+    for (int32_t id = 1; id <= size; ++id) {
+      Row element = kNoRow;
+      std::vector<Row> attrs;
+      for (Row r = 0; r < rows.size(); ++r) {
+        if (rows[r].tid != tid || rows[r].label.id != id) continue;
+        if (rows[r].kind == RowKind::kElement) {
+          element = r;
+        } else {
+          attrs.push_back(r);
+        }
+      }
+      ASSERT_EQ(rel.ElementRow(tid, id), element);
+      ASSERT_EQ(rel.ElementsOfTree(tid)[id - 1], element);
+      const std::span<const Row> got = rel.AttrRows(tid, id);
+      ASSERT_EQ(std::vector<Row>(got.begin(), got.end()), attrs);
+      before += 1 + attrs.size();
+    }
+  }
+  ASSERT_EQ(rel.TreeRowsBefore(rel.tree_count()), before);
+  ASSERT_EQ(before, rows.size());
+}
+
+TEST(RelationTest, BuildMatchesItsDocumentedOrders) {
+  for (const LabelScheme scheme : {LabelScheme::kLPath, LabelScheme::kXPath}) {
+    SCOPED_TRACE(scheme == LabelScheme::kLPath ? "lpath" : "xpath");
+    Result<Corpus> wsj = gen::GenerateWsj(60, /*seed=*/21);
+    Result<Corpus> swb = gen::GenerateSwb(60, /*seed=*/22);
+    Result<Corpus> skewed = gen::GenerateSkewed(20, /*seed=*/23);
+    ASSERT_TRUE(wsj.ok() && swb.ok() && skewed.ok());
+    for (const Corpus* corpus : {&*wsj, &*swb, &*skewed}) {
+      ExpectBuildMatchesDefinitions(*corpus, scheme);
+    }
+    ExpectBuildMatchesDefinitions(testing::TieCorpus(9), scheme);
+  }
 }
 
 TEST(RelationTest, RandomCorpusConsistency) {

@@ -64,6 +64,48 @@ inline Corpus BuildFigure1Corpus() {
   return corpus;
 }
 
+/// A corpus of `trees` trees built to tie the relation's sort keys:
+///   - a same-name unary chain of 2-4 NPs, sharing left and right (only
+///     depth and id tell them apart);
+///   - an N with two @lex attributes of the same value: rows equal in
+///     every column, told apart only by their row;
+///   - a V with two @lex attributes of different values;
+///   - an NP whose first child is an NP: same left, smaller right, so the
+///     child precedes its parent in the clustered order.
+/// Tree t's chain length and second V word vary with t + `variant`.
+inline Corpus TieCorpus(int trees, int variant = 0) {
+  Corpus corpus;
+  Interner* in = corpus.mutable_interner();
+  const Symbol lex = in->Intern("@lex");
+  const Symbol np = in->Intern("NP");
+  for (int k = variant; k < variant + trees; ++k) {
+    Tree t;
+    const NodeId s = t.AddRoot(in->Intern("S"));
+    NodeId chain = t.AddChild(s, np);
+    for (int i = 0; i < 1 + k % 3; ++i) chain = t.AddChild(chain, np);
+    const NodeId dog = t.AddChild(chain, in->Intern("N"));
+    t.AddAttr(dog, lex, in->Intern("dog"));
+    t.AddAttr(dog, lex, in->Intern("dog"));
+    const NodeId vp = t.AddChild(s, in->Intern("VP"));
+    const NodeId v = t.AddChild(vp, in->Intern("V"));
+    t.AddAttr(v, lex, in->Intern("saw"));
+    t.AddAttr(v, lex, in->Intern(k % 2 == 0 ? "see" : "seen"));
+    const NodeId outer = t.AddChild(vp, np);
+    const NodeId inner = t.AddChild(outer, np);
+    const NodeId det = t.AddChild(inner, in->Intern("Det"));
+    t.AddAttr(det, lex, in->Intern("the"));
+    const NodeId man = t.AddChild(inner, in->Intern("N"));
+    t.AddAttr(man, lex, in->Intern("man"));
+    const NodeId pp = t.AddChild(outer, in->Intern("PP"));
+    const NodeId with = t.AddChild(pp, in->Intern("Prep"));
+    t.AddAttr(with, lex, in->Intern("with"));
+    const NodeId leaf = t.AddChild(pp, np);
+    t.AddAttr(leaf, lex, in->Intern("dog"));
+    corpus.Add(std::move(t));
+  }
+  return corpus;
+}
+
 namespace internal {
 
 inline const char* RandomTag(Rng* rng) {
