@@ -149,9 +149,9 @@ Result<NodeRelation> NodeRelation::Build(std::shared_ptr<const Corpus> owned,
   // 3. Within each (name, tree) slice — about two rows on average — the
   // rest of the clustered order, (left, right, depth, id, staging order),
   // then the slice's part of the per-run permutations: its rows by
-  // (right, left, row) and by (pid, left, row). Every run leads with tid,
-  // so the slices are the runs' whole extent and sorting them orders the
-  // runs. Every order ends in a unique key, so each is total and Merge's
+  // (right, left, row) and by (pid, left, row). Each run already is in
+  // tid order, so its slices tile it and sorting each slice finishes the
+  // run. Every order ends in a unique key, so each is total and Merge's
   // concatenation reproduces it: a same-name unary chain shares (tid,
   // right, left), and two same-named attributes of one element share all
   // but the row.

@@ -35,8 +35,8 @@
 //     attributes). Each slice is then sorted by (left, right, depth, id,
 //     staging order).
 //   - by_right and by_pid: each slice's rows sorted by (right, left, row)
-//     and by (pid, left, row); every run leads with tid, so the slices
-//     are the runs.
+//     and by (pid, left, row); each run already is in tid order, so its
+//     slices tile it and sorting each slice orders the whole run.
 //   - value index: a counting sort by value of the attribute rows,
 //     visited in (tid, id, row) order through the attribute CSR; rows
 //     whose value is kNoSymbol stay out.
