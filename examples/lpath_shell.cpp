@@ -33,8 +33,8 @@
 //                      (an image-backed corpus re-opens its image)
 //   :cache             plan-cache and latency statistics
 //   :wal               durability status: per-corpus write-ahead-log
-//                      position and segment count, replayed batches,
-//                      checkpoints, and compaction health (--wal DIR
+//                      position, replayed batches, checkpoints, and
+//                      compaction health (--wal DIR
 //                      makes every ingest durable: committed to the log
 //                      before it is published, replayed on reopen)
 //   .help              this text
@@ -417,11 +417,9 @@ int main(int argc, char** argv) {
                       info.name == current ? '*' : ' ', info.name.c_str());
           continue;
         }
-        std::printf("  %c %-10s lsn %llu, %llu segment%s",
+        std::printf("  %c %-10s lsn %llu",
                     info.name == current ? '*' : ' ', info.name.c_str(),
-                    static_cast<unsigned long long>(info.wal_last_lsn),
-                    static_cast<unsigned long long>(info.wal_segments),
-                    info.wal_segments == 1 ? "" : "s");
+                    static_cast<unsigned long long>(info.wal_last_lsn));
         if (info.compaction_failures > 0) {
           std::printf(", %llu compaction failure%s%s%s",
                       static_cast<unsigned long long>(

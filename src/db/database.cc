@@ -111,13 +111,11 @@ Status Database::AttachBuilt(
   uint64_t replayed_batches = 0;
   if (!options_.wal_dir.empty()) {
     LPATH_ASSIGN_OR_RETURN(entry->wal,
-                           Wal::Open(WalDirFor(options_.wal_dir, name),
-                                     options_.wal));
-    // A checkpoint that emptied the log persists its position in the fresh
-    // segment header — but a crash between its unlinks and that rotation
-    // loses it. The image's stamp is the floor that closes the window:
-    // without it, new appends could reuse covered LSNs and be silently
-    // filtered on the next replay.
+                           Wal::Open(WalDirFor(options_.wal_dir, name)));
+    // A checkpoint that emptied the log keeps its position in the fresh
+    // log's header, but a lost or cleared log directory loses it. The
+    // image's stamp is the floor: without it, new appends could reuse
+    // covered LSNs and be silently filtered on the next replay.
     entry->wal->EnsureNextLsnAbove(snapshot->base_wal_lsn());
     Corpus pending;
     LPATH_RETURN_IF_ERROR(entry->wal->Replay(
@@ -311,11 +309,12 @@ Status Database::CompactEntry(Entry& entry) {
   entry.service->NoteCompaction();
   // Checkpoint only after the compacted snapshot is both durable (the
   // rewritten image carries the stamp) and published: everything the log
-  // held up to the stamp now lives in the image, so those segments can
-  // go. Memory-backed corpora never checkpoint — their base is not
+  // held up to the stamp now lives in the image, so the log can be
+  // emptied. Memory-backed corpora never checkpoint — their base is not
   // persistent, and recovery needs the full log over the original file. A
-  // failed checkpoint is reported (and retried by the next compaction)
-  // but loses nothing: replay filters by the image's stamp either way.
+  // failed checkpoint is reported but loses nothing: the next append
+  // writes a fresh log, and replay filters by the image's stamp either
+  // way.
   if (image_backed && entry.wal != nullptr) {
     const Status checkpointed = entry.wal->Checkpoint(save_options.wal_lsn);
     if (!checkpointed.ok()) return record(checkpointed);
@@ -448,7 +447,6 @@ std::vector<CorpusInfo> Database::List() const {
       const WalStats wal_stats = entry->wal->stats();
       info.wal = true;
       info.wal_last_lsn = wal_stats.last_lsn;
-      info.wal_segments = wal_stats.segments;
     }
     {
       std::lock_guard<std::mutex> lock(compact_mu_);

@@ -70,11 +70,9 @@ struct DatabaseOptions {
   /// every attach path replays records the snapshot does not already cover
   /// before the corpus serves, so an acknowledged Ingest survives a crash.
   /// A successful image-backed compaction stamps the image with the LSN it
-  /// covers and checkpoints (truncates) the log behind it. Empty (the
+  /// covers and checkpoints (empties) the log behind it. Empty (the
   /// default) disables durable ingest entirely.
   std::string wal_dir;
-  /// WAL tuning (segment size, sync-per-commit) when wal_dir is set.
-  WalOptions wal;
 };
 
 /// One catalog row, for listings and monitoring.
@@ -91,7 +89,6 @@ struct CorpusInfo {
   // Durability (all zero/false without DatabaseOptions::wal_dir).
   bool wal = false;              ///< corpus has a live write-ahead log
   uint64_t wal_last_lsn = 0;     ///< highest committed WAL record
-  uint64_t wal_segments = 0;     ///< live WAL segment files
   // Background-compaction health: failures are counted (and the latest
   // error kept) rather than dropped on the floor; the compactor retries
   // with capped backoff, and a later Ingest reschedules regardless.

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <utility>
 
@@ -33,6 +34,15 @@ constexpr std::chrono::milliseconds kShutdownGrace{5000};
 bool SetNonBlocking(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
+/// poll(2) timeout until `at`: -1 (block) for time_point::max(), else the
+/// milliseconds left, rounded up so that a deadline is never polled early.
+int PollTimeoutMs(Clock::time_point at) {
+  if (at == Clock::time_point::max()) return -1;
+  const int64_t left =
+      std::chrono::ceil<std::chrono::milliseconds>(at - Clock::now()).count();
+  return static_cast<int>(std::clamp<int64_t>(left, 0, INT_MAX));
 }
 
 }  // namespace
@@ -203,6 +213,10 @@ NetStats NetServer::stats() const {
 void NetServer::LoopMain() {
   Clock::time_point shutdown_deadline{};
   bool draining = false;
+  // The nearest idle-timeout expiry, from the last maintenance walk. poll
+  // sleeps until it (or the drain deadline); every other state change
+  // writes the self-pipe.
+  Clock::time_point next_expiry = Clock::time_point::max();
 
   while (true) {
     if (stopping_.load() && !draining) {
@@ -222,6 +236,8 @@ void NetServer::LoopMain() {
         }
         conn->cv.notify_all();
       }
+      // Poll once without waiting, so that the drain check runs at once.
+      wakeup_->Notify();
     }
 
     // Build the poll set: listener, self-pipe, every connection.
@@ -249,7 +265,8 @@ void NetServer::LoopMain() {
     }
 
     ::poll(pfds.data(), pfds.size(),
-           static_cast<int>(options_.poll_interval_ms));
+           PollTimeoutMs(draining ? std::min(next_expiry, shutdown_deadline)
+                                  : next_expiry));
     wakeup_->Drain();
 
     // Service the fds. Collect teardowns; never mutate conns_ mid-walk.
@@ -277,6 +294,7 @@ void NetServer::LoopMain() {
 
     // Maintenance walk: idle timeouts, GOODBYE completion, drained closes.
     Clock::time_point now = Clock::now();
+    next_expiry = Clock::time_point::max();
     std::vector<std::shared_ptr<Conn>> finished;
     for (auto& [fd, conn] : conns_) {
       size_t inflight_count;
@@ -299,12 +317,17 @@ void NetServer::LoopMain() {
         continue;
       }
       if (!draining && options_.idle_timeout_ms > 0 && inflight_count == 0 &&
-          !conn->goodbye &&
-          now - conn->last_activity >
-              std::chrono::milliseconds(options_.idle_timeout_ms)) {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.idle_closes;
-        finished.push_back(conn);
+          !conn->goodbye) {
+        const Clock::time_point expiry =
+            conn->last_activity +
+            std::chrono::milliseconds(options_.idle_timeout_ms);
+        if (now > expiry) {
+          std::lock_guard<std::mutex> lock(stats_mu_);
+          ++stats_.idle_closes;
+          finished.push_back(conn);
+        } else {
+          next_expiry = std::min(next_expiry, expiry);
+        }
       }
     }
     for (const auto& conn : finished) CloseConn(conn);

@@ -66,8 +66,6 @@ struct NetOptions {
   /// Connections idle (no readable frame progress) longer than this are
   /// closed. 0 disables the timeout.
   int64_t idle_timeout_ms = 0;
-  /// poll(2) tick, which bounds timeout detection latency.
-  int64_t poll_interval_ms = 100;
 };
 
 /// Monitoring counters, cumulative since Start().

@@ -339,14 +339,22 @@ AccessPath ChooseAccess(const PreparedPlan& pp, int pos,
 /// Prepares one plan level and, through its EXISTS nodes, the levels below
 /// it. A subplan (`correlated`) appends to `outer_vars` the parent
 /// variables its outer references name, which is where the parent places
-/// its filter.
+/// its filter. `plan_vars` counts the variables of the levels prepared so
+/// far, against kMaxPlanVars.
 Result<std::unique_ptr<PreparedPlan>> PrepareLevel(
     ExecPlan plan, const NodeRelation& rel, const ExecOptions& options,
-    const Interner& dictionary, bool correlated, std::vector<int>* outer_vars) {
+    const Interner& dictionary, bool correlated, std::vector<int>* outer_vars,
+    int* plan_vars) {
   auto pp = std::make_unique<PreparedPlan>();
   pp->plan = std::move(plan);
   ExecPlan& p = pp->plan;
   const int n = p.num_vars;
+  *plan_vars += n;
+  if (*plan_vars > kMaxPlanVars) {
+    return Status::InvalidArgument("query plan has more than " +
+                                   std::to_string(kMaxPlanVars) +
+                                   " variables");
+  }
 
   // Each top-level conjunct, once: normalized, counted under the local
   // variables it names (uses.offsets[v + 2]; the fill pass below builds
@@ -456,7 +464,7 @@ Result<std::unique_ptr<PreparedPlan>> PrepareLevel(
     LPATH_ASSIGN_OR_RETURN(
         std::unique_ptr<PreparedPlan> prepared,
         PrepareLevel(std::move(*sub), rel, options, dictionary,
-                     /*correlated=*/true, &named));
+                     /*correlated=*/true, &named, plan_vars));
     for (int v : named) *pos = std::max(*pos, pos_of[v]);
     e->sub_slot = static_cast<int>(pp->subs.size());
     pp->subs.push_back(std::move(prepared));
@@ -483,9 +491,11 @@ Result<std::unique_ptr<PreparedPlan>> Prepare(const ExecPlan& plan,
                                               const ExecOptions& options,
                                               const Interner* dictionary) {
   g_prepare_calls.fetch_add(1, std::memory_order_relaxed);
+  int plan_vars = 0;
   return PrepareLevel(plan.Clone(), rel, options,
                       dictionary != nullptr ? *dictionary : rel.interner(),
-                      /*correlated=*/false, /*outer_vars=*/nullptr);
+                      /*correlated=*/false, /*outer_vars=*/nullptr,
+                      &plan_vars);
 }
 
 std::string_view AccessKindName(AccessPath::Kind kind) {

@@ -150,11 +150,19 @@ struct PreparedPlan {
   }
 };
 
+/// Most variables a plan may hold, its subplans' included. Larger plans
+/// fail Prepare with InvalidArgument instead of exhausting the stack of
+/// the executor, which recurses a few frames per variable, or spending
+/// seconds in the greedy join order, which is quadratic in a level's
+/// variables. A flat path has one variable per step.
+inline constexpr int kMaxPlanVars = 4096;
+
 /// Prepares `plan` for execution against `rel`: statistics come from
 /// `rel`, literals resolve in `dictionary` (null: rel.interner()). A
 /// snapshot chain passes its chain-wide dictionary, an overlay whose ids
 /// mean the same string in every relation of the chain, so the one plan
 /// runs over each of them; an id a relation lacks enumerates nothing there.
+/// A plan of more than kMaxPlanVars variables is InvalidArgument.
 Result<std::unique_ptr<PreparedPlan>> Prepare(
     const ExecPlan& plan, const NodeRelation& rel, const ExecOptions& options,
     const Interner* dictionary = nullptr);

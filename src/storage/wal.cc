@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -28,15 +27,15 @@ constexpr uint32_t kEndianMarker = 0x01020304u;
 /// smaller).
 constexpr uint32_t kMaxRecordBytes = 1u << 30;
 
-struct WalSegmentHeader {
+struct WalFileHeader {
   char magic[8];
   uint32_t version = 0;
   uint32_t endian = 0;
-  uint64_t first_lsn = 0;  ///< next LSN when the segment was created
+  uint64_t first_lsn = 0;  ///< next LSN when the file was written
   uint64_t reserved = 0;
 };
-static_assert(std::is_trivially_copyable_v<WalSegmentHeader> &&
-              sizeof(WalSegmentHeader) == 32);
+static_assert(std::is_trivially_copyable_v<WalFileHeader> &&
+              sizeof(WalFileHeader) == 32);
 
 struct WalRecordHeader {
   uint32_t magic = 0;
@@ -56,25 +55,6 @@ uint64_t RecordChecksum(uint64_t lsn, uint32_t length,
   return Fnv1a64(payload.data(), payload.size(), hash);
 }
 
-std::string SegmentName(uint64_t seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llu.wal",
-                static_cast<unsigned long long>(seq));
-  return buf;
-}
-
-/// Parses "<16 digits>.wal" back to its sequence number; 0 for foreign
-/// files (sequence numbers start at 1).
-uint64_t ParseSegmentName(const std::string& name) {
-  if (name.size() != 20 || name.substr(16) != ".wal") return 0;
-  uint64_t seq = 0;
-  for (int i = 0; i < 16; ++i) {
-    if (name[i] < '0' || name[i] > '9') return 0;
-    seq = seq * 10 + static_cast<uint64_t>(name[i] - '0');
-  }
-  return seq;
-}
-
 Result<std::string> ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot read " + path);
@@ -85,43 +65,39 @@ Result<std::string> ReadFile(const std::string& path) {
 }
 
 Status CorruptionAt(const std::string& path, const char* what) {
-  return Status::Corruption("corrupt WAL segment " + path + ": " + what);
+  return Status::Corruption("corrupt WAL " + path + ": " + what);
 }
 
 struct ScanResult {
   uint64_t records = 0;
-  uint64_t first_lsn = 0;  ///< 0 when the segment holds no records
   uint64_t last_lsn = 0;
-  uint64_t header_first_lsn = 0;  ///< the creation-time next LSN
+  uint64_t header_first_lsn = 0;  ///< the next LSN when it was written
   uint64_t valid_bytes = 0;  ///< prefix ending at the last whole record
   bool torn = false;         ///< bytes past valid_bytes form a torn tail
 };
 
-/// Walks `data`'s records after validating the segment header. A short
-/// final record (or short header) is reported as `torn`, never an error —
-/// the caller decides whether a tear is legal at this segment's position.
-/// Structural damage inside the valid region is Corruption. `expect_lsn`
-/// pins the first record's LSN (0 = any); `fn`, when set, receives every
-/// record with lsn > after_lsn.
-Result<ScanResult> ScanSegment(
-    const std::string& path, std::string_view data, uint64_t expect_lsn,
-    uint64_t after_lsn,
+/// Walks `data`'s records after validating the log header. A short final
+/// record (or a file shorter than its header) is reported as `torn`, never
+/// an error. Structural damage inside the valid region is Corruption.
+/// `fn`, when set, receives every record with lsn > after_lsn.
+Result<ScanResult> ScanLog(
+    const std::string& path, std::string_view data, uint64_t after_lsn,
     const std::function<Status(uint64_t, std::string_view)>* fn) {
   ScanResult out;
-  if (data.size() < sizeof(WalSegmentHeader)) {
-    out.torn = true;  // interrupted segment creation
+  if (data.size() < sizeof(WalFileHeader)) {
+    out.torn = true;
     return out;
   }
-  WalSegmentHeader header;
+  WalFileHeader header;
   std::memcpy(&header, data.data(), sizeof(header));
   if (std::memcmp(header.magic, kWalMagic, sizeof(kWalMagic)) != 0) {
-    return CorruptionAt(path, "bad segment magic");
+    return CorruptionAt(path, "bad log magic");
   }
   if (header.version != kWalFormatVersion) {
-    return CorruptionAt(path, "unsupported segment version");
+    return CorruptionAt(path, "unsupported log version");
   }
   if (header.endian != kEndianMarker) {
-    return CorruptionAt(path, "foreign-endian segment");
+    return CorruptionAt(path, "foreign-endian log");
   }
   out.header_first_lsn = header.first_lsn;
   uint64_t offset = sizeof(header);
@@ -149,13 +125,9 @@ Result<ScanResult> ScanSegment(
     if (rec.checksum != RecordChecksum(rec.lsn, rec.length, payload)) {
       return CorruptionAt(path, "record checksum mismatch");
     }
-    const uint64_t want =
-        out.records == 0 ? (expect_lsn != 0 ? expect_lsn : rec.lsn)
-                         : out.last_lsn + 1;
-    if (rec.lsn != want) {
+    if (out.records > 0 && rec.lsn != out.last_lsn + 1) {
       return CorruptionAt(path, "record LSNs are not contiguous");
     }
-    if (out.records == 0) out.first_lsn = rec.lsn;
     out.last_lsn = rec.lsn;
     out.records += 1;
     if (fn != nullptr && rec.lsn > after_lsn) {
@@ -180,16 +152,14 @@ Status TruncateFile(const std::string& path, uint64_t size) {
 
 }  // namespace
 
-Wal::Wal(std::string dir, WalOptions options)
-    : dir_(std::move(dir)), options_(options) {}
+Wal::Wal(std::string dir)
+    : dir_(std::move(dir)), path_(dir_ + "/" + kWalFileName) {}
 
 Wal::~Wal() {
-  std::lock_guard<std::mutex> lock(mu_);
-  (void)CloseTail();
+  if (fd_ >= 0) ::close(fd_);
 }
 
-Result<std::unique_ptr<Wal>> Wal::Open(const std::string& dir,
-                                       WalOptions options) {
+Result<std::unique_ptr<Wal>> Wal::Open(const std::string& dir) {
   if (dir.empty()) {
     return Status::InvalidArgument("Wal::Open: empty directory");
   }
@@ -199,126 +169,74 @@ Result<std::unique_ptr<Wal>> Wal::Open(const std::string& dir,
     return Status::IOError("cannot create WAL directory " + dir + ": " +
                            ec.message());
   }
-  std::unique_ptr<Wal> wal(new Wal(dir, options));
-
-  std::vector<std::pair<uint64_t, std::string>> found;
   for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    const uint64_t seq = ParseSegmentName(name);
-    if (seq > 0) found.emplace_back(seq, entry.path().string());
+    const fs::path name = entry.path().filename();
+    if (name.extension() == ".wal" && name != kWalFileName) {
+      return Status::NotSupported(
+          "WAL " + dir + " holds " + name.string() +
+          ", a segment of the older multi-file layout, which is not read");
+    }
   }
   if (ec) {
     return Status::IOError("cannot list WAL directory " + dir + ": " +
                            ec.message());
   }
-  std::sort(found.begin(), found.end());
-  for (size_t i = 0; i + 1 < found.size(); ++i) {
-    if (found[i].first + 1 != found[i + 1].first) {
-      return Status::Corruption("WAL " + dir +
-                                " has a gap in its segment sequence");
+  std::unique_ptr<Wal> wal(new Wal(dir));
+  // A fresh log that died before its rename: the log it was to replace is
+  // still whole.
+  fs::remove(wal->path_ + ".tmp", ec);
+  if (ec) {
+    return Status::IOError("cannot remove " + wal->path_ + ".tmp: " +
+                           ec.message());
+  }
+  if (!fs::exists(wal->path_, ec)) {
+    if (ec) {
+      return Status::IOError("cannot stat " + wal->path_ + ": " +
+                             ec.message());
+    }
+    return wal;
+  }
+  LPATH_ASSIGN_OR_RETURN(const std::string data, ReadFile(wal->path_));
+  LPATH_ASSIGN_OR_RETURN(
+      const ScanResult scan,
+      ScanLog(wal->path_, data, /*after_lsn=*/0, nullptr));
+  if (scan.torn) {
+    // A crashed append. A file shorter than its header holds nothing:
+    // bytes_ stays 0 and the first append replaces it.
+    wal->stats_.truncated_bytes = data.size() - scan.valid_bytes;
+    if (scan.valid_bytes > 0) {
+      LPATH_RETURN_IF_ERROR(TruncateFile(wal->path_, scan.valid_bytes));
     }
   }
-
-  uint64_t expect_lsn = 0;  // first record of the oldest segment: any LSN
-  for (size_t i = 0; i < found.size(); ++i) {
-    const bool last = i + 1 == found.size();
-    const std::string& path = found[i].second;
-    LPATH_ASSIGN_OR_RETURN(const std::string data, ReadFile(path));
-    LPATH_ASSIGN_OR_RETURN(
-        ScanResult scan,
-        ScanSegment(path, data, expect_lsn, /*after_lsn=*/0, nullptr));
-    if (scan.torn) {
-      // A tear is a crashed append — possible only at the very end of the
-      // log. Earlier segments were sealed by a later rotation; a tear
-      // there is damage, not a crash artifact.
-      if (!last) {
-        return CorruptionAt(path, "torn record before the final segment");
-      }
-      wal->stats_.truncated_bytes += data.size() - scan.valid_bytes;
-      if (scan.valid_bytes < sizeof(WalSegmentHeader)) {
-        // Interrupted creation: no header, no records — drop the file.
-        std::error_code rm;
-        fs::remove(path, rm);
-        if (rm) {
-          return Status::IOError("cannot remove torn segment " + path + ": " +
-                                 rm.message());
-        }
-        break;
-      }
-      LPATH_RETURN_IF_ERROR(TruncateFile(path, scan.valid_bytes));
-    }
-    Segment seg;
-    seg.path = path;
-    seg.seq = found[i].first;
-    seg.first_lsn = scan.first_lsn;
-    seg.last_lsn = scan.last_lsn;
-    seg.records = scan.records;
-    seg.bytes = scan.valid_bytes;
-    if (scan.records > 0) {
-      wal->next_lsn_ = scan.last_lsn + 1;
-      expect_lsn = scan.last_lsn + 1;
-      wal->stats_.recovered_records += scan.records;
-      wal->stats_.last_lsn = scan.last_lsn;
-    } else if (scan.header_first_lsn > wal->next_lsn_) {
-      // A checkpoint's fresh empty segment: its header preserves the LSN
-      // position of the records it replaced.
-      wal->next_lsn_ = scan.header_first_lsn;
-      wal->stats_.last_lsn = wal->next_lsn_ - 1;
-    }
-    wal->segments_.push_back(std::move(seg));
-  }
-  wal->stats_.segments = wal->segments_.size();
+  wal->bytes_ = scan.valid_bytes;
+  wal->records_ = scan.records;
+  wal->stats_.recovered_records = scan.records;
+  // Without records, the header keeps the LSN position of a checkpoint.
+  wal->next_lsn_ = scan.records > 0
+                       ? scan.last_lsn + 1
+                       : std::max<uint64_t>(1, scan.header_first_lsn);
+  wal->stats_.last_lsn = wal->next_lsn_ - 1;
   return wal;
 }
 
-Status Wal::CloseTail() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  return Status::OK();
-}
-
-Status Wal::EnsureTail(size_t incoming_bytes) {
-  if (fd_ >= 0) {
-    const Segment& tail = segments_.back();
-    if (tail.records == 0 ||
-        tail.bytes + incoming_bytes <= options_.segment_bytes) {
-      return Status::OK();
-    }
-    LPATH_RETURN_IF_ERROR(CloseTail());
-  } else if (!segments_.empty() &&
-             (segments_.back().records == 0 ||
-              segments_.back().bytes + incoming_bytes <=
-                  options_.segment_bytes)) {
-    // Reopen the recovered tail for appends at its committed end.
-    LPATH_ASSIGN_OR_RETURN(fd_, io::OpenForAppend(segments_.back().path));
-    return Status::OK();
-  }
-  // Rotate: a fresh segment whose header (and directory entry) is durable
-  // before any record lands in it.
-  Segment seg;
-  seg.seq = segments_.empty() ? 1 : segments_.back().seq + 1;
-  seg.path = dir_ + "/" + SegmentName(seg.seq);
-  WalSegmentHeader header;
+Result<int> Wal::WriteFreshLog() {
+  const std::string tmp = path_ + ".tmp";
+  WalFileHeader header;
   std::memcpy(header.magic, kWalMagic, sizeof(kWalMagic));
   header.version = kWalFormatVersion;
   header.endian = kEndianMarker;
   header.first_lsn = next_lsn_;
-  LPATH_ASSIGN_OR_RETURN(const int fd, io::OpenForWrite(seg.path));
+  LPATH_ASSIGN_OR_RETURN(const int fd, io::OpenForWrite(tmp));
   Status st = io::WriteFull(fd, &header, sizeof(header));
-  if (st.ok() && options_.sync) st = io::Fsync(fd, seg.path);
-  if (st.ok() && options_.sync) st = io::FsyncDir(dir_);
+  if (st.ok()) st = io::Fsync(fd, tmp);
+  if (st.ok()) st = io::Rename(tmp, path_);
+  if (st.ok()) st = io::FsyncDir(dir_);
   if (!st.ok()) {
     ::close(fd);
-    (void)io::Unlink(seg.path);
+    (void)io::Unlink(tmp);  // a no-op once the rename has run
     return st;
   }
-  seg.bytes = sizeof(header);
-  fd_ = fd;
-  segments_.push_back(std::move(seg));
-  stats_.segments = segments_.size();
-  return Status::OK();
+  return fd;
 }
 
 Result<uint64_t> Wal::Append(std::string_view payload) {
@@ -336,9 +254,13 @@ Result<uint64_t> Wal::Append(std::string_view payload) {
   if (io::CrashRequested("wal:append:start")) {
     return Status::IOError("injected crash: wal:append:start");
   }
-  const size_t record_bytes = sizeof(WalRecordHeader) + payload.size();
-  LPATH_RETURN_IF_ERROR(EnsureTail(record_bytes));
-  Segment& tail = segments_.back();
+  if (fd_ < 0 && bytes_ == 0) {
+    LPATH_ASSIGN_OR_RETURN(fd_, WriteFreshLog());
+    bytes_ = sizeof(WalFileHeader);
+  } else if (fd_ < 0) {
+    // Reopen the recovered log for appends at its committed end.
+    LPATH_ASSIGN_OR_RETURN(fd_, io::OpenForAppend(path_));
+  }
 
   WalRecordHeader header;
   header.magic = kWalRecordMagic;
@@ -348,27 +270,25 @@ Result<uint64_t> Wal::Append(std::string_view payload) {
   // One contiguous buffer, one write: a crash tears the record, never
   // interleaves it.
   std::string buf;
-  buf.reserve(record_bytes);
+  buf.reserve(sizeof(header) + payload.size());
   buf.append(reinterpret_cast<const char*>(&header), sizeof(header));
   buf.append(payload);
 
-  Status st = io::PWriteFull(fd_, buf.data(), buf.size(), tail.bytes);
+  Status st = io::PWriteFull(fd_, buf.data(), buf.size(), bytes_);
   if (st.ok() && io::CrashRequested("wal:append:before_sync")) {
     st = Status::IOError("injected crash: wal:append:before_sync");
   }
-  if (st.ok() && options_.sync) st = io::Fsync(fd_, tail.path);
+  if (st.ok()) st = io::Fsync(fd_, path_);
   if (!st.ok()) {
     // Uncommitted bytes may have landed; cut them back so the next append
     // (and a post-crash recovery) never sees a record that was not
     // acknowledged. If even the cleanup fails, wedge the log instead of
     // appending after garbage.
-    if (!io::TruncateFd(fd_, tail.bytes, tail.path).ok()) wedged_ = true;
+    if (!io::TruncateFd(fd_, bytes_, path_).ok()) wedged_ = true;
     return st;
   }
-  if (tail.records == 0) tail.first_lsn = header.lsn;
-  tail.last_lsn = header.lsn;
-  tail.records += 1;
-  tail.bytes += buf.size();
+  records_ += 1;
+  bytes_ += buf.size();
   last_record_bytes_ = buf.size();
   stats_.appends += 1;
   stats_.appended_bytes += buf.size();
@@ -381,70 +301,52 @@ Status Wal::Replay(
     uint64_t after_lsn,
     const std::function<Status(uint64_t, std::string_view)>& fn) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const Segment& seg : segments_) {
-    if (seg.records == 0 || seg.last_lsn <= after_lsn) continue;
-    LPATH_ASSIGN_OR_RETURN(const std::string data, ReadFile(seg.path));
-    if (data.size() < seg.bytes) {
-      return CorruptionAt(seg.path, "segment shrank after recovery");
-    }
-    LPATH_ASSIGN_OR_RETURN(
-        const ScanResult scan,
-        ScanSegment(seg.path, std::string_view(data.data(), seg.bytes),
-                    seg.first_lsn, after_lsn, &fn));
-    if (scan.torn || scan.records != seg.records) {
-      return CorruptionAt(seg.path, "segment changed after recovery");
-    }
+  if (records_ == 0 || next_lsn_ - 1 <= after_lsn) return Status::OK();
+  LPATH_ASSIGN_OR_RETURN(const std::string data, ReadFile(path_));
+  if (data.size() < bytes_) {
+    return CorruptionAt(path_, "log shrank after recovery");
+  }
+  LPATH_ASSIGN_OR_RETURN(
+      const ScanResult scan,
+      ScanLog(path_, std::string_view(data.data(), bytes_), after_lsn, &fn));
+  if (scan.torn || scan.records != records_) {
+    return CorruptionAt(path_, "log changed after recovery");
   }
   return Status::OK();
 }
 
 Status Wal::Checkpoint(uint64_t up_to_lsn) {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t dropped = 0;
-  while (dropped < segments_.size()) {
-    const Segment& seg = segments_[dropped];
-    if (seg.records == 0 || seg.last_lsn > up_to_lsn) break;
-    if (dropped + 1 == segments_.size()) LPATH_RETURN_IF_ERROR(CloseTail());
-    LPATH_RETURN_IF_ERROR(io::Unlink(seg.path));
-    dropped += 1;
-  }
-  if (dropped == 0) return Status::OK();
-  segments_.erase(segments_.begin(),
-                  segments_.begin() + static_cast<ptrdiff_t>(dropped));
+  if (records_ == 0 || up_to_lsn < next_lsn_ - 1) return Status::OK();
+  // Every record is covered. Forget them first: if the replace fails, the
+  // next append writes a fresh log instead of extending this one.
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  bytes_ = 0;
+  records_ = 0;
+  last_record_bytes_ = 0;
+  LPATH_ASSIGN_OR_RETURN(fd_, WriteFreshLog());
+  bytes_ = sizeof(WalFileHeader);
   stats_.checkpoints += 1;
-  if (segments_.empty()) {
-    // The rotate half: a fresh empty segment whose header carries
-    // next_lsn_, so the LSN position survives a restart even though every
-    // record is gone. (EnsureTail also fsyncs the directory, covering the
-    // unlinks above.)
-    LPATH_RETURN_IF_ERROR(EnsureTail(0));
-  } else if (options_.sync) {
-    LPATH_RETURN_IF_ERROR(io::FsyncDir(dir_));
-  }
-  stats_.segments = segments_.size();
   return Status::OK();
 }
 
 Status Wal::Rollback(uint64_t lsn) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (segments_.empty() || segments_.back().records == 0 ||
-      segments_.back().last_lsn != lsn || lsn + 1 != next_lsn_ ||
-      last_record_bytes_ == 0 || fd_ < 0) {
+  if (records_ == 0 || lsn + 1 != next_lsn_ || last_record_bytes_ == 0 ||
+      fd_ < 0) {
     return Status::InvalidArgument(
         "Wal::Rollback: not the most recent append");
   }
-  Segment& tail = segments_.back();
-  const uint64_t new_bytes = tail.bytes - last_record_bytes_;
-  Status st = io::TruncateFd(fd_, new_bytes, tail.path);
-  if (st.ok() && options_.sync) st = io::Fsync(fd_, tail.path);
+  const uint64_t new_bytes = bytes_ - last_record_bytes_;
+  Status st = io::TruncateFd(fd_, new_bytes, path_);
+  if (st.ok()) st = io::Fsync(fd_, path_);
   if (!st.ok()) {
     wedged_ = true;
     return st;
   }
-  tail.bytes = new_bytes;
-  tail.records -= 1;
-  tail.last_lsn = tail.records == 0 ? 0 : lsn - 1;
-  if (tail.records == 0) tail.first_lsn = 0;
+  bytes_ = new_bytes;
+  records_ -= 1;
   next_lsn_ = lsn;
   stats_.last_lsn = lsn - 1;
   last_record_bytes_ = 0;
@@ -456,6 +358,7 @@ void Wal::EnsureNextLsnAbove(uint64_t floor) {
   if (next_lsn_ <= floor) {
     next_lsn_ = floor + 1;
     stats_.last_lsn = floor;
+    last_record_bytes_ = 0;  // the latest LSN is no longer a record
   }
 }
 

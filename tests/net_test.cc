@@ -287,6 +287,26 @@ TEST_F(NetTest, DeeplyNestedQueryIsRefusedAndTheServerKeepsServing) {
   EXPECT_EQ(fresh_result.value(), after.value());
 }
 
+TEST_F(NetTest, HugeFlatPathIsRefusedAndTheServerKeepsServing) {
+  StartServer();
+  // ~0.8 MB: inside the payload limit, far past the plan-size limit. It
+  // used to exhaust a pool thread's stack and take the server down.
+  std::string flat = "//S";
+  for (int i = 0; i < 100000; ++i) flat += "/self::S";
+
+  net::Client client = Connected();
+  auto refused = client.Query("wsj", flat);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsInvalidArgument())
+      << refused.status().ToString();
+  Status prepared = client.Prepare("wsj", flat);
+  EXPECT_TRUE(prepared.IsInvalidArgument()) << prepared.ToString();
+
+  auto after = client.Query("wsj", "//VP[//NP]");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_GT(after->count(), 0u);
+}
+
 TEST_F(NetTest, OutOfRangeNumberIsRefusedAndTheServerKeepsServing) {
   StartServer();
   // Past INT64_MAX. Its number scan used to throw: on PREPARE that aborted
@@ -451,7 +471,6 @@ TEST_F(NetTest, IdleConnectionsAreReaped) {
   // ping even on a loaded host, or the server reaps the connection first.
   net::NetOptions options;
   options.idle_timeout_ms = 2000;
-  options.poll_interval_ms = 10;
   StartServer(options);
   net::Client client = Connected();
   ASSERT_TRUE(client.Ping().ok());

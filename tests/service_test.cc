@@ -10,11 +10,13 @@
 #include "service/query_service.h"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <cctype>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -257,6 +259,82 @@ TEST_F(QueryServiceTest, FlatPathPastAThousandStepsMatchesTheOracle) {
                           << got.status();
     EXPECT_EQ(got.value(), want.value()) << "via_sql_text " << via_sql_text;
   }
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+/// Runs `fn` on a new thread with a `stack_bytes` stack and joins it.
+void RunWithStack(size_t stack_bytes, std::function<void()> fn) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, stack_bytes), 0);
+  const auto run = [](void* f) -> void* {
+    (*static_cast<std::function<void()>*>(f))();
+    return nullptr;
+  };
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(&thread, &attr, run, &fn), 0);
+  pthread_join(thread, nullptr);
+  pthread_attr_destroy(&attr);
+}
+#endif
+
+TEST_F(QueryServiceTest, FlatPathAtThePlanSizeLimitMatchesTheOracle) {
+  // kMaxPlanVars variables pass and match the oracle; one more step does
+  // not prepare.
+  const auto body = [this] {
+    std::string q = "//S";
+    for (int i = 1; i < sql::kMaxPlanVars; ++i) q += "/self::S";
+    NavigationalEngine nav(snap_->corpus());
+    Result<QueryResult> want = nav.Run(q);
+    ASSERT_TRUE(want.ok()) << want.status();
+    ASSERT_GT(want->count(), 0u);
+    auto service = MakeService();
+    Result<QueryResult> served = service->Query(q);
+    ASSERT_TRUE(served.ok()) << served.status();
+    EXPECT_EQ(served.value(), want.value());
+
+    q += "/self::S";
+    const Status refused = service->Query(q).status();
+    EXPECT_TRUE(refused.IsInvalidArgument()) << refused;
+    EXPECT_NE(refused.message().find(std::to_string(sql::kMaxPlanVars)),
+              std::string::npos)
+        << refused;
+  };
+#if defined(__SANITIZE_ADDRESS__)
+  // AddressSanitizer's redzones make each executor frame about 20 times
+  // its release size: about 2,000 variables exhaust an 8 MiB stack.
+  RunWithStack(size_t{64} << 20, body);
+#else
+  body();
+#endif
+}
+
+TEST_F(QueryServiceTest, HugeFlatPathsAreRefusedWithoutACrash) {
+  // 100,000 steps used to exhaust the executor's stack. They are refused
+  // at prepare on every path in: Query, Submit on a pool thread, and the
+  // LPath engine with and without the SQL text round trip.
+  service::QueryServiceOptions opts;
+  opts.threads = 2;
+  auto service = MakeService(opts);
+  for (const std::string step : {"/self::S", "/S"}) {
+    std::string q = "//S";
+    for (int i = 0; i < 100000; ++i) q += step;
+    SCOPED_TRACE("step " + step);
+    const Status queried = service->Query(q).status();
+    EXPECT_TRUE(queried.IsInvalidArgument()) << queried;
+    const Status submitted = service->Submit(q).Get().status();
+    EXPECT_TRUE(submitted.IsInvalidArgument()) << submitted;
+    for (const bool via_sql_text : {true, false}) {
+      LPathEngine::Options options;
+      options.via_sql_text = via_sql_text;
+      const Status run =
+          LPathEngine(snap_->relation(), options).Run(q).status();
+      EXPECT_TRUE(run.IsInvalidArgument())
+          << "via_sql_text " << via_sql_text << ": " << run;
+    }
+  }
+  Result<QueryResult> after = service->Query("//S");
+  ASSERT_TRUE(after.ok()) << after.status();
 }
 
 TEST_F(QueryServiceTest, BatchMatchesIndividualQueries) {

@@ -2,7 +2,7 @@
 // ImageIO::Save (storage/io_hooks.h). The contracts under test:
 //   - *committed means recoverable*: every Append acknowledged before a
 //     simulated crash is replayed byte-identically after reopen, in LSN
-//     order, across segment rotations and reopens;
+//     order, across reopens;
 //   - *torn tails truncate, corruption rejects*: a file cut at any byte
 //     recovers the clean prefix of whole records; a bit flip anywhere
 //     yields either that clean prefix or a clean Status::Corruption —
@@ -10,8 +10,9 @@
 //   - *failed appends never commit*: an injected write/fsync failure
 //     surfaces as an error and the record is invisible to replay and to
 //     recovery, with the log still usable (or explicitly wedged);
-//   - *checkpoints drop covered segments without losing the LSN position*,
-//     even when they empty the log entirely;
+//   - *checkpoints empty a fully covered log by atomic replace, without
+//     losing the LSN position*: a crash at any step leaves every record or
+//     none, and a partial checkpoint keeps them all;
 //   - *ImageIO::Save under fault injection* returns a clean Status, never
 //     clobbers the pre-existing image, and leaks no temp files.
 
@@ -58,9 +59,8 @@ class TempDir {
   fs::path path_;
 };
 
-std::unique_ptr<Wal> MustOpenWal(const std::string& dir,
-                                 WalOptions options = {}) {
-  Result<std::unique_ptr<Wal>> wal = Wal::Open(dir, options);
+std::unique_ptr<Wal> MustOpenWal(const std::string& dir) {
+  Result<std::unique_ptr<Wal>> wal = Wal::Open(dir);
   EXPECT_TRUE(wal.ok()) << wal.status().ToString();
   return std::move(wal).value();
 }
@@ -96,10 +96,15 @@ void WriteAllBytes(const std::string& path, const std::string& data) {
   ASSERT_TRUE(out.good());
 }
 
-std::vector<std::string> SegmentFiles(const std::string& dir) {
+std::string LogFile(const std::string& dir) {
+  return dir + "/" + kWalFileName;
+}
+
+/// The names of the files in `dir`, sorted.
+std::vector<std::string> DirFiles(const std::string& dir) {
   std::vector<std::string> out;
   for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
-    if (e.path().extension() == ".wal") out.push_back(e.path().string());
+    out.push_back(e.path().filename().string());
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -143,7 +148,7 @@ TEST(Wal, AppendReplayRoundtrip) {
   const WalStats stats = wal->stats();
   EXPECT_EQ(stats.appends, 3u);
   EXPECT_EQ(stats.last_lsn, 3u);
-  EXPECT_EQ(stats.segments, 1u);
+  EXPECT_EQ(DirFiles(dir.File("wal")), std::vector<std::string>{"log.wal"});
 }
 
 TEST(Wal, RejectsEmptyPayload) {
@@ -169,35 +174,6 @@ TEST(Wal, ReopenContinuesLsnSequence) {
   EXPECT_EQ(replayed[2].second, "three");
 }
 
-TEST(Wal, RotatesSegmentsAndReplaysAcrossThem) {
-  TempDir dir;
-  WalOptions options;
-  options.segment_bytes = 256;  // a few records per segment
-  options.sync = false;
-  std::unique_ptr<Wal> wal = MustOpenWal(dir.File("wal"), options);
-  std::vector<std::string> payloads;
-  for (int i = 0; i < 40; ++i) {
-    payloads.push_back("payload-" + std::to_string(i) +
-                       std::string(32, 'x'));
-    MustAppend(wal.get(), payloads.back());
-  }
-  EXPECT_GT(wal->stats().segments, 3u);
-  EXPECT_EQ(SegmentFiles(dir.File("wal")).size(), wal->stats().segments);
-
-  const auto replayed = ReplayAll(*wal);
-  ASSERT_EQ(replayed.size(), payloads.size());
-  for (size_t i = 0; i < payloads.size(); ++i) {
-    EXPECT_EQ(replayed[i].first, i + 1);
-    EXPECT_EQ(replayed[i].second, payloads[i]);
-  }
-
-  // And identically after a reopen.
-  wal.reset();
-  wal = MustOpenWal(dir.File("wal"), options);
-  EXPECT_EQ(ReplayAll(*wal).size(), payloads.size());
-  EXPECT_EQ(wal->last_lsn(), payloads.size());
-}
-
 // ---------------------------------------------------------------------------
 // Torn tails and corruption
 
@@ -206,28 +182,26 @@ TEST(Wal, TornTailTruncatedAtEveryCutPoint) {
   // truncated to that length: recovery must yield exactly the records
   // wholly inside the cut, and appending afterwards must work.
   TempDir dir;
-  WalOptions options;
-  options.sync = false;
   const std::vector<std::string> payloads = {"alpha", "bravo-bravo",
                                              "charlie"};
   std::vector<uint64_t> ends;  // file size after each append
   {
-    std::unique_ptr<Wal> wal = MustOpenWal(dir.File("ref"), options);
+    std::unique_ptr<Wal> wal = MustOpenWal(dir.File("ref"));
     for (const std::string& p : payloads) {
       MustAppend(wal.get(), p);
-      ends.push_back(fs::file_size(SegmentFiles(dir.File("ref"))[0]));
+      ends.push_back(fs::file_size(LogFile(dir.File("ref"))));
     }
   }
-  const std::string full = ReadAllBytes(SegmentFiles(dir.File("ref"))[0]);
+  const std::string full = ReadAllBytes(LogFile(dir.File("ref")));
 
   for (size_t cut = 0; cut < full.size(); ++cut) {
     SCOPED_TRACE("cut=" + std::to_string(cut));
     const std::string wal_dir = dir.File("cut");
     fs::remove_all(wal_dir);
     fs::create_directories(wal_dir);
-    WriteAllBytes(wal_dir + "/0000000000000001.wal", full.substr(0, cut));
+    WriteAllBytes(LogFile(wal_dir), full.substr(0, cut));
 
-    std::unique_ptr<Wal> wal = MustOpenWal(wal_dir, options);
+    std::unique_ptr<Wal> wal = MustOpenWal(wal_dir);
     size_t want = 0;
     while (want < ends.size() && ends[want] <= cut) ++want;
     const auto replayed = ReplayAll(*wal);
@@ -235,9 +209,9 @@ TEST(Wal, TornTailTruncatedAtEveryCutPoint) {
     for (size_t i = 0; i < want; ++i) {
       EXPECT_EQ(replayed[i].second, payloads[i]);
     }
-    // A cut at a record boundary (or inside the 32-byte segment header,
-    // where the whole file is dropped) tears nothing; any other cut must
-    // be accounted as truncation.
+    // A cut at a record boundary (or inside the 32-byte header, where the
+    // first append replaces the whole file) tears nothing; any other cut
+    // must be accounted as truncation.
     const bool clean_boundary =
         cut < 32 || cut == 32 ||
         std::find(ends.begin(), ends.end(), cut) != ends.end();
@@ -250,19 +224,17 @@ TEST(Wal, TornTailTruncatedAtEveryCutPoint) {
 }
 
 TEST(Wal, BitFlipYieldsCleanPrefixOrCleanError) {
-  // Flip each byte of a three-record segment: Open must either succeed
-  // with a clean prefix of the original records or fail with a clean
-  // Corruption status — never crash, never serve altered payloads.
+  // Flip each byte of a three-record log: Open must either succeed with a
+  // clean prefix of the original records or fail with a clean Corruption
+  // status — never crash, never serve altered payloads.
   TempDir dir;
-  WalOptions options;
-  options.sync = false;
   const std::vector<std::string> payloads = {"alpha", "bravo-bravo",
                                              "charlie"};
   {
-    std::unique_ptr<Wal> wal = MustOpenWal(dir.File("ref"), options);
+    std::unique_ptr<Wal> wal = MustOpenWal(dir.File("ref"));
     for (const std::string& p : payloads) MustAppend(wal.get(), p);
   }
-  const std::string full = ReadAllBytes(SegmentFiles(dir.File("ref"))[0]);
+  const std::string full = ReadAllBytes(LogFile(dir.File("ref")));
 
   for (size_t pos = 0; pos < full.size(); ++pos) {
     SCOPED_TRACE("flip=" + std::to_string(pos));
@@ -271,9 +243,9 @@ TEST(Wal, BitFlipYieldsCleanPrefixOrCleanError) {
     const std::string wal_dir = dir.File("flip");
     fs::remove_all(wal_dir);
     fs::create_directories(wal_dir);
-    WriteAllBytes(wal_dir + "/0000000000000001.wal", flipped);
+    WriteAllBytes(LogFile(wal_dir), flipped);
 
-    Result<std::unique_ptr<Wal>> wal = Wal::Open(wal_dir, options);
+    Result<std::unique_ptr<Wal>> wal = Wal::Open(wal_dir);
     if (!wal.ok()) {
       EXPECT_EQ(wal.status().code(), StatusCode::kCorruption)
           << wal.status().ToString();
@@ -292,57 +264,134 @@ TEST(Wal, BitFlipYieldsCleanPrefixOrCleanError) {
   }
 }
 
-TEST(Wal, CorruptMiddleSegmentRefusesToOpen) {
+TEST(Wal, CorruptMiddleRecordRefusesToOpen) {
   TempDir dir;
-  WalOptions options;
-  options.segment_bytes = 128;
-  options.sync = false;
+  std::vector<uint64_t> ends;  // file size after each append
   {
-    std::unique_ptr<Wal> wal = MustOpenWal(dir.File("wal"), options);
+    std::unique_ptr<Wal> wal = MustOpenWal(dir.File("wal"));
     for (int i = 0; i < 20; ++i) {
       MustAppend(wal.get(), "record-" + std::to_string(i) +
                                 std::string(24, 'y'));
+      ends.push_back(fs::file_size(LogFile(dir.File("wal"))));
     }
-    ASSERT_GT(wal->stats().segments, 2u);
   }
-  // Damage a payload byte in the middle of the FIRST segment: damage
-  // before the tail cannot be a crash artifact, so the log must refuse
-  // to serve rather than drop an acknowledged record.
-  const std::vector<std::string> segments = SegmentFiles(dir.File("wal"));
-  std::string data = ReadAllBytes(segments.front());
-  data[data.size() - 4] = static_cast<char>(data[data.size() - 4] ^ 0x01);
-  WriteAllBytes(segments.front(), data);
+  // Damage the last payload byte of the tenth record: damage before the
+  // tail cannot be a crash artifact, so the log must refuse to serve
+  // rather than drop an acknowledged record.
+  const std::string path = LogFile(dir.File("wal"));
+  std::string data = ReadAllBytes(path);
+  const size_t pos = ends[9] - 1;
+  data[pos] = static_cast<char>(data[pos] ^ 0x01);
+  WriteAllBytes(path, data);
 
-  Result<std::unique_ptr<Wal>> wal = Wal::Open(dir.File("wal"), options);
+  Result<std::unique_ptr<Wal>> wal = Wal::Open(dir.File("wal"));
   ASSERT_FALSE(wal.ok());
   EXPECT_EQ(wal.status().code(), StatusCode::kCorruption);
+}
+
+TEST(Wal, OldSegmentLayoutIsNotSupported) {
+  // A directory in the older layout of numbered segment files: opening it
+  // as an empty log would silently drop acknowledged records.
+  TempDir dir;
+  {
+    std::unique_ptr<Wal> wal = MustOpenWal(dir.File("wal"));
+    MustAppend(wal.get(), "acked");
+  }
+  fs::rename(LogFile(dir.File("wal")),
+             dir.File("wal") + "/0000000000000001.wal");
+  Result<std::unique_ptr<Wal>> wal = Wal::Open(dir.File("wal"));
+  ASSERT_FALSE(wal.ok());
+  EXPECT_EQ(wal.status().code(), StatusCode::kNotSupported)
+      << wal.status().ToString();
 }
 
 // ---------------------------------------------------------------------------
 // Checkpoint / rollback / LSN position
 
-TEST(Wal, CheckpointDropsOnlyCoveredSegments) {
+TEST(Wal, PartialCheckpointKeepsEveryRecord) {
   TempDir dir;
-  WalOptions options;
-  options.segment_bytes = 128;
-  options.sync = false;
-  std::unique_ptr<Wal> wal = MustOpenWal(dir.File("wal"), options);
+  std::unique_ptr<Wal> wal = MustOpenWal(dir.File("wal"));
   for (int i = 0; i < 20; ++i) {
     MustAppend(wal.get(), "record-" + std::to_string(i) +
                               std::string(24, 'y'));
   }
-  const uint64_t segments_before = wal->stats().segments;
-  ASSERT_GT(segments_before, 2u);
-
-  // Checkpoint to a mid-log LSN: leading fully-covered segments go, the
-  // partially covered one stays, and replay past the checkpoint is intact.
+  // A checkpoint to a mid-log LSN covers only part of the log, which
+  // stays whole; replay filters by LSN.
   ASSERT_TRUE(wal->Checkpoint(10).ok());
-  EXPECT_LT(wal->stats().segments, segments_before);
+  EXPECT_EQ(wal->stats().checkpoints, 0u);
+  EXPECT_EQ(ReplayAll(*wal).size(), 20u);
   const auto replayed = ReplayAll(*wal, 10);
   ASSERT_EQ(replayed.size(), 10u);
   EXPECT_EQ(replayed.front().first, 11u);
   EXPECT_EQ(replayed.back().first, 20u);
-  EXPECT_EQ(wal->stats().checkpoints, 1u);
+
+  wal.reset();
+  wal = MustOpenWal(dir.File("wal"));
+  EXPECT_EQ(ReplayAll(*wal).size(), 20u);
+  EXPECT_EQ(MustAppend(wal.get(), "twenty-one"), 21u);
+}
+
+TEST(Wal, CheckpointCrashAtEveryOpKeepsEveryRecordOrNone) {
+  // Sweep a simulated crash across every I/O boundary of a full
+  // checkpoint. The rename is the switch: before it the reopened log
+  // holds every record, after it none; either way it keeps its LSN
+  // position and no temp file survives the reopen.
+  TempDir dir;
+  const std::string wal_dir = dir.File("wal");
+  bool saw_all = false;
+  bool saw_none = false;
+  for (int64_t budget = 0;; ++budget) {
+    SCOPED_TRACE("fail_after_ops=" + std::to_string(budget));
+    fs::remove_all(wal_dir);
+    std::unique_ptr<Wal> wal = MustOpenWal(wal_dir);
+    for (int i = 0; i < 5; ++i) {
+      MustAppend(wal.get(), "record-" + std::to_string(i));
+    }
+    IoHooks hooks;
+    hooks.fail_after_ops.store(budget);
+    Status st;
+    {
+      ScopedIoHooks install(&hooks);
+      st = wal->Checkpoint(5);
+    }
+    wal = MustOpenWal(wal_dir);
+    const size_t records = ReplayAll(*wal).size();
+    EXPECT_TRUE(records == 5 || records == 0) << records;
+    saw_all |= records == 5;
+    saw_none |= records == 0;
+    EXPECT_EQ(wal->last_lsn(), 5u);
+    EXPECT_EQ(DirFiles(wal_dir), std::vector<std::string>{"log.wal"});
+    EXPECT_EQ(MustAppend(wal.get(), "next"), 6u);
+    if (st.ok()) {
+      EXPECT_FALSE(hooks.crashed.load());
+      EXPECT_EQ(records, 0u);
+      break;
+    }
+    ASSERT_LT(budget, 64) << "sweep did not terminate";
+  }
+  EXPECT_TRUE(saw_all);
+  EXPECT_TRUE(saw_none);
+}
+
+TEST(Wal, FailedCheckpointLeavesTheNextAppendAFreshLog) {
+  // A transient rename failure: the checkpoint reports it, the covered
+  // records stay on disk for now, and the next append replaces them with
+  // a fresh log that continues the LSN sequence.
+  TempDir dir;
+  std::unique_ptr<Wal> wal = MustOpenWal(dir.File("wal"));
+  for (int i = 0; i < 3; ++i) MustAppend(wal.get(), "covered");
+  IoHooks hooks;
+  hooks.fail_rename.store(true);
+  {
+    ScopedIoHooks install(&hooks);
+    EXPECT_FALSE(wal->Checkpoint(3).ok());
+  }
+  EXPECT_EQ(MustAppend(wal.get(), "four"), 4u);
+  wal = MustOpenWal(dir.File("wal"));
+  const auto replayed = ReplayAll(*wal);
+  ASSERT_EQ(replayed.size(), 1u);
+  EXPECT_EQ(replayed[0].first, 4u);
+  EXPECT_EQ(replayed[0].second, "four");
 }
 
 TEST(Wal, FullCheckpointPreservesLsnPositionAcrossReopen) {
@@ -366,8 +415,8 @@ TEST(Wal, EnsureNextLsnAboveClosesCheckpointCrashWindow) {
   std::unique_ptr<Wal> wal = MustOpenWal(dir.File("wal"));
   EXPECT_EQ(wal->last_lsn(), 0u);
   // Simulates an attach whose image is stamped at LSN 7 while the log
-  // lost its position (crash between a checkpoint's unlinks and its
-  // fresh-segment rotation): appends must resume above the stamp.
+  // lost its position (its directory was lost or cleared): appends must
+  // resume above the stamp.
   wal->EnsureNextLsnAbove(7);
   EXPECT_EQ(wal->last_lsn(), 7u);
   EXPECT_EQ(MustAppend(wal.get(), "eight"), 8u);
